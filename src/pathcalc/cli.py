@@ -34,7 +34,6 @@ from .decompose import (
 )
 from .errors import SchemaError
 from .functional import (
-    DyadicRefinement,
     Partition,
     ScalarFn,
     increment_fn,
@@ -122,17 +121,75 @@ CHECK_OPS = {
 }
 
 
-def _check(name, value, op, bound, recompute=None) -> dict:
-    row = {
+def _check(name, value, op, bound) -> dict:
+    return {
         "name": name,
         "value": value,
         "op": op,
         "bound": bound,
         "passed": bool(CHECK_OPS[op](value, bound)),
     }
-    if recompute:
-        row["recompute"] = recompute
-    return row
+
+
+def _recomputed_check(name, rule, seed_rows, op, bound) -> dict:
+    """A check whose value is the statistic ``rule`` of the per-seed rows.
+
+    The rule is stored with the check, and ``replay`` recomputes the value
+    from the persisted rows through the same :data:`STATS` entry.
+    """
+    return {**_check(name, _replay_value(rule, seed_rows), op, bound), "recompute": rule}
+
+
+# ---------------------------------------------------------------------------
+# named statistics over per-seed rows (shared by run and replay)
+# ---------------------------------------------------------------------------
+
+
+def _dig(row: dict, dotted: str):
+    """The value at a dotted key path of a per-seed row.
+
+    A missing key reads as inf: the seed has no such number (say, an
+    inapplicable report), so the statistic fails any upper bound.
+    """
+    cur = row
+    for part in dotted.split("."):
+        if part not in cur:
+            return float("inf")
+        cur = cur[part]
+    return cur
+
+
+def _diff_decreasing(rule, rows) -> bool:
+    """Mean |S_k - S_(k+1)| over seeds does not grow along ``keys`` (5% slack)."""
+    keys = rule["keys"]
+    diffs = [
+        float(np.mean([abs(_dig(r, a) - _dig(r, b)) for r in rows]))
+        for a, b in zip(keys[:-1], keys[1:])
+    ]
+    return all(d2 <= d1 * 1.05 + 1e-12 for d1, d2 in zip(diffs[:-1], diffs[1:]))
+
+
+def _mean_rel_err(rule, rows) -> float:
+    """Per-seed |a_c_final - oracle| / oracle, averaged over the seeds that have
+    a ``rule["key"]`` entry; inf when none has."""
+    entries = [r[rule["key"]] for r in rows if rule["key"] in r]
+    rels = [abs(e["a_c_final"] - e["oracle"]) / max(e["oracle"], 1e-12) for e in entries]
+    return float(np.mean(rels)) if rels else float("inf")
+
+
+STATS = {
+    "max": lambda rule, rows: max(_dig(r, rule["key"]) for r in rows),
+    "mean": lambda rule, rows: float(np.mean([_dig(r, rule["key"]) for r in rows])),
+    "all_true": lambda rule, rows: all(bool(_dig(r, rule["key"])) for r in rows),
+    "diff_decreasing": _diff_decreasing,
+    "mean_rel_err": _mean_rel_err,
+}
+
+
+def _replay_value(rule, seed_rows):
+    if rule["stat"] not in STATS:
+        raise SchemaError(f"unknown recompute stat {rule['stat']!r}")
+    return STATS[rule["stat"]](rule, seed_rows)
 
 
 def _finish(cfg, kind_dir: Path, checks, per_seed_rel) -> int:
@@ -179,18 +236,12 @@ def _run_qv(cfg, kind_dir: Path) -> int:
         return row
 
     seeds, rows = _map_seeds(cfg, worker)
-    finest = str(levels[-1])
-    mean_qv = float(np.mean([r["qv"][finest] for r in rows]))
-    diffs = [
-        float(np.mean([abs(r["qv"][str(a)] - r["qv"][str(b)]) for r in rows]))
-        for a, b in zip(levels[:-1], levels[1:])
-    ]
-    decreasing = all(d2 <= d1 * 1.05 + 1e-12 for d1, d2 in zip(diffs[:-1], diffs[1:]))
     checks = [
-        _check(f"E[QV]_{T:g} in {band}", mean_qv, "in", band,
-               recompute={"stat": "mean", "key": f"qv.{finest}"}),
-        _check("cauchy_trace_decreasing", decreasing, "true", True,
-               recompute={"stat": "diff_decreasing", "keys": [f"qv.{lv}" for lv in levels]}),
+        _recomputed_check(f"E[QV]_{T:g} in {band}", {"stat": "mean", "key": f"qv.{levels[-1]}"},
+                          rows, "in", band),
+        _recomputed_check("cauchy_trace_decreasing",
+                          {"stat": "diff_decreasing", "keys": [f"qv.{lv}" for lv in levels]},
+                          rows, "true", True),
     ]
     return _finish(cfg, kind_dir, checks, {str(s): f"{s}/report.json" for s in seeds})
 
@@ -250,29 +301,19 @@ def _decomposition_worker(cfg, kind_dir, mode):
         return row
 
     seeds, rows = _map_seeds(cfg, worker)
-    max_resid = max(r["summary"].get("max_abs_residual", float("inf")) for r in rows)
-    max_gap = max(r["summary"].get("max_identity_gap", float("inf")) for r in rows)
-    all_pass = all(r["verdict"]["passed"] for r in rows)
     checks = [
-        _check("max_identity_gap", max_gap, "le", gap_tol,
-               recompute={"stat": "max", "key": "summary.max_identity_gap"}),
-        _check("all_verdicts_pass", all_pass, "true", True,
-               recompute={"stat": "all_true", "key": "verdict.passed"}),
+        _recomputed_check("max_identity_gap", {"stat": "max", "key": "summary.max_identity_gap"},
+                          rows, "le", gap_tol),
+        _recomputed_check("all_verdicts_pass", {"stat": "all_true", "key": "verdict.passed"},
+                          rows, "true", True),
     ]
     if mode == "ito":
-        checks.insert(0, _check("max_residual", max_resid, "le", tol,
-                                recompute={"stat": "max", "key": "summary.max_abs_residual"}))
+        checks.insert(0, _recomputed_check(
+            "max_residual", {"stat": "max", "key": "summary.max_abs_residual"}, rows, "le", tol))
     if lt_cfg:
-        rels = [
-            abs(r["local_time"]["a_c_final"] - r["local_time"]["oracle"])
-            / max(r["local_time"]["oracle"], 1e-12)
-            for r in rows
-            if "local_time" in r
-        ]
-        mean_rel = float(np.mean(rels)) if rels else float("inf")
-        checks.append(_check("local_time_mean_rel_err", mean_rel, "le",
-                             float(cfg["tolerances"].get("local_time_rel", 0.10)),
-                             recompute={"stat": "mean_rel_err", "key": "local_time"}))
+        checks.append(_recomputed_check(
+            "local_time_mean_rel_err", {"stat": "mean_rel_err", "key": "local_time"}, rows,
+            "le", float(cfg["tolerances"].get("local_time_rel", 0.10))))
     return _finish(cfg, kind_dir, checks, {str(s): f"{s}/report.json" for s in seeds})
 
 
@@ -419,40 +460,6 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
-
-
-def _dig(d: dict, dotted: str):
-    cur = d
-    for part in dotted.split("."):
-        cur = cur[part]
-    return cur
-
-
-def _replay_value(rule, seed_rows):
-    stat = rule["stat"]
-    if stat == "diff_decreasing":
-        keys = rule["keys"]
-        diffs = [
-            float(np.mean([abs(_dig(r, a) - _dig(r, b)) for r in seed_rows]))
-            for a, b in zip(keys[:-1], keys[1:])
-        ]
-        return all(d2 <= d1 * 1.05 + 1e-12 for d1, d2 in zip(diffs[:-1], diffs[1:]))
-    if stat == "mean_rel_err":
-        rels = [
-            abs(r["local_time"]["a_c_final"] - r["local_time"]["oracle"])
-            / max(r["local_time"]["oracle"], 1e-12)
-            for r in seed_rows
-            if "local_time" in r
-        ]
-        return float(np.mean(rels)) if rels else float("inf")
-    vals = [_dig(r, rule["key"]) for r in seed_rows]
-    if stat == "max":
-        return max(vals)
-    if stat == "mean":
-        return float(np.mean(vals))
-    if stat == "all_true":
-        return all(bool(v) for v in vals)
-    raise SchemaError(f"unknown recompute stat {stat!r}")
 
 
 def replay(directory: str) -> int:

@@ -1,30 +1,28 @@
 """Closed-form predictable compensators and their Monte Carlo verification.
 
-For the parametric increasing processes in the catalog the compensator is
-linear in time: rate * t for a Poisson counter, rate * E[J] * t for a
-compound Poisson sum of nonnegative jumps, and sigma^2 t + rate * E[J^2] t
-for the quadratic variation of a jump diffusion.  The verification
-estimates E int Y dA and E int Y dA^p with paired sampling, so the verdict
-compares the mean difference against three standard errors of the paired
-difference.
+Every increasing process in the catalog has the form
+
+    A_t = c t + sum_{jump times s <= t} J_s^p
+
+with Poisson(rate) jump times and i.i.d. jumps J of a given law, so its
+compensator is A^p_t = (c + rate E[J^p]) t.  A Poisson counter has p = 0,
+a compound Poisson sum of nonnegative jumps p = 1, the quadratic variation
+of a jump diffusion p = 2 and c = sigma^2, and a deterministic process
+c = slope and no jumps.  The verification estimates E int Y dA and
+E int Y dA^p with paired sampling, so the verdict compares the mean
+difference against three standard errors of the paired difference.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .paths import (
-    BrownianMotion,
-    CompoundPoissonJumps,
-    JumpDiffusion,
-    TwoPointLaw,
-    UniformLaw,
-)
+from .paths import BrownianMotion, JumpDiffusion, TwoPointLaw, UniformLaw, _Parametric
 
 __all__ = [
     "PoissonCounting",
@@ -48,19 +46,58 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _Increasing:
+    """A_t = c t + sum J^p (see the module docstring).
+
+    Each subclass answers ``c`` (None when A has no continuous part),
+    ``rate``, ``law`` (None when there are no jumps or p = 0) and, when it
+    has jumps, ``p``.
+    """
+
+    def compensator_slope(self, rate_factor: float = 1.0) -> float:
+        """Slope c + rate E[J^p] of t -> A^p_t, scaled by ``rate_factor``.
+
+        A pure-jump process (c None) scales its intensity, rate_factor * rate;
+        one with a continuous part scales the whole slope.
+        """
+        if self.c is None:
+            return rate_factor * self.rate * self._jump_moment()
+        jump = self.rate * self._jump_moment() if self.law is not None else 0.0
+        return rate_factor * (self.c + jump)
+
+    def _jump_moment(self) -> float:
+        if self.p == 0:
+            return 1.0
+        return self.law.mean if self.p == 1 else self.law.second_moment
+
+    def jumps(self, rng, n: int) -> np.ndarray:
+        """n i.i.d. jumps J^p of A; no draw when p = 0."""
+        if self.p == 0:
+            return np.ones(n)
+        return np.asarray(self.law.sample(rng, n), dtype=float) ** self.p
+
+
+def _require_increasing(model, what: str) -> None:
+    if not isinstance(model, _Increasing):
+        raise UnsupportedModelError(f"{what} does not support {model!r}")
+
+
 @dataclass(frozen=True)
-class PoissonCounting:
+class PoissonCounting(_Increasing):
     rate: float
 
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
 
+    c = None
+    law = None
+    p = 0
     label = property(lambda self: f"poisson_counting(rate={self.rate})")
 
 
 @dataclass(frozen=True)
-class CompoundPoissonIncreasing:
+class CompoundPoissonIncreasing(_Increasing):
     rate: float
     law: object
 
@@ -70,59 +107,46 @@ class CompoundPoissonIncreasing:
         if not self.law.nonnegative():
             raise ValueError("increasing process needs a jump law supported on [0, inf)")
 
+    c = None
+    p = 1
     label = property(lambda self: f"compound_poisson_increasing(rate={self.rate})")
 
 
 @dataclass(frozen=True)
-class PathQV:
-    """Quadratic variation of a diffusion-with-jumps path model."""
+class PathQV(_Increasing):
+    """Quadratic variation [X] of a diffusion-with-jumps path model: c = sigma^2, p = 2."""
 
     model: object
 
     def __post_init__(self):
-        if not isinstance(self.model, (BrownianMotion, JumpDiffusion, CompoundPoissonJumps)):
+        if not isinstance(self.model, _Parametric):
             raise ValueError("PathQV supports BM, jump diffusion, or compound Poisson models")
 
+    c = property(lambda self: self.model.sigma**2)
+    rate = property(lambda self: self.model.rate)
+    law = property(lambda self: self.model.law)
+    p = 2
     label = property(lambda self: f"path_qv({self.model.label})")
-
-    @property
-    def sigma(self) -> float:
-        return getattr(self.model, "sigma", 0.0)
-
-    @property
-    def rate(self) -> float:
-        return getattr(self.model, "rate", 0.0)
-
-    @property
-    def law(self):
-        return getattr(self.model, "law", None)
 
 
 @dataclass(frozen=True)
-class DeterministicIncreasing:
+class DeterministicIncreasing(_Increasing):
     slope: float = 1.0
 
     def __post_init__(self):
         if self.slope < 0:
             raise ValueError("slope must be >= 0")
 
+    c = property(lambda self: self.slope)
+    rate = 0.0
+    law = None
     label = property(lambda self: f"deterministic(slope={self.slope})")
 
 
 def compensator_closed_form(model) -> Callable[[np.ndarray], np.ndarray]:
     """The predictable compensator t -> A^p_t of a catalog model."""
-    if isinstance(model, PoissonCounting):
-        coeff = model.rate
-    elif isinstance(model, CompoundPoissonIncreasing):
-        coeff = model.rate * model.law.mean
-    elif isinstance(model, PathQV):
-        coeff = model.sigma**2
-        if model.law is not None:
-            coeff += model.rate * model.law.second_moment
-    elif isinstance(model, DeterministicIncreasing):
-        coeff = model.slope
-    else:
-        raise UnsupportedModelError(f"no closed-form compensator for {model!r}")
+    _require_increasing(model, "compensator_closed_form")
+    coeff = model.compensator_slope()
     return lambda t: coeff * np.asarray(t, dtype=float)
 
 
@@ -285,95 +309,73 @@ def verify_compensator(
     ``rate_factor`` scales the rate used in the closed-form side only; a
     value != 1 is the deliberate negative control (the check must fail).
     """
+    _require_increasing(model, "verify_compensator")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
-    if isinstance(model, DeterministicIncreasing):
+    if isinstance(model, DeterministicIncreasing):  # closed form: A is not random
         if isinstance(y, ConstantY):
-            val = y.c * model.slope * T
+            val = y.c * model.c * T
         elif isinstance(y, StepY):
-            val = model.slope * min(y.tau, T)
+            val = model.c * min(y.tau, T)
         else:
             ts = np.linspace(0, T, n_steps + 1)
-            state = model.slope * ts[:-1]
-            val = float(np.sum(np.asarray(y.h(state), dtype=float) * model.slope * np.diff(ts)))
+            state = model.c * ts[:-1]
+            val = float(np.sum(np.asarray(y.h(state), dtype=float) * model.c * np.diff(ts)))
         lhs = np.full(2, val)
         rhs = np.full(2, rate_factor * val)
         return _verdict(model, y, lhs, rhs)
 
-    if isinstance(model, (PoissonCounting, CompoundPoissonIncreasing)):
-        rate = model.rate
-        counts, path_id, times = _poisson_events(rng, rate, T, n_paths)
-        if isinstance(model, PoissonCounting):
-            sizes = np.ones(len(times))
-            mean_size = 1.0
-        else:
-            sizes = np.asarray(model.law.sample(rng, len(times)), dtype=float)
-            mean_size = model.law.mean
-        comp_coeff = rate_factor * rate * mean_size
-
-        lhs = np.zeros(n_paths)
-        if isinstance(y, ConstantY):
-            np.add.at(lhs, path_id, y.c * sizes)
-            rhs = np.full(n_paths, y.c * comp_coeff * T)
-        elif isinstance(y, StepY):
-            sel = times <= y.tau
-            np.add.at(lhs, path_id[sel], sizes[sel])
-            rhs = np.full(n_paths, comp_coeff * min(y.tau, T))
-        elif isinstance(y, StateY):
-            before = _ragged_prefix_before(counts, sizes)
-            np.add.at(lhs, path_id, np.asarray(y.h(before), dtype=float) * sizes)
-            integral = _segment_integral(y.h, counts, path_id, times, before, sizes, T)
-            rhs = comp_coeff * integral
-        else:
-            raise ValueError(f"unknown test process {y!r}")
-        return _verdict(model, y, lhs, rhs)
-
-    if isinstance(model, PathQV):
-        sigma = model.sigma
-        rate = model.rate
-        law = model.law
+    if isinstance(model, PathQV):  # discretised continuous part, exact jumps
+        sigma, drift = model.model.sigma, model.model.drift
         ts = np.linspace(0.0, T, n_steps + 1)
         dt = T / n_steps
         x = np.zeros((n_paths, n_steps + 1))
-        if sigma > 0 or getattr(model.model, "drift", 0.0) != 0.0:
-            drift = getattr(model.model, "drift", 0.0)
+        if sigma > 0 or drift != 0.0:
             incr = drift * dt + sigma * np.sqrt(dt) * rng.normal(size=(n_paths, n_steps))
             x[:, 1:] = np.cumsum(incr, axis=1)
         jump_lhs = np.zeros(n_paths)
-        if rate > 0 and law is not None:
-            counts, path_id, times = _poisson_events(rng, rate, T, n_paths)
-            sizes = np.asarray(law.sample(rng, len(times)), dtype=float)
+        if model.rate > 0:
+            counts, path_id, times = _poisson_events(rng, model.rate, T, n_paths)
+            jumps = model.jumps(rng, len(times))
             # the state driving Y is the continuous component, read at the
             # left edge of the grid cell holding the jump; it is adapted and
             # left-continuous, and both sides below use the same state
             cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
             state_before = x[path_id, cell]
-            np.add.at(jump_lhs, path_id, np.asarray(_h_of(y, state_before, times), dtype=float) * sizes**2)
-        hvals = _h_series(y, x[:, :-1], ts[:-1])
-        quad = np.sum(hvals, axis=1) * dt
-        lhs = sigma**2 * quad + jump_lhs
-        jump_coeff = rate * law.second_moment if (rate > 0 and law is not None) else 0.0
-        rhs = rate_factor * (sigma**2 + jump_coeff) * quad
+            np.add.at(jump_lhs, path_id, _y_at(y, state_before, times) * jumps)
+        quad = np.sum(_y_at(y, x[:, :-1], ts[:-1]), axis=1) * dt
+        lhs = model.c * quad + jump_lhs
+        rhs = model.compensator_slope(rate_factor) * quad
         return _verdict(model, y, lhs, rhs)
 
-    raise UnsupportedModelError(f"verify_compensator does not support {model!r}")
-
-
-def _h_of(y, state, times):
+    # exact pure-jump: A is piecewise constant between its Poisson events
+    counts, path_id, times = _poisson_events(rng, model.rate, T, n_paths)
+    sizes = model.jumps(rng, len(times))
+    comp_coeff = model.compensator_slope(rate_factor)
+    lhs = np.zeros(n_paths)
     if isinstance(y, ConstantY):
-        return np.full(len(times), y.c)
-    if isinstance(y, StepY):
-        return (times <= y.tau).astype(float)
-    if isinstance(y, StateY):
-        return y.h(state)
-    raise ValueError(f"unknown test process {y!r}")
+        np.add.at(lhs, path_id, y.c * sizes)
+        rhs = np.full(n_paths, y.c * comp_coeff * T)
+    elif isinstance(y, StepY):
+        sel = times <= y.tau
+        np.add.at(lhs, path_id[sel], sizes[sel])
+        rhs = np.full(n_paths, comp_coeff * min(y.tau, T))
+    elif isinstance(y, StateY):
+        before = _ragged_prefix_before(counts, sizes)
+        np.add.at(lhs, path_id, np.asarray(y.h(before), dtype=float) * sizes)
+        integral = _segment_integral(y.h, counts, path_id, times, before, sizes, T)
+        rhs = comp_coeff * integral
+    else:
+        raise ValueError(f"unknown test process {y!r}")
+    return _verdict(model, y, lhs, rhs)
 
 
-def _h_series(y, states, ts):
+def _y_at(y, states, times):
+    """Y_s at the left-limit states X_{s-} and times s, shaped like ``states``."""
     if isinstance(y, ConstantY):
-        return np.full(states.shape, y.c)
+        return np.full(np.shape(states), y.c, dtype=float)
     if isinstance(y, StepY):
-        return np.broadcast_to((ts <= y.tau).astype(float), states.shape)
+        return np.broadcast_to((times <= y.tau).astype(float), np.shape(states))
     if isinstance(y, StateY):
         return np.asarray(y.h(states), dtype=float)
     raise ValueError(f"unknown test process {y!r}")
@@ -392,6 +394,7 @@ def martingale_check(
 
     ``rate_factor`` != 1 corrupts the closed form (negative control).
     """
+    _require_increasing(model, "martingale_check")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     cps = [float(t) for t in checkpoints]
     if any(cps[i + 1] <= cps[i] for i in range(len(cps) - 1)) or cps[0] < 0:
@@ -401,30 +404,12 @@ def martingale_check(
     all_pass = True
     for s, t in zip(cps[:-1], cps[1:]):
         span = t - s
-        if isinstance(model, PoissonCounting):
-            incr = rng.poisson(model.rate * span, size=n_paths).astype(float)
-            comp = rate_factor * model.rate * span
-        elif isinstance(model, CompoundPoissonIncreasing):
+        incr = np.full(n_paths, (model.c or 0.0) * span)
+        if model.rate > 0:
             counts = rng.poisson(model.rate * span, size=n_paths)
-            sizes = np.asarray(model.law.sample(rng, int(np.sum(counts))), dtype=float)
-            incr = np.zeros(n_paths)
-            np.add.at(incr, np.repeat(np.arange(n_paths), counts), sizes)
-            comp = rate_factor * model.rate * model.law.mean * span
-        elif isinstance(model, PathQV):
-            sigma, rate, law = model.sigma, model.rate, model.law
-            incr = np.full(n_paths, sigma**2 * span)
-            jump_coeff = 0.0
-            if rate > 0 and law is not None:
-                counts = rng.poisson(rate * span, size=n_paths)
-                sizes = np.asarray(law.sample(rng, int(np.sum(counts))), dtype=float)
-                np.add.at(incr, np.repeat(np.arange(n_paths), counts), sizes**2)
-                jump_coeff = rate * law.second_moment
-            comp = rate_factor * (sigma**2 + jump_coeff) * span
-        elif isinstance(model, DeterministicIncreasing):
-            incr = np.full(n_paths, model.slope * span)
-            comp = rate_factor * model.slope * span
-        else:
-            raise UnsupportedModelError(f"martingale_check does not support {model!r}")
+            jumps = model.jumps(rng, int(np.sum(counts)))
+            np.add.at(incr, np.repeat(np.arange(n_paths), counts), jumps)
+        comp = model.compensator_slope(rate_factor) * span
 
         centered = incr - comp
         se = float(np.std(centered, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

@@ -18,21 +18,14 @@ residual.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ResolutionExhaustedError, UnsupportedModelError
-from .functional import ScalarFn, derivative_limit, increment_fn
-from .paths import (
-    BrownianMotion,
-    CompoundPoissonJumps,
-    FiniteVariationPath,
-    JumpDiffusion,
-    SamplePath,
-)
+from .functional import ScalarFn, _raw_ratio, derivative_limit, increment_fn
+from .paths import SamplePath
 from .riemann import RiemannGrid
 
 __all__ = [
@@ -75,15 +68,11 @@ class BracketModel:
 
     @classmethod
     def from_model(cls, model) -> "BracketModel":
-        if isinstance(model, BrownianMotion):
-            return cls(model.sigma**2, 0.0)
-        if isinstance(model, CompoundPoissonJumps):
-            return cls(0.0, model.rate * model.law.second_moment)
-        if isinstance(model, JumpDiffusion):
-            return cls(model.sigma**2, model.rate * model.law.second_moment)
-        if isinstance(model, FiniteVariationPath):
-            return cls(0.0, 0.0)
-        raise UnsupportedModelError(f"no closed-form bracket for {model!r}")
+        try:
+            coeffs = model.bracket_coeffs
+        except AttributeError:
+            raise UnsupportedModelError(f"no closed-form bracket for {model!r}") from None
+        return cls(*coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +103,24 @@ def _derivative_surrogate(
     return lambda x: np.interp(np.asarray(x, dtype=float), nodes, vals)
 
 
-def _resolve_g(f: ScalarFn, path: SamplePath, g):
-    if g is not None:
-        return (g.fn if isinstance(g, ScalarFn) else g), getattr(g, "label", "custom")
-    declared = f.derivative(1)
-    if declared is not None:
-        return declared, f"D+{f.label}"
-    lo, hi = float(np.min(path.values)), float(np.max(path.values))
-    surrogate = _derivative_surrogate(f, 1, lo, hi)
-    if surrogate is None:
-        return None, ""
-    return surrogate, f"D+{f.label}~grid"
+def _resolve_derivative(f: ScalarFn, path: SamplePath, given, order: int):
+    """Callable and label for g = f' (order 1) or tau = f''/2 (order 2).
 
-
-def _resolve_tau(f: ScalarFn, path: SamplePath, tau):
-    if tau is not None:
-        fn = tau.fn if isinstance(tau, ScalarFn) else tau
-        return fn, getattr(tau, "label", "custom")
-    declared = f.derivative(2)
-    if declared is not None:
-        return (lambda x: 0.5 * np.asarray(declared(x), dtype=float)), f"half-D2{f.label}"
-    lo, hi = float(np.min(path.values)), float(np.max(path.values))
-    surrogate = _derivative_surrogate(f, 2, lo, hi)
-    if surrogate is None:
-        return None, ""
-    return (lambda x: 0.5 * surrogate(x)), f"half-D2{f.label}~grid"
+    A ``given`` callable wins; else the declared derivative of f; else the
+    grid surrogate over the path range.  Returns (None, "") when no
+    derivative limit exists there.
+    """
+    if given is not None:
+        return given, getattr(given, "label", "custom")
+    fn, suffix = f.derivative(order), ""
+    if fn is None:
+        lo, hi = float(np.min(path.values)), float(np.max(path.values))
+        fn, suffix = _derivative_surrogate(f, order, lo, hi), "~grid"
+        if fn is None:
+            return None, ""
+    if order == 1:
+        return fn, f"D+{f.label}{suffix}"
+    return (lambda x: 0.5 * np.asarray(fn(x), dtype=float)), f"half-D2{f.label}{suffix}"
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +241,34 @@ def _cells(path: SamplePath, grid: RiemannGrid):
     return i, j, a, m, d
 
 
-def stochastic_integral(path: SamplePath, g, grid: RiemannGrid) -> np.ndarray:
-    """Cumulative left-point sums of g(X_-) dX along the grid.
+def _integrand_cells(g, a, m, d):
+    """Per-cell g(X_-) Delta X, split exactly at jump times.
 
-    Cells ending at a jump time split exactly: the continuous move is
-    weighted by g at the cell's left point and the jump displacement by g
-    at the left limit, so the jump contributes g(X_{s-}) Delta X_s.
+    The continuous move m - a is weighted by g at the cell's left point a,
+    and the jump displacement d by g at the left limit m, so a jump
+    contributes g(X_{s-}) Delta X_s.  Returns (continuous part, jump part);
+    the jump part is None when no cell ends at a jump.
     """
-    gfn = g.fn if isinstance(g, ScalarFn) else g
-    _, _, a, m, d = _cells(path, grid)
-    vals = np.asarray(gfn(a), dtype=float) * (m - a)
+    cont = np.asarray(g(a), dtype=float) * (m - a)
     jumps = d != 0.0
-    if np.any(jumps):
-        vals = vals + np.where(jumps, np.asarray(gfn(m), dtype=float) * d, 0.0)
+    if not np.any(jumps):
+        return cont, None
+    return cont, np.where(jumps, np.asarray(g(m), dtype=float) * d, 0.0)
+
+
+def stochastic_integral(path: SamplePath, g, grid: RiemannGrid) -> np.ndarray:
+    """Cumulative left-point sums of g(X_-) dX along the grid (see :func:`_integrand_cells`)."""
+    _, _, a, m, d = _cells(path, grid)
+    cont, jump = _integrand_cells(g, a, m, d)
+    vals = cont if jump is None else cont + jump
     return np.concatenate(([0.0], np.cumsum(vals)))
 
 
 def _decompose(path, f, grid, bracket, g, tau, mode) -> DecompositionReport:
-    gfn, g_label = _resolve_g(f, path, g)
+    gfn, g_label = _resolve_derivative(f, path, g, 1)
     if gfn is None:
         return _not_applicable(mode, f, path, grid, "no first derivative limit on the path range")
-    taufn, tau_label = _resolve_tau(f, path, tau)
+    taufn, tau_label = _resolve_derivative(f, path, tau, 2)
     if taufn is None:
         return _not_applicable(mode, f, path, grid, "no second derivative limit on the path range")
 
@@ -288,23 +277,19 @@ def _decompose(path, f, grid, bracket, g, tau, mode) -> DecompositionReport:
     tg = path.times[idx]
     fa = np.asarray(f(a), dtype=float)
     fm = np.asarray(f(m), dtype=float)
-    ga = np.asarray(gfn(a), dtype=float)
     ta = np.asarray(taufn(a), dtype=float)
 
-    cont_move = m - a
-    stoch_cells = ga * cont_move
-    comp_cells = ta * cont_move**2
-    rem_cells = fm - fa - ga * cont_move
+    stoch_cells, stoch_jump = _integrand_cells(gfn, a, m, d)
+    comp_cells = ta * (m - a)**2
+    rem_cells = fm - fa - stoch_cells
     resid_cells = rem_cells - comp_cells
 
     jump_mask = d != 0.0
     jump_cells = np.zeros(len(d))
-    if np.any(jump_mask):
-        b = path.values[j]
-        fb = np.asarray(f(b), dtype=float)
-        gm = np.asarray(gfn(m), dtype=float)
-        jump_cells = np.where(jump_mask, fb - fm - gm * d, 0.0)
-        stoch_cells = stoch_cells + np.where(jump_mask, gm * d, 0.0)
+    if stoch_jump is not None:
+        fb = np.asarray(f(path.values[j]), dtype=float)
+        jump_cells = np.where(jump_mask, fb - fm - stoch_jump, 0.0)
+        stoch_cells = stoch_cells + stoch_jump
 
     fx = np.asarray(f(path.values[idx]), dtype=float)
     lhs = fx - fx[0]
@@ -365,8 +350,6 @@ def tanaka_decompose(
         xs = np.linspace(lo, hi, 41)
         F = increment_fn(f)
         h = max((hi - lo) * 1e-3, 1e-6)
-        from .functional import _raw_ratio  # same recursion, unguarded
-
         vals = np.asarray(_raw_ratio(F, 2, xs, [h, h]), dtype=float)
         report.notes["second_ratio_lower_bound"] = float(np.min(vals))
     return report
@@ -386,13 +369,13 @@ def occupation_local_time(path: SamplePath, a: float, eps: float) -> float:
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
+    median_move = path.median_continuous_move()
+    if eps < median_move:
+        raise ResolutionExhaustedError(
+            f"eps={eps} is below the median continuous move {median_move:.3g}"
+        )
     p = path.values[:-1]
     q = path.pre_values[1:]
-    moves = np.abs(q - p)
-    if len(moves) and eps < float(np.median(moves)):
-        raise ResolutionExhaustedError(
-            f"eps={eps} is below the median continuous move {float(np.median(moves)):.3g}"
-        )
     w = np.diff(path.times)
     lo = np.minimum(p, q)
     hi = np.maximum(p, q)
@@ -464,8 +447,9 @@ def verify_report(
         checks["max_jump_time_increment"] = {"value": jmax, "bound": jump_tol,
                                              "passed": jmax <= jump_tol}
 
-    if coarser:
-        prev = max(float(np.max(r.identity_gap)) for r in coarser if r.applicable)
+    coarser_gaps = [float(np.max(r.identity_gap)) for r in coarser if r.applicable]
+    if coarser_gaps:
+        prev = max(coarser_gaps)
         checks["identity_gap_nonincreasing"] = {
             "value": gap_max, "bound": prev + 1e-10,
             "passed": gap_max <= prev + 1e-10,

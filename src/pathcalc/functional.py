@@ -199,6 +199,20 @@ def custom_two_index(fn: Callable, label: str, validate: bool = True) -> TwoInde
 # ---------------------------------------------------------------------------
 
 
+def _raw_ratio(F: TwoIndexFn, k: int, xs, h):
+    """The k-th incremental ratio recursion, without the finite-value guard.
+
+    Scans and derivative limits call it directly, since they welcome inf.
+    """
+
+    def ratio(j: int, pts):
+        if j == 1:
+            return np.asarray(F(pts, pts + h[0]), dtype=float) / h[0]
+        return (ratio(j - 1, pts + h[j - 1]) - ratio(j - 1, pts)) / h[j - 1]
+
+    return ratio(k, np.asarray(xs, dtype=float))
+
+
 def incremental_ratio(F: TwoIndexFn, k: int, x, h: Sequence[float]):
     """k-th iterated incremental ratio of F at x with steps h = (h_1 ... h_k).
 
@@ -214,17 +228,9 @@ def incremental_ratio(F: TwoIndexFn, k: int, x, h: Sequence[float]):
         raise ValueError(f"expected {k} step(s), got {len(h)}")
     if any(v <= 0 for v in h):
         raise ValueError("all steps h_i must be positive")
-
-    def ratio(j: int, xs):
-        if j == 1:
-            return np.asarray(F(xs, xs + h[0]), dtype=float) / h[0]
-        prev_hi = ratio(j - 1, xs + h[j - 1])
-        prev_lo = ratio(j - 1, xs)
-        return (prev_hi - prev_lo) / h[j - 1]
-
     xs = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = ratio(k, xs)
+        out = _raw_ratio(F, k, xs, h)
     if not np.all(np.isfinite(out)):
         raise NumericRangeError(
             f"incremental ratio of {F.label} overflowed at order {k} with steps {h}"
@@ -339,6 +345,26 @@ class VariationResult:
         return {"estimate": self.estimate, "finite": self.finite, "trace": list(self.trace)}
 
 
+def _refine(F: TwoIndexFn, a, b, scheme, tol, max_levels, threshold=math.inf):
+    """Partition sums along a nested refinement chain, stopped by a Cauchy test.
+
+    Returns (trace, converged): converged when the sums moved by less than
+    ``tol`` over the last three levels, not converged when a sum exceeds
+    ``threshold`` or the chain ends first.
+    """
+    trace: list[float] = []
+    for part in (scheme or DyadicRefinement()).chain(a, b, max_levels):
+        trace.append(partition_sum(F, part))
+        if trace[-1] > threshold:
+            return trace, False
+        if len(trace) >= 3:
+            d1 = abs(trace[-1] - trace[-2])
+            d2 = abs(trace[-2] - trace[-3])
+            if d1 < tol and d2 < tol:
+                return trace, True
+    return trace, False
+
+
 def summability_limit(
     F: TwoIndexFn, a: float, b: float, scheme=None,
     tol: float = 1e-4, max_levels: int = 16,
@@ -351,16 +377,8 @@ def summability_limit(
     """
     if not (a < b):
         raise ValueError("summability_limit needs a < b")
-    scheme = scheme or DyadicRefinement()
-    trace: list[float] = []
-    for part in scheme.chain(a, b, max_levels):
-        trace.append(partition_sum(F, part))
-        if len(trace) >= 3:
-            d1 = abs(trace[-1] - trace[-2])
-            d2 = abs(trace[-2] - trace[-3])
-            if d1 < tol and d2 < tol:
-                return LimitResult(trace[-1], True, tuple(trace))
-    return LimitResult(trace[-1], False, tuple(trace))
+    trace, converged = _refine(F, a, b, scheme, tol, max_levels)
+    return LimitResult(trace[-1], converged, tuple(trace))
 
 
 def variation_limit(
@@ -375,23 +393,13 @@ def variation_limit(
     """
     if not (a < b):
         raise ValueError("variation_limit needs a < b")
-    scheme = scheme or DyadicRefinement()
     absF = TwoIndexFn(
         label=f"abs[{F.label}]", kind="custom",
         fn=lambda x, y: np.abs(F(x, y)), sources=F.sources,
     )
     threshold = divergence_factor * abs(float(F(a, b))) + divergence_factor
-    trace: list[float] = []
-    for part in scheme.chain(a, b, max_levels):
-        trace.append(partition_sum(absF, part))
-        if trace[-1] > threshold:
-            return VariationResult(trace[-1], False, tuple(trace))
-        if len(trace) >= 3:
-            d1 = abs(trace[-1] - trace[-2])
-            d2 = abs(trace[-2] - trace[-3])
-            if d1 < tol and d2 < tol:
-                return VariationResult(trace[-1], True, tuple(trace))
-    return VariationResult(trace[-1], False, tuple(trace))
+    trace, finite = _refine(absF, a, b, scheme, tol, max_levels, threshold)
+    return VariationResult(trace[-1], finite, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +456,6 @@ def lipschitz_scan(
         x_star = best_x
     bounded = sups[-1] <= growth_tol * sups[0] + 1e-9
     return ScanResult(sups[-1], bounded, tuple(sups))
-
-
-def _raw_ratio(F: TwoIndexFn, k: int, xs, h):
-    """Incremental ratio without the finite-value guard (scans welcome inf)."""
-
-    def ratio(j: int, pts):
-        if j == 1:
-            return np.asarray(F(pts, pts + h[0]), dtype=float) / h[0]
-        return (ratio(j - 1, pts + h[j - 1]) - ratio(j - 1, pts)) / h[j - 1]
-
-    return ratio(k, np.asarray(xs, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,22 @@ def law_from_dict(d) -> TwoPointLaw | UniformLaw | NormalLaw:
 # ---------------------------------------------------------------------------
 
 
+class _Parametric:
+    """A path model x0 + drift t + sigma W_t + compound Poisson(rate, law) jumps.
+
+    Each subclass answers ``sigma``, ``drift``, ``rate`` and ``law``: Brownian
+    motion has no jumps (rate 0, law None), compound Poisson no diffusion.
+    """
+
+    @property
+    def bracket_coeffs(self) -> tuple:
+        """Slopes of t -> <X^c>_t and of the jump compensator: sigma^2, rate E[J^2]."""
+        jump = self.rate * self.law.second_moment if self.law is not None else 0.0
+        return self.sigma**2, jump
+
+
 @dataclass(frozen=True)
-class BrownianMotion:
+class BrownianMotion(_Parametric):
     sigma: float = 1.0
     drift: float = 0.0
     x0: float = 0.0
@@ -148,6 +162,9 @@ class BrownianMotion:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
+
+    rate = 0.0
+    law = None
 
     @property
     def label(self) -> str:
@@ -158,7 +175,7 @@ class BrownianMotion:
 
 
 @dataclass(frozen=True)
-class CompoundPoissonJumps:
+class CompoundPoissonJumps(_Parametric):
     rate: float
     law: TwoPointLaw | UniformLaw | NormalLaw
     x0: float = 0.0
@@ -166,6 +183,9 @@ class CompoundPoissonJumps:
     def __post_init__(self):
         if self.rate < 0:
             raise ValueError("rate must be >= 0")
+
+    sigma = 0.0
+    drift = 0.0
 
     @property
     def label(self) -> str:
@@ -176,7 +196,7 @@ class CompoundPoissonJumps:
 
 
 @dataclass(frozen=True)
-class JumpDiffusion:
+class JumpDiffusion(_Parametric):
     sigma: float
     drift: float
     rate: float
@@ -209,6 +229,9 @@ class FiniteVariationPath:
             raise ValueError("knots_t must start at 0 and increase strictly")
         object.__setattr__(self, "knots_t", tuple(float(v) for v in self.knots_t))
         object.__setattr__(self, "knots_x", tuple(float(v) for v in self.knots_x))
+
+    # piecewise linear: no continuous martingale part and no jumps
+    bracket_coeffs = property(lambda self: (0.0, 0.0))
 
     @property
     def label(self) -> str:
@@ -279,6 +302,16 @@ class SamplePath:
     def jump_times(self) -> np.ndarray:
         return self.times[self.jump_indices]
 
+    def median_continuous_move(self) -> float:
+        """Median of |X_{t_(i+1)-} - X_(t_i)| over the cells (0 for a single point).
+
+        Jumps are excluded by taking the left limit at each cell's end; on a
+        jump-free path these are the plain increments.  Grids and oracles use
+        it as the path's resolution scale.
+        """
+        moves = np.abs(self.pre_values[1:] - self.values[:-1])
+        return float(np.median(moves)) if len(moves) else 0.0
+
     def is_jump_index(self) -> np.ndarray:
         mask = np.zeros(self.n_points, dtype=bool)
         mask[self.jump_indices] = True
@@ -338,17 +371,9 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
             horizon=T, model=model, seed=seed, n_steps=n_steps,
         )
 
-    if isinstance(model, BrownianMotion):
-        rate, law = 0.0, None
-        sigma, drift, x0 = model.sigma, model.drift, model.x0
-    elif isinstance(model, CompoundPoissonJumps):
-        rate, law = model.rate, model.law
-        sigma, drift, x0 = 0.0, 0.0, model.x0
-    elif isinstance(model, JumpDiffusion):
-        rate, law = model.rate, model.law
-        sigma, drift, x0 = model.sigma, model.drift, model.x0
-    else:
+    if not isinstance(model, _Parametric):
         raise ValueError(f"unknown path model {model!r}")
+    sigma, drift, rate, law = model.sigma, model.drift, model.rate, model.law
 
     # fixed draw order: jump count, times, sizes, then diffusion increments
     if rate > 0:
@@ -373,7 +398,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     else:
         incr = np.zeros(len(dt))
 
-    cont = x0 + np.concatenate(([0.0], np.cumsum(incr)))
+    cont = model.x0 + np.concatenate(([0.0], np.cumsum(incr)))
     offsets = np.zeros(len(times))
     if len(jump_idx):
         contrib = np.zeros(len(times))

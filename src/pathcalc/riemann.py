@@ -94,11 +94,7 @@ def hitting_grid(path: SamplePath, eps: float) -> RiemannGrid:
     if eps <= 0:
         raise ValueError("eps must be > 0")
     x = path.values
-    moves = np.abs(np.diff(x))
-    if len(path.jump_indices):
-        cont = np.abs(path.pre_values[1:] - x[:-1])
-        moves = cont
-    resolution = 2.0 * float(np.median(moves)) if len(moves) else 0.0
+    resolution = 2.0 * path.median_continuous_move()
     if eps < resolution:
         raise ResolutionExhaustedError(
             f"eps={eps} is below the path resolution heuristic {resolution:.3g}"

@@ -173,3 +173,41 @@ class TestCatalogCommand:
         out = capsys.readouterr().out
         for name in ("abs", "square", "x_abs_x_half", "sign_primitive", "piecewise_linear"):
             assert name in out
+
+
+BM = {"kind": "bm", "sigma": 1.0}
+PARITY_CONFIGS = {
+    "summability": {"kind": "summability", "n_draws": 50},
+    "taylor": {"kind": "taylor"},
+    "qv": {"kind": "qv", "model": BM, "levels": [4, 5, 6], "n_paths": 4, "n_steps": 256},
+    "ito": {"kind": "ito", "model": BM, "function": {"name": "square"},
+            "level": 6, "n_paths": 2, "n_steps": 256},
+    "ito_inapplicable": {"kind": "ito", "model": BM, "function": {"name": "sign"},
+                         "level": 6, "n_paths": 2, "n_steps": 256},
+    "tanaka_local_time": {"kind": "tanaka", "model": BM, "function": {"name": "abs"},
+                          "level": 7, "n_paths": 3, "n_steps": 512,
+                          "local_time": {"level": 0.0, "eps": 0.2}},
+    "compensator": {"kind": "compensator", "n_paths": 200},
+    "independence": {"kind": "independence", "model": BM, "levels": [5, 6],
+                     "hitting_eps": [0.25, 0.125], "n_paths": 4, "n_steps": 512,
+                     "tolerances": {"eps": 1.0, "delta": 1.0}},
+}
+
+
+def _check_lines(text):
+    return [line for line in text.splitlines() if ": PASS (" in line or ": FAIL (" in line]
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+def test_replay_prints_the_run_verdicts(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, f"{name}.json", {
+        "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS[name],
+        "out_dir": str(tmp_path / "out"),
+    })
+    run_rc = main(["run", cfg])
+    run_lines = _check_lines(capsys.readouterr().out)
+    replay_rc = main(["replay", str(tmp_path / "out")])
+    replay_lines = _check_lines(capsys.readouterr().out)
+    assert run_lines
+    assert replay_lines == run_lines
+    assert replay_rc == run_rc

@@ -290,6 +290,15 @@ class TestVerifyReport:
         grid_idx = dyadic_grid(p, 14).indices
         assert np.max(np.abs(rep.stochastic_integral - stieltjes[grid_idx])) < 1e-6
 
+    def test_no_applicable_coarser_report_omits_gap_trend(self):
+        p = simulate(BrownianMotion(), 256, 1.0, seed=31)
+        rep = ito_decompose(p, SQUARE, dyadic_grid(p, 6))
+        inapplicable = ito_decompose(p, make_scalar_fn("sign"), dyadic_grid(p, 5))
+        assert not inapplicable.applicable
+        verdict = verify_report(rep, "ito", coarser=[inapplicable])
+        assert verdict.checks == verify_report(rep, "ito").checks
+        assert "identity_gap_nonincreasing" not in verdict.checks
+
     def test_mode_validation(self):
         p = simulate(BrownianMotion(), 64, 1.0, seed=0)
         rep = ito_decompose(p, SQUARE, dyadic_grid(p, 4))

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     BrownianMotion,
     CompoundPoissonJumps,
+    JumpDiffusion,
     OutsideDomainError,
     PathFunctional,
     ResolutionExhaustedError,
+    SamplePath,
     ScalarFn,
     TwoPointLaw,
+    UniformLaw,
     boundedness_scan,
     custom_two_index,
     dyadic_grid,
@@ -77,6 +81,39 @@ class TestGrids:
         if out[-1] != p.n_points - 1:
             out.append(p.n_points - 1)
         assert np.array_equal(g.indices, np.asarray(out))
+
+
+JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=6.0, law=UniformLaw(-1.0, 1.0))
+CPJ = CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4))
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestGridProperties:
+    @given(model=st.sampled_from([CPJ, JD]), seed=seeds,
+           n_steps=st.integers(1, 600), level=st.integers(0, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_dyadic_grid_contains_every_jump(self, model, seed, n_steps, level):
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        g = dyadic_grid(p, level)
+        assert set(p.jump_indices.tolist()) <= set(g.indices.tolist())
+
+    @given(model=st.sampled_from([BrownianMotion(), JD]), seed=seeds,
+           cut_at=st.floats(0.0, 1.0), scale=st.floats(1.0, 8.0))
+    @settings(max_examples=80, deadline=None)
+    def test_hitting_grid_is_a_stopping_time_rule(self, model, seed, cut_at, scale):
+        p = simulate(model, 512, 1.0, seed=seed)
+        k = max(2, int(cut_at * (p.n_points - 1)))
+        kept = p.jump_indices <= k
+        cut = SamplePath(
+            times=p.times[:k + 1], values=p.values[:k + 1], pre_values=p.pre_values[:k + 1],
+            jump_indices=p.jump_indices[kept], jump_sizes=p.jump_sizes[kept],
+            horizon=float(p.times[k]),
+        )
+        # above the resolution heuristic of both paths, so neither call raises
+        eps = scale * 2.0 * max(p.median_continuous_move(), cut.median_continuous_move())
+        full = hitting_grid(p, eps).indices
+        stopped = hitting_grid(cut, eps).indices
+        assert np.array_equal(full[full < k], stopped[stopped < k])
 
 
 class TestPathwiseSum:
