@@ -7,6 +7,8 @@ decomposition code uses for the integrand g and the curvature surrogate.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .functional import ScalarFn
@@ -148,42 +150,39 @@ def _piecewise_linear(breakpoints, slopes, y0: float = 0.0) -> ScalarFn:
     )
 
 
-_BUILDERS = {
-    "abs": lambda **kw: _abs_fn("abs"),
-    "square": lambda **kw: _square(),
-    "cube": lambda **kw: _cube(),
-    "x_abs_x_half": lambda **kw: _x_abs_x_half(),
-    "sign_primitive": lambda **kw: _abs_fn("sign_primitive"),
-    "sign": lambda **kw: _sign(),
-    "identity": lambda **kw: _identity(),
-    "relu": lambda **kw: _relu(),
-    "cos": lambda **kw: _cos(),
-    "piecewise_linear": lambda **kw: _piecewise_linear(**kw),
+# name -> (builder, description); the builder's keywords are the parameters
+_CATALOG = {
+    "abs": (lambda: _abs_fn("abs"), "|x|, convex, Lipschitz 1"),
+    "square": (_square, "x^2"),
+    "cube": (_cube, "x^3"),
+    "x_abs_x_half": (_x_abs_x_half, "x|x|/2, primitive of |x|"),
+    "sign_primitive": (lambda: _abs_fn("sign_primitive"), "primitive of sign (equals |x|)"),
+    "sign": (_sign, "right-continuous sign, -1/+1"),
+    "identity": (_identity, "x"),
+    "relu": (_relu, "max(x, 0), convex"),
+    "cos": (_cos, "cos(x)"),
+    "piecewise_linear": (_piecewise_linear,
+                         "continuous piecewise linear; params: breakpoints, slopes, y0"),
 }
 
-CATALOG_NAMES = tuple(sorted(_BUILDERS))
+CATALOG_NAMES = tuple(sorted(_CATALOG))
 
 
 def make_scalar_fn(name: str, **params) -> ScalarFn:
-    """Build a catalog function by name; raises ``ValueError`` for unknown names."""
+    """Build a catalog function by name; raises ``ValueError`` for unknown names or parameters."""
     try:
-        builder = _BUILDERS[name]
+        builder = _CATALOG[name][0]
     except KeyError:
         raise ValueError(f"unknown catalog function {name!r}; known: {CATALOG_NAMES}") from None
+    accepted = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(accepted))
+    missing = [p for p, spec in accepted.items() if spec.default is spec.empty and p not in params]
+    if unknown or missing:
+        raise ValueError(f"catalog function {name!r}: unknown parameters {unknown}, "
+                         f"missing parameters {missing}")
     return builder(**params)
 
 
 def list_catalog():
     """Names and one-line descriptions of the built-in scalar functions."""
-    return {
-        "abs": "|x|, convex, Lipschitz 1",
-        "square": "x^2",
-        "cube": "x^3",
-        "x_abs_x_half": "x|x|/2, primitive of |x|",
-        "sign_primitive": "primitive of sign (equals |x|)",
-        "sign": "right-continuous sign, -1/+1",
-        "identity": "x",
-        "relu": "max(x, 0), convex",
-        "cos": "cos(x)",
-        "piecewise_linear": "continuous piecewise linear; params: breakpoints, slopes, y0",
-    }
+    return {name: desc for name, (_, desc) in _CATALOG.items()}

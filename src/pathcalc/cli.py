@@ -1,12 +1,14 @@
 """Batch experiment runner: ``run`` a JSON config, ``replay`` persisted
 reports, or list the ``catalog``.
 
-Output layout per run: ``<out>/<kind>/<seed>/report.json`` (plus
-``paths.csv`` when path persistence is on), with ``aggregate.json`` and a
-one-page ``summary.txt`` at the experiment level.  Aggregates are
-byte-identical across reruns of the same config and seed: workers fan out
-across seeds (capped by ``PATHCALC_THREADS``) but the coordinator
-aggregates in fixed seed order and writes once.
+Output layout per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per
+path, one per (process, Y) pair for compensator, the base seed alone for
+summability, taylor and independence), beside it ``paths.csv`` and
+``decomposition.csv`` when paths persist and ``trace.csv`` for independence,
+with ``aggregate.json`` and a one-page ``summary.txt`` at the experiment
+level.  Aggregates are byte-identical across reruns of the same config and
+seed: workers fan out across seeds (capped by ``PATHCALC_THREADS``) and write
+their own files; the coordinator aggregates in fixed seed order, writing once.
 
 ``replay`` re-evaluates the persisted numbers against the recorded bounds
 without recomputation, so acceptance stays auditable after the fact.
@@ -19,6 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,7 @@ from .functional import (
     summability_limit,
     taylor_check,
 )
-from .paths import model_from_dict, realized_qv, simulate
+from .paths import model_from_dict, realized_qv, seeded_rng, simulate
 from .riemann import dyadic_grid, limit_in_probability
 
 SCHEMA_VERSION = 1
@@ -73,7 +76,8 @@ def _load_config(path: str, overrides) -> dict:
     if overrides.out is not None:
         cfg["out_dir"] = overrides.out
     cfg.setdefault("base_seed", 0)
-    cfg.setdefault("n_paths", 1)
+    # the compensator's paired Monte Carlo, graded at 3 SE, needs many paths
+    cfg.setdefault("n_paths", 10_000 if cfg["kind"] == "compensator" else 1)
     cfg.setdefault("T", 1.0)
     cfg.setdefault("tolerances", {})
     cfg.setdefault("write_paths", "auto")
@@ -97,6 +101,19 @@ def _threads() -> int:
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _seed_file(seed, name: str = "report.json") -> str:
+    """Where a seed's file lives, relative to the kind directory (see the module docstring)."""
+    return f"{seed}/{name}"
+
+
+def _write_seed(kind_dir: Path, seed, report: dict, files=()) -> None:
+    """Write a seed's report, then each ``(name, write)`` of ``files`` by ``write(fh)``."""
+    _write_json(kind_dir / _seed_file(seed), report)
+    for name, write in files:
+        with open(kind_dir / _seed_file(seed, name), "w") as fh:
+            write(fh)
 
 
 def _should_write_paths(cfg) -> bool:
@@ -192,50 +209,65 @@ def _replay_value(rule, seed_rows):
     return STATS[rule["stat"]](rule, seed_rows)
 
 
-def _finish(cfg, kind_dir: Path, checks, per_seed_rel) -> int:
+def _verdicts(checks, summary_path=None) -> int:
+    """Print the check lines and the overall line (and write them to ``summary_path``)."""
+    lines = [f"{c['name']}: {'PASS' if c['passed'] else 'FAIL'} "
+             f"(value={c['value']!r}, {c['op']} {c['bound']!r})" for c in checks]
+    ok = all(c["passed"] for c in checks)
+    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+    if summary_path is not None:
+        summary_path.write_text("\n".join(lines) + "\n")
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+def _finish(cfg, kind_dir: Path, checks, seeds) -> int:
     aggregate = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg["kind"],
         "config": cfg,
         "checks": checks,
-        "per_seed": per_seed_rel,
+        "per_seed": {str(s): _seed_file(s) for s in seeds},
     }
     _write_json(kind_dir / "aggregate.json", aggregate)
-    lines = []
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        lines.append(f"{c['name']}: {status} (value={c['value']!r}, {c['op']} {c['bound']!r})")
-    ok = all(c["passed"] for c in checks)
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    (kind_dir / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return 0 if ok else 1
+    return _verdicts(checks, kind_dir / "summary.txt")
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each returns its checks and the seeds that have a report
 # ---------------------------------------------------------------------------
 
 
-def _run_qv(cfg, kind_dir: Path) -> int:
-    model = model_from_dict(cfg["model"])
-    levels = [int(v) for v in cfg.get("levels", [8, 10, 12])]
-    n_steps = int(cfg.get("n_steps", 2 ** (max(levels) + 2)))
+def _map_paths(cfg, kind_dir: Path, model, n_steps: int, evaluate):
+    """Per seed in the pool, simulate a path and write ``evaluate(path)``'s row and files."""
     T = float(cfg["T"])
-    band = cfg["tolerances"].get("qv_band", [0.95, 1.05])
     write_paths = _should_write_paths(cfg)
 
     def worker(seed: int) -> dict:
         path = simulate(model, n_steps=n_steps, T=T, seed=seed)
-        row = {"seed": seed, "qv": {str(lv): realized_qv(path, dyadic_grid(path, lv)) for lv in levels}}
-        seed_dir = kind_dir / str(seed)
-        seed_dir.mkdir(parents=True, exist_ok=True)
+        row, files = evaluate(path)
+        row = {"seed": seed, **row}
+        _write_seed(kind_dir, seed, row, files if write_paths else ())
         if write_paths:
-            path.to_csv(seed_dir / "paths.csv")
-        _write_json(seed_dir / "report.json", row)
+            path.to_csv(kind_dir / _seed_file(seed, "paths.csv"))
         return row
 
-    seeds, rows = _map_seeds(cfg, worker)
+    return _map_seeds(cfg, worker)
+
+
+def _run_qv(cfg, kind_dir: Path):
+    model = model_from_dict(cfg["model"])
+    levels = [int(v) for v in cfg.get("levels", [8, 10, 12])]
+    n_steps = int(cfg.get("n_steps", 2 ** (max(levels) + 2)))
+    T = float(cfg["T"])
+    # default: within 5% of the closed-form E[QV_T] = <X>_T of the model
+    expected = float(BracketModel.from_model(model).total_at(T))
+    band = cfg["tolerances"].get("qv_band", [0.95 * expected, 1.05 * expected])
+
+    def evaluate(path):
+        return {"qv": {str(lv): realized_qv(path, dyadic_grid(path, lv)) for lv in levels}}, ()
+
+    seeds, rows = _map_paths(cfg, kind_dir, model, n_steps, evaluate)
     checks = [
         _recomputed_check(f"E[QV]_{T:g} in {band}", {"stat": "mean", "key": f"qv.{levels[-1]}"},
                           rows, "in", band),
@@ -243,20 +275,18 @@ def _run_qv(cfg, kind_dir: Path) -> int:
                           {"stat": "diff_decreasing", "keys": [f"qv.{lv}" for lv in levels]},
                           rows, "true", True),
     ]
-    return _finish(cfg, kind_dir, checks, {str(s): f"{s}/report.json" for s in seeds})
+    return checks, seeds
 
 
-def _decomposition_worker(cfg, kind_dir, mode):
+def _run_decomposition(mode, cfg, kind_dir: Path):
     model = model_from_dict(cfg["model"])
     f = _function_from(cfg["function"])
     level = int(cfg.get("level", 12))
     n_steps = int(cfg.get("n_steps", 2 ** min(level + 2, 18)))
-    T = float(cfg["T"])
     tols = cfg["tolerances"]
     tol = float(tols.get("residual", 1e-8 if mode == "ito" else 1e-6))
     jump_tol = float(tols.get("jump", 1e-3))
     gap_tol = float(tols.get("identity_gap", 1e-8))
-    write_paths = _should_write_paths(cfg)
     corrupt = bool(cfg.get("negative_control", {}).get("corrupt_g_sign", False))
     lt_cfg = cfg.get("local_time")
 
@@ -271,36 +301,20 @@ def _decomposition_worker(cfg, kind_dir, mode):
 
     decompose = ito_decompose if mode == "ito" else tanaka_decompose
 
-    def worker(seed: int) -> dict:
-        path = simulate(model, n_steps=n_steps, T=T, seed=seed)
+    def evaluate(path):
         bracket = BracketModel.from_model(model)
-        coarser = [
-            decompose(path, f, dyadic_grid(path, lv), bracket, g=g)
-            for lv in (level - 2, level - 1)
-            if lv >= 0
-        ]
-        report = decompose(path, f, dyadic_grid(path, level), bracket, g=g)
+        *coarser, report = [decompose(path, f, dyadic_grid(path, lv), bracket, g=g)
+                            for lv in (level - 2, level - 1, level) if lv >= 0]
         verdict = verify_report(report, mode=mode, tol=tol, jump_tol=jump_tol,
                                 gap_tol=gap_tol, coarser=coarser)
-        row = {
-            "seed": seed,
-            "summary": report.summary_dict(),
-            "verdict": verdict.to_json_dict(),
-        }
+        row = {"summary": report.summary_dict(), "verdict": verdict.to_json_dict()}
         if lt_cfg and report.applicable:
             oracle = occupation_local_time(path, float(lt_cfg.get("level", 0.0)),
                                            float(lt_cfg["eps"]))
             row["local_time"] = {"a_c_final": float(report.residual[-1]), "oracle": oracle}
-        seed_dir = kind_dir / str(seed)
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        if write_paths:
-            path.to_csv(seed_dir / "paths.csv")
-            with open(seed_dir / "decomposition.csv", "w") as fh:
-                report.series_csv(fh)
-        _write_json(seed_dir / "report.json", row)
-        return row
+        return row, [("decomposition.csv", report.series_csv)]
 
-    seeds, rows = _map_seeds(cfg, worker)
+    seeds, rows = _map_paths(cfg, kind_dir, model, n_steps, evaluate)
     checks = [
         _recomputed_check("max_identity_gap", {"stat": "max", "key": "summary.max_identity_gap"},
                           rows, "le", gap_tol),
@@ -314,19 +328,11 @@ def _decomposition_worker(cfg, kind_dir, mode):
         checks.append(_recomputed_check(
             "local_time_mean_rel_err", {"stat": "mean_rel_err", "key": "local_time"}, rows,
             "le", float(cfg["tolerances"].get("local_time_rel", 0.10))))
-    return _finish(cfg, kind_dir, checks, {str(s): f"{s}/report.json" for s in seeds})
+    return checks, seeds
 
 
-def _run_ito(cfg, kind_dir: Path) -> int:
-    return _decomposition_worker(cfg, kind_dir, "ito")
-
-
-def _run_tanaka(cfg, kind_dir: Path) -> int:
-    return _decomposition_worker(cfg, kind_dir, "tanaka")
-
-
-def _run_compensator(cfg, kind_dir: Path) -> int:
-    n_paths = int(cfg.get("n_paths", 10_000))
+def _run_compensator(cfg, kind_dir: Path):
+    n_paths = int(cfg["n_paths"])
     T = float(cfg["T"])
     base_seed = int(cfg["base_seed"])
     neg_factor = float(cfg.get("negative_control", {}).get("rate_factor", 1.5))
@@ -334,19 +340,15 @@ def _run_compensator(cfg, kind_dir: Path) -> int:
     ys = comp_mod.catalog_test_processes(T)
 
     checks = []
-    per_seed = {}
+    seeds = []
     pair_seed = base_seed
     for model in models:
         for y in ys:
             verdict = comp_mod.verify_compensator(model, y, n_paths=n_paths, T=T, seed=pair_seed)
-            row_dir = kind_dir / str(pair_seed)
-            row_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(row_dir / "report.json", {"seed": pair_seed, "pair": verdict.to_json_dict()})
-            per_seed[str(pair_seed)] = f"{pair_seed}/report.json"
-            checks.append(_check(
-                f"{model.label} x {y.label}",
-                abs(verdict.diff), "le", 3.0 * verdict.se_combined + 1e-12,
-            ))
+            _write_seed(kind_dir, pair_seed, {"seed": pair_seed, "pair": verdict.to_json_dict()})
+            seeds.append(pair_seed)
+            checks.append(_check(f"{model.label} x {y.label}", abs(verdict.diff), "le",
+                                 verdict.bound))
             pair_seed += 1
     mart = comp_mod.martingale_check(models[0], n_paths=n_paths,
                                      checkpoints=(0.0, T / 2, T), seed=pair_seed)
@@ -355,10 +357,10 @@ def _run_compensator(cfg, kind_dir: Path) -> int:
     neg = comp_mod.verify_compensator(models[0], comp_mod.ConstantY(1.0), n_paths=n_paths,
                                       T=T, seed=pair_seed, rate_factor=neg_factor)
     checks.append(_check("negative_control_fails", not neg.passed, "true", True))
-    return _finish(cfg, kind_dir, checks, per_seed)
+    return checks, seeds
 
 
-def _run_independence(cfg, kind_dir: Path) -> int:
+def _run_independence(cfg, kind_dir: Path):
     model = model_from_dict(cfg["model"])
     levels = [int(v) for v in cfg.get("levels", [8, 10, 12])]
     eps_list = [float(v) for v in cfg.get("hitting_eps", [2**-4, 2**-5, 2**-6])]
@@ -371,21 +373,17 @@ def _run_independence(cfg, kind_dir: Path) -> int:
         delta=float(cfg["tolerances"].get("delta", 0.05)),
         n_steps=n_steps, T=float(cfg["T"]), base_seed=int(cfg["base_seed"]),
     )
-    seed_dir = kind_dir / str(cfg["base_seed"])
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(seed_dir / "report.json", diag.to_json_dict())
-    with open(seed_dir / "trace.csv", "w") as fh:
-        diag.trace_csv(fh)
+    _write_seed(kind_dir, cfg["base_seed"], diag.to_json_dict(), [("trace.csv", diag.trace_csv)])
     cross = max(diag.cross_tail.values())
     checks = [
         _check("cross_scheme_tail", cross, "le", diag.delta),
         _check("verdict", diag.verdict, "true", True),
     ]
-    return _finish(cfg, kind_dir, checks, {str(cfg["base_seed"]): f"{cfg['base_seed']}/report.json"})
+    return checks, [cfg["base_seed"]]
 
 
-def _run_summability(cfg, kind_dir: Path) -> int:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg["base_seed"])))
+def _run_summability(cfg, kind_dir: Path):
+    rng = seeded_rng(cfg["base_seed"])
     names = cfg.get("functions", ["abs", "square", "cube", "x_abs_x_half"])
     n_draws = int(cfg.get("n_draws", 1000))
     tol = float(cfg["tolerances"].get("limit", 1e-4))
@@ -416,14 +414,12 @@ def _run_summability(cfg, kind_dir: Path) -> int:
         _check("telescoping_max_error", worst, "le", exact_tol),
         _check("additivity_max_error", add_worst, "le", 2 * tol),
     ]
-    seed_dir = kind_dir / str(cfg["base_seed"])
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(seed_dir / "report.json",
+    _write_seed(kind_dir, cfg["base_seed"],
                 {"telescoping_max_error": worst, "additivity_max_error": add_worst})
-    return _finish(cfg, kind_dir, checks, {str(cfg["base_seed"]): f"{cfg['base_seed']}/report.json"})
+    return checks, [cfg["base_seed"]]
 
 
-def _run_taylor(cfg, kind_dir: Path) -> int:
+def _run_taylor(cfg, kind_dir: Path):
     entries = cfg.get("entries") or [
         {"function": {"name": "square"}, "a": 0.0, "b": 2.0, "k": 2},
         {"function": {"name": "cube"}, "a": 0.0, "b": 1.0, "k": 3},
@@ -440,16 +436,14 @@ def _run_taylor(cfg, kind_dir: Path) -> int:
         label = f"{f.label}[{e['a']},{e['b']}]k={e['k']}"
         checks.append(_check(f"{label} identity_gap", rep.identity_gap, "le", gap_tol))
         checks.append(_check(f"{label} remainder_bound", rep.bound_ok, "true", True))
-    seed_dir = kind_dir / str(cfg["base_seed"])
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(seed_dir / "report.json", {"expansions": rows})
-    return _finish(cfg, kind_dir, checks, {str(cfg["base_seed"]): f"{cfg['base_seed']}/report.json"})
+    _write_seed(kind_dir, cfg["base_seed"], {"expansions": rows})
+    return checks, [cfg["base_seed"]]
 
 
 _RUNNERS = {
     "qv": _run_qv,
-    "ito": _run_ito,
-    "tanaka": _run_tanaka,
+    "ito": partial(_run_decomposition, "ito"),
+    "tanaka": partial(_run_decomposition, "tanaka"),
     "compensator": _run_compensator,
     "independence": _run_independence,
     "summability": _run_summability,
@@ -460,6 +454,16 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
+
+
+def _regrade(check: dict, seed_rows) -> dict:
+    """A persisted check graded again, with its rule's value when it has one."""
+    if check["op"] not in CHECK_OPS:
+        raise SchemaError(f"unknown check op {check['op']!r}")
+    value = check["value"]
+    if "recompute" in check and seed_rows:
+        value = _replay_value(check["recompute"], seed_rows)
+    return _check(check["name"], value, check["op"], check["bound"])
 
 
 def replay(directory: str) -> int:
@@ -482,26 +486,19 @@ def replay(directory: str) -> int:
               file=sys.stderr)
         return 2
 
-    base = agg_path.parent
-    seed_rows = []
-    for rel in aggregate.get("per_seed", {}).values():
-        p = base / rel
-        if not p.exists():
-            print(f"error: missing per-seed report {p}", file=sys.stderr)
-            return 2
-        seed_rows.append(json.loads(p.read_text()))
-
-    ok = True
-    for c in aggregate["checks"]:
-        value = c["value"]
-        if "recompute" in c and seed_rows:
-            value = _replay_value(c["recompute"], seed_rows)
-        passed = CHECK_OPS[c["op"]](value, c["bound"])
-        ok = ok and passed
-        print(f"{c['name']}: {'PASS' if passed else 'FAIL'} "
-              f"(value={value!r}, {c['op']} {c['bound']!r})")
-    print(f"overall: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    seed_paths = [agg_path.parent / rel for rel in aggregate.get("per_seed", {}).values()]
+    missing = [p for p in seed_paths if not p.exists()]
+    if missing:
+        print(f"error: missing per-seed report {missing[0]}", file=sys.stderr)
+        return 2
+    try:
+        seed_rows = [json.loads(p.read_text()) for p in seed_paths]
+        checks = [_regrade(c, seed_rows) for c in aggregate["checks"]]
+    except (json.JSONDecodeError, KeyError, TypeError, SchemaError) as exc:
+        print(f"error: malformed aggregate or report: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
+    return _verdicts(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +520,11 @@ def run(config_path: str, overrides) -> int:
         print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
         return 2
     try:
-        return _RUNNERS[cfg["kind"]](cfg, kind_dir)
+        checks, seeds = _RUNNERS[cfg["kind"]](cfg, kind_dir)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return _finish(cfg, kind_dir, checks, seeds)
 
 
 def main(argv=None) -> int:

@@ -21,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
+from .catalog import sign_rc
 from .errors import UnsupportedModelError
-from .paths import BrownianMotion, JumpDiffusion, TwoPointLaw, UniformLaw, _Parametric
+from .paths import BrownianMotion, JumpDiffusion, TwoPointLaw, UniformLaw, _Parametric, seeded_rng
 
 __all__ = [
     "PoissonCounting",
@@ -179,7 +180,7 @@ class StateY:
 
     _FUNCS = {
         "cos": np.cos,
-        "sign": lambda x: np.where(np.asarray(x, dtype=float) >= 0, 1.0, -1.0),
+        "sign": sign_rc,
         "tanh": np.tanh,
     }
 
@@ -213,14 +214,14 @@ def catalog_test_processes(T: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def _poisson_events(rng, rate, T, n_paths):
-    """Ragged event times/sizes per path, flattened with path ids, time-sorted."""
-    counts = rng.poisson(rate * T, size=n_paths)
+def _jump_events(rng, model, T, n_paths):
+    """Ragged jump times/sizes J^p of A per path, flattened with path ids, time-sorted."""
+    counts = rng.poisson(model.rate * T, size=n_paths)
     total = int(np.sum(counts))
     path_id = np.repeat(np.arange(n_paths), counts)
     times = rng.uniform(0.0, T, size=total)
     order = np.lexsort((times, path_id))
-    return counts, path_id[order], times[order]
+    return counts, path_id[order], times[order], model.jumps(rng, total)
 
 
 def _segment_integral(h, counts, path_id, times, levels_before, sizes, T):
@@ -273,6 +274,8 @@ class CompensatorVerdict:
     n_paths: int
     passed: bool
 
+    bound = property(lambda self: _se_bound(self.se_combined))  # largest |diff| that passes
+
     def to_json_dict(self):
         return {
             "model": self.model_label, "Y": self.y_label,
@@ -285,18 +288,27 @@ class CompensatorVerdict:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
+def _se_bound(se: float) -> float:
+    """Largest |mean| that passes: three standard errors plus a 1e-12 rounding floor."""
+    return 3.0 * se + 1e-12
+
+
+def _graded_mean(x):
+    """Mean, standard error std(ddof=1) / sqrt(n) (0 for one draw) and verdict of ``x``."""
+    n = len(x)
+    se = float(np.std(x, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    mean = float(np.mean(x))
+    return mean, se, abs(mean) <= _se_bound(se)
+
+
 def _verdict(model, y, lhs, rhs):
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    diff = lhs - rhs
-    n = len(diff)
-    se = float(np.std(diff, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    mean_diff = float(np.mean(diff))
-    passed = abs(mean_diff) <= 3.0 * se + 1e-12
+    mean_diff, se, passed = _graded_mean(lhs - rhs)
     return CompensatorVerdict(
         model_label=model.label, y_label=y.label,
         lhs_mean=float(np.mean(lhs)), rhs_mean=float(np.mean(rhs)),
-        diff=mean_diff, se_combined=se, n_paths=n, passed=passed,
+        diff=mean_diff, se_combined=se, n_paths=len(lhs), passed=passed,
     )
 
 
@@ -310,7 +322,7 @@ def verify_compensator(
     value != 1 is the deliberate negative control (the check must fail).
     """
     _require_increasing(model, "verify_compensator")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = seeded_rng(seed)
 
     if isinstance(model, DeterministicIncreasing):  # closed form: A is not random
         if isinstance(y, ConstantY):
@@ -335,8 +347,7 @@ def verify_compensator(
             x[:, 1:] = np.cumsum(incr, axis=1)
         jump_lhs = np.zeros(n_paths)
         if model.rate > 0:
-            counts, path_id, times = _poisson_events(rng, model.rate, T, n_paths)
-            jumps = model.jumps(rng, len(times))
+            counts, path_id, times, jumps = _jump_events(rng, model, T, n_paths)
             # the state driving Y is the continuous component, read at the
             # left edge of the grid cell holding the jump; it is adapted and
             # left-continuous, and both sides below use the same state
@@ -349,24 +360,17 @@ def verify_compensator(
         return _verdict(model, y, lhs, rhs)
 
     # exact pure-jump: A is piecewise constant between its Poisson events
-    counts, path_id, times = _poisson_events(rng, model.rate, T, n_paths)
-    sizes = model.jumps(rng, len(times))
+    counts, path_id, times, sizes = _jump_events(rng, model, T, n_paths)
     comp_coeff = model.compensator_slope(rate_factor)
+    before = _ragged_prefix_before(counts, sizes)
     lhs = np.zeros(n_paths)
+    np.add.at(lhs, path_id, _y_at(y, before, times) * sizes)
     if isinstance(y, ConstantY):
-        np.add.at(lhs, path_id, y.c * sizes)
         rhs = np.full(n_paths, y.c * comp_coeff * T)
     elif isinstance(y, StepY):
-        sel = times <= y.tau
-        np.add.at(lhs, path_id[sel], sizes[sel])
         rhs = np.full(n_paths, comp_coeff * min(y.tau, T))
-    elif isinstance(y, StateY):
-        before = _ragged_prefix_before(counts, sizes)
-        np.add.at(lhs, path_id, np.asarray(y.h(before), dtype=float) * sizes)
-        integral = _segment_integral(y.h, counts, path_id, times, before, sizes, T)
-        rhs = comp_coeff * integral
-    else:
-        raise ValueError(f"unknown test process {y!r}")
+    else:  # a StateY: _y_at rejects any other test process
+        rhs = comp_coeff * _segment_integral(y.h, counts, path_id, times, before, sizes, T)
     return _verdict(model, y, lhs, rhs)
 
 
@@ -395,7 +399,7 @@ def martingale_check(
     ``rate_factor`` != 1 corrupts the closed form (negative control).
     """
     _require_increasing(model, "martingale_check")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = seeded_rng(seed)
     cps = [float(t) for t in checkpoints]
     if any(cps[i + 1] <= cps[i] for i in range(len(cps) - 1)) or cps[0] < 0:
         raise ValueError("checkpoints must be increasing and nonnegative")
@@ -411,10 +415,7 @@ def martingale_check(
             np.add.at(incr, np.repeat(np.arange(n_paths), counts), jumps)
         comp = model.compensator_slope(rate_factor) * span
 
-        centered = incr - comp
-        se = float(np.std(centered, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-        mean = float(np.mean(centered))
-        ok = abs(mean) <= 3.0 * se + 1e-12
+        mean, se, ok = _graded_mean(incr - comp)
         all_pass = all_pass and ok
         results.append({"s": s, "t": t, "mean_increment": mean, "se": se, "passed": ok})
     return {"model": model.label, "increments": results, "passed": all_pass}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,6 +159,18 @@ class DecompositionReport:
     applicable: bool
     notes: dict
 
+    @cached_property
+    def stats(self) -> dict:
+        """Extremes that summary and verdict read (applicable reports); absent ones read 0."""
+        incr = np.diff(self.residual) if len(self.residual) > 1 else np.array([0.0])
+        jumps = self.jump_cell_residuals
+        return {
+            "max_abs_residual": float(np.max(np.abs(self.residual))),
+            "max_identity_gap": float(np.max(self.identity_gap)),
+            "min_residual_increment": float(np.min(incr)),
+            "max_jump_cell_residual": float(np.max(np.abs(jumps))) if len(jumps) else 0.0,
+        }
+
     def summary_dict(self) -> dict:
         if not self.applicable:
             return {"mode": self.mode, "f": self.f_label, "applicable": False,
@@ -177,10 +190,7 @@ class DecompositionReport:
                 "jump_term": float(self.jump_term[-1]),
                 "residual": float(self.residual[-1]),
             },
-            "max_abs_residual": float(np.max(np.abs(self.residual))),
-            "max_identity_gap": float(np.max(self.identity_gap)),
-            "min_residual_increment": float(np.min(np.diff(self.residual))) if len(self.residual) > 1 else 0.0,
-            "max_jump_cell_residual": float(np.max(np.abs(self.jump_cell_residuals))) if len(self.jump_cell_residuals) else 0.0,
+            **self.stats,
             "bracket_defect": float(np.max(np.abs(self.compensator_term - self.compensator_closed))),
             "notes": self.notes,
         }
@@ -233,12 +243,7 @@ def _cells(path: SamplePath, grid: RiemannGrid):
     i, j = idx[:-1], idx[1:]
     a = path.values[i]
     m = path.pre_values[j]
-    d = np.zeros(len(j))
-    if len(path.jump_indices):
-        size_at = np.zeros(path.n_points)
-        size_at[path.jump_indices] = path.jump_sizes
-        d = size_at[j]
-    return i, j, a, m, d
+    return i, j, a, m, path.jump_size_at()[j]
 
 
 def _integrand_cells(g, a, m, d):
@@ -265,6 +270,7 @@ def stochastic_integral(path: SamplePath, g, grid: RiemannGrid) -> np.ndarray:
 
 
 def _decompose(path, f, grid, bracket, g, tau, mode) -> DecompositionReport:
+    bracket = bracket or BracketModel.from_model(path.model)
     gfn, g_label = _resolve_derivative(f, path, g, 1)
     if gfn is None:
         return _not_applicable(mode, f, path, grid, "no first derivative limit on the path range")
@@ -326,7 +332,6 @@ def ito_decompose(
     per-cell algebra makes it identically zero (to rounding) for
     f(x) = x^2 on every path and grid.
     """
-    bracket = bracket or BracketModel.from_model(path.model)
     return _decompose(path, f, grid, bracket, g, tau, mode="ito")
 
 
@@ -342,7 +347,6 @@ def tanaka_decompose(
     time).  A quick lower-bound scan of the second ratios over the path
     range is recorded in the notes.
     """
-    bracket = bracket or BracketModel.from_model(path.model)
     report = _decompose(path, f, grid, bracket, g, tau, mode="tanaka")
     if report.applicable:
         lo = float(np.min(path.values))
@@ -405,6 +409,10 @@ class VerdictRecord:
         return {"mode": self.mode, "checks": self.checks, "passed": self.passed}
 
 
+def _at_most(value: float, bound: float) -> dict:
+    return {"value": value, "bound": bound, "passed": value <= bound}
+
+
 def verify_report(
     report: DecompositionReport,
     mode: str,
@@ -427,33 +435,23 @@ def verify_report(
         return VerdictRecord(mode=mode, checks=checks, passed=False)
 
     gap_tol = tol if gap_tol is None else gap_tol
-    gap_max = float(np.max(report.identity_gap))
-    checks["identity_gap_max"] = {"value": gap_max, "bound": gap_tol,
-                                  "passed": gap_max <= gap_tol}
+    stats = report.stats
+    gap_max = stats["max_identity_gap"]
+    checks["identity_gap_max"] = _at_most(gap_max, gap_tol)
 
     if mode == "ito":
-        rmax = float(np.max(np.abs(report.residual)))
-        checks["max_abs_residual"] = {"value": rmax, "bound": tol, "passed": rmax <= tol}
+        checks["max_abs_residual"] = _at_most(stats["max_abs_residual"], tol)
     else:
-        incr = np.diff(report.residual) if len(report.residual) > 1 else np.array([0.0])
-        min_incr = float(np.min(incr))
+        min_incr = stats["min_residual_increment"]
         checks["residual_increments_min"] = {"value": min_incr, "bound": -tol,
                                              "passed": min_incr >= -tol}
         start = float(abs(report.residual[0])) if len(report.residual) else 0.0
-        checks["residual_starts_at_zero"] = {"value": start, "bound": tol,
-                                             "passed": start <= tol}
-        jmax = (float(np.max(np.abs(report.jump_cell_residuals)))
-                if len(report.jump_cell_residuals) else 0.0)
-        checks["max_jump_time_increment"] = {"value": jmax, "bound": jump_tol,
-                                             "passed": jmax <= jump_tol}
+        checks["residual_starts_at_zero"] = _at_most(start, tol)
+        checks["max_jump_time_increment"] = _at_most(stats["max_jump_cell_residual"], jump_tol)
 
-    coarser_gaps = [float(np.max(r.identity_gap)) for r in coarser if r.applicable]
+    coarser_gaps = [r.stats["max_identity_gap"] for r in coarser if r.applicable]
     if coarser_gaps:
-        prev = max(coarser_gaps)
-        checks["identity_gap_nonincreasing"] = {
-            "value": gap_max, "bound": prev + 1e-10,
-            "passed": gap_max <= prev + 1e-10,
-        }
+        checks["identity_gap_nonincreasing"] = _at_most(gap_max, max(coarser_gaps) + 1e-10)
 
     passed = all(c["passed"] for c in checks.values())
     return VerdictRecord(mode=mode, checks=checks, passed=passed)

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericRangeError
+from .paths import seeded_rng
 
 __all__ = [
     "ScalarFn",
@@ -84,7 +85,7 @@ class ScalarFn:
 
 def check_lipschitz_bounds(f: ScalarFn, n: int = 400, seed: int = 0) -> bool:
     """Spot-check each declared (interval, L) pair on random point pairs."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_rng(seed)
     for (lo, hi), lip in f.lipschitz_bounds:
         lo_, hi_ = max(lo, -1e6), min(hi, 1e6)
         x = rng.uniform(lo_, hi_, size=n)
@@ -104,7 +105,7 @@ def check_declared_derivatives(
     Points within ``10 * h`` of a declared kink are skipped: there the
     declared value is one-sided while the centered difference is not.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_rng(seed)
     x = rng.uniform(lo, hi, size=n)
     for kink in f.kinks:
         x = x[np.abs(x - kink) > 10 * h]
@@ -300,7 +301,7 @@ class RandomBisection:
         self.seed = int(seed)
 
     def chain(self, a: float, b: float, n_levels: int):
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        rng = seeded_rng(self.seed)
         pts: list[float] = []
         out = [Partition(a, b, ())]
         for _ in range(1, n_levels):

@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, an integer in [0, 2**64); every module uses it."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 # ---------------------------------------------------------------------------
 # jump size laws
 # ---------------------------------------------------------------------------
@@ -313,14 +320,15 @@ class SamplePath:
         return float(np.median(moves)) if len(moves) else 0.0
 
     def is_jump_index(self) -> np.ndarray:
-        mask = np.zeros(self.n_points, dtype=bool)
-        mask[self.jump_indices] = True
-        return mask
+        return _at_points(self.n_points, self.jump_indices, 1.0) != 0.0
+
+    def jump_size_at(self) -> np.ndarray:
+        """Jump size at every grid point, 0 where the path does not jump."""
+        return _at_points(self.n_points, self.jump_indices, self.jump_sizes)
 
     def to_csv(self, path) -> None:
         """Columns: time, value, pre_jump_value, jump_size."""
-        sizes = np.zeros(self.n_points)
-        sizes[self.jump_indices] = self.jump_sizes
+        sizes = self.jump_size_at()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "value", "pre_jump_value", "jump_size"])
@@ -358,7 +366,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     """
     if n_steps < 1 or T <= 0:
         raise ValueError("need n_steps >= 1 and T > 0")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = seeded_rng(seed)
     base = np.linspace(0.0, T, n_steps + 1)
 
     if isinstance(model, FiniteVariationPath):
@@ -399,18 +407,12 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
         incr = np.zeros(len(dt))
 
     cont = model.x0 + np.concatenate(([0.0], np.cumsum(incr)))
-    offsets = np.zeros(len(times))
-    if len(jump_idx):
-        contrib = np.zeros(len(times))
-        contrib[jump_idx] = jump_sizes
-        offsets = np.cumsum(contrib)
+    offsets, offsets_pre = _jump_offsets(len(times), jump_idx, jump_sizes)
     values = cont + offsets
     pre_values = values.copy()
-    if len(jump_idx):
-        before = offsets[jump_idx] - jump_sizes
-        pre_values[jump_idx] = cont[jump_idx] + before
-        # post-jump state is defined as left limit plus jump, exactly
-        values[jump_idx] = pre_values[jump_idx] + jump_sizes
+    pre_values[jump_idx] = cont[jump_idx] + offsets_pre[jump_idx]
+    # post-jump state is defined as left limit plus jump, exactly
+    values[jump_idx] = pre_values[jump_idx] + jump_sizes
 
     return SamplePath(
         times=times, values=values, pre_values=pre_values,
@@ -420,8 +422,22 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
 
 
 # ---------------------------------------------------------------------------
-# jump splitting
+# jump offsets and splitting
 # ---------------------------------------------------------------------------
+
+
+def _at_points(n: int, idx, sizes) -> np.ndarray:
+    """Length-n array holding ``sizes`` at the point indices ``idx``, 0 elsewhere."""
+    out = np.zeros(n)
+    out[idx] = sizes
+    return out
+
+
+def _jump_offsets(n: int, idx, sizes):
+    """Cumulative jump sum at each point, and its left limit (without the jump at idx)."""
+    at = _at_points(n, idx, sizes)
+    cum = np.cumsum(at)
+    return cum, cum - at
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray):
@@ -446,16 +462,9 @@ def split_jumps(path: SamplePath, a: float):
     if not np.any(big):
         return path, []
 
-    n = path.n_points
     removed_idx = path.jump_indices[big]
     removed_sizes = path.jump_sizes[big]
-    contrib = np.zeros(n)
-    contrib[removed_idx] = removed_sizes
-    cum = np.cumsum(contrib)
-    # the left limit at a removed jump carries the offset without that jump
-    cum_pre = cum.copy()
-    cum_pre[removed_idx] = cum[removed_idx] - removed_sizes
-
+    cum, cum_pre = _jump_offsets(path.n_points, removed_idx, removed_sizes)
     values0, err_v = _two_sum(path.values, -cum)
     pre0, err_p = _two_sum(path.pre_values, -cum_pre)
 
@@ -482,13 +491,7 @@ def reattach_jumps(path: SamplePath, removed) -> SamplePath:
     if not np.array_equal(path.times[idx], times):
         raise ValueError("removed jump times are not grid points of the path")
 
-    n = path.n_points
-    contrib = np.zeros(n)
-    contrib[idx] = sizes
-    cum = np.cumsum(contrib)
-    cum_pre = cum.copy()
-    cum_pre[idx] = cum[idx] - sizes  # left limits exclude the jump itself
-
+    cum, cum_pre = _jump_offsets(path.n_points, idx, sizes)
     if path.readd_correction is not None:
         err_v, err_p = path.readd_correction
         s, e2 = _two_sum(path.values, cum)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OutsideDomainError, ResolutionExhaustedError
 from .functional import TwoIndexFn
-from .paths import SamplePath, simulate
+from .paths import SamplePath, seeded_rng, simulate
 
 __all__ = [
     "RiemannGrid",
@@ -246,26 +246,24 @@ def boundedness_scan(
         raise ValueError("bound_type must be 'bounded' or 'lower_bounded'")
     if not paths:
         raise ValueError("need at least one path")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = seeded_rng(seed)
     strides = (8, 4, 2, 1)
     sup_abs = {s: 0.0 for s in strides}
     inf_val = {s: np.inf for s in strides}
     for path in paths:
         pf = PathFunctional(path=path, base=base, left_limits=left_limits)
         n = path.n_points
-        for s in strides:
-            i = np.arange(0, n - s, s, dtype=np.int64)
-            ext = _ratio_extrema(pf, i, i + s, min_sq_move)
+        starts = {s: np.arange(0, n - s, s, dtype=np.int64) for s in strides}
+        i = rng.integers(0, n - 1, size=n_random_pairs)
+        j = rng.integers(1, n, size=n_random_pairs)
+        i, j = np.minimum(i, j - 1).astype(np.int64), np.maximum(i + 1, j).astype(np.int64)
+        # pairs s apart for each stride s, then the random pairs counted with stride 1
+        pairs = [(s, a, a + s) for s, a in starts.items()] + [(1, i, j)]
+        for s, i, j in pairs:
+            ext = _ratio_extrema(pf, i, j, min_sq_move)
             if ext is not None:
                 inf_val[s] = min(inf_val[s], ext[0])
                 sup_abs[s] = max(sup_abs[s], abs(ext[0]), abs(ext[1]))
-        i = rng.integers(0, n - 1, size=n_random_pairs)
-        j = rng.integers(1, n, size=n_random_pairs)
-        i, j = np.minimum(i, j - 1), np.maximum(i + 1, j)
-        ext = _ratio_extrema(pf, i.astype(np.int64), j.astype(np.int64), min_sq_move)
-        if ext is not None:
-            inf_val[1] = min(inf_val[1], ext[0])
-            sup_abs[1] = max(sup_abs[1], abs(ext[0]), abs(ext[1]))
 
     coarse, fine = strides[0], strides[-1]
     if bound_type == "bounded":

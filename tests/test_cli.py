@@ -205,9 +205,121 @@ def test_replay_prints_the_run_verdicts(tmp_path, capsys, name):
         "out_dir": str(tmp_path / "out"),
     })
     run_rc = main(["run", cfg])
-    run_lines = _check_lines(capsys.readouterr().out)
+    run_out = capsys.readouterr().out
+    run_lines = _check_lines(run_out)
     replay_rc = main(["replay", str(tmp_path / "out")])
     replay_lines = _check_lines(capsys.readouterr().out)
     assert run_lines
     assert replay_lines == run_lines
     assert replay_rc == run_rc
+    summary = tmp_path / "out" / PARITY_CONFIGS[name]["kind"] / "summary.txt"
+    assert summary.read_text() == run_out
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+def test_per_seed_layout(tmp_path, name):
+    """Every seed directory holds the report that the aggregate lists, and nothing else
+    but the kind's extra files."""
+    cfg = write_config(tmp_path, f"{name}.json", {
+        "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS[name],
+        "out_dir": str(tmp_path / "out"),
+    })
+    main(["run", cfg])
+    kind = PARITY_CONFIGS[name]["kind"]
+    kind_dir = tmp_path / "out" / kind
+    per_seed = json.loads((kind_dir / "aggregate.json").read_text())["per_seed"]
+    seed_dirs = {p.name for p in kind_dir.iterdir() if p.is_dir()}
+    assert set(per_seed) == seed_dirs
+    extras = {"qv": {"paths.csv"}, "ito": {"paths.csv", "decomposition.csv"},
+              "tanaka": {"paths.csv", "decomposition.csv"}, "independence": {"trace.csv"}}
+    for seed, rel in per_seed.items():
+        assert rel == f"{seed}/report.json"
+        files = {p.name for p in (kind_dir / seed).iterdir()}
+        assert files == {"report.json"} | extras.get(kind, set())
+
+
+class TestMalformedAggregate:
+    @pytest.fixture
+    def agg_path(self, tmp_path):
+        main(["run", qv_config(tmp_path, out="mal")])
+        return tmp_path / "mal" / "qv" / "aggregate.json"
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda agg: agg["checks"][0]["recompute"].update(stat="median"),
+        lambda agg: agg["checks"][0].update(op="approx"),
+        lambda agg: agg.pop("checks"),
+        lambda agg: agg["checks"][1].pop("bound"),
+        lambda agg: agg["checks"][0].update(bound=1.0),
+    ], ids=["unknown_stat", "unknown_op", "no_checks", "no_bound", "scalar_band"])
+    def test_replay_reports_an_error_and_exits_2(self, agg_path, capsys, corrupt):
+        agg = json.loads(agg_path.read_text())
+        corrupt(agg)
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_unparsable_seed_report_exits_2(self, agg_path, capsys):
+        (agg_path.parent / "100" / "report.json").write_text("{broken")
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestConfigDefaults:
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", qv_config(tmp_path), "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
+        summ = write_config(tmp_path, "summ.json", {
+            "schema_version": 1, "kind": "summability", "n_draws": 5,
+            "out_dir": str(tmp_path / "summ")})
+        assert main(["run", summ, "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, expected", [
+        ({"kind": "bm", "sigma": 1.0}, [0.95, 1.05]),
+        ({"kind": "bm", "sigma": 2.0}, [3.8, 4.2]),
+        # sigma^2 + rate E[J^2] = 1 + 3 / 3 = 2
+        ({"kind": "jd", "sigma": 1.0, "drift": 0.0, "rate": 3.0,
+          "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}}, [1.9, 2.1]),
+    ])
+    def test_default_qv_band_is_five_percent_of_the_closed_form(self, tmp_path, model, expected):
+        cfg = write_config(tmp_path, "qv.json", {
+            "schema_version": 1, "kind": "qv", "model": model, "levels": [4, 5],
+            "n_paths": 2, "n_steps": 64, "out_dir": str(tmp_path / "out")})
+        main(["run", cfg])
+        agg = json.loads((tmp_path / "out" / "qv" / "aggregate.json").read_text())
+        assert agg["checks"][0]["bound"] == pytest.approx(expected, rel=1e-15)
+        assert agg["checks"][0]["name"] == f"E[QV]_1 in {agg['checks'][0]['bound']}"
+
+    def test_compensator_defaults_to_ten_thousand_paths(self, tmp_path):
+        cfg = write_config(tmp_path, "comp.json", {
+            "schema_version": 1, "kind": "compensator", "out_dir": str(tmp_path / "out")})
+        main(["run", cfg])
+        kind_dir = tmp_path / "out" / "compensator"
+        agg = json.loads((kind_dir / "aggregate.json").read_text())
+        assert agg["config"]["n_paths"] == 10_000
+        for rel in agg["per_seed"].values():
+            assert json.loads((kind_dir / rel).read_text())["pair"]["n_paths"] == 10_000
+
+    def test_other_kinds_default_to_one_path(self, tmp_path):
+        cfg = write_config(tmp_path, "qv.json", {
+            "schema_version": 1, "kind": "qv", "model": BM, "levels": [4, 5],
+            "n_steps": 64, "out_dir": str(tmp_path / "out")})
+        main(["run", cfg])
+        agg = json.loads((tmp_path / "out" / "qv" / "aggregate.json").read_text())
+        assert agg["config"]["n_paths"] == 1 and list(agg["per_seed"]) == ["0"]
+
+    @pytest.mark.parametrize("function", [
+        {"name": "abs", "scale": 5},
+        {"name": "piecewise_linear", "breakpoints": [0.0]},
+        {"name": "piecewise_linear", "breakpoints": [0.0], "slopes": [-1.0, 1.0], "shift": 1},
+    ])
+    def test_bad_function_parameters_are_config_errors(self, tmp_path, capsys, function):
+        cfg = write_config(tmp_path, "tanaka.json", {
+            "schema_version": 1, "kind": "tanaka", "model": BM, "function": function,
+            "level": 5, "n_paths": 1, "n_steps": 64, "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert "config error" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from pathcalc import (
     martingale_check,
     verify_compensator,
 )
+from pathcalc.catalog import sign_rc
 from pathcalc.compensator import catalog_models, catalog_test_processes
 
 CPI = CompoundPoissonIncreasing(rate=2.0, law=UniformLaw(0.0, 1.0))
@@ -148,3 +149,30 @@ class TestMartingaleCheck:
     def test_checkpoint_validation(self):
         with pytest.raises(ValueError):
             martingale_check(PoissonCounting(1.0), n_paths=10, checkpoints=(0.5, 0.5))
+
+
+class TestStandardErrorRule:
+    @pytest.mark.parametrize("rate_factor", [1.0, 1.5])
+    def test_verdict_passes_exactly_within_its_bound(self, rate_factor):
+        for model in catalog_models():
+            for y in catalog_test_processes():
+                v = verify_compensator(model, y, n_paths=300, seed=4, rate_factor=rate_factor)
+                assert v.bound == 3.0 * v.se_combined + 1e-12
+                assert v.passed == (abs(v.diff) <= v.bound)
+                assert "bound" not in v.to_json_dict()
+
+    def test_martingale_increments_use_the_same_rule(self):
+        for rate_factor in (1.0, 1.5):
+            res = martingale_check(catalog_models()[0], n_paths=400, seed=3,
+                                   rate_factor=rate_factor)
+            for inc in res["increments"]:
+                assert inc["passed"] == (abs(inc["mean_increment"]) <= 3.0 * inc["se"] + 1e-12)
+
+    def test_single_draw_has_zero_standard_error(self):
+        v = verify_compensator(DeterministicIncreasing(1.0), ConstantY(1.0), n_paths=1)
+        assert v.se_combined == 0.0 and v.passed
+        res = martingale_check(PoissonCounting(2.0), n_paths=1, seed=1)
+        assert all(inc["se"] == 0.0 for inc in res["increments"])
+
+    def test_sign_state_is_the_catalog_sign(self):
+        assert StateY("sign").h is sign_rc

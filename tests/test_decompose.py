@@ -318,3 +318,26 @@ class TestReportSerialization:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,lhs,stoch_integral,compensator,jump_term,residual"
         assert len(lines) == len(rep.times) + 1
+
+
+class TestReportStatistics:
+    @pytest.mark.parametrize("model", [BrownianMotion(), JD])
+    def test_summary_and_verdict_read_the_same_numbers(self, model):
+        p = simulate(model, 512, 1.0, seed=6)
+        coarse = tanaka_decompose(p, ABS, dyadic_grid(p, 6))
+        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 7))
+        summary = rep.summary_dict()
+        checks = verify_report(rep, mode="tanaka", coarser=[coarse]).checks
+        assert checks["identity_gap_max"]["value"] == summary["max_identity_gap"]
+        assert checks["residual_increments_min"]["value"] == summary["min_residual_increment"]
+        assert checks["max_jump_time_increment"]["value"] == summary["max_jump_cell_residual"]
+        assert checks["identity_gap_nonincreasing"]["bound"] == (
+            coarse.summary_dict()["max_identity_gap"] + 1e-10)
+        ito = verify_report(rep, mode="ito").checks
+        assert ito["max_abs_residual"]["value"] == summary["max_abs_residual"]
+
+    def test_empty_conventions(self):
+        p = simulate(BrownianMotion(), 4, 1.0, seed=1)
+        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 0))
+        assert rep.summary_dict()["max_jump_cell_residual"] == 0.0
+        assert verify_report(rep, mode="tanaka").checks["max_jump_time_increment"]["value"] == 0.0

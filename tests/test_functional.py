@@ -16,6 +16,7 @@ from pathcalc import (
     incremental_ratio,
     linear_remainder,
     lipschitz_scan,
+    list_catalog,
     make_scalar_fn,
     partition_sum,
     squared_increment,
@@ -24,6 +25,7 @@ from pathcalc import (
     variation_limit,
     weighted_increment,
 )
+from pathcalc.catalog import CATALOG_NAMES
 from pathcalc.functional import check_declared_derivatives, check_lipschitz_bounds
 
 ABS = make_scalar_fn("abs")
@@ -292,6 +294,23 @@ class TestCatalogDeclarations:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_scalar_fn("does_not_exist")
+
+    @pytest.mark.parametrize("name, params, named", [
+        ("abs", {"scale": 5}, "scale"),
+        ("square", {"breakpoints": [0.0]}, "breakpoints"),
+        ("piecewise_linear", {"breakpoints": [0.0]}, "slopes"),
+        ("piecewise_linear", {"slopes": [1.0]}, "breakpoints"),
+        ("piecewise_linear", {"breakpoints": [], "slopes": [1.0], "scale": 2}, "scale"),
+    ])
+    def test_bad_parameters_rejected_by_name(self, name, params, named):
+        with pytest.raises(ValueError, match=named):
+            make_scalar_fn(name, **params)
+
+    def test_listing_covers_exactly_the_buildable_names(self):
+        assert sorted(list_catalog()) == list(CATALOG_NAMES)
+        for name in CATALOG_NAMES:
+            if name != "piecewise_linear":
+                assert make_scalar_fn(name).label == name
 
 
 class TestTaylorCheck:

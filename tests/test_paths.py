@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     BrownianMotion,
@@ -18,8 +19,10 @@ from pathcalc import (
     simulate,
     split_jumps,
 )
+from pathcalc.paths import seeded_rng
 
 JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=3.0, law=NormalLaw(0.0, 0.8))
+CPJ = CompoundPoissonJumps(rate=6.0, law=UniformLaw(-1.5, 1.5))
 
 
 class TestJumpLaws:
@@ -129,6 +132,37 @@ class TestSplitJumps:
         p = simulate(JD, 64, 1.0, seed=0)
         with pytest.raises(ValueError):
             split_jumps(p, 0.0)
+
+    @given(model=st.sampled_from([CPJ, JD]), seed=st.integers(0, 2**32),
+           a=st.floats(1e-6, 3.0, allow_nan=False))
+    @settings(max_examples=80, deadline=None)
+    def test_split_then_reattach_is_bit_exact_for_any_threshold(self, model, seed, a):
+        p = simulate(model, 256, 1.0, seed=seed)
+        cont, removed = split_jumps(p, a)
+        assert all(abs(size) > a for _, size in removed)
+        assert np.all(np.abs(cont.jump_sizes) <= a)
+        # the stripped path moves at a point by exactly its remaining jump there
+        assert np.allclose(cont.values - cont.pre_values, cont.jump_size_at(), rtol=0, atol=1e-12)
+        back = reattach_jumps(cont, removed)
+        for name in ("values", "pre_values", "jump_indices", "jump_sizes"):
+            assert np.array_equal(getattr(back, name), getattr(p, name)), name
+
+
+class TestSeededRng:
+    def test_same_stream_as_the_integer_key(self):
+        rng = np.random.default_rng(5)
+        seeds = [0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1,
+                 *(int(s) for s in rng.integers(0, 2**63, size=50, dtype=np.uint64) * 2 + 1)]
+        for seed in seeds:
+            expected = np.random.Generator(np.random.Philox(key=seed)).random(3)
+            assert np.array_equal(seeded_rng(seed).random(3), expected), seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_a_value_error(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            seeded_rng(seed)
+        with pytest.raises(ValueError, match="seed"):
+            simulate(BrownianMotion(), 16, 1.0, seed=seed)
 
 
 class TestRealizedQV:
