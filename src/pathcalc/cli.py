@@ -35,7 +35,7 @@ from .decompose import (
     tanaka_decompose,
     verify_report,
 )
-from .errors import SchemaError
+from .errors import ResolutionExhaustedError, SchemaError
 from .functional import (
     Partition,
     ScalarFn,
@@ -521,7 +521,7 @@ def run(config_path: str, overrides) -> int:
         return 2
     try:
         checks, seeds = _RUNNERS[cfg["kind"]](cfg, kind_dir)
-    except ValueError as exc:
+    except (ValueError, ResolutionExhaustedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return _finish(cfg, kind_dir, checks, seeds)

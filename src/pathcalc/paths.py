@@ -319,9 +319,6 @@ class SamplePath:
         moves = np.abs(self.pre_values[1:] - self.values[:-1])
         return float(np.median(moves)) if len(moves) else 0.0
 
-    def is_jump_index(self) -> np.ndarray:
-        return _at_points(self.n_points, self.jump_indices, 1.0) != 0.0
-
     def jump_size_at(self) -> np.ndarray:
         """Jump size at every grid point, 0 where the path does not jump."""
         return _at_points(self.n_points, self.jump_indices, self.jump_sizes)
@@ -514,7 +511,6 @@ def reattach_jumps(path: SamplePath, removed) -> SamplePath:
 
 
 def realized_qv(path: SamplePath, grid) -> float:
-    """Sum of squared raw increments of the path over the grid indices."""
-    idx = np.asarray(grid.indices if hasattr(grid, "indices") else grid, dtype=np.int64)
-    x = path.values[idx]
+    """Sum of squared raw increments of the path over a grid's points."""
+    x = path.values[grid.indices]
     return float(np.sum((x[1:] - x[:-1]) ** 2))

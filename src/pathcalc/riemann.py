@@ -9,9 +9,11 @@ grid families.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +49,6 @@ class RiemannGrid:
     indices: np.ndarray
     scheme: str
     param: float
-    mesh: float
 
     def __post_init__(self):
         idx = np.ascontiguousarray(self.indices, dtype=np.int64)
@@ -62,12 +63,18 @@ class RiemannGrid:
     def times(self) -> np.ndarray:
         return self.path.times[self.indices]
 
+    @property
+    def mesh(self) -> float:
+        """The longest cell of the grid."""
+        return float(np.max(np.diff(self.times)))
+
     def __len__(self) -> int:
         return len(self.indices)
 
 
 def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
-    """Indices nearest to the dyadic times j T / 2^level, plus all jump times."""
+    """The points nearest to the dyadic times j T / 2^level (ties go right),
+    every jump index and both endpoints."""
     if level < 0:
         raise ValueError("level must be >= 0")
     targets = path.horizon * np.arange(2**level + 1) / 2**level
@@ -75,11 +82,12 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     pos = np.clip(pos, 0, path.n_points - 1)
     left = np.clip(pos - 1, 0, path.n_points - 1)
     pick_left = np.abs(path.times[left] - targets) < np.abs(path.times[pos] - targets)
-    idx = np.where(pick_left, left, pos)
-    idx = np.union1d(idx, path.jump_indices)
-    idx = np.union1d(idx, [0, path.n_points - 1])
-    mesh = float(np.max(np.diff(path.times[idx])))
-    return RiemannGrid(path=path, indices=idx, scheme="dyadic", param=float(level), mesh=mesh)
+    marked = np.zeros(path.n_points, dtype=bool)
+    marked[np.where(pick_left, left, pos)] = True
+    marked[path.jump_indices] = True
+    marked[[0, -1]] = True
+    return RiemannGrid(path=path, indices=np.flatnonzero(marked), scheme="dyadic",
+                       param=float(level))
 
 
 def hitting_grid(path: SamplePath, eps: float) -> RiemannGrid:
@@ -89,45 +97,30 @@ def hitting_grid(path: SamplePath, eps: float) -> RiemannGrid:
     first index where the path has moved at least eps from the previous
     lattice anchor, which makes the sequence a family of stopping times.
     Raises :class:`ResolutionExhaustedError` when eps is below twice the
-    median absolute continuous move of the path.
+    median absolute continuous move of the path, or so small that a move
+    over eps overflows.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    x = path.values
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     resolution = 2.0 * path.median_continuous_move()
     if eps < resolution:
         raise ResolutionExhaustedError(
             f"eps={eps} is below the path resolution heuristic {resolution:.3g}"
         )
-
-    n = len(x)
+    x = path.values.tolist()
     out = [0]
     anchor = x[0]
-    i = 0
-    block = 256
-    while i < n - 1:
-        j = i + 1
-        found = -1
-        width = block
-        while j < n:
-            hi = min(n, j + width)
-            seg = np.abs(x[j:hi] - anchor)
-            hit = np.nonzero(seg >= eps)[0]
-            if len(hit):
-                found = j + int(hit[0])
-                break
-            j = hi
-            width *= 2
-        if found < 0:
-            break
-        out.append(found)
-        anchor = anchor + eps * np.trunc((x[found] - anchor) / eps)
-        i = found
-    if out[-1] != n - 1:
-        out.append(n - 1)
-    idx = np.asarray(out, dtype=np.int64)
-    mesh = float(np.max(np.diff(path.times[idx])))
-    return RiemannGrid(path=path, indices=idx, scheme="hitting", param=float(eps), mesh=mesh)
+    for i, xi in enumerate(x):
+        if abs(xi - anchor) >= eps:
+            out.append(i)
+            try:
+                anchor += eps * math.trunc((xi - anchor) / eps)
+            except OverflowError:
+                raise ResolutionExhaustedError(
+                    f"eps={eps} is below the float range of the path's moves") from None
+    if out[-1] != len(x) - 1:
+        out.append(len(x) - 1)
+    return RiemannGrid(path=path, indices=np.asarray(out), scheme="hitting", param=float(eps))
 
 
 def build_grid(path: SamplePath, scheme: str, param) -> RiemannGrid:
@@ -147,17 +140,13 @@ def build_grid(path: SamplePath, scheme: str, param) -> RiemannGrid:
 class PathFunctional:
     """A two-index functional composed with a path: F(s, t) = base(X_s, X_t).
 
-    With ``left_limits`` set, the first slot uses the left limit X_{s-}
-    when s is a jump time.  ``stop_index`` (set via
-    :func:`stopped_functional`) clamps both time slots, realizing
-    F(u ^ sigma, v ^ sigma).
+    ``stop_index`` (set via :func:`stopped_functional`) clamps both time
+    slots, realizing F(u ^ sigma, v ^ sigma).
     """
 
     path: SamplePath
     base: TwoIndexFn
-    left_limits: bool = False
     stop_index: Optional[int] = None
-    label: str = ""
 
     def pair_values(self, i, j) -> np.ndarray:
         i = np.asarray(i, dtype=np.int64)
@@ -165,26 +154,25 @@ class PathFunctional:
         if self.stop_index is not None:
             i = np.minimum(i, self.stop_index)
             j = np.minimum(j, self.stop_index)
-        left = self.path.values[i]
-        if self.left_limits and len(self.path.jump_indices):
-            is_jump = self.path.is_jump_index()[i]
-            left = np.where(is_jump, self.path.pre_values[i], left)
-        return np.asarray(self.base(left, self.path.values[j]), dtype=float)
+        return np.asarray(self.base(self.path.values[i], self.path.values[j]), dtype=float)
+
+
+def _cell_values(pf: PathFunctional, grid: RiemannGrid) -> np.ndarray:
+    """F over each pair of consecutive grid times; the grid must be on pf's path."""
+    if grid.path is not pf.path:
+        raise ValueError("grid belongs to a different path")
+    idx = grid.indices
+    return pf.pair_values(idx[:-1], idx[1:])
 
 
 def pathwise_sum(pf: PathFunctional, grid: RiemannGrid) -> float:
     """Sum of F over consecutive grid times."""
-    if grid.path is not pf.path:
-        raise ValueError("grid belongs to a different path")
-    idx = grid.indices
-    return float(np.sum(pf.pair_values(idx[:-1], idx[1:])))
+    return float(np.sum(_cell_values(pf, grid)))
 
 
 def pathwise_series(pf: PathFunctional, grid: RiemannGrid) -> np.ndarray:
     """Cumulative sums of F along the grid (0 at time 0)."""
-    idx = grid.indices
-    vals = pf.pair_values(idx[:-1], idx[1:])
-    return np.concatenate(([0.0], np.cumsum(vals)))
+    return np.concatenate(([0.0], np.cumsum(_cell_values(pf, grid))))
 
 
 def stopped_functional(pf: PathFunctional, sigma: float) -> PathFunctional:
@@ -197,9 +185,9 @@ def stopped_functional(pf: PathFunctional, sigma: float) -> PathFunctional:
 
 def squared_increment_ratio(pf: PathFunctional, s: float, t: float) -> float:
     """F(s, t) / (X_t - X_s)^2 for a pair of grid times with X_s != X_t."""
-    i = int(np.searchsorted(pf.path.times, s))
-    j = int(np.searchsorted(pf.path.times, t))
-    if pf.path.times[i] != s or pf.path.times[j] != t:
+    times = pf.path.times
+    i, j = np.minimum(np.searchsorted(times, [s, t]), len(times) - 1)
+    if times[i] != s or times[j] != t:
         raise ValueError("s and t must be grid times of the path")
     xs, xt = pf.path.values[i], pf.path.values[j]
     if xs == xt:
@@ -226,7 +214,6 @@ def boundedness_scan(
     base: TwoIndexFn,
     paths: Sequence[SamplePath],
     bound_type: str = "bounded",
-    left_limits: bool = False,
     n_random_pairs: int = 20000,
     seed: int = 0,
     growth_tol: float = 2.0,
@@ -251,7 +238,7 @@ def boundedness_scan(
     sup_abs = {s: 0.0 for s in strides}
     inf_val = {s: np.inf for s in strides}
     for path in paths:
-        pf = PathFunctional(path=path, base=base, left_limits=left_limits)
+        pf = PathFunctional(path=path, base=base)
         n = path.n_points
         starts = {s: np.arange(0, n - s, s, dtype=np.int64) for s in strides}
         i = rng.integers(0, n - 1, size=n_random_pairs)
@@ -321,7 +308,7 @@ class ConvergenceDiagnostic:
 
 
 def limit_in_probability(
-    base: TwoIndexFn | Callable[[SamplePath], PathFunctional],
+    base: TwoIndexFn,
     model,
     schemes: Sequence[dict],
     n_paths: int,
@@ -330,59 +317,41 @@ def limit_in_probability(
     n_steps: int = 4096,
     T: float = 1.0,
     base_seed: int = 0,
-    left_limits: bool = False,
 ) -> ConvergenceDiagnostic:
     """Monte Carlo test that pathwise sums converge and are grid-independent.
 
     ``schemes`` is a list of {"scheme": name, "params": [...]} with params
-    ordered coarse to fine.  At least two schemes are required, since
-    independence of the intervening grid family is part of the contract.
+    ordered coarse to fine.  At least two schemes of distinct names are
+    required, since independence of the intervening grid family is part of
+    the contract, and each needs at least one param.
     """
-    if len(schemes) < 2:
-        raise ValueError("need at least two grid schemes to test independence")
-    labels = []
-    estimates = {}
-    for spec in schemes:
-        label = spec["scheme"]
-        labels.append(label)
-        estimates[label] = np.zeros((n_paths, len(spec["params"])))
+    params = {spec["scheme"]: list(spec["params"]) for spec in schemes}
+    if len(schemes) < 2 or len(params) < len(schemes):
+        raise ValueError("need at least two grid schemes of distinct names to test independence")
+    if not all(params.values()):
+        raise ValueError("every grid scheme needs at least one param")
+    estimates = {name: np.zeros((n_paths, len(ps))) for name, ps in params.items()}
 
     for p in range(n_paths):
         path = simulate(model, n_steps=n_steps, T=T, seed=base_seed + p)
-        pf = (
-            base(path)
-            if callable(base) and not isinstance(base, TwoIndexFn)
-            else PathFunctional(path=path, base=base, left_limits=left_limits)
-        )
-        for spec in schemes:
-            for lv, param in enumerate(spec["params"]):
-                grid = build_grid(path, spec["scheme"], param)
-                estimates[spec["scheme"]][p, lv] = pathwise_sum(pf, grid)
+        pf = PathFunctional(path=path, base=base)
+        for name, ps in params.items():
+            for lv, param in enumerate(ps):
+                estimates[name][p, lv] = pathwise_sum(pf, build_grid(path, name, param))
 
-    tail_probs = {}
-    for spec in schemes:
-        arr = estimates[spec["scheme"]]
-        tails = [
-            float(np.mean(np.abs(arr[:, k] - arr[:, k + 1]) > eps))
-            for k in range(arr.shape[1] - 1)
-        ]
-        tail_probs[spec["scheme"]] = tails
-
-    cross_tail = {}
-    ok_cross = True
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            a = estimates[labels[i]][:, -1]
-            b = estimates[labels[j]][:, -1]
-            frac = float(np.mean(np.abs(a - b) > eps))
-            cross_tail[f"{labels[i]}|{labels[j]}"] = frac
-            ok_cross = ok_cross and frac <= delta
-
-    ok_scheme = all(
-        (not tails) or tails[-1] <= delta for tails in tail_probs.values()
-    )
+    tail_probs = {
+        name: [float(np.mean(np.abs(arr[:, k] - arr[:, k + 1]) > eps))
+               for k in range(arr.shape[1] - 1)]
+        for name, arr in estimates.items()
+    }
+    cross_tail = {
+        f"{a}|{b}": float(np.mean(np.abs(estimates[a][:, -1] - estimates[b][:, -1]) > eps))
+        for a, b in itertools.combinations(params, 2)
+    }
+    ok_scheme = all((not tails) or tails[-1] <= delta for tails in tail_probs.values())
+    ok_cross = all(frac <= delta for frac in cross_tail.values())
     return ConvergenceDiagnostic(
-        scheme_params={s["scheme"]: list(s["params"]) for s in schemes},
+        scheme_params=params,
         estimates=estimates,
         tail_probs=tail_probs,
         cross_tail=cross_tail,

@@ -268,6 +268,31 @@ class TestMalformedAggregate:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestRunnerInputErrors:
+    """Inputs that the library rejects end a run with a config error and exit 2."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"hitting_eps": [1e-6]},
+        {"hitting_eps": []},
+        {"hitting_eps": [float("nan"), 0.25]},
+    ], ids=["eps_below_resolution", "no_eps", "nan_eps"])
+    def test_independence(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, "indep.json", {
+            "schema_version": 1, **PARITY_CONFIGS["independence"], **overrides,
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "Traceback" not in captured.err
+
+    def test_tanaka_local_time_eps_below_resolution(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "tanaka.json", {
+            "schema_version": 1, **PARITY_CONFIGS["tanaka_local_time"],
+            "local_time": {"level": 0.0, "eps": 1e-6}, "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: eps=1e-06")
+
+
 class TestConfigDefaults:
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", qv_config(tmp_path), "--seed", "-1"]) == 2

@@ -196,7 +196,7 @@ class TestItoDecompose:
         shared = grid.indices[: cut + 1]
         rep2 = ito_decompose(truncated, XABS,
                              type(grid)(path=truncated, indices=shared, scheme="dyadic",
-                                        param=8.0, mesh=float(np.max(np.diff(p.times[shared])))))
+                                        param=8.0))
         assert np.array_equal(rep.residual[: cut + 1], rep2.residual)
         assert np.array_equal(rep.stochastic_integral[: cut + 1], rep2.stochastic_integral)
         assert tgrid.indices[-1] == stop_idx

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pathcalc import (
     BrownianMotion,
     CompoundPoissonJumps,
+    FiniteVariationPath,
     JumpDiffusion,
     OutsideDomainError,
     PathFunctional,
@@ -42,6 +43,34 @@ def bm(seed=11, n=4096):
     return simulate(BrownianMotion(), n, 1.0, seed=seed)
 
 
+JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=6.0, law=UniformLaw(-1.0, 1.0))
+CPJ = CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4))
+FV = FiniteVariationPath((0.0, 0.3, 0.7, 1.0), (0.0, 1.5, -0.5, 0.25))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def reference_hitting_indices(p, eps):
+    """First-passage rule written as a plain walk over every point in numpy scalars."""
+    out, anchor = [0], p.values[0]
+    for i in range(1, p.n_points):
+        if abs(p.values[i] - anchor) >= eps:
+            out.append(i)
+            anchor = anchor + eps * np.trunc((p.values[i] - anchor) / eps)
+    if out[-1] != p.n_points - 1:
+        out.append(p.n_points - 1)
+    return np.asarray(out)
+
+
+def reference_dyadic_indices(p, level):
+    """Nearest points to j T / 2^level (ties right), merged with jumps and endpoints by union."""
+    targets = p.horizon * np.arange(2**level + 1) / 2**level
+    pos = np.clip(np.searchsorted(p.times, targets), 0, p.n_points - 1)
+    left = np.clip(pos - 1, 0, p.n_points - 1)
+    pick_left = np.abs(p.times[left] - targets) < np.abs(p.times[pos] - targets)
+    idx = np.union1d(np.where(pick_left, left, pos), p.jump_indices)
+    return np.union1d(idx, [0, p.n_points - 1])
+
+
 class TestGrids:
     def test_dyadic_zero_is_endpoints(self):
         g = dyadic_grid(bm(seed=1, n=8), 0)
@@ -67,25 +96,35 @@ class TestGrids:
         p = bm(seed=2, n=256)
         with pytest.raises(ResolutionExhaustedError):
             hitting_grid(p, 1e-6)
+        # a pure-jump path has heuristic 0, but a jump over 1e-310 overflows
+        cpj = simulate(CPJ, 64, 1.0, seed=5)
+        with pytest.raises(ResolutionExhaustedError):
+            hitting_grid(cpj, 1e-310)
 
-    def test_hitting_matches_scalar_reference_walk(self):
-        p = bm(seed=3, n=2**12)
-        eps = 2**-4
+    @given(model=st.sampled_from([BrownianMotion(), JD, CPJ]), seed=seeds,
+           n_steps=st.integers(1, 2**12), scale=st.floats(1.0, 8.0))
+    @settings(max_examples=60, deadline=None)
+    def test_hitting_matches_scalar_reference_walk(self, model, seed, n_steps, scale):
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        # at or above the resolution heuristic; pure-jump paths have heuristic 0
+        eps = scale * max(2.0 * p.median_continuous_move(), 0.05)
         g = hitting_grid(p, eps)
-        # independent reference: plain scalar walk over every grid point
-        out, anchor = [0], p.values[0]
-        for i in range(1, p.n_points):
-            if abs(p.values[i] - anchor) >= eps:
-                out.append(i)
-                anchor = anchor + eps * np.trunc((p.values[i] - anchor) / eps)
-        if out[-1] != p.n_points - 1:
-            out.append(p.n_points - 1)
-        assert np.array_equal(g.indices, np.asarray(out))
+        assert np.array_equal(g.indices, reference_hitting_indices(p, eps))
+        assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
 
+    @given(model=st.sampled_from([BrownianMotion(), JD, CPJ, FV]), seed=seeds,
+           n_steps=st.integers(1, 2**12), level=st.integers(0, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic_matches_union_reference(self, model, seed, n_steps, level):
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        g = dyadic_grid(p, level)
+        assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
+        assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
 
-JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=6.0, law=UniformLaw(-1.0, 1.0))
-CPJ = CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4))
-seeds = st.integers(0, 2**32 - 1)
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.25])
+    def test_hitting_rejects_eps_not_above_zero(self, eps):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            hitting_grid(bm(seed=4, n=64), eps)
 
 
 class TestGridProperties:
@@ -164,8 +203,17 @@ class TestPathwiseSum:
     def test_grid_path_mismatch_rejected(self):
         p1, p2 = bm(seed=1), bm(seed=2)
         pf = PathFunctional(path=p1, base=squared_increment())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different path"):
             pathwise_sum(pf, dyadic_grid(p2, 3))
+        with pytest.raises(ValueError, match="different path"):
+            pathwise_series(pf, dyadic_grid(p2, 3))
+
+    @pytest.mark.parametrize("s, t", [(0.5, 2.0), (0.5, 0.5 + 1e-9)],
+                             ids=["past_horizon", "between_points"])
+    def test_ratio_rejects_times_off_the_path(self, s, t):
+        pf = PathFunctional(path=bm(seed=3, n=8), base=squared_increment())
+        with pytest.raises(ValueError, match="grid times"):
+            squared_increment_ratio(pf, s, t)
 
 
 class TestStopping:
@@ -280,10 +328,16 @@ class TestLimitInProbability:
         assert not diag.verdict
 
     def test_needs_two_schemes(self):
-        with pytest.raises(ValueError):
-            limit_in_probability(squared_increment(), BrownianMotion(),
-                                 schemes=[{"scheme": "dyadic", "params": [4]}],
-                                 n_paths=2)
+        one = {"scheme": "dyadic", "params": [4]}
+        for schemes, message in [
+            ([one], "two grid schemes"),
+            # same-named schemes would overwrite each other's estimates
+            ([one, {"scheme": "dyadic", "params": [6, 7]}], "two grid schemes"),
+            ([one, {"scheme": "hitting", "params": []}], "at least one param"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                limit_in_probability(squared_increment(), BrownianMotion(),
+                                     schemes=schemes, n_paths=2)
 
     def test_serializes_to_json(self):
         diag = limit_in_probability(
