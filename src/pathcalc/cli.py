@@ -60,6 +60,8 @@ KINDS = ("summability", "taylor", "qv", "ito", "tanaka", "compensator", "indepen
 def _load_config(path: str, overrides) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, got {type(cfg).__name__}")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(
             f"config schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}"
@@ -265,7 +267,7 @@ def _run_qv(cfg, kind_dir: Path):
     band = cfg["tolerances"].get("qv_band", [0.95 * expected, 1.05 * expected])
 
     def evaluate(path):
-        return {"qv": {str(lv): realized_qv(path, dyadic_grid(path, lv)) for lv in levels}}, ()
+        return {"qv": {str(lv): realized_qv(dyadic_grid(path, lv)) for lv in levels}}, ()
 
     seeds, rows = _map_paths(cfg, kind_dir, model, n_steps, evaluate)
     checks = [
@@ -282,6 +284,8 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
     model = model_from_dict(cfg["model"])
     f = _function_from(cfg["function"])
     level = int(cfg.get("level", 12))
+    if level < 0:
+        raise ValueError("level must be >= 0")
     n_steps = int(cfg.get("n_steps", 2 ** min(level + 2, 18)))
     tols = cfg["tolerances"]
     tol = float(tols.get("residual", 1e-8 if mode == "ito" else 1e-6))
@@ -303,7 +307,7 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
 
     def evaluate(path):
         bracket = BracketModel.from_model(model)
-        *coarser, report = [decompose(path, f, dyadic_grid(path, lv), bracket, g=g)
+        *coarser, report = [decompose(f, dyadic_grid(path, lv), bracket, g=g)
                             for lv in (level - 2, level - 1, level) if lv >= 0]
         verdict = verify_report(report, mode=mode, tol=tol, jump_tol=jump_tol,
                                 gap_tol=gap_tol, coarser=coarser)
@@ -509,7 +513,7 @@ def replay(directory: str) -> int:
 def run(config_path: str, overrides) -> int:
     try:
         cfg = _load_config(config_path, overrides)
-    except (OSError, json.JSONDecodeError, ValueError, SchemaError) as exc:
+    except (OSError, ValueError, TypeError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.get("out_dir", "pathcalc_out"))
@@ -519,9 +523,14 @@ def run(config_path: str, overrides) -> int:
     except OSError as exc:
         print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
         return 2
+    # a config key that is missing or of the wrong type surfaces inside the runner
+    # as KeyError, TypeError or AttributeError; like a rejected value it is a config error
     try:
         checks, seeds = _RUNNERS[cfg["kind"]](cfg, kind_dir)
-    except (ValueError, ResolutionExhaustedError) as exc:
+    except KeyError as exc:
+        print(f"config error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, TypeError, AttributeError, ResolutionExhaustedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return _finish(cfg, kind_dir, checks, seeds)

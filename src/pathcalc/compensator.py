@@ -15,7 +15,6 @@ difference against three standard errors of the paired difference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -284,9 +283,6 @@ class CompensatorVerdict:
             "n_paths": self.n_paths, "passed": self.passed,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def _se_bound(se: float) -> float:
     """Largest |mean| that passes: three standard errors plus a 1e-12 rounding floor."""
@@ -314,15 +310,18 @@ def _verdict(model, y, lhs, rhs):
 
 def verify_compensator(
     model, y, n_paths: int = 10_000, T: float = 1.0, seed: int = 0,
-    n_steps: int = 512, rate_factor: float = 1.0,
+    rate_factor: float = 1.0,
 ) -> CompensatorVerdict:
     """Monte Carlo check of E int Y dA == E int Y dA^p for a catalog pair.
 
-    ``rate_factor`` scales the rate used in the closed-form side only; a
-    value != 1 is the deliberate negative control (the check must fail).
+    A continuous part of A, and a state Y of a deterministic A, is
+    integrated over 512 equal time steps.  ``rate_factor`` scales the rate
+    used in the closed-form side only; a value != 1 is the deliberate
+    negative control (the check must fail).
     """
     _require_increasing(model, "verify_compensator")
     rng = seeded_rng(seed)
+    n_steps = 512
 
     if isinstance(model, DeterministicIncreasing):  # closed form: A is not random
         if isinstance(y, ConstantY):

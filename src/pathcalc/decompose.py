@@ -17,7 +17,6 @@ residual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -81,16 +80,15 @@ class BracketModel:
 # ---------------------------------------------------------------------------
 
 
-def _derivative_surrogate(
-    f: ScalarFn, order: int, lo: float, hi: float, n_nodes: int = 65,
-) -> Optional[Callable]:
-    """Vanishing-step derivative sampled on a grid, linearly interpolated.
+def _derivative_surrogate(f: ScalarFn, order: int, lo: float, hi: float) -> Optional[Callable]:
+    """Vanishing-step derivative sampled on 65 nodes over [lo, hi] padded by 5%,
+    linearly interpolated.
 
     Returns None as soon as the limit fails at any probe node (0 is always
     probed when it lies in range, since kinks usually sit there).
     """
     span = max(hi - lo, 1e-6)
-    nodes = np.linspace(lo - 0.05 * span, hi + 0.05 * span, n_nodes)
+    nodes = np.linspace(lo - 0.05 * span, hi + 0.05 * span, 65)
     if nodes[0] < 0.0 < nodes[-1] and not np.any(nodes == 0.0):
         nodes = np.sort(np.append(nodes, 0.0))
     F = increment_fn(f)
@@ -104,7 +102,7 @@ def _derivative_surrogate(
     return lambda x: np.interp(np.asarray(x, dtype=float), nodes, vals)
 
 
-def _resolve_derivative(f: ScalarFn, path: SamplePath, given, order: int):
+def _resolve_derivative(f: ScalarFn, path: SamplePath, order: int, given=None):
     """Callable and label for g = f' (order 1) or tau = f''/2 (order 2).
 
     A ``given`` callable wins; else the declared derivative of f; else the
@@ -195,9 +193,6 @@ class DecompositionReport:
             "notes": self.notes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), sort_keys=True, indent=2)
-
     def series_csv(self, fh) -> None:
         """Compact per-time CSV: t, lhs, stochastic integral, compensator, jumps, residual."""
         fh.write("t,lhs,stoch_integral,compensator,jump_term,residual\n")
@@ -206,10 +201,10 @@ class DecompositionReport:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _not_applicable(mode, f, path, grid, reason) -> DecompositionReport:
+def _not_applicable(mode, f, grid, reason) -> DecompositionReport:
     empty = np.array([])
     return DecompositionReport(
-        mode=mode, f_label=f.label, g_label="", path_info=_path_info(path),
+        mode=mode, f_label=f.label, g_label="", path_info=_path_info(grid.path),
         grid_info=_grid_info(grid), times=empty, lhs=empty,
         stochastic_integral=empty, compensator_term=empty,
         compensator_closed=empty, jump_term=empty, residual=empty,
@@ -237,13 +232,11 @@ def _grid_info(grid: RiemannGrid) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cells(path: SamplePath, grid: RiemannGrid):
-    """Per-cell left value, continuous right value, jump size, and times."""
-    idx = grid.indices
+def _cells(grid: RiemannGrid):
+    """Per-cell left and right indices, left value, continuous right value and jump size."""
+    path, idx = grid.path, grid.indices
     i, j = idx[:-1], idx[1:]
-    a = path.values[i]
-    m = path.pre_values[j]
-    return i, j, a, m, path.jump_size_at()[j]
+    return i, j, path.values[i], path.pre_values[j], path.jump_size_at()[j]
 
 
 def _integrand_cells(g, a, m, d):
@@ -261,24 +254,25 @@ def _integrand_cells(g, a, m, d):
     return cont, np.where(jumps, np.asarray(g(m), dtype=float) * d, 0.0)
 
 
-def stochastic_integral(path: SamplePath, g, grid: RiemannGrid) -> np.ndarray:
-    """Cumulative left-point sums of g(X_-) dX along the grid (see :func:`_integrand_cells`)."""
-    _, _, a, m, d = _cells(path, grid)
+def stochastic_integral(g, grid: RiemannGrid) -> np.ndarray:
+    """Cumulative left-point sums of g(X_-) dX along the grid's path (see :func:`_integrand_cells`)."""
+    _, _, a, m, d = _cells(grid)
     cont, jump = _integrand_cells(g, a, m, d)
     vals = cont if jump is None else cont + jump
     return np.concatenate(([0.0], np.cumsum(vals)))
 
 
-def _decompose(path, f, grid, bracket, g, tau, mode) -> DecompositionReport:
+def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:
+    path = grid.path
     bracket = bracket or BracketModel.from_model(path.model)
-    gfn, g_label = _resolve_derivative(f, path, g, 1)
+    gfn, g_label = _resolve_derivative(f, path, 1, g)
     if gfn is None:
-        return _not_applicable(mode, f, path, grid, "no first derivative limit on the path range")
-    taufn, tau_label = _resolve_derivative(f, path, tau, 2)
+        return _not_applicable(mode, f, grid, "no first derivative limit on the path range")
+    taufn, tau_label = _resolve_derivative(f, path, 2)
     if taufn is None:
-        return _not_applicable(mode, f, path, grid, "no second derivative limit on the path range")
+        return _not_applicable(mode, f, grid, "no second derivative limit on the path range")
 
-    i, j, a, m, d = _cells(path, grid)
+    i, j, a, m, d = _cells(grid)
     idx = grid.indices
     tg = path.times[idx]
     fa = np.asarray(f(a), dtype=float)
@@ -323,21 +317,19 @@ def _decompose(path, f, grid, bracket, g, tau, mode) -> DecompositionReport:
 
 
 def ito_decompose(
-    path: SamplePath, f: ScalarFn, grid: RiemannGrid,
-    bracket: Optional[BracketModel] = None, g=None, tau=None,
+    f: ScalarFn, grid: RiemannGrid, bracket: Optional[BracketModel] = None, g=None,
 ) -> DecompositionReport:
-    """Decomposition report for a function with bounded second ratios.
+    """Decomposition report along the grid's path for a function with bounded second ratios.
 
     For such f the residual column must vanish under refinement; the exact
     per-cell algebra makes it identically zero (to rounding) for
     f(x) = x^2 on every path and grid.
     """
-    return _decompose(path, f, grid, bracket, g, tau, mode="ito")
+    return _decompose(f, grid, bracket, g, mode="ito")
 
 
 def tanaka_decompose(
-    path: SamplePath, f: ScalarFn, grid: RiemannGrid,
-    bracket: Optional[BracketModel] = None, g=None, tau=None,
+    f: ScalarFn, grid: RiemannGrid, bracket: Optional[BracketModel] = None, g=None,
 ) -> DecompositionReport:
     """Decomposition report keeping the residual as the increasing part A^c.
 
@@ -347,10 +339,10 @@ def tanaka_decompose(
     time).  A quick lower-bound scan of the second ratios over the path
     range is recorded in the notes.
     """
-    report = _decompose(path, f, grid, bracket, g, tau, mode="tanaka")
+    report = _decompose(f, grid, bracket, g, mode="tanaka")
     if report.applicable:
-        lo = float(np.min(path.values))
-        hi = float(np.max(path.values))
+        lo = float(np.min(grid.path.values))
+        hi = float(np.max(grid.path.values))
         xs = np.linspace(lo, hi, 41)
         F = increment_fn(f)
         h = max((hi - lo) * 1e-3, 1e-6)

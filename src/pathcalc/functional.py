@@ -15,7 +15,7 @@ functions of their inputs only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -83,30 +83,29 @@ class ScalarFn:
         return self.derivatives.get(order)
 
 
-def check_lipschitz_bounds(f: ScalarFn, n: int = 400, seed: int = 0) -> bool:
-    """Spot-check each declared (interval, L) pair on random point pairs."""
-    rng = seeded_rng(seed)
+def check_lipschitz_bounds(f: ScalarFn) -> bool:
+    """Spot-check each declared (interval, L) pair on 400 random point pairs (seed 0)."""
+    rng = seeded_rng(0)
     for (lo, hi), lip in f.lipschitz_bounds:
         lo_, hi_ = max(lo, -1e6), min(hi, 1e6)
-        x = rng.uniform(lo_, hi_, size=n)
-        y = rng.uniform(lo_, hi_, size=n)
+        x = rng.uniform(lo_, hi_, size=400)
+        y = rng.uniform(lo_, hi_, size=400)
         gap = np.abs(np.asarray(f(y)) - np.asarray(f(x)))
         if np.any(gap > lip * np.abs(y - x) + 1e-9):
             return False
     return True
 
 
-def check_declared_derivatives(
-    f: ScalarFn, lo: float = -2.0, hi: float = 2.0, n: int = 200,
-    h: float = 1e-5, tol: float = 1e-3, seed: int = 1,
-) -> bool:
-    """Check declared derivatives against centered differences on a grid.
+def check_declared_derivatives(f: ScalarFn) -> bool:
+    """Check declared derivatives against centered differences of step h = 1e-5.
 
-    Points within ``10 * h`` of a declared kink are skipped: there the
-    declared value is one-sided while the centered difference is not.
+    The 200 points are uniform on [-2, 2] (seed 1), and a derivative passes
+    within 1e-3 relative to 1 + |declared value|.  Points within ``10 * h``
+    of a declared kink are skipped: there the declared value is one-sided
+    while the centered difference is not.
     """
-    rng = seeded_rng(seed)
-    x = rng.uniform(lo, hi, size=n)
+    h, tol = 1e-5, 1e-3
+    x = seeded_rng(1).uniform(-2.0, 2.0, size=200)
     for kink in f.kinks:
         x = x[np.abs(x - kink) > 10 * h]
     for order, dfn in f.derivatives.items():
@@ -130,18 +129,10 @@ def check_declared_derivatives(
 
 @dataclass(frozen=True)
 class TwoIndexFn:
-    """A functional F(x, y) vanishing on the diagonal.
-
-    ``kind`` records the construction: ``increment`` (f(y) - f(x)),
-    ``weighted_increment`` (g(x)(f(y) - f(x))), ``linear_remainder``
-    (f(y) - f(x) - g(x)(y - x)), ``quadratic`` ((y - x)^2) or ``custom``.
-    ``sources`` keeps the underlying scalar functions.
-    """
+    """A functional F(x, y) vanishing on the diagonal."""
 
     label: str
-    kind: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sources: tuple = ()
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -150,17 +141,15 @@ class TwoIndexFn:
 def increment_fn(f: ScalarFn) -> TwoIndexFn:
     """F(x, y) = f(y) - f(x)."""
     return TwoIndexFn(
-        label=f"inc[{f.label}]", kind="increment",
-        fn=lambda x, y: np.asarray(f(y)) - np.asarray(f(x)), sources=(f,),
+        label=f"inc[{f.label}]", fn=lambda x, y: np.asarray(f(y)) - np.asarray(f(x)),
     )
 
 
 def weighted_increment(g: ScalarFn, f: ScalarFn) -> TwoIndexFn:
     """F(x, y) = g(x) * (f(y) - f(x))."""
     return TwoIndexFn(
-        label=f"winc[{g.label},{f.label}]", kind="weighted_increment",
+        label=f"winc[{g.label},{f.label}]",
         fn=lambda x, y: np.asarray(g(x)) * (np.asarray(f(y)) - np.asarray(f(x))),
-        sources=(g, f),
     )
 
 
@@ -171,18 +160,14 @@ def linear_remainder(f: ScalarFn, g: ScalarFn) -> TwoIndexFn:
     derivatives of f.
     """
     return TwoIndexFn(
-        label=f"rem[{f.label},{g.label}]", kind="linear_remainder",
+        label=f"rem[{f.label},{g.label}]",
         fn=lambda x, y: np.asarray(f(y)) - np.asarray(f(x)) - np.asarray(g(x)) * (np.asarray(y) - np.asarray(x)),
-        sources=(f, g),
     )
 
 
 def squared_increment() -> TwoIndexFn:
     """F(x, y) = (y - x)^2, whose pathwise sums are realized quadratic variation."""
-    return TwoIndexFn(
-        label="sq", kind="quadratic",
-        fn=lambda x, y: (np.asarray(y) - np.asarray(x)) ** 2,
-    )
+    return TwoIndexFn(label="sq", fn=lambda x, y: (np.asarray(y) - np.asarray(x)) ** 2)
 
 
 def custom_two_index(fn: Callable, label: str, validate: bool = True) -> TwoIndexFn:
@@ -192,7 +177,7 @@ def custom_two_index(fn: Callable, label: str, validate: bool = True) -> TwoInde
         vals = np.asarray(fn(probe, probe), dtype=float)
         if np.any(vals != 0.0):
             raise ValueError(f"{label}: F(x, x) must be exactly 0 on the diagonal")
-    return TwoIndexFn(label=label, kind="custom", fn=fn)
+    return TwoIndexFn(label=label, fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +317,12 @@ class LimitResult:
     converged: bool
     trace: tuple
 
-    def to_dict(self):
-        return {"estimate": self.estimate, "converged": self.converged, "trace": list(self.trace)}
-
 
 @dataclass(frozen=True)
 class VariationResult:
     estimate: float
     finite: bool
     trace: tuple
-
-    def to_dict(self):
-        return {"estimate": self.estimate, "finite": self.finite, "trace": list(self.trace)}
 
 
 def _refine(F: TwoIndexFn, a, b, scheme, tol, max_levels, threshold=math.inf):
@@ -384,21 +363,18 @@ def summability_limit(
 
 def variation_limit(
     F: TwoIndexFn, a: float, b: float, scheme=None,
-    tol: float = 1e-4, max_levels: int = 16, divergence_factor: float = 1e6,
+    tol: float = 1e-4, max_levels: int = 16,
 ) -> VariationResult:
     """Same refinement chain with |F| summands.
 
     ``finite`` is False when the trace exceeds the divergence threshold
-    ``divergence_factor * |F(a, b)| + divergence_factor`` or keeps growing
-    (fails the Cauchy window) through ``max_levels``.
+    ``1e6 * (|F(a, b)| + 1)`` or keeps growing (fails the Cauchy window)
+    through ``max_levels``.
     """
     if not (a < b):
         raise ValueError("variation_limit needs a < b")
-    absF = TwoIndexFn(
-        label=f"abs[{F.label}]", kind="custom",
-        fn=lambda x, y: np.abs(F(x, y)), sources=F.sources,
-    )
-    threshold = divergence_factor * abs(float(F(a, b))) + divergence_factor
+    absF = TwoIndexFn(label=f"abs[{F.label}]", fn=lambda x, y: np.abs(F(x, y)))
+    threshold = 1e6 * abs(float(F(a, b))) + 1e6
     trace, finite = _refine(absF, a, b, scheme, tol, max_levels, threshold)
     return VariationResult(trace[-1], finite, tuple(trace))
 
@@ -414,28 +390,23 @@ class ScanResult:
     bounded: bool
     sups: tuple
 
-    def to_dict(self):
-        return {"sup_estimate": self.sup_estimate, "bounded": self.bounded, "sups": list(self.sups)}
 
-
-def lipschitz_scan(
-    F: TwoIndexFn, k: int, interval, h_max: float = 0.25,
-    grid: int = 65, shrink_steps: int = 4, growth_tol: float = 2.0,
-) -> ScanResult:
+def lipschitz_scan(F: TwoIndexFn, k: int, interval, h_max: float = 0.25) -> ScanResult:
     """Estimate sup over x in ``interval``, steps <= h_max of |F^k|.
 
-    The sup is re-estimated while h_max shrinks geometrically; ``bounded``
-    is True when the final estimate has not grown beyond ``growth_tol``
-    times the first one (the sup is stable as the steps vanish).  NaN from
-    F turns into a failed scan (NaN estimate, bounded False).
+    The sup is estimated on 65 equally spaced points at the four step
+    scales h_max / 2^m, m < 4; ``bounded`` is True when the final estimate
+    has not grown beyond twice the first one (the sup is stable as the
+    steps vanish).  NaN from F turns into a failed scan (NaN estimate,
+    bounded False).
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not (lo < hi) or grid < 2 or h_max <= 0:
-        raise ValueError("lipschitz_scan needs lo < hi, grid >= 2, h_max > 0")
-    base = np.linspace(lo, hi, grid)
+    if not (lo < hi) or h_max <= 0:
+        raise ValueError("lipschitz_scan needs lo < hi, h_max > 0")
+    base = np.linspace(lo, hi, 65)
     sups = []
     x_star = None
-    for m in range(shrink_steps):
+    for m in range(4):
         hm = h_max / 2**m
         hs = [hm, hm / 2, hm / 4]
         xs = base
@@ -455,7 +426,7 @@ def lipschitz_scan(
                 best, best_x = float(vals[i]), float(xs[i])
         sups.append(best)
         x_star = best_x
-    bounded = sups[-1] <= growth_tol * sups[0] + 1e-9
+    bounded = sups[-1] <= 2.0 * sups[0] + 1e-9
     return ScanResult(sups[-1], bounded, tuple(sups))
 
 
@@ -471,24 +442,19 @@ DEFAULT_SCHEDULE = tuple(0.1 * 0.5**i for i in range(14))
 class DerivativeResult:
     value: float
     exists: bool
-    error_estimate: float
 
 
-def derivative_limit(
-    F: TwoIndexFn, j: int, x: float, h_schedule: Sequence[float] = DEFAULT_SCHEDULE,
-    rel_tol: float = 1e-6,
-) -> DerivativeResult:
+def derivative_limit(F: TwoIndexFn, j: int, x: float) -> DerivativeResult:
     """Limit of F^j(x, h, ..., h) as h drops to 0, with equal steps anchored at x.
 
-    The values along the schedule are extrapolated to h = 0 with a Neville
-    tableau (exact for ratios polynomial in h); ``exists`` is True when the
-    tableau error estimate is within ``rel_tol`` relative to max(1, |value|).
-    When the plain limit does not exist (oscillation, divergence) the result
-    reports ``exists=False`` rather than guessing a value.
+    The values along ``DEFAULT_SCHEDULE`` (h = 0.1 / 2^i, i < 14) are
+    extrapolated to h = 0 with a Neville tableau (exact for ratios
+    polynomial in h); ``exists`` is True when the tableau error estimate is
+    within 1e-6 relative to max(1, |value|).  When the plain limit does not
+    exist (oscillation, divergence) the result reports ``exists=False``
+    rather than guessing a value.
     """
-    hs = [float(h) for h in h_schedule]
-    if any(h <= 0 for h in hs) or any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
-        raise ValueError("h_schedule must be strictly decreasing positives")
+    hs = DEFAULT_SCHEDULE
 
     def raw(h: float) -> float:
         try:
@@ -502,7 +468,7 @@ def derivative_limit(
     safe = 2.0
     v0 = raw(hs[0])
     if not math.isfinite(v0):
-        return DerivativeResult(float("nan"), False, float("inf"))
+        return DerivativeResult(float("nan"), False)
     col = [v0]
     best, best_err = v0, float("inf")
     for i in range(1, len(hs)):
@@ -528,16 +494,13 @@ def derivative_limit(
             col = new_col
             break
         col = new_col
-    exists = best_err <= rel_tol * max(1.0, abs(best))
-    return DerivativeResult(float(best), bool(exists), float(best_err))
+    exists = best_err <= 1e-6 * max(1.0, abs(best))
+    return DerivativeResult(float(best), bool(exists))
 
 
-def approx_derivative(
-    f: ScalarFn, j: int, x: float, h_schedule: Sequence[float] = DEFAULT_SCHEDULE,
-    rel_tol: float = 1e-6,
-) -> DerivativeResult:
+def approx_derivative(f: ScalarFn, j: int, x: float) -> DerivativeResult:
     """Vanishing-step j-th derivative of f (right version at kinks)."""
-    return derivative_limit(increment_fn(f), j, x, h_schedule, rel_tol)
+    return derivative_limit(increment_fn(f), j, x)
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +544,18 @@ class ExpansionReport:
         }
 
 
-def taylor_check(
-    F: TwoIndexFn, a: float, b: float, k: int, tol: float = 1e-8,
-    quad_points: int = 201, sum_tol: float = 1e-8, scan_h_max: float = 0.25,
-) -> ExpansionReport:
+def taylor_check(F: TwoIndexFn, a: float, b: float, k: int, tol: float = 1e-8) -> ExpansionReport:
     """Check the order-k expansion of I(F; a, b) against its remainder.
 
     A missing derivative limit at ``a`` marks the report not applicable
-    instead of raising.  The remainder quadrature weights the order-k ratio
-    limit with the density k (b - t)^(k-1) / (b - a)^k, realized through the
-    substitution t = b - (b - a) u^(1/k) with midpoint nodes in u.
+    instead of raising.  I(F; a, b) is the summability limit at tolerance
+    1e-8.  The remainder quadrature weights the order-k ratio limit with the
+    density k (b - t)^(k-1) / (b - a)^k, realized through the substitution
+    t = b - (b - a) u^(1/k) with 201 midpoint nodes in u; more than 5% of
+    nodes without a limit mark the report not applicable.  The remainder
+    bound scans steps up to min(0.25, (b - a) / 4).
     """
+    quad_points = 201
     if not (a < b) or k < 1:
         raise ValueError("taylor_check needs a < b and k >= 1")
 
@@ -611,7 +575,7 @@ def taylor_check(
             bound_ok=False, applicable=False, success=False, total=float("nan"),
         )
 
-    total = summability_limit(F, a, b, tol=sum_tol).estimate
+    total = summability_limit(F, a, b, tol=1e-8).estimate
 
     u = (np.arange(quad_points) + 0.5) / quad_points
     nodes = b - (b - a) * u ** (1.0 / k)
@@ -631,7 +595,7 @@ def taylor_check(
     remainder = (b - a) ** k / math.factorial(k) * float(np.mean(node_vals))
 
     gap = abs(total - sum(v for _, v in terms) - remainder)
-    scan = lipschitz_scan(F, k, (a, b), h_max=min(scan_h_max, (b - a) / 4))
+    scan = lipschitz_scan(F, k, (a, b), h_max=min(0.25, (b - a) / 4))
     bound = (b - a) ** k / math.factorial(k) * scan.sup_estimate
     bound_ok = abs(remainder) <= bound + 1e-9 + 1e-9 * abs(bound)
     return ExpansionReport(

@@ -305,10 +305,6 @@ class SamplePath:
     def n_points(self) -> int:
         return len(self.times)
 
-    @property
-    def jump_times(self) -> np.ndarray:
-        return self.times[self.jump_indices]
-
     def median_continuous_move(self) -> float:
         """Median of |X_{t_(i+1)-} - X_(t_i)| over the cells (0 for a single point).
 
@@ -337,14 +333,20 @@ class SamplePath:
         times, values, pre, sizes = [], [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty CSV file: no header")
             if header[:4] != ["time", "value", "pre_jump_value", "jump_size"]:
                 raise ValueError(f"unexpected CSV header {header!r}")
             for row in reader:
+                if len(row) < 4:
+                    raise ValueError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
                 times.append(float(row[0]))
                 values.append(float(row[1]))
                 pre.append(float(row[2]))
                 sizes.append(float(row[3]))
+        if not times:
+            raise ValueError("CSV file has a header but no rows")
         sizes = np.asarray(sizes)
         jump_idx = np.nonzero(sizes != 0.0)[0]
         return cls(
@@ -510,7 +512,7 @@ def reattach_jumps(path: SamplePath, removed) -> SamplePath:
     )
 
 
-def realized_qv(path: SamplePath, grid) -> float:
-    """Sum of squared raw increments of the path over a grid's points."""
-    x = path.values[grid.indices]
+def realized_qv(grid) -> float:
+    """Sum of squared raw increments of the grid's path over the grid's points."""
+    x = grid.path.values[grid.indices]
     return float(np.sum((x[1:] - x[:-1]) ** 2))

@@ -61,7 +61,7 @@ def test_1_exact_algebraic_ito_identity():
     for model in models:
         for seed in range(100):
             p = simulate(model, 4096, 1.0, seed=6000 + seed)
-            rep = ito_decompose(p, SQUARE, dyadic_grid(p, 12))
+            rep = ito_decompose(SQUARE, dyadic_grid(p, 12))
             worst_resid = max(worst_resid, float(np.max(np.abs(rep.residual))))
             worst_gap = max(worst_gap, float(np.max(rep.identity_gap)))
     passed = worst_resid <= 1e-10 and worst_gap <= 1e-10
@@ -111,7 +111,7 @@ def test_3_qv_of_brownian_motion():
     traces = np.zeros((1000, len(levels)))
     for i in range(1000):
         p = simulate(BrownianMotion(), 2**14, 1.0, seed=7000 + i)
-        traces[i] = [realized_qv(p, dyadic_grid(p, lv)) for lv in levels]
+        traces[i] = [realized_qv(dyadic_grid(p, lv)) for lv in levels]
     mean12 = float(traces[:, levels.index(12)].mean())
     diffs = np.abs(np.diff(traces, axis=1)).mean(axis=0)
     cauchy = bool(np.all(np.diff(diffs) < 0))
@@ -126,7 +126,7 @@ def test_4_generalized_ito_for_nonsmooth_f():
     stats = []
     for seed in range(500):
         p = simulate(BrownianMotion(), 2**14, 1.0, seed=4000 + seed)
-        rep = ito_decompose(p, XABS, dyadic_grid(p, 14))
+        rep = ito_decompose(XABS, dyadic_grid(p, 14))
         # oracle: direct time quadrature of sign along the path, sigma^2 = 1
         stats.append(abs(rep.lhs[-1] - rep.stochastic_integral[-1] - rep.compensator_closed[-1]))
     mean_defect = float(np.mean(stats))
@@ -142,7 +142,7 @@ def test_5_generalized_tanaka_local_time():
     per_path_rel = []
     for seed in range(300):
         p = simulate(BrownianMotion(), 2**16, 1.0, seed=5000 + seed)
-        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 16))
+        rep = tanaka_decompose(ABS, dyadic_grid(p, 16))
         ac = float(rep.residual[-1])
         oracle = occupation_local_time(p, 0.0, 0.01)
         a_final.append(ac)

@@ -292,6 +292,35 @@ class TestRunnerInputErrors:
         assert main(["run", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: eps=1e-06")
 
+    @pytest.mark.parametrize("name, change, message", [
+        ("qv", {"model": {"kind": "cpj"}}, "missing key 'rate'"),
+        ("qv", {"model": None}, "missing key 'model'"),
+        ("qv", {"model": {"kind": "jd", "rate": 1.0, "law": {"lo": 0.0, "hi": 1.0}}},
+         "missing key 'kind'"),
+        ("tanaka_local_time", {"function": None}, "missing key 'function'"),
+        ("taylor", {"entries": [{"function": {"name": "square"}, "a": 0.0, "b": 1.0}]},
+         "missing key 'k'"),
+        ("qv", {"model": {"kind": "bm", "sigma": "1"}}, ""),
+        ("qv", {"tolerances": {"qv_band": 5}}, ""),
+        ("tanaka_local_time", {"function": "abs"}, ""),
+        ("ito", {"level": -1}, "level must be >= 0"),
+        ("tanaka_local_time", {"level": -1}, "level must be >= 0"),
+    ], ids=["cpj_without_rate", "no_model", "law_without_kind", "no_function",
+            "taylor_entry_without_k", "string_sigma", "scalar_qv_band", "string_function",
+            "ito_negative_level", "tanaka_negative_level"])
+    def test_malformed_config(self, tmp_path, capsys, name, change, message):
+        cfg = {"schema_version": 1, **PARITY_CONFIGS[name], **change,
+               "out_dir": str(tmp_path / "out")}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        assert main(["run", write_config(tmp_path, "bad.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "Traceback" not in err
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        assert main(["run", write_config(tmp_path, "list.json", [1, 2])]) == 2
+        assert capsys.readouterr().err.startswith("config error: config must be a JSON object")
+
 
 class TestConfigDefaults:
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):

@@ -58,7 +58,7 @@ class TestStochasticIntegral:
         p = simulate(JD, 2048, 1.0, seed=9)
         one = ScalarFn("one", lambda x: np.ones_like(np.asarray(x, dtype=float)))
         g = dyadic_grid(p, 11)
-        si = stochastic_integral(p, one, g)
+        si = stochastic_integral(one, g)
         assert np.max(np.abs(si - (p.values[g.indices] - p.values[0]))) < 1e-12
 
     def test_two_x_identity_per_cell(self):
@@ -66,7 +66,7 @@ class TestStochasticIntegral:
         p = simulate(JD, 2048, 1.0, seed=10)
         g = dyadic_grid(p, 11)
         g2x = ScalarFn("2x", lambda x: 2.0 * np.asarray(x, dtype=float))
-        si = stochastic_integral(p, g2x, g)
+        si = stochastic_integral(g2x, g)
         idx = g.indices
         x = p.values[idx]
         m = p.pre_values[idx]
@@ -81,7 +81,7 @@ class TestStochasticIntegral:
         vals = []
         for seed in range(300):
             p = simulate(BrownianMotion(), 2**12, 1.0, seed=8000 + seed)
-            vals.append(stochastic_integral(p, sign, dyadic_grid(p, 12))[-1] ** 2)
+            vals.append(stochastic_integral(sign, dyadic_grid(p, 12))[-1] ** 2)
         assert 0.9 <= float(np.mean(vals)) <= 1.1
 
 
@@ -89,13 +89,13 @@ class TestItoDecompose:
     @pytest.mark.parametrize("model", [BrownianMotion(), JD, FV], ids=["bm", "jd", "fv"])
     def test_square_is_exact_per_cell(self, model):
         p = simulate(model, 4096, 1.0, seed=5)
-        rep = ito_decompose(p, SQUARE, dyadic_grid(p, 12))
+        rep = ito_decompose(SQUARE, dyadic_grid(p, 12))
         assert np.max(np.abs(rep.residual)) <= 1e-10
         assert np.max(rep.identity_gap) <= 1e-10
 
     def test_identity_closes_per_time(self):
         p = simulate(JD, 2048, 1.0, seed=6)
-        rep = ito_decompose(p, XABS, dyadic_grid(p, 11))
+        rep = ito_decompose(XABS, dyadic_grid(p, 11))
         recon = (rep.stochastic_integral + rep.compensator_term
                  + rep.jump_term + rep.residual)
         assert np.max(np.abs(rep.lhs - recon)) <= 1e-10
@@ -106,7 +106,7 @@ class TestItoDecompose:
         stats = []
         for seed in range(100):
             p = simulate(BrownianMotion(), 2**12, 1.0, seed=8500 + seed)
-            rep = ito_decompose(p, XABS, dyadic_grid(p, 12))
+            rep = ito_decompose(XABS, dyadic_grid(p, 12))
             sign_rc = np.where(p.values[:-1] >= 0.0, 1.0, -1.0)
             sign_quad = 0.5 * np.concatenate(
                 ([0.0], np.cumsum(sign_rc * np.diff(p.times))))
@@ -117,7 +117,7 @@ class TestItoDecompose:
     def test_cos_on_jump_diffusion_matches_direct_implementation(self):
         p = simulate(JD, 2048, 1.0, seed=17)
         grid = dyadic_grid(p, 11)
-        rep = ito_decompose(p, COS, grid)
+        rep = ito_decompose(COS, grid)
         # independent scalar-loop implementation of the same decomposition
         idx = grid.indices
         stoch = comp = jump = 0.0
@@ -139,7 +139,7 @@ class TestItoDecompose:
 
     def test_jump_term_matches_recorded_jumps_bit_exactly(self):
         p = simulate(JD, 1024, 1.0, seed=18)
-        rep = ito_decompose(p, XABS, dyadic_grid(p, 10))
+        rep = ito_decompose(XABS, dyadic_grid(p, 10))
         acc = 0.0
         for i, size in zip(p.jump_indices, p.jump_sizes):
             pre, post = p.pre_values[i], p.values[i]
@@ -153,7 +153,7 @@ class TestItoDecompose:
             if not len(p.jump_indices):
                 continue
             found += len(p.jump_indices)
-            rep = ito_decompose(p, ABS, dyadic_grid(p, 9))
+            rep = ito_decompose(ABS, dyadic_grid(p, 9))
             cells = np.diff(rep.jump_term)
             assert np.all(cells >= -1e-12)
         assert found > 10
@@ -166,14 +166,14 @@ class TestItoDecompose:
 
         p = simulate(BrownianMotion(), 512, 1.0, seed=19)
         assert p.values.min() < 0 < p.values.max()
-        rep = ito_decompose(p, ScalarFn("xsin", xsin), dyadic_grid(p, 9))
+        rep = ito_decompose(ScalarFn("xsin", xsin), dyadic_grid(p, 9))
         assert not rep.applicable
         verdict = verify_report(rep, "ito")
         assert not verdict.passed
 
     def test_zero_variance_path_gives_all_zero_report(self):
         p = simulate(BrownianMotion(sigma=0.0, drift=0.0), 64, 1.0, seed=0)
-        rep = ito_decompose(p, SQUARE, dyadic_grid(p, 4))
+        rep = ito_decompose(SQUARE, dyadic_grid(p, 4))
         for col in (rep.lhs, rep.stochastic_integral, rep.compensator_term,
                     rep.jump_term, rep.residual):
             assert np.all(col == 0.0)
@@ -181,7 +181,7 @@ class TestItoDecompose:
     def test_localization_matches_truncated_path(self):
         p = simulate(BrownianMotion(), 1024, 1.0, seed=20)
         grid = dyadic_grid(p, 8)
-        rep = ito_decompose(p, XABS, grid)
+        rep = ito_decompose(XABS, grid)
         cut = len(grid) // 2
         stop_idx = int(grid.indices[cut])
         truncated = SamplePath(
@@ -194,9 +194,8 @@ class TestItoDecompose:
         # truncated dyadic grid at the same level halves its mesh; compare on
         # the matching prefix of shared grid indices instead
         shared = grid.indices[: cut + 1]
-        rep2 = ito_decompose(truncated, XABS,
-                             type(grid)(path=truncated, indices=shared, scheme="dyadic",
-                                        param=8.0))
+        rep2 = ito_decompose(XABS, type(grid)(path=truncated, indices=shared, scheme="dyadic",
+                                              param=8.0))
         assert np.array_equal(rep.residual[: cut + 1], rep2.residual)
         assert np.array_equal(rep.stochastic_integral[: cut + 1], rep2.stochastic_integral)
         assert tgrid.indices[-1] == stop_idx
@@ -206,12 +205,12 @@ class TestTanakaDecompose:
     def test_no_crossing_path_has_zero_residual(self):
         p = simulate(BrownianMotion(x0=5.0), 4096, 1.0, seed=2)
         assert p.values.min() > 1.0
-        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 12))
+        rep = tanaka_decompose(ABS, dyadic_grid(p, 12))
         assert np.max(np.abs(rep.residual)) == 0.0
 
     def test_crossing_bm_accumulates_local_time(self):
         p = simulate(BrownianMotion(), 2**14, 1.0, seed=3)
-        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 14))
+        rep = tanaka_decompose(ABS, dyadic_grid(p, 14))
         verdict = verify_report(rep, "tanaka", tol=1e-6)
         assert verdict.passed
         assert rep.residual[-1] > 0.1
@@ -221,13 +220,13 @@ class TestTanakaDecompose:
 
     def test_same_report_fails_as_ito(self):
         p = simulate(BrownianMotion(), 2**12, 1.0, seed=3)
-        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 12))
+        rep = tanaka_decompose(ABS, dyadic_grid(p, 12))
         assert not verify_report(rep, "ito", tol=1e-6).passed
 
     def test_kink_localization(self):
         kinked = make_scalar_fn("piecewise_linear", breakpoints=[0.3], slopes=[0.0, 1.0])
         p = simulate(BrownianMotion(), 2**14, 1.0, seed=4)
-        rep = tanaka_decompose(p, kinked, dyadic_grid(p, 14))
+        rep = tanaka_decompose(kinked, dyadic_grid(p, 14))
         incr = np.diff(rep.residual)
         left_values = p.values[dyadic_grid(p, 14).indices[:-1]]
         away = np.abs(left_values - 0.3) > 0.05
@@ -238,14 +237,14 @@ class TestTanakaDecompose:
         diffs = []
         for seed in range(20):
             p = simulate(BrownianMotion(), 2**16, 1.0, seed=600 + seed)
-            r1 = tanaka_decompose(p, ABS, dyadic_grid(p, 14))
-            r2 = tanaka_decompose(p, ABS, hitting_grid(p, 2**-7))
+            r1 = tanaka_decompose(ABS, dyadic_grid(p, 14))
+            r2 = tanaka_decompose(ABS, hitting_grid(p, 2**-7))
             diffs.append(abs(r1.residual[-1] - r2.residual[-1]))
         assert float(np.mean(diffs)) < 0.1
 
     def test_second_ratio_lower_bound_recorded(self):
         p = simulate(BrownianMotion(), 1024, 1.0, seed=5)
-        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 10))
+        rep = tanaka_decompose(ABS, dyadic_grid(p, 10))
         assert rep.notes["second_ratio_lower_bound"] >= -1e-9
 
 
@@ -273,15 +272,15 @@ class TestVerifyReport:
     def test_square_passes_tight(self):
         p = simulate(BrownianMotion(), 4096, 1.0, seed=30)
         bracket = BracketModel.from_model(p.model)
-        coarser = [ito_decompose(p, SQUARE, dyadic_grid(p, lv), bracket) for lv in (10, 11)]
-        rep = ito_decompose(p, SQUARE, dyadic_grid(p, 12), bracket)
+        coarser = [ito_decompose(SQUARE, dyadic_grid(p, lv), bracket) for lv in (10, 11)]
+        rep = ito_decompose(SQUARE, dyadic_grid(p, 12), bracket)
         verdict = verify_report(rep, "ito", tol=1e-8, coarser=coarser)
         assert verdict.passed
         assert verdict.checks["identity_gap_nonincreasing"]["passed"]
 
     def test_fv_path_with_smooth_f_is_pure_stieltjes(self):
         p = simulate(FV, 2**14, 1.0, seed=0)
-        rep = ito_decompose(p, COS, dyadic_grid(p, 14))
+        rep = ito_decompose(COS, dyadic_grid(p, 14))
         # no martingale part: both curvature and residual vanish with the mesh
         assert np.max(np.abs(rep.compensator_term)) < 1e-3
         assert np.max(np.abs(rep.residual)) < 1e-3
@@ -292,8 +291,8 @@ class TestVerifyReport:
 
     def test_no_applicable_coarser_report_omits_gap_trend(self):
         p = simulate(BrownianMotion(), 256, 1.0, seed=31)
-        rep = ito_decompose(p, SQUARE, dyadic_grid(p, 6))
-        inapplicable = ito_decompose(p, make_scalar_fn("sign"), dyadic_grid(p, 5))
+        rep = ito_decompose(SQUARE, dyadic_grid(p, 6))
+        inapplicable = ito_decompose(make_scalar_fn("sign"), dyadic_grid(p, 5))
         assert not inapplicable.applicable
         verdict = verify_report(rep, "ito", coarser=[inapplicable])
         assert verdict.checks == verify_report(rep, "ito").checks
@@ -301,7 +300,7 @@ class TestVerifyReport:
 
     def test_mode_validation(self):
         p = simulate(BrownianMotion(), 64, 1.0, seed=0)
-        rep = ito_decompose(p, SQUARE, dyadic_grid(p, 4))
+        rep = ito_decompose(SQUARE, dyadic_grid(p, 4))
         with pytest.raises(ValueError):
             verify_report(rep, "other")
 
@@ -309,7 +308,7 @@ class TestVerifyReport:
 class TestReportSerialization:
     def test_summary_and_csv(self):
         p = simulate(JD, 512, 1.0, seed=40)
-        rep = ito_decompose(p, SQUARE, dyadic_grid(p, 9))
+        rep = ito_decompose(SQUARE, dyadic_grid(p, 9))
         d = rep.summary_dict()
         assert d["applicable"] and d["mode"] == "ito"
         json.dumps(d)
@@ -324,8 +323,8 @@ class TestReportStatistics:
     @pytest.mark.parametrize("model", [BrownianMotion(), JD])
     def test_summary_and_verdict_read_the_same_numbers(self, model):
         p = simulate(model, 512, 1.0, seed=6)
-        coarse = tanaka_decompose(p, ABS, dyadic_grid(p, 6))
-        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 7))
+        coarse = tanaka_decompose(ABS, dyadic_grid(p, 6))
+        rep = tanaka_decompose(ABS, dyadic_grid(p, 7))
         summary = rep.summary_dict()
         checks = verify_report(rep, mode="tanaka", coarser=[coarse]).checks
         assert checks["identity_gap_max"]["value"] == summary["max_identity_gap"]
@@ -338,6 +337,6 @@ class TestReportStatistics:
 
     def test_empty_conventions(self):
         p = simulate(BrownianMotion(), 4, 1.0, seed=1)
-        rep = tanaka_decompose(p, ABS, dyadic_grid(p, 0))
+        rep = tanaka_decompose(ABS, dyadic_grid(p, 0))
         assert rep.summary_dict()["max_jump_cell_residual"] == 0.0
         assert verify_report(rep, mode="tanaka").checks["max_jump_time_increment"]["value"] == 0.0

@@ -267,10 +267,6 @@ class TestApproxDerivative:
 
         assert not approx_derivative(ScalarFn("xsin", xsin), 1, 0.0).exists
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            approx_derivative(SQUARE, 1, 0.0, h_schedule=[0.1, 0.2])
-
 
 class TestCatalogDeclarations:
     @pytest.mark.parametrize("name", ["abs", "square", "cube", "x_abs_x_half",

@@ -168,7 +168,7 @@ class TestSeededRng:
 class TestRealizedQV:
     def test_finite_variation_qv_decreases_to_zero(self):
         p = simulate(FiniteVariationPath((0.0, 1.0), (0.0, 1.0)), 2**12, 1.0, seed=0)
-        qvs = [realized_qv(p, dyadic_grid(p, lv)) for lv in (4, 6, 8, 10)]
+        qvs = [realized_qv(dyadic_grid(p, lv)) for lv in (4, 6, 8, 10)]
         assert all(b < a for a, b in zip(qvs[:-1], qvs[1:]))
         assert qvs[-1] == pytest.approx(2.0**-10, rel=1e-9)
 
@@ -180,10 +180,10 @@ class TestRealizedQV:
                 break
         else:
             pytest.fail("no seed with exactly two jumps")
-        assert realized_qv(p, dyadic_grid(p, 3)) == pytest.approx(2.0, abs=1e-12)
+        assert realized_qv(dyadic_grid(p, 3)) == pytest.approx(2.0, abs=1e-12)
 
     def test_bm_qv_concentrates_at_t(self):
-        qvs = [realized_qv(p, dyadic_grid(p, 10))
+        qvs = [realized_qv(dyadic_grid(p, 10))
                for p in (simulate(BrownianMotion(), 2**10, 1.0, seed=s) for s in range(300))]
         assert 0.95 <= float(np.mean(qvs)) <= 1.05
 
@@ -204,4 +204,16 @@ class TestCsvRoundTrip:
         f = tmp_path / "bad.csv"
         f.write_text("a,b,c,d\n0,0,0,0\n")
         with pytest.raises(ValueError):
+            SamplePath.from_csv(f)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV file"),
+        ("time,value,pre_jump_value,jump_size\n", "no rows"),
+        ("time,value,pre_jump_value,jump_size\n0.0,0.0,0.0,0.0\n1.0,0.5,0.5\n",
+         "line 3: expected 4 fields, got 3"),
+    ], ids=["empty", "header_only", "short_row"])
+    def test_malformed_files_raise_value_error(self, tmp_path, text, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
             SamplePath.from_csv(f)

@@ -21,6 +21,7 @@ from pathcalc import (
     dyadic_grid,
     hitting_grid,
     increment_fn,
+    ito_decompose,
     limit_in_probability,
     linear_remainder,
     make_scalar_fn,
@@ -163,18 +164,28 @@ class TestPathwiseSum:
             s = pathwise_sum(pf, dyadic_grid(p, level))
             assert s == pytest.approx(abs(p.values[-1]) - abs(p.values[0]), abs=1e-12)
 
-    def test_quadratic_matches_realized_qv_bitwise(self):
-        p = bm(seed=12)
-        pf = PathFunctional(path=p, base=squared_increment())
-        g = dyadic_grid(p, 7)
-        assert pathwise_sum(pf, g) == realized_qv(p, g)
+    @given(model=st.sampled_from([BrownianMotion(), JD, CPJ, FV]), seed=seeds,
+           n_steps=st.integers(1, 2**10), scheme=st.sampled_from(["dyadic", "hitting"]),
+           level=st.integers(0, 10), scale=st.floats(1.0, 8.0))
+    @settings(max_examples=60, deadline=None)
+    def test_quadratic_matches_realized_qv_bitwise(self, model, seed, n_steps, scheme,
+                                                   level, scale):
+        """realized_qv and ito_decompose read the grid's own path, on every model and scheme."""
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        if scheme == "dyadic":
+            g = dyadic_grid(p, level)
+        else:
+            # at or above the resolution heuristic; pure-jump paths have heuristic 0
+            g = hitting_grid(p, scale * max(2.0 * p.median_continuous_move(), 0.05))
+        assert realized_qv(g) == pathwise_sum(PathFunctional(g.path, squared_increment()), g)
+        assert np.max(np.abs(ito_decompose(SQUARE, g).residual)) <= 1e-8
 
     def test_remainder_sum_equals_qv_for_square(self):
         g2x = ScalarFn("2x", lambda x: 2.0 * np.asarray(x, dtype=float))
         p = bm(seed=13)
         pf = PathFunctional(path=p, base=linear_remainder(SQUARE, g2x))
         g = dyadic_grid(p, 8)
-        assert pathwise_sum(pf, g) == pytest.approx(realized_qv(p, g), abs=1e-12)
+        assert pathwise_sum(pf, g) == pytest.approx(realized_qv(g), abs=1e-12)
 
     def test_scaling_and_linearity(self):
         p = bm(seed=14)
