@@ -6,9 +6,15 @@ path, one per (process, Y) pair for compensator, the base seed alone for
 summability, taylor and independence), beside it ``paths.csv`` and
 ``decomposition.csv`` when paths persist and ``trace.csv`` for independence,
 with ``aggregate.json`` and a one-page ``summary.txt`` at the experiment
-level.  Aggregates are byte-identical across reruns of the same config and
-seed: workers fan out across seeds (capped by ``PATHCALC_THREADS``) and write
-their own files; the coordinator aggregates in fixed seed order, writing once.
+level.  Paths persist for the qv, ito and tanaka kinds by the config key
+``write_paths``: ``true``, ``false``, or ``"auto"`` (the default), which
+writes them when ``n_paths`` is at most 64; any other value is a config
+error.  The docstrings of ``SamplePath.to_csv``,
+``DecompositionReport.series_csv`` and ``ConvergenceDiagnostic.trace_csv``
+state the bytes of the three CSV files.  Aggregates are byte-identical
+across reruns of the same config and seed: workers fan out across seeds
+(capped by ``PATHCALC_THREADS``) and write their own files; the coordinator
+aggregates in fixed seed order, writing once.
 
 ``replay`` re-evaluates the persisted numbers against the recorded bounds
 without recomputation, so acceptance stays auditable after the fact.
@@ -85,6 +91,8 @@ def _load_config(path: str, overrides) -> dict:
     cfg.setdefault("write_paths", "auto")
     if int(cfg["n_paths"]) < 1:
         raise ValueError("n_paths must be >= 1")
+    if not (isinstance(cfg["write_paths"], bool) or cfg["write_paths"] == "auto"):
+        raise ValueError(f'write_paths must be true, false or "auto", got {cfg["write_paths"]!r}')
     return cfg
 
 
@@ -119,10 +127,10 @@ def _write_seed(kind_dir: Path, seed, report: dict, files=()) -> None:
 
 
 def _should_write_paths(cfg) -> bool:
-    mode = cfg.get("write_paths", "auto")
+    mode = cfg["write_paths"]
     if mode == "auto":
         return int(cfg["n_paths"]) <= 64
-    return bool(mode)
+    return mode
 
 
 def _map_seeds(cfg, worker):
@@ -485,12 +493,17 @@ def replay(directory: str) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: unparsable aggregate: {exc}", file=sys.stderr)
         return 2
+    per_seed = aggregate.get("per_seed", {}) if isinstance(aggregate, dict) else None
+    if not (isinstance(per_seed, dict) and all(isinstance(rel, str) for rel in per_seed.values())):
+        print("error: malformed aggregate: it must be a JSON object whose per_seed maps seeds"
+              " to report paths", file=sys.stderr)
+        return 2
     if aggregate.get("schema_version") != SCHEMA_VERSION:
         print(f"error: unsupported schema_version {aggregate.get('schema_version')!r}",
               file=sys.stderr)
         return 2
 
-    seed_paths = [agg_path.parent / rel for rel in aggregate.get("per_seed", {}).values()]
+    seed_paths = [agg_path.parent / rel for rel in per_seed.values()]
     missing = [p for p in seed_paths if not p.exists()]
     if missing:
         print(f"error: missing per-seed report {missing[0]}", file=sys.stderr)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ResolutionExhaustedError, UnsupportedModelError
 from .functional import ScalarFn, _raw_ratio, derivative_limit, increment_fn
-from .paths import SamplePath
+from .paths import SamplePath, _write_float_rows
 from .riemann import RiemannGrid
 
 __all__ = [
@@ -194,11 +194,14 @@ class DecompositionReport:
         }
 
     def series_csv(self, fh) -> None:
-        """Compact per-time CSV: t, lhs, stochastic integral, compensator, jumps, residual."""
-        fh.write("t,lhs,stoch_integral,compensator,jump_term,residual\n")
-        for row in zip(self.times, self.lhs, self.stochastic_integral,
-                       self.compensator_term, self.jump_term, self.residual):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        """Write the per-time CSV t, lhs, stoch_integral, compensator, jump_term, residual to ``fh``.
+
+        Each field is the ``repr`` of the value as a Python float, fields are
+        separated by "," and every line, the header's too, ends in "\\n".
+        """
+        _write_float_rows(fh, "t,lhs,stoch_integral,compensator,jump_term,residual",
+                          [self.times, self.lhs, self.stochastic_integral,
+                           self.compensator_term, self.jump_term, self.residual])
 
 
 def _not_applicable(mode, f, grid, reason) -> DecompositionReport:

@@ -320,13 +320,15 @@ class SamplePath:
         return _at_points(self.n_points, self.jump_indices, self.jump_sizes)
 
     def to_csv(self, path) -> None:
-        """Columns: time, value, pre_jump_value, jump_size."""
-        sizes = self.jump_size_at()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "value", "pre_jump_value", "jump_size"])
-            for row in zip(self.times, self.values, self.pre_values, sizes):
-                writer.writerow([repr(float(v)) for v in row])
+        """Write the columns time, value, pre_jump_value, jump_size to the file ``path``.
+
+        Each field is the ``repr`` of the value as a Python float, so
+        :meth:`from_csv` reads back the same bits.  Fields are separated by
+        "," and every line, the header's too, ends in CRLF.
+        """
+        with open(path, "w", newline="\r\n") as fh:
+            _write_float_rows(fh, "time,value,pre_jump_value,jump_size",
+                              [self.times, self.values, self.pre_values, self.jump_size_at()])
 
     @classmethod
     def from_csv(cls, path) -> "SamplePath":
@@ -418,6 +420,50 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
         jump_indices=jump_idx.astype(np.int64), jump_sizes=jump_sizes,
         horizon=T, model=model, seed=seed, n_steps=n_steps,
     )
+
+
+# ---------------------------------------------------------------------------
+# float-column CSV
+# ---------------------------------------------------------------------------
+
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_float_rows(fh, header: str, columns) -> None:
+    """Write ``header`` and then one row per index of the equal-length ``columns``.
+
+    A field is the ``repr`` of the value as a Python float, fields are joined
+    by "," and each line ends in "\\n", which a file opened with
+    ``newline="\\r\\n"`` writes as CRLF.  Rows are formatted and written in
+    blocks of ``_CSV_BLOCK_ROWS``, so memory stays bounded whatever the
+    length.  ``repr`` runs only where it can give a new string: a field that
+    is bitwise equal to its left neighbour in the row takes the neighbour's
+    string, and +0.0 takes "0.0".
+    """
+    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    fh.write(header + "\n")
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        fields = []
+        left_bits = left = None
+        for col in columns:
+            block = col[start:start + _CSV_BLOCK_ROWS]
+            bits = block.view(np.int64)
+            fresh = bits != 0
+            if left is not None:
+                same = bits == left_bits
+                fresh &= ~same
+            if fresh.all():
+                text = list(map(repr, block.tolist()))
+            else:
+                text = np.full(len(block), "0.0", dtype=object)
+                if left is not None:
+                    text[same] = np.array(left, dtype=object)[same]
+                fresh = np.flatnonzero(fresh)
+                text[fresh] = list(map(repr, block[fresh].tolist()))
+                text = text.tolist()
+            fields.append(text)
+            left_bits, left = bits, text
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 # ---------------------------------------------------------------------------

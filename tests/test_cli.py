@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from pathcalc import SamplePath, simulate
 from pathcalc.cli import main
+from pathcalc.paths import model_from_dict
 
 
 def write_config(tmp_path, name, cfg):
@@ -44,6 +46,17 @@ class TestRun:
         assert (kind_dir / "100" / "paths.csv").exists()
         summary = (kind_dir / "summary.txt").read_text()
         assert summary.strip().endswith("overall: PASS")
+
+    def test_paths_csv_reads_back_as_the_simulated_path(self, tmp_path):
+        model = {"kind": "jd", "sigma": 1.0, "drift": 0.1, "rate": 3.0,
+                 "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}}
+        main(["run", qv_config(tmp_path, model=model, n_paths=3, n_steps=2048)])
+        for seed in (100, 101, 102):
+            read = SamplePath.from_csv(tmp_path / "out" / "qv" / str(seed) / "paths.csv")
+            simulated = simulate(model_from_dict(model), 2048, 1.0, seed)
+            assert len(simulated.jump_indices) > 0
+            for name in ("times", "values", "pre_values", "jump_indices", "jump_sizes"):
+                assert getattr(read, name).tobytes() == getattr(simulated, name).tobytes()
 
     def test_byte_identical_aggregates(self, tmp_path):
         cfg = qv_config(tmp_path, out="a")
@@ -250,11 +263,24 @@ class TestMalformedAggregate:
         lambda agg: agg.pop("checks"),
         lambda agg: agg["checks"][1].pop("bound"),
         lambda agg: agg["checks"][0].update(bound=1.0),
-    ], ids=["unknown_stat", "unknown_op", "no_checks", "no_bound", "scalar_band"])
+        lambda agg: agg.update(per_seed=[]),
+        lambda agg: agg.update(per_seed=["100/report.json"]),
+        lambda agg: agg["per_seed"].update({"100": 100}),
+    ], ids=["unknown_stat", "unknown_op", "no_checks", "no_bound", "scalar_band",
+            "per_seed_empty_list", "per_seed_list", "per_seed_number"])
     def test_replay_reports_an_error_and_exits_2(self, agg_path, capsys, corrupt):
         agg = json.loads(agg_path.read_text())
         corrupt(agg)
         agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["[1]", "1", "null"])
+    def test_aggregate_that_is_not_an_object_exits_2(self, agg_path, capsys, text):
+        agg_path.write_text(text)
         capsys.readouterr()
         assert main(["replay", str(agg_path.parent)]) == 2
         captured = capsys.readouterr()
@@ -316,6 +342,13 @@ class TestRunnerInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, None, "never"])
+    def test_write_paths_is_true_false_or_auto(self, tmp_path, capsys, value):
+        assert main(["run", qv_config(tmp_path, write_paths=value)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f'config error: write_paths must be true, false or "auto", got {value!r}')
+        assert not (tmp_path / "out" / "qv").exists()
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         assert main(["run", write_config(tmp_path, "list.json", [1, 2])]) == 2
