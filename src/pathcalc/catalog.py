@@ -7,11 +7,10 @@ decomposition code uses for the integrand g and the curvature surrogate.
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from .functional import ScalarFn
+from .paths import _REQUIRED, _real, _reals, _resolve_keys
 
 __all__ = ["make_scalar_fn", "list_catalog", "sign_rc", "CATALOG_NAMES"]
 
@@ -104,7 +103,7 @@ def _cos() -> ScalarFn:
     )
 
 
-def _piecewise_linear(breakpoints, slopes, y0: float = 0.0) -> ScalarFn:
+def _piecewise_linear(breakpoints, slopes, y0: float) -> ScalarFn:
     """Continuous piecewise-linear f with f(0) = y0.
 
     ``slopes`` has one more entry than ``breakpoints``; slope i applies on
@@ -150,7 +149,7 @@ def _piecewise_linear(breakpoints, slopes, y0: float = 0.0) -> ScalarFn:
     )
 
 
-# name -> (builder, description); the builder's keywords are the parameters
+# name -> (builder, description)
 _CATALOG = {
     "abs": (lambda: _abs_fn("abs"), "|x|, convex, Lipschitz 1"),
     "square": (_square, "x^2"),
@@ -167,20 +166,20 @@ _CATALOG = {
 
 CATALOG_NAMES = tuple(sorted(_CATALOG))
 
+# the parameters of each builder that takes some: name -> {parameter: (type, default)}
+_PARAMETERS = {
+    "piecewise_linear": {"breakpoints": (_reals, _REQUIRED), "slopes": (_reals, _REQUIRED),
+                         "y0": (_real, 0.0)},
+}
+
 
 def make_scalar_fn(name: str, **params) -> ScalarFn:
-    """Build a catalog function by name; raises ``ValueError`` for unknown names or parameters."""
-    try:
-        builder = _CATALOG[name][0]
-    except KeyError:
-        raise ValueError(f"unknown catalog function {name!r}; known: {CATALOG_NAMES}") from None
-    accepted = inspect.signature(builder).parameters
-    unknown = sorted(set(params) - set(accepted))
-    missing = [p for p, spec in accepted.items() if spec.default is spec.empty and p not in params]
-    if unknown or missing:
-        raise ValueError(f"catalog function {name!r}: unknown parameters {unknown}, "
-                         f"missing parameters {missing}")
-    return builder(**params)
+    """Build a catalog function by name; raises ``ValueError`` for an unknown name and for
+    an unknown, missing or mistyped parameter."""
+    if not isinstance(name, str) or name not in _CATALOG:
+        raise ValueError(f"unknown catalog function {name!r}; known: {CATALOG_NAMES}")
+    keys = _PARAMETERS.get(name, {})
+    return _CATALOG[name][0](**_resolve_keys(params, keys, f"catalog function {name!r}"))
 
 
 def list_catalog():

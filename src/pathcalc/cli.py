@@ -16,6 +16,18 @@ across reruns of the same config and seed: workers fan out across seeds
 (capped by ``PATHCALC_THREADS``) and write their own files; the coordinator
 aggregates in fixed seed order, writing once.
 
+Each kind's config keys, with the type and default of each key, are
+declared once, in ``_COMMON`` and ``_KEYS`` below; ``_load_config`` checks a
+config against them and resolves it before any output directory exists, and
+the runners read only the resolved values.  An unknown key, a missing
+required key or a value of the wrong type is a config error, and so is
+``--level`` on a kind without ``level`` or ``levels``, or a
+``PATHCALC_THREADS`` that is not a positive integer.  A config error prints
+``config error: …`` and exits 2.  Once a runner has started, only a plain
+``ValueError`` (an argument the library rejects, see ``errors.py``) or a
+``ResolutionExhaustedError`` is reported as a config error; any other
+exception is a fault of the program and propagates.
+
 ``replay`` re-evaluates the persisted numbers against the recorded bounds
 without recomputation, so acceptance stays auditable after the fact.
 """
@@ -24,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -51,61 +64,207 @@ from .functional import (
     summability_limit,
     taylor_check,
 )
-from .paths import model_from_dict, realized_qv, seeded_rng, simulate
+from .paths import (
+    _REQUIRED,
+    _is_real,
+    _real,
+    _reals,
+    _resolve_keys,
+    model_from_dict,
+    realized_qv,
+    seeded_rng,
+    simulate,
+)
 from .riemann import dyadic_grid, limit_in_probability
 
 SCHEMA_VERSION = 1
-KINDS = ("summability", "taylor", "qv", "ito", "tanaka", "compensator", "independence")
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config keys: each kind's keys, with the type and default of each, declared once
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str, overrides) -> dict:
+def _as_given(value, name):
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _typed(accepts, what: str):
+    """A type that takes a value as written when ``accepts(value)``; ``what`` names such values."""
+    def check(value, name: str):
+        if not accepts(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_int = _typed(_is_int, "an integer")
+_count = _typed(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_levels = _typed(lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
+                 "a non-empty list of integers")
+_flag = _typed(lambda v: isinstance(v, bool), "true or false")
+_text = _typed(lambda v: isinstance(v, str), "a string")
+_write_paths = _typed(lambda v: isinstance(v, bool) or v == "auto", 'true, false or "auto"')
+# not made floats like _reals: the check's name prints the band as written
+_band = _typed(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)),
+               "a list [lo, hi] of two numbers")
+
+
+def _model(value, name: str):
+    return model_from_dict(value)
+
+
+def _function(value, name: str) -> ScalarFn:
+    """A catalog function from its entry: its ``name`` and its builder's parameters."""
+    if not (isinstance(value, dict) and "name" in value):
+        raise ValueError(f"{name} must be an object with a catalog function name, got {value!r}")
+    return make_scalar_fn(value["name"], **{k: v for k, v in value.items() if k != "name"})
+
+
+def _functions(value, name: str) -> list:
+    if not (isinstance(value, list) and value):
+        raise ValueError(f"{name} must be a non-empty list of catalog function names, "
+                         f"got {value!r}")
+    return [make_scalar_fn(v) for v in value]
+
+
+def _taylor_entries(value, name: str) -> list:
+    if not (isinstance(value, list) and value):
+        raise ValueError(f"{name} must be a non-empty list of expansions, got {value!r}")
+    return [_resolve_keys(e, _TAYLOR_ENTRY, f"{name}[{i}]") for i, e in enumerate(value)]
+
+
+def _qv_band(cfg) -> list:
+    """Within 5% of the closed-form E[QV_T] = <X>_T of the model."""
+    expected = float(BracketModel.from_model(cfg["model"]).total_at(cfg["T"]))
+    return [0.95 * expected, 1.05 * expected]
+
+
+_TAYLOR_ENTRY = {"function": (_function, _REQUIRED), "a": (_real, _REQUIRED),
+                 "b": (_real, _REQUIRED), "k": (_int, _REQUIRED)}
+
+_LEVELS = {
+    "levels": (_levels, [8, 10, 12]),
+    "n_steps": (_int, lambda cfg: 2 ** (max(cfg["levels"]) + 2)),
+}
+
+
+def _decomposition_keys(residual: float) -> dict:
+    return {
+        "model": (_model, _REQUIRED),
+        "function": (_function, _REQUIRED),
+        "g": (_function, None),
+        "level": (_int, 12),
+        "n_steps": (_int, lambda cfg: 2 ** min(cfg["level"] + 2, 18)),
+        "local_time": ({"level": (_real, 0.0), "eps": (_real, _REQUIRED)}, None),
+        "negative_control": ({"corrupt_g_sign": (_flag, False)}, {}),
+        "tolerances": ({"residual": (_real, residual), "jump": (_real, 1e-3),
+                        "identity_gap": (_real, 1e-8), "local_time_rel": (_real, 0.10)}, {}),
+    }
+
+
+# the keys of every kind (see _resolve_keys for the form of a declaration)
+_COMMON = {
+    "schema_version": (_as_given, _REQUIRED),
+    "kind": (_as_given, _REQUIRED),
+    "out_dir": (_text, "pathcalc_out"),
+    "base_seed": (_int, 0),
+    "n_paths": (_count, 1),
+    "T": (_real, 1.0),
+    "write_paths": (_write_paths, "auto"),
+}
+
+# each kind's own keys; a kind's config accepts these and _COMMON's, and nothing else
+_KEYS = {
+    "summability": {
+        "functions": (_functions, ["abs", "square", "cube", "x_abs_x_half"]),
+        "n_draws": (_count, 1000),
+        "tolerances": ({"limit": (_real, 1e-4), "exact": (_real, 1e-10)}, {}),
+    },
+    "taylor": {
+        "entries": (_taylor_entries, [
+            {"function": {"name": "square"}, "a": 0.0, "b": 2.0, "k": 2},
+            {"function": {"name": "cube"}, "a": 0.0, "b": 1.0, "k": 3},
+            {"function": {"name": "x_abs_x_half"}, "a": 0.0, "b": 1.0, "k": 2},
+        ]),
+        "tolerances": ({"identity_gap": (_real, 1e-8)}, {}),
+    },
+    "qv": {
+        "model": (_model, _REQUIRED),
+        **_LEVELS,
+        "tolerances": ({"qv_band": (_band, _qv_band)}, {}),
+    },
+    "ito": _decomposition_keys(residual=1e-8),
+    "tanaka": _decomposition_keys(residual=1e-6),
+    "compensator": {
+        # the compensator's paired Monte Carlo, graded at 3 SE, needs many paths
+        "n_paths": (_count, 10_000),
+        "negative_control": ({"rate_factor": (_real, 1.5)}, {}),
+        "tolerances": ({}, {}),
+    },
+    "independence": {
+        "model": (_model, _REQUIRED),
+        **_LEVELS,
+        "hitting_eps": (_reals, [2**-4, 2**-5, 2**-6]),
+        "tolerances": ({"eps": (_real, 0.05), "delta": (_real, 0.05)}, {}),
+    },
+}
+KINDS = tuple(_KEYS)
+
+# the keys whose defaults aggregate.json records when the config leaves them out
+_RECORDED = ("base_seed", "n_paths", "T", "tolerances", "write_paths")
+
+
+def _load_config(path: str, overrides) -> tuple[dict, dict]:
+    """The config at ``path`` with the CLI ``overrides``, checked against its kind's keys.
+
+    Returns the config as ``aggregate.json`` records it (as written, with the
+    overrides and the defaults of :data:`_RECORDED`) and the resolved config
+    that the runner reads: every key of the kind, of its declared type, with
+    models and catalog functions built and ``write_paths`` true or false.
+    """
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config must be a JSON object, got {type(cfg).__name__}")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+    if raw.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(
-            f"config schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}"
+            f"config schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
         )
-    if cfg.get("kind") not in KINDS:
-        raise ValueError(f"config kind must be one of {KINDS}, got {cfg.get('kind')!r}")
-    if overrides.seed is not None:
-        cfg["base_seed"] = overrides.seed
-    if overrides.paths is not None:
-        cfg["n_paths"] = overrides.paths
+    kind = raw.get("kind")
+    if kind not in KINDS:
+        raise ValueError(f"config kind must be one of {KINDS}, got {kind!r}")
+    keys = {**_COMMON, **_KEYS[kind]}
+    for key, value in (("base_seed", overrides.seed), ("n_paths", overrides.paths),
+                       ("out_dir", overrides.out)):
+        if value is not None:
+            raw[key] = value
     if overrides.level is not None:
-        cfg["level"] = overrides.level
-        cfg["levels"] = [overrides.level]
-    if overrides.out is not None:
-        cfg["out_dir"] = overrides.out
-    cfg.setdefault("base_seed", 0)
-    # the compensator's paired Monte Carlo, graded at 3 SE, needs many paths
-    cfg.setdefault("n_paths", 10_000 if cfg["kind"] == "compensator" else 1)
-    cfg.setdefault("T", 1.0)
-    cfg.setdefault("tolerances", {})
-    cfg.setdefault("write_paths", "auto")
-    if int(cfg["n_paths"]) < 1:
-        raise ValueError("n_paths must be >= 1")
-    if not (isinstance(cfg["write_paths"], bool) or cfg["write_paths"] == "auto"):
-        raise ValueError(f'write_paths must be true, false or "auto", got {cfg["write_paths"]!r}')
-    return cfg
-
-
-def _function_from(cfg_entry) -> ScalarFn:
-    params = {k: v for k, v in cfg_entry.items() if k != "name"}
-    return make_scalar_fn(cfg_entry["name"], **params)
+        if "level" in keys:
+            raw["level"] = overrides.level
+        elif "levels" in keys:
+            raw["levels"] = [overrides.level]
+        else:
+            raise ValueError(f"--level does not apply to the {kind} kind")
+    recorded = {**{k: keys[k][1] for k in _RECORDED}, **raw}
+    cfg = _resolve_keys(raw, keys, f"the {kind} config")
+    if cfg["write_paths"] == "auto":
+        cfg["write_paths"] = cfg["n_paths"] <= 64
+    return recorded, cfg
 
 
 def _threads() -> int:
+    """The seed pool's size: ``PATHCALC_THREADS``, or the CPU count up to 8 when it is unset."""
     env = os.environ.get("PATHCALC_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"PATHCALC_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -126,16 +285,9 @@ def _write_seed(kind_dir: Path, seed, report: dict, files=()) -> None:
             write(fh)
 
 
-def _should_write_paths(cfg) -> bool:
-    mode = cfg["write_paths"]
-    if mode == "auto":
-        return int(cfg["n_paths"]) <= 64
-    return mode
-
-
 def _map_seeds(cfg, worker):
-    seeds = [int(cfg["base_seed"]) + i for i in range(int(cfg["n_paths"]))]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+    seeds = [cfg["base_seed"] + i for i in range(cfg["n_paths"])]
+    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
         results = list(pool.map(worker, seeds))
     return seeds, results
 
@@ -231,11 +383,11 @@ def _verdicts(checks, summary_path=None) -> int:
     return 0 if ok else 1
 
 
-def _finish(cfg, kind_dir: Path, checks, seeds) -> int:
+def _finish(recorded, kind_dir: Path, checks, seeds) -> int:
     aggregate = {
         "schema_version": SCHEMA_VERSION,
-        "kind": cfg["kind"],
-        "config": cfg,
+        "kind": recorded["kind"],
+        "config": recorded,
         "checks": checks,
         "per_seed": {str(s): _seed_file(s) for s in seeds},
     }
@@ -248,17 +400,16 @@ def _finish(cfg, kind_dir: Path, checks, seeds) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _map_paths(cfg, kind_dir: Path, model, n_steps: int, evaluate):
-    """Per seed in the pool, simulate a path and write ``evaluate(path)``'s row and files."""
-    T = float(cfg["T"])
-    write_paths = _should_write_paths(cfg)
+def _map_paths(cfg, kind_dir: Path, evaluate):
+    """Per seed in the pool, simulate a path of the model and write ``evaluate(path)``'s row
+    and files."""
 
     def worker(seed: int) -> dict:
-        path = simulate(model, n_steps=n_steps, T=T, seed=seed)
+        path = simulate(cfg["model"], n_steps=cfg["n_steps"], T=cfg["T"], seed=seed)
         row, files = evaluate(path)
         row = {"seed": seed, **row}
-        _write_seed(kind_dir, seed, row, files if write_paths else ())
-        if write_paths:
+        _write_seed(kind_dir, seed, row, files if cfg["write_paths"] else ())
+        if cfg["write_paths"]:
             path.to_csv(kind_dir / _seed_file(seed, "paths.csv"))
         return row
 
@@ -266,21 +417,15 @@ def _map_paths(cfg, kind_dir: Path, model, n_steps: int, evaluate):
 
 
 def _run_qv(cfg, kind_dir: Path):
-    model = model_from_dict(cfg["model"])
-    levels = [int(v) for v in cfg.get("levels", [8, 10, 12])]
-    n_steps = int(cfg.get("n_steps", 2 ** (max(levels) + 2)))
-    T = float(cfg["T"])
-    # default: within 5% of the closed-form E[QV_T] = <X>_T of the model
-    expected = float(BracketModel.from_model(model).total_at(T))
-    band = cfg["tolerances"].get("qv_band", [0.95 * expected, 1.05 * expected])
+    levels, band = cfg["levels"], cfg["tolerances"]["qv_band"]
 
     def evaluate(path):
         return {"qv": {str(lv): realized_qv(dyadic_grid(path, lv)) for lv in levels}}, ()
 
-    seeds, rows = _map_paths(cfg, kind_dir, model, n_steps, evaluate)
+    seeds, rows = _map_paths(cfg, kind_dir, evaluate)
     checks = [
-        _recomputed_check(f"E[QV]_{T:g} in {band}", {"stat": "mean", "key": f"qv.{levels[-1]}"},
-                          rows, "in", band),
+        _recomputed_check(f"E[QV]_{cfg['T']:g} in {band}",
+                          {"stat": "mean", "key": f"qv.{levels[-1]}"}, rows, "in", band),
         _recomputed_check("cauchy_trace_decreasing",
                           {"stat": "diff_decreasing", "keys": [f"qv.{lv}" for lv in levels]},
                           rows, "true", True),
@@ -289,23 +434,9 @@ def _run_qv(cfg, kind_dir: Path):
 
 
 def _run_decomposition(mode, cfg, kind_dir: Path):
-    model = model_from_dict(cfg["model"])
-    f = _function_from(cfg["function"])
-    level = int(cfg.get("level", 12))
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    n_steps = int(cfg.get("n_steps", 2 ** min(level + 2, 18)))
+    f, g, level, lt = cfg["function"], cfg["g"], cfg["level"], cfg["local_time"]
     tols = cfg["tolerances"]
-    tol = float(tols.get("residual", 1e-8 if mode == "ito" else 1e-6))
-    jump_tol = float(tols.get("jump", 1e-3))
-    gap_tol = float(tols.get("identity_gap", 1e-8))
-    corrupt = bool(cfg.get("negative_control", {}).get("corrupt_g_sign", False))
-    lt_cfg = cfg.get("local_time")
-
-    g = None
-    if cfg.get("g"):
-        g = _function_from(cfg["g"])
-    if corrupt:
+    if cfg["negative_control"]["corrupt_g_sign"]:
         base_g = g.fn if g is not None else f.derivative(1)
         if base_g is None:
             raise ValueError("negative control needs a derivative to corrupt")
@@ -314,46 +445,45 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
     decompose = ito_decompose if mode == "ito" else tanaka_decompose
 
     def evaluate(path):
-        bracket = BracketModel.from_model(model)
-        *coarser, report = [decompose(f, dyadic_grid(path, lv), bracket, g=g)
-                            for lv in (level - 2, level - 1, level) if lv >= 0]
-        verdict = verify_report(report, mode=mode, tol=tol, jump_tol=jump_tol,
-                                gap_tol=gap_tol, coarser=coarser)
+        bracket = BracketModel.from_model(cfg["model"])
+        # the finest level first, so that dyadic_grid rejects a negative level
+        report = decompose(f, dyadic_grid(path, level), bracket, g=g)
+        coarser = [decompose(f, dyadic_grid(path, lv), bracket, g=g)
+                   for lv in (level - 2, level - 1) if lv >= 0]
+        verdict = verify_report(report, mode=mode, tol=tols["residual"], jump_tol=tols["jump"],
+                                gap_tol=tols["identity_gap"], coarser=coarser)
         row = {"summary": report.summary_dict(), "verdict": verdict.to_json_dict()}
-        if lt_cfg and report.applicable:
-            oracle = occupation_local_time(path, float(lt_cfg.get("level", 0.0)),
-                                           float(lt_cfg["eps"]))
+        if lt is not None and report.applicable:
+            oracle = occupation_local_time(path, lt["level"], lt["eps"])
             row["local_time"] = {"a_c_final": float(report.residual[-1]), "oracle": oracle}
         return row, [("decomposition.csv", report.series_csv)]
 
-    seeds, rows = _map_paths(cfg, kind_dir, model, n_steps, evaluate)
+    seeds, rows = _map_paths(cfg, kind_dir, evaluate)
     checks = [
         _recomputed_check("max_identity_gap", {"stat": "max", "key": "summary.max_identity_gap"},
-                          rows, "le", gap_tol),
+                          rows, "le", tols["identity_gap"]),
         _recomputed_check("all_verdicts_pass", {"stat": "all_true", "key": "verdict.passed"},
                           rows, "true", True),
     ]
     if mode == "ito":
         checks.insert(0, _recomputed_check(
-            "max_residual", {"stat": "max", "key": "summary.max_abs_residual"}, rows, "le", tol))
-    if lt_cfg:
+            "max_residual", {"stat": "max", "key": "summary.max_abs_residual"}, rows, "le",
+            tols["residual"]))
+    if lt is not None:
         checks.append(_recomputed_check(
             "local_time_mean_rel_err", {"stat": "mean_rel_err", "key": "local_time"}, rows,
-            "le", float(cfg["tolerances"].get("local_time_rel", 0.10))))
+            "le", tols["local_time_rel"]))
     return checks, seeds
 
 
 def _run_compensator(cfg, kind_dir: Path):
-    n_paths = int(cfg["n_paths"])
-    T = float(cfg["T"])
-    base_seed = int(cfg["base_seed"])
-    neg_factor = float(cfg.get("negative_control", {}).get("rate_factor", 1.5))
+    n_paths, T = cfg["n_paths"], cfg["T"]
     models = comp_mod.catalog_models()
     ys = comp_mod.catalog_test_processes(T)
 
     checks = []
     seeds = []
-    pair_seed = base_seed
+    pair_seed = cfg["base_seed"]
     for model in models:
         for y in ys:
             verdict = comp_mod.verify_compensator(model, y, n_paths=n_paths, T=T, seed=pair_seed)
@@ -367,23 +497,19 @@ def _run_compensator(cfg, kind_dir: Path):
     checks.append(_check("martingale_increments", mart["passed"], "true", True))
     pair_seed += 1
     neg = comp_mod.verify_compensator(models[0], comp_mod.ConstantY(1.0), n_paths=n_paths,
-                                      T=T, seed=pair_seed, rate_factor=neg_factor)
+                                      T=T, seed=pair_seed,
+                                      rate_factor=cfg["negative_control"]["rate_factor"])
     checks.append(_check("negative_control_fails", not neg.passed, "true", True))
     return checks, seeds
 
 
 def _run_independence(cfg, kind_dir: Path):
-    model = model_from_dict(cfg["model"])
-    levels = [int(v) for v in cfg.get("levels", [8, 10, 12])]
-    eps_list = [float(v) for v in cfg.get("hitting_eps", [2**-4, 2**-5, 2**-6])]
-    n_steps = int(cfg.get("n_steps", 2 ** (max(levels) + 2)))
     diag = limit_in_probability(
-        squared_increment(), model,
-        schemes=[{"scheme": "dyadic", "params": levels},
-                 {"scheme": "hitting", "params": eps_list}],
-        n_paths=int(cfg["n_paths"]), eps=float(cfg["tolerances"].get("eps", 0.05)),
-        delta=float(cfg["tolerances"].get("delta", 0.05)),
-        n_steps=n_steps, T=float(cfg["T"]), base_seed=int(cfg["base_seed"]),
+        squared_increment(), cfg["model"],
+        schemes=[{"scheme": "dyadic", "params": cfg["levels"]},
+                 {"scheme": "hitting", "params": cfg["hitting_eps"]}],
+        n_paths=cfg["n_paths"], eps=cfg["tolerances"]["eps"], delta=cfg["tolerances"]["delta"],
+        n_steps=cfg["n_steps"], T=cfg["T"], base_seed=cfg["base_seed"],
     )
     _write_seed(kind_dir, cfg["base_seed"], diag.to_json_dict(), [("trace.csv", diag.trace_csv)])
     cross = max(diag.cross_tail.values())
@@ -396,14 +522,12 @@ def _run_independence(cfg, kind_dir: Path):
 
 def _run_summability(cfg, kind_dir: Path):
     rng = seeded_rng(cfg["base_seed"])
-    names = cfg.get("functions", ["abs", "square", "cube", "x_abs_x_half"])
-    n_draws = int(cfg.get("n_draws", 1000))
-    tol = float(cfg["tolerances"].get("limit", 1e-4))
-    exact_tol = float(cfg["tolerances"].get("exact", 1e-10))
+    fns = cfg["functions"]
+    tol, exact_tol = cfg["tolerances"]["limit"], cfg["tolerances"]["exact"]
 
     worst = 0.0
-    for _ in range(n_draws):
-        f = make_scalar_fn(names[int(rng.integers(len(names)))])
+    for _ in range(cfg["n_draws"]):
+        f = fns[int(rng.integers(len(fns)))]
         a, b = sorted(rng.uniform(-2, 2, size=2))
         if b - a < 1e-3:
             continue
@@ -413,8 +537,8 @@ def _run_summability(cfg, kind_dir: Path):
         worst = max(worst, abs(s - (float(f(b)) - float(f(a)))))
 
     add_worst = 0.0
-    for name in names:
-        F = increment_fn(make_scalar_fn(name))
+    for f in fns:
+        F = increment_fn(f)
         a, b = -1.0, 1.0
         t = float(rng.uniform(a + 0.1, b - 0.1))
         whole = summability_limit(F, a, b, tol=tol)
@@ -432,18 +556,12 @@ def _run_summability(cfg, kind_dir: Path):
 
 
 def _run_taylor(cfg, kind_dir: Path):
-    entries = cfg.get("entries") or [
-        {"function": {"name": "square"}, "a": 0.0, "b": 2.0, "k": 2},
-        {"function": {"name": "cube"}, "a": 0.0, "b": 1.0, "k": 3},
-        {"function": {"name": "x_abs_x_half"}, "a": 0.0, "b": 1.0, "k": 2},
-    ]
-    gap_tol = float(cfg["tolerances"].get("identity_gap", 1e-8))
+    gap_tol = cfg["tolerances"]["identity_gap"]
     checks = []
     rows = []
-    for e in entries:
-        f = _function_from(e["function"])
-        rep = taylor_check(increment_fn(f), float(e["a"]), float(e["b"]), int(e["k"]),
-                           tol=gap_tol)
+    for e in cfg["entries"]:
+        f = e["function"]
+        rep = taylor_check(increment_fn(f), e["a"], e["b"], e["k"], tol=gap_tol)
         rows.append(rep.to_dict())
         label = f"{f.label}[{e['a']},{e['b']}]k={e['k']}"
         checks.append(_check(f"{label} identity_gap", rep.identity_gap, "le", gap_tol))
@@ -525,28 +643,25 @@ def replay(directory: str) -> int:
 
 def run(config_path: str, overrides) -> int:
     try:
-        cfg = _load_config(config_path, overrides)
-    except (OSError, ValueError, TypeError, SchemaError) as exc:
+        recorded, cfg = _load_config(config_path, overrides)
+        cfg["threads"] = _threads()
+    except (OSError, ValueError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(cfg.get("out_dir", "pathcalc_out"))
-    kind_dir = out_dir / cfg["kind"]
+    kind_dir = Path(cfg["out_dir"]) / cfg["kind"]
     try:
         kind_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
         return 2
-    # a config key that is missing or of the wrong type surfaces inside the runner
-    # as KeyError, TypeError or AttributeError; like a rejected value it is a config error
+    # a plain ValueError marks an invalid argument (see errors.py): here a config value
+    # that the library rejects, such as a local-time eps below the path's resolution
     try:
         checks, seeds = _RUNNERS[cfg["kind"]](cfg, kind_dir)
-    except KeyError as exc:
-        print(f"config error: missing key {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, AttributeError, ResolutionExhaustedError) as exc:
+    except (ValueError, ResolutionExhaustedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _finish(cfg, kind_dir, checks, seeds)
+    return _finish(recorded, kind_dir, checks, seeds)
 
 
 def main(argv=None) -> int:

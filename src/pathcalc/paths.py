@@ -13,6 +13,7 @@ then one Gaussian increment per cell of the jump-refined grid.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +40,83 @@ def seeded_rng(seed) -> np.random.Generator:
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+# ---------------------------------------------------------------------------
+# named-parameter dicts (path models, jump laws, catalog parameters, run configs)
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, name: str) -> list:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)) or not all(map(_is_real, value)):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
+def _resolve_keys(given, keys: dict, where: str, top: dict | None = None) -> dict:
+    """``given`` checked against ``keys`` and completed with its defaults.
+
+    ``keys`` maps each accepted key, in order, to ``(type, default)``.  The
+    type is a function ``(value, key) -> value`` that raises ``ValueError``
+    for a value it rejects, or a nested dict of keys.  A default is written
+    as a config would write it and passes through the type; ``_REQUIRED``
+    marks a key without one, ``None`` an optional key that stays ``None``
+    when absent, and a callable computes the default from ``top``, the
+    outermost dict resolved so far.  An unknown or missing key is a
+    ``ValueError``.
+    """
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be a JSON object, got {given!r}")
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}; known keys: {sorted(keys)}")
+    out = {}
+    top = out if top is None else top
+    for name, (typ, default) in keys.items():
+        if name in given:
+            value = given[name]
+        elif default is _REQUIRED:
+            raise ValueError(f"missing key {name!r} in {where}")
+        elif default is None:
+            out[name] = None
+            continue
+        elif callable(default):
+            out[name] = default(top)
+            continue
+        else:
+            value = default
+        out[name] = (_resolve_keys(value, typ, name, top) if isinstance(typ, dict)
+                     else typ(value, name))
+    return out
+
+
+def _from_dict(d, tables: dict, what: str):
+    """The object that ``d`` describes: ``d["kind"]`` picks ``(class, keys)`` in ``tables``,
+    and the resolved keys are the class's arguments in order."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {d!r}")
+    if "kind" not in d:
+        raise ValueError(f"missing key 'kind' in a {what}")
+    kind = d["kind"]
+    if not isinstance(kind, str) or kind not in tables:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    cls, keys = tables[kind]
+    params = {k: v for k, v in d.items() if k != "kind"}
+    return cls(*_resolve_keys(params, keys, f"a {kind} {what}").values())
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +208,18 @@ class NormalLaw:
         return {"kind": "normal", "mean": self.mean_, "std": self.std}
 
 
+# kind -> (class, its keys in argument order: name -> (type, default))
+_LAWS = {
+    "two_point": (TwoPointLaw, {"p": (_real, _REQUIRED), "a1": (_real, _REQUIRED),
+                                "a2": (_real, _REQUIRED)}),
+    "uniform": (UniformLaw, {"lo": (_real, _REQUIRED), "hi": (_real, _REQUIRED)}),
+    "normal": (NormalLaw, {"mean": (_real, _REQUIRED), "std": (_real, _REQUIRED)}),
+}
+
+
 def law_from_dict(d) -> TwoPointLaw | UniformLaw | NormalLaw:
-    kind = d["kind"]
-    if kind == "two_point":
-        return TwoPointLaw(d["p"], d["a1"], d["a2"])
-    if kind == "uniform":
-        return UniformLaw(d["lo"], d["hi"])
-    if kind == "normal":
-        return NormalLaw(d["mean"], d["std"])
-    raise ValueError(f"unknown jump law kind {kind!r}")
+    """The jump law of ``d``; a missing, unknown or mistyped key is a ``ValueError``."""
+    return _from_dict(d, _LAWS, "jump law")
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +329,24 @@ class FiniteVariationPath:
         return {"kind": "fv", "knots_t": list(self.knots_t), "knots_x": list(self.knots_x)}
 
 
+def _law(value, name: str):
+    return law_from_dict(value)
+
+
+_MODELS = {
+    "bm": (BrownianMotion, {"sigma": (_real, 1.0), "drift": (_real, 0.0), "x0": (_real, 0.0)}),
+    "cpj": (CompoundPoissonJumps, {"rate": (_real, _REQUIRED), "law": (_law, _REQUIRED),
+                                   "x0": (_real, 0.0)}),
+    "jd": (JumpDiffusion, {"sigma": (_real, 1.0), "drift": (_real, 0.0),
+                           "rate": (_real, _REQUIRED), "law": (_law, _REQUIRED),
+                           "x0": (_real, 0.0)}),
+    "fv": (FiniteVariationPath, {"knots_t": (_reals, _REQUIRED), "knots_x": (_reals, _REQUIRED)}),
+}
+
+
 def model_from_dict(d):
-    kind = d["kind"]
-    if kind == "bm":
-        return BrownianMotion(d.get("sigma", 1.0), d.get("drift", 0.0), d.get("x0", 0.0))
-    if kind == "cpj":
-        return CompoundPoissonJumps(d["rate"], law_from_dict(d["law"]), d.get("x0", 0.0))
-    if kind == "jd":
-        return JumpDiffusion(d.get("sigma", 1.0), d.get("drift", 0.0), d["rate"],
-                             law_from_dict(d["law"]), d.get("x0", 0.0))
-    if kind == "fv":
-        return FiniteVariationPath(tuple(d["knots_t"]), tuple(d["knots_x"]))
-    raise ValueError(f"unknown path model kind {kind!r}")
+    """The path model of ``d``; a missing, unknown or mistyped key is a ``ValueError``."""
+    return _from_dict(d, _MODELS, "path model")
 
 
 # ---------------------------------------------------------------------------

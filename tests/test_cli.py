@@ -1,12 +1,15 @@
 """End-to-end tests of the experiment runner CLI."""
 
+import argparse
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from pathcalc import SamplePath, simulate
-from pathcalc.cli import main
+from pathcalc import SamplePath, cli, simulate
+from pathcalc.cli import _load_config, main
 from pathcalc.paths import model_from_dict
 
 
@@ -410,3 +413,100 @@ class TestConfigDefaults:
             "level": 5, "n_paths": 1, "n_steps": 64, "out_dir": str(tmp_path / "out")})
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def _benchmark_workloads():
+    """The benchmark's workloads, loaded from perfbench/workloads.py by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOAD_CONFIGS = {
+    f"{name}{'_smoke' if smoke else ''}": w.make_config(smoke)
+    for name, w in _benchmark_workloads().items() for smoke in (False, True)
+}
+NO_OVERRIDES = argparse.Namespace(seed=None, paths=None, level=None, out=None)
+
+
+class TestConfigKeys:
+    """Each kind's config is checked against its declared keys before any output exists."""
+
+    @pytest.mark.parametrize("cfg", [
+        *WORKLOAD_CONFIGS.values(),
+        *({"schema_version": 1, "base_seed": 2, **c} for c in PARITY_CONFIGS.values()),
+    ], ids=[*WORKLOAD_CONFIGS, *(f"parity_{name}" for name in PARITY_CONFIGS)])
+    def test_benchmark_and_test_configs_load(self, tmp_path, cfg):
+        recorded, resolved = _load_config(write_config(tmp_path, "cfg.json", cfg), NO_OVERRIDES)
+        assert {k: recorded[k] for k in cfg} == cfg
+        assert resolved["kind"] == cfg["kind"]
+
+    @pytest.mark.parametrize("change, key", [
+        ({"tolerance": {"qv_band": [0, 100]}}, "unknown key 'tolerance' in the qv config"),
+        ({"tolerances": {"qvband": [0, 100]}}, "unknown key 'qvband' in tolerances"),
+        ({"model": {"kind": "bm", "rate": 3.0}}, "unknown key 'rate' in a bm path model"),
+        ({"n_steps": "512"}, "n_steps must be an integer"),
+        ({"n_steps": 512.0}, "n_steps must be an integer"),
+        ({"levels": []}, "levels must be a non-empty list of integers"),
+        ({"T": True}, "T must be a number"),
+        ({"base_seed": "1"}, "base_seed must be an integer"),
+        ({"out_dir": 3}, "out_dir must be a string"),
+    ], ids=["top_level", "in_tolerances", "in_model", "string_n_steps", "float_n_steps",
+            "no_levels", "bool_T", "string_seed", "number_out_dir"])
+    def test_unknown_keys_and_wrong_types_exit_2_before_any_output(self, tmp_path, capsys,
+                                                                    change, key):
+        assert main(["run", qv_config(tmp_path, **change)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+        assert not (tmp_path / "out" / "qv").exists()
+
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_n_draws_below_one_is_a_config_error(self, tmp_path, capsys, n_draws):
+        cfg = write_config(tmp_path, "summ.json", {
+            "schema_version": 1, "kind": "summability", "n_draws": n_draws,
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: n_draws must be an integer >= 1")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, recorded", [
+        ("ito", {"level": 3}),
+        ("tanaka_local_time", {"level": 3}),
+        ("qv", {"levels": [3]}),
+        ("independence", {"levels": [3]}),
+    ])
+    def test_level_sets_only_the_key_the_kind_reads(self, tmp_path, name, recorded):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], "out_dir": str(tmp_path / "out")})
+        main(["run", cfg, "--level", "3"])
+        kind = PARITY_CONFIGS[name]["kind"]
+        config = json.loads((tmp_path / "out" / kind / "aggregate.json").read_text())["config"]
+        assert {k: config[k] for k in ("level", "levels") if k in config} == recorded
+
+    @pytest.mark.parametrize("name", ["compensator", "summability", "taylor"])
+    def test_level_on_a_kind_without_levels_is_a_config_error(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg, "--level", "3"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --level does not apply")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_pathcalc_threads_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch,
+                                                         value):
+        monkeypatch.setenv("PATHCALC_THREADS", value)
+        assert main(["run", qv_config(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: PATHCALC_THREADS must be a positive integer, got {value!r}")
+        assert not (tmp_path / "out").exists()
+
+    def test_library_type_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def broken(grid):
+            raise TypeError("bug inside realized_qv")
+
+        monkeypatch.setattr(cli, "realized_qv", broken)
+        with pytest.raises(TypeError, match="bug inside realized_qv"):
+            main(["run", qv_config(tmp_path)])
+        assert "config error" not in capsys.readouterr().err

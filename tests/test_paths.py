@@ -1,5 +1,7 @@
 """Tests for seeded path simulation and jump bookkeeping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from pathcalc import (
     simulate,
     split_jumps,
 )
-from pathcalc.paths import seeded_rng
+from pathcalc.paths import law_from_dict, model_from_dict, seeded_rng
 
 JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=3.0, law=NormalLaw(0.0, 0.8))
 CPJ = CompoundPoissonJumps(rate=6.0, law=UniformLaw(-1.5, 1.5))
@@ -41,6 +43,59 @@ class TestJumpLaws:
             UniformLaw(1.0, 0.0)
         with pytest.raises(ValueError):
             NormalLaw(0.0, -1.0)
+
+
+UNIFORM = {"kind": "uniform", "lo": -1.0, "hi": 1.0}
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("d, expected", [
+        ({"kind": "bm"}, BrownianMotion(1.0, 0.0, 0.0)),
+        ({"kind": "bm", "sigma": 2, "x0": 1.0}, BrownianMotion(2.0, 0.0, 1.0)),
+        ({"kind": "cpj", "rate": 3.0, "law": UNIFORM},
+         CompoundPoissonJumps(3.0, UniformLaw(-1.0, 1.0))),
+        ({"kind": "jd", "rate": 3.0, "law": {"kind": "normal", "mean": 0.0, "std": 0.8}},
+         JumpDiffusion(1.0, 0.0, 3.0, NormalLaw(0.0, 0.8))),
+        ({"kind": "fv", "knots_t": [0, 1], "knots_x": (0.0, 2.0)},
+         FiniteVariationPath((0.0, 1.0), (0.0, 2.0))),
+    ])
+    def test_builds_the_model_with_its_defaults(self, d, expected):
+        assert model_from_dict(d) == expected
+
+    @pytest.mark.parametrize("d, message", [
+        ({"kind": "bm", "rate": 3.0, "law": UNIFORM}, "unknown key 'law' in a bm path model"),
+        ({"kind": "cpj", "sigma": 2.0, "rate": 3.0, "law": UNIFORM},
+         "unknown key 'sigma' in a cpj path model"),
+        ({"kind": "fv", "knots_t": [0, 1], "knots_x": [0, 1], "x0": 1.0}, "unknown key 'x0'"),
+        ({"kind": "cpj", "law": UNIFORM}, "missing key 'rate'"),
+        ({"kind": "jd", "rate": 1.0}, "missing key 'law'"),
+        ({"sigma": 1.0}, "missing key 'kind'"),
+        ({"kind": "ou"}, "unknown path model kind 'ou'"),
+        ({"kind": "bm", "sigma": "1"}, "sigma must be a number"),
+        ({"kind": "bm", "sigma": True}, "sigma must be a number"),
+        ({"kind": "fv", "knots_t": "01", "knots_x": [0, 1]}, "knots_t must be a list"),
+        ("bm", "a path model must be a JSON object"),
+    ])
+    def test_model_dict_errors_are_value_errors(self, d, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize("d, message", [
+        ({"kind": "uniform", "lo": 0.0, "hi": 1.0, "p": 0.5}, "unknown key 'p' in a uniform"),
+        ({"kind": "two_point", "p": 0.5, "a1": 1.0, "a2": -1.0, "std": 1.0},
+         "unknown key 'std' in a two_point"),
+        ({"kind": "normal", "mean": 0.0}, "missing key 'std'"),
+        ({"lo": 0.0, "hi": 1.0}, "missing key 'kind'"),
+        ({"kind": "cauchy"}, "unknown jump law kind 'cauchy'"),
+    ])
+    def test_law_dict_errors_are_value_errors(self, d, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            law_from_dict(d)
+
+    def test_a_law_error_inside_a_model(self):
+        with pytest.raises(ValueError, match="^unknown key 'sigma' in a normal jump law"):
+            model_from_dict({"kind": "cpj", "rate": 1.0,
+                             "law": {"kind": "normal", "mean": 0.0, "std": 1.0, "sigma": 1.0}})
 
 
 class TestSimulate:
