@@ -12,9 +12,12 @@ writes them when ``n_paths`` is at most 64; any other value is a config
 error.  The docstrings of ``SamplePath.to_csv``,
 ``DecompositionReport.series_csv`` and ``ConvergenceDiagnostic.trace_csv``
 state the bytes of the three CSV files.  Aggregates are byte-identical
-across reruns of the same config and seed: workers fan out across seeds
-(capped by ``PATHCALC_THREADS``) and write their own files; the coordinator
-aggregates in fixed seed order, writing once.
+across reruns of the same config and seed, whatever the thread count:
+workers fan out across seeds on one pool of ``PATHCALC_THREADS`` threads
+(by default the usable CPUs, up to 8) and write their own files; a
+compensator run fans out its (process, Y) pairs, each with its own seed,
+and runs its martingale check and negative control after them.  The
+coordinator aggregates in fixed seed order, writing once.
 
 Each kind's config keys, with the type and default of each key, are
 declared once, in ``_COMMON`` and ``_KEYS`` below; ``_load_config`` checks a
@@ -29,7 +32,10 @@ required key or a value of the wrong type is a config error, and so is
 exception is a fault of the program and propagates.
 
 ``replay`` re-evaluates the persisted numbers against the recorded bounds
-without recomputation, so acceptance stays auditable after the fact.
+without recomputation, so acceptance stays auditable after the fact.  It
+checks the fields of every check and report that it reads; a malformed
+aggregate or report prints ``error: …`` and exits 2, and any other
+exception is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -109,9 +115,14 @@ _levels = _typed(lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
 _flag = _typed(lambda v: isinstance(v, bool), "true or false")
 _text = _typed(lambda v: isinstance(v, str), "a string")
 _write_paths = _typed(lambda v: isinstance(v, bool) or v == "auto", 'true, false or "auto"')
+
+
+def _is_band(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
+
+
 # not made floats like _reals: the check's name prints the band as written
-_band = _typed(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)),
-               "a list [lo, hi] of two numbers")
+_band = _typed(_is_band, "a list [lo, hi] of two numbers")
 
 
 def _model(value, name: str):
@@ -258,10 +269,13 @@ def _load_config(path: str, overrides) -> tuple[dict, dict]:
 
 
 def _threads() -> int:
-    """The seed pool's size: ``PATHCALC_THREADS``, or the CPU count up to 8 when it is unset."""
+    """The seed pool's size: ``PATHCALC_THREADS``, or, when it is unset, the CPUs this
+    process may run on (its affinity mask where the platform has one) up to 8."""
     env = os.environ.get("PATHCALC_THREADS")
     if not env:
-        return min(8, os.cpu_count() or 1)
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        return min(8, usable)
     if not (env.isdecimal() and int(env) >= 1):
         raise ValueError(f"PATHCALC_THREADS must be a positive integer, got {env!r}")
     return int(env)
@@ -286,6 +300,8 @@ def _write_seed(kind_dir: Path, seed, report: dict, files=()) -> None:
 
 
 def _map_seeds(cfg, worker):
+    """``worker(seed)`` on the pool for the ``n_paths`` seeds from ``base_seed`` on; returns
+    the seeds and the results, both in seed order."""
     seeds = [cfg["base_seed"] + i for i in range(cfg["n_paths"])]
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
         results = list(pool.map(worker, seeds))
@@ -325,22 +341,42 @@ def _recomputed_check(name, rule, seed_rows, op, bound) -> dict:
 
 
 def _dig(row: dict, dotted: str):
-    """The value at a dotted key path of a per-seed row.
+    """The number (or bool) at a dotted key path of a per-seed row.
 
     A missing key reads as inf: the seed has no such number (say, an
-    inapplicable report), so the statistic fails any upper bound.
+    inapplicable report), so the statistic fails any upper bound.  A path
+    through something other than an object, or to something other than a
+    number, is a :class:`SchemaError`.
     """
     cur = row
     for part in dotted.split("."):
+        if not isinstance(cur, dict):
+            raise SchemaError(f"{dotted!r} of a per-seed report runs through {cur!r}")
         if part not in cur:
             return float("inf")
         cur = cur[part]
+    if not isinstance(cur, numbers.Real):
+        raise SchemaError(f"{dotted!r} of a per-seed report is {cur!r}, not a number")
     return cur
+
+
+def _rule_field(rule: dict, name: str, accepts, what: str):
+    """The field ``name`` of a recompute rule; a :class:`SchemaError` unless it is ``what``."""
+    if not accepts(rule.get(name)):
+        raise SchemaError(f"recompute rule {rule!r} needs {name!r} to be {what}")
+    return rule[name]
+
+
+def _column(rule, rows) -> list:
+    """The value at the rule's ``key`` in each row (see :func:`_dig`)."""
+    key = _rule_field(rule, "key", lambda v: isinstance(v, str), "a string")
+    return [_dig(r, key) for r in rows]
 
 
 def _diff_decreasing(rule, rows) -> bool:
     """Mean |S_k - S_(k+1)| over seeds does not grow along ``keys`` (5% slack)."""
-    keys = rule["keys"]
+    keys = _rule_field(rule, "keys", lambda v: isinstance(v, list)
+                       and all(isinstance(k, str) for k in v), "a list of strings")
     diffs = [
         float(np.mean([abs(_dig(r, a) - _dig(r, b)) for r in rows]))
         for a, b in zip(keys[:-1], keys[1:])
@@ -351,24 +387,31 @@ def _diff_decreasing(rule, rows) -> bool:
 def _mean_rel_err(rule, rows) -> float:
     """Per-seed |a_c_final - oracle| / oracle, averaged over the seeds that have
     a ``rule["key"]`` entry; inf when none has."""
-    entries = [r[rule["key"]] for r in rows if rule["key"] in r]
+    key = _rule_field(rule, "key", lambda v: isinstance(v, str), "a string")
+    entries = [r[key] for r in rows if key in r]
+    if not all(isinstance(e, dict) and _is_real(e.get("a_c_final")) and _is_real(e.get("oracle"))
+               for e in entries):
+        raise SchemaError(f"a {key!r} entry needs the numbers a_c_final and oracle")
     rels = [abs(e["a_c_final"] - e["oracle"]) / max(e["oracle"], 1e-12) for e in entries]
     return float(np.mean(rels)) if rels else float("inf")
 
 
 STATS = {
-    "max": lambda rule, rows: max(_dig(r, rule["key"]) for r in rows),
-    "mean": lambda rule, rows: float(np.mean([_dig(r, rule["key"]) for r in rows])),
-    "all_true": lambda rule, rows: all(bool(_dig(r, rule["key"])) for r in rows),
+    "max": lambda rule, rows: max(_column(rule, rows)),
+    "mean": lambda rule, rows: float(np.mean(_column(rule, rows))),
+    "all_true": lambda rule, rows: all(map(bool, _column(rule, rows))),
     "diff_decreasing": _diff_decreasing,
     "mean_rel_err": _mean_rel_err,
 }
 
 
 def _replay_value(rule, seed_rows):
-    if rule["stat"] not in STATS:
-        raise SchemaError(f"unknown recompute stat {rule['stat']!r}")
-    return STATS[rule["stat"]](rule, seed_rows)
+    if not isinstance(rule, dict):
+        raise SchemaError(f"a recompute rule must be an object, got {rule!r}")
+    stat = rule.get("stat")
+    if not (isinstance(stat, str) and stat in STATS):
+        raise SchemaError(f"unknown recompute stat {stat!r}")
+    return STATS[stat](rule, seed_rows)
 
 
 def _verdicts(checks, summary_path=None) -> int:
@@ -479,25 +522,22 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
 def _run_compensator(cfg, kind_dir: Path):
     n_paths, T = cfg["n_paths"], cfg["T"]
     models = comp_mod.catalog_models()
-    ys = comp_mod.catalog_test_processes(T)
+    pairs = [(model, y) for model in models for y in comp_mod.catalog_test_processes(T)]
 
-    checks = []
-    seeds = []
-    pair_seed = cfg["base_seed"]
-    for model in models:
-        for y in ys:
-            verdict = comp_mod.verify_compensator(model, y, n_paths=n_paths, T=T, seed=pair_seed)
-            _write_seed(kind_dir, pair_seed, {"seed": pair_seed, "pair": verdict.to_json_dict()})
-            seeds.append(pair_seed)
-            checks.append(_check(f"{model.label} x {y.label}", abs(verdict.diff), "le",
-                                 verdict.bound))
-            pair_seed += 1
+    def worker(pair_seed: int) -> dict:
+        model, y = pairs[pair_seed - cfg["base_seed"]]
+        verdict = comp_mod.verify_compensator(model, y, n_paths=n_paths, T=T, seed=pair_seed)
+        _write_seed(kind_dir, pair_seed, {"seed": pair_seed, "pair": verdict.to_json_dict()})
+        return _check(f"{model.label} x {y.label}", abs(verdict.diff), "le", verdict.bound)
+
+    # the pool's seeds are the pairs' seeds: one per (process, Y) pair
+    seeds, checks = _map_seeds({**cfg, "n_paths": len(pairs)}, worker)
+    pair_seed = seeds[-1] + 1
     mart = comp_mod.martingale_check(models[0], n_paths=n_paths,
                                      checkpoints=(0.0, T / 2, T), seed=pair_seed)
     checks.append(_check("martingale_increments", mart["passed"], "true", True))
-    pair_seed += 1
     neg = comp_mod.verify_compensator(models[0], comp_mod.ConstantY(1.0), n_paths=n_paths,
-                                      T=T, seed=pair_seed,
+                                      T=T, seed=pair_seed + 1,
                                       rate_factor=cfg["negative_control"]["rate_factor"])
     checks.append(_check("negative_control_fails", not neg.passed, "true", True))
     return checks, seeds
@@ -586,14 +626,25 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _regrade(check: dict, seed_rows) -> dict:
-    """A persisted check graded again, with its rule's value when it has one."""
-    if check["op"] not in CHECK_OPS:
-        raise SchemaError(f"unknown check op {check['op']!r}")
-    value = check["value"]
+def _regrade(check, seed_rows) -> dict:
+    """A persisted check graded again, with its rule's value when it has one.
+
+    The check must be an object with a string ``name``, an ``op`` of
+    :data:`CHECK_OPS`, and a ``value`` and ``bound`` that the op compares: a
+    number and a number for ``le`` and ``ge``, a number and ``[lo, hi]`` for
+    ``in``, anything for ``true``.  Otherwise it is a :class:`SchemaError`.
+    """
+    if not (isinstance(check, dict) and {"name", "value", "op", "bound"} <= check.keys()
+            and isinstance(check["name"], str)):
+        raise SchemaError(f"a check needs a string name, a value, an op and a bound: {check!r}")
+    name, value, op, bound = (check[k] for k in ("name", "value", "op", "bound"))
+    if not (isinstance(op, str) and op in CHECK_OPS):
+        raise SchemaError(f"unknown check op {op!r}")
+    if op != "true" and not (_is_real(value) and (_is_band if op == "in" else _is_real)(bound)):
+        raise SchemaError(f"check {name!r} cannot compare {value!r} {op} {bound!r}")
     if "recompute" in check and seed_rows:
         value = _replay_value(check["recompute"], seed_rows)
-    return _check(check["name"], value, check["op"], check["bound"])
+    return _check(name, value, op, bound)
 
 
 def replay(directory: str) -> int:
@@ -626,10 +677,16 @@ def replay(directory: str) -> int:
     if missing:
         print(f"error: missing per-seed report {missing[0]}", file=sys.stderr)
         return 2
+    # the checks and reports are checked field by field, so a KeyError or TypeError
+    # here is a fault of the program, not of the files, and propagates
     try:
         seed_rows = [json.loads(p.read_text()) for p in seed_paths]
+        if not all(isinstance(row, dict) for row in seed_rows):
+            raise SchemaError("a per-seed report must be a JSON object")
+        if not isinstance(aggregate.get("checks"), list):
+            raise SchemaError("the aggregate needs a list of checks")
         checks = [_regrade(c, seed_rows) for c in aggregate["checks"]]
-    except (json.JSONDecodeError, KeyError, TypeError, SchemaError) as exc:
+    except (json.JSONDecodeError, SchemaError) as exc:
         print(f"error: malformed aggregate or report: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

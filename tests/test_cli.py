@@ -129,6 +129,25 @@ class TestRun:
         assert "negative_control_fails: PASS" in out
         assert "martingale_increments: PASS" in out
 
+    def test_compensator_outputs_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                                     monkeypatch):
+        # out_dir is recorded in aggregate.json, so both runs write to a relative "out"
+        cfg = write_config(tmp_path, "comp.json", {
+            "schema_version": 1, "kind": "compensator", "n_paths": 300, "base_seed": 5,
+            "out_dir": "out"})
+        trees = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("PATHCALC_THREADS", threads)
+            (tmp_path / threads).mkdir()
+            monkeypatch.chdir(tmp_path / threads)
+            main(["run", cfg])
+            kind_dir = Path("out", "compensator")
+            trees.append({str(f.relative_to(kind_dir)): f.read_bytes()
+                          for f in sorted(kind_dir.rglob("*")) if f.is_file()})
+        assert len(trees[0]) == 25 + 2
+        assert {"aggregate.json", "summary.txt", "5/report.json", "29/report.json"} <= set(trees[0])
+        assert trees[0] == trees[1]
+
     def test_overrides(self, tmp_path):
         cfg = qv_config(tmp_path, out="ovr")
         assert main(["run", cfg, "--paths", "4", "--seed", "900",
@@ -295,6 +314,50 @@ class TestMalformedAggregate:
         capsys.readouterr()
         assert main(["replay", str(agg_path.parent)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda agg, row: agg["checks"].append("a check"),
+        lambda agg, row: agg["checks"][0].pop("name"),
+        lambda agg, row: agg["checks"][0].update(op=["in"]),
+        lambda agg, row: agg["checks"][1].update(value="yes", op="le", bound=1.0),
+        lambda agg, row: agg["checks"][0].update(recompute=["mean"]),
+        lambda agg, row: agg["checks"][0]["recompute"].update(stat=["mean"]),
+        lambda agg, row: agg["checks"][0]["recompute"].pop("key"),
+        lambda agg, row: agg["checks"][1]["recompute"].update(keys="qv.5"),
+        lambda agg, row: agg.update(checks={}),
+        lambda agg, row: row.update(qv={"7": "1.0"}),
+        lambda agg, row: row.update(qv=[1.0]),
+    ], ids=["check_not_an_object", "no_name", "list_op", "string_value", "rule_not_an_object",
+            "list_stat", "rule_without_key", "string_keys", "checks_not_a_list", "string_leaf",
+            "leaf_under_a_list"])
+    def test_malformed_checks_and_reports_exit_2(self, agg_path, capsys, corrupt):
+        agg = json.loads(agg_path.read_text())
+        report = agg_path.parent / "100" / "report.json"
+        row = json.loads(report.read_text())
+        corrupt(agg, row)
+        agg_path.write_text(json.dumps(agg))
+        report.write_text(json.dumps(row))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed aggregate or report: SchemaError: ")
+        assert captured.out == ""
+
+    def test_report_that_is_not_an_object_exits_2(self, agg_path, capsys):
+        (agg_path.parent / "100" / "report.json").write_text("[1.0]")
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed aggregate or report: ")
+
+    def test_type_error_inside_a_statistic_propagates(self, agg_path, capsys, monkeypatch):
+        def broken(rule, rows):
+            raise TypeError("bug inside a statistic")
+
+        monkeypatch.setitem(cli.STATS, "mean", broken)
+        capsys.readouterr()
+        with pytest.raises(TypeError, match="bug inside a statistic"):
+            main(["replay", str(agg_path.parent)])
+        assert "malformed" not in capsys.readouterr().err
 
 
 class TestRunnerInputErrors:
@@ -501,6 +564,20 @@ class TestConfigKeys:
         assert capsys.readouterr().err.startswith(
             f"config error: PATHCALC_THREADS must be a positive integer, got {value!r}")
         assert not (tmp_path / "out").exists()
+
+    def test_default_threads_are_the_usable_cpus_up_to_eight(self, monkeypatch):
+        monkeypatch.delenv("PATHCALC_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._threads() == 2
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(12)))
+        assert cli._threads() == 8
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._threads() == 8
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._threads() == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._threads() == 1
 
     def test_library_type_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
         def broken(grid):

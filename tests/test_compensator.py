@@ -22,7 +22,15 @@ from pathcalc import (
     verify_compensator,
 )
 from pathcalc.catalog import sign_rc
-from pathcalc.compensator import catalog_models, catalog_test_processes
+from pathcalc.compensator import (
+    _BLOCK_ROWS,
+    _jump_events,
+    _verdict,
+    _y_at,
+    catalog_models,
+    catalog_test_processes,
+)
+from pathcalc.paths import seeded_rng
 
 CPI = CompoundPoissonIncreasing(rate=2.0, law=UniformLaw(0.0, 1.0))
 
@@ -176,3 +184,41 @@ class TestStandardErrorRule:
 
     def test_sign_state_is_the_catalog_sign(self):
         assert StateY("sign").h is sign_rc
+
+
+def _unblocked_path_qv(model, y, n_paths, T=1.0, seed=0, rate_factor=1.0):
+    """The PathQV branch of verify_compensator with all paths drawn at once."""
+    rng = seeded_rng(seed)
+    n_steps = 512
+    sigma, drift = model.model.sigma, model.model.drift
+    ts = np.linspace(0.0, T, n_steps + 1)
+    dt = T / n_steps
+    x = np.zeros((n_paths, n_steps + 1))
+    if sigma > 0 or drift != 0.0:
+        incr = drift * dt + sigma * np.sqrt(dt) * rng.normal(size=(n_paths, n_steps))
+        x[:, 1:] = np.cumsum(incr, axis=1)
+    jump_lhs = np.zeros(n_paths)
+    if model.rate > 0:
+        counts, path_id, times, jumps = _jump_events(rng, model, T, n_paths)
+        cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
+        state_before = x[path_id, cell]
+        np.add.at(jump_lhs, path_id, _y_at(y, state_before, times) * jumps)
+    quad = np.sum(_y_at(y, x[:, :-1], ts[:-1]), axis=1) * dt
+    lhs = model.c * quad + jump_lhs
+    rhs = model.compensator_slope(rate_factor) * quad
+    return _verdict(model, y, lhs, rhs)
+
+
+class TestPathQVRowBlocks:
+    @pytest.mark.parametrize("n_paths", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                         2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("model", [m for m in catalog_models() if isinstance(m, PathQV)],
+                             ids=lambda m: m.label)
+    def test_blocks_give_the_verdict_of_one_draw(self, model, n_paths):
+        for y in catalog_test_processes(1.0):
+            for rate_factor in (1.0, 1.37):
+                blocked = verify_compensator(model, y, n_paths=n_paths, seed=n_paths + 17,
+                                             rate_factor=rate_factor)
+                whole = _unblocked_path_qv(model, y, n_paths, seed=n_paths + 17,
+                                           rate_factor=rate_factor)
+                assert blocked.to_json_dict() == whole.to_json_dict(), (y.label, rate_factor)
