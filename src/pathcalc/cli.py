@@ -9,27 +9,36 @@ with ``aggregate.json`` and a one-page ``summary.txt`` at the experiment
 level.  Paths persist for the qv, ito and tanaka kinds by the config key
 ``write_paths``: ``true``, ``false``, or ``"auto"`` (the default), which
 writes them when ``n_paths`` is at most 64; any other value is a config
-error.  The docstrings of ``SamplePath.to_csv``,
-``DecompositionReport.series_csv`` and ``ConvergenceDiagnostic.trace_csv``
-state the bytes of the three CSV files.  Aggregates are byte-identical
-across reruns of the same config and seed, whatever the thread count:
-workers fan out across seeds on one pool of ``PATHCALC_THREADS`` threads
-(by default the usable CPUs, up to 8) and write their own files; a
-compensator run fans out its (process, Y) pairs, each with its own seed,
-and runs its martingale check and negative control after them.  The
-coordinator aggregates in fixed seed order, writing once.
+error.  Every JSON file is strict JSON: a number that is not finite is
+written as ``null``, and a check whose value is ``null`` FAILs.  The
+docstrings of ``SamplePath.to_csv``, ``DecompositionReport.series_csv`` and
+``ConvergenceDiagnostic.trace_csv`` state the bytes of the three CSV files.
+Aggregates are byte-identical across reruns of the same config and seed,
+whatever the thread count: workers fan out across seeds on one pool of
+``PATHCALC_THREADS`` threads (by default the usable CPUs, up to 8) and write
+their own files; a compensator run fans out its (process, Y) pairs, each
+with its own seed, and runs its martingale check and negative control after
+them.  The coordinator aggregates in fixed seed order, writing once.
 
 Each kind's config keys, with the type and default of each key, are
-declared once, in ``_COMMON`` and ``_KEYS`` below; ``_load_config`` checks a
-config against them and resolves it before any output directory exists, and
-the runners read only the resolved values.  An unknown key, a missing
-required key or a value of the wrong type is a config error, and so is
-``--level`` on a kind without ``level`` or ``levels``, or a
-``PATHCALC_THREADS`` that is not a positive integer.  A config error prints
-``config error: …`` and exits 2.  Once a runner has started, only a plain
-``ValueError`` (an argument the library rejects, see ``errors.py``) or a
-``ResolutionExhaustedError`` is reported as a config error; any other
-exception is a fault of the program and propagates.
+declared once, in ``_COMMON`` and ``_KEYS`` below, and only in the kinds
+that read them: ``n_paths`` and ``T`` in qv, ito, tanaka, compensator and
+independence, ``write_paths`` in qv, ito and tanaka.  ``_load_config``
+checks a config against them and resolves it before any output directory
+exists, and the runners read only the resolved values; ``aggregate.json``
+records the config as written, with the defaults of the ``_RECORDED`` keys
+that the kind declares.  Refinement lists run from coarse to fine:
+``levels`` strictly increasing, ``hitting_eps`` strictly decreasing.  Each
+override sets the key that it names: ``--seed`` ``base_seed``, ``--paths``
+``n_paths``, ``--out`` ``out_dir``, and ``--level`` ``level``, or
+``levels`` as ``[level]``.  An unknown key, a missing required key, a value
+of the wrong type, a NaN or Infinity anywhere in the config, an override on
+a kind that does not declare its key (``--paths`` on summability), or a
+``PATHCALC_THREADS`` that is not a positive integer is a config error.  A
+config error prints ``config error: …`` and exits 2.  Once a runner has
+started, only a plain ``ValueError`` (an argument the library rejects, see
+``errors.py``) or a ``ResolutionExhaustedError`` is reported as a config
+error; any other exception is a fault of the program and propagates.
 
 ``replay`` re-evaluates the persisted numbers against the recorded bounds
 without recomputation, so acceptance stays auditable after the fact.  It
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -74,7 +84,6 @@ from .paths import (
     _REQUIRED,
     _is_real,
     _real,
-    _reals,
     _resolve_keys,
     model_from_dict,
     realized_qv,
@@ -110,18 +119,36 @@ def _typed(accepts, what: str):
 
 _int = _typed(_is_int, "an integer")
 _count = _typed(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-_levels = _typed(lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
-                 "a non-empty list of integers")
 _flag = _typed(lambda v: isinstance(v, bool), "true or false")
 _text = _typed(lambda v: isinstance(v, str), "a string")
 _write_paths = _typed(lambda v: isinstance(v, bool) or v == "auto", 'true, false or "auto"')
+
+
+# refinement lists run from coarse to fine: the checks read the last entry as the finest
+_levels = _typed(lambda v: isinstance(v, list) and v and all(_is_int(x) and x >= 0 for x in v)
+                 and all(a < b for a, b in zip(v, v[1:])),
+                 "a non-empty list of integers >= 0, strictly increasing")
+_eps_list = _typed(lambda v: isinstance(v, list) and v
+                   and all(_is_real(x) and math.isfinite(x) and x > 0 for x in v)
+                   and all(a > b for a, b in zip(v, v[1:])),
+                   "a non-empty list of finite numbers > 0, strictly decreasing")
+
+
+def _level(value, name: str) -> int:
+    if _int(value, name) < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def _hitting_eps(value, name: str) -> list:
+    return [float(x) for x in _eps_list(value, name)]
 
 
 def _is_band(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
 
 
-# not made floats like _reals: the check's name prints the band as written
+# kept as written, not made floats: the check's name prints the band
 _band = _typed(_is_band, "a list [lo, hi] of two numbers")
 
 
@@ -158,22 +185,29 @@ def _qv_band(cfg) -> list:
 _TAYLOR_ENTRY = {"function": (_function, _REQUIRED), "a": (_real, _REQUIRED),
                  "b": (_real, _REQUIRED), "k": (_int, _REQUIRED)}
 
+# the kinds that simulate paths: how many (per pair, for compensator) and over [0, T]
+_PATHS = {"n_paths": (_count, 1), "T": (_real, 1.0)}
+
+# the kinds that simulate one path per seed, and may write it (see the module docstring)
+_SEED_PATHS = {**_PATHS, "write_paths": (_write_paths, "auto")}
+
 _LEVELS = {
     "levels": (_levels, [8, 10, 12]),
     "n_steps": (_int, lambda cfg: 2 ** (max(cfg["levels"]) + 2)),
 }
 
 
-def _decomposition_keys(residual: float) -> dict:
+def _decomposition_keys(residual: float, **tolerances) -> dict:
     return {
         "model": (_model, _REQUIRED),
+        **_SEED_PATHS,
         "function": (_function, _REQUIRED),
         "g": (_function, None),
-        "level": (_int, 12),
+        "level": (_level, 12),
         "n_steps": (_int, lambda cfg: 2 ** min(cfg["level"] + 2, 18)),
         "local_time": ({"level": (_real, 0.0), "eps": (_real, _REQUIRED)}, None),
         "negative_control": ({"corrupt_g_sign": (_flag, False)}, {}),
-        "tolerances": ({"residual": (_real, residual), "jump": (_real, 1e-3),
+        "tolerances": ({"residual": (_real, residual), **tolerances,
                         "identity_gap": (_real, 1e-8), "local_time_rel": (_real, 0.10)}, {}),
     }
 
@@ -184,9 +218,6 @@ _COMMON = {
     "kind": (_as_given, _REQUIRED),
     "out_dir": (_text, "pathcalc_out"),
     "base_seed": (_int, 0),
-    "n_paths": (_count, 1),
-    "T": (_real, 1.0),
-    "write_paths": (_write_paths, "auto"),
 }
 
 # each kind's own keys; a kind's config accepts these and _COMMON's, and nothing else
@@ -206,28 +237,35 @@ _KEYS = {
     },
     "qv": {
         "model": (_model, _REQUIRED),
+        **_SEED_PATHS,
         **_LEVELS,
         "tolerances": ({"qv_band": (_band, _qv_band)}, {}),
     },
     "ito": _decomposition_keys(residual=1e-8),
-    "tanaka": _decomposition_keys(residual=1e-6),
+    # verify_report reads the jump-cell tolerance only in tanaka mode
+    "tanaka": _decomposition_keys(residual=1e-6, jump=(_real, 1e-3)),
     "compensator": {
         # the compensator's paired Monte Carlo, graded at 3 SE, needs many paths
-        "n_paths": (_count, 10_000),
+        **_PATHS, "n_paths": (_count, 10_000),
         "negative_control": ({"rate_factor": (_real, 1.5)}, {}),
-        "tolerances": ({}, {}),
     },
     "independence": {
         "model": (_model, _REQUIRED),
+        **_PATHS,
         **_LEVELS,
-        "hitting_eps": (_reals, [2**-4, 2**-5, 2**-6]),
+        "hitting_eps": (_hitting_eps, [2**-4, 2**-5, 2**-6]),
         "tolerances": ({"eps": (_real, 0.05), "delta": (_real, 0.05)}, {}),
     },
 }
 KINDS = tuple(_KEYS)
 
-# the keys whose defaults aggregate.json records when the config leaves them out
+# the keys whose defaults aggregate.json records when the kind declares them and the
+# config leaves them out
 _RECORDED = ("base_seed", "n_paths", "T", "tolerances", "write_paths")
+
+# each CLI override and the keys that it may set, the first that the kind declares
+_OVERRIDES = {"seed": ("base_seed",), "paths": ("n_paths",), "out": ("out_dir",),
+              "level": ("level", "levels")}
 
 
 def _load_config(path: str, overrides) -> tuple[dict, dict]:
@@ -242,6 +280,8 @@ def _load_config(path: str, overrides) -> tuple[dict, dict]:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+    if _finite_json(raw) != raw:
+        raise ValueError("config must hold only finite numbers: NaN and Infinity are not JSON")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(
             f"config schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
@@ -250,20 +290,17 @@ def _load_config(path: str, overrides) -> tuple[dict, dict]:
     if kind not in KINDS:
         raise ValueError(f"config kind must be one of {KINDS}, got {kind!r}")
     keys = {**_COMMON, **_KEYS[kind]}
-    for key, value in (("base_seed", overrides.seed), ("n_paths", overrides.paths),
-                       ("out_dir", overrides.out)):
-        if value is not None:
-            raw[key] = value
-    if overrides.level is not None:
-        if "level" in keys:
-            raw["level"] = overrides.level
-        elif "levels" in keys:
-            raw["levels"] = [overrides.level]
-        else:
-            raise ValueError(f"--level does not apply to the {kind} kind")
-    recorded = {**{k: keys[k][1] for k in _RECORDED}, **raw}
+    for flag, targets in _OVERRIDES.items():
+        value = getattr(overrides, flag)
+        if value is None:
+            continue
+        key = next((k for k in targets if k in keys), None)
+        if key is None:
+            raise ValueError(f"--{flag} does not apply to the {kind} kind")
+        raw[key] = [value] if key == "levels" else value
+    recorded = {**{k: keys[k][1] for k in _RECORDED if k in keys}, **raw}
     cfg = _resolve_keys(raw, keys, f"the {kind} config")
-    if cfg["write_paths"] == "auto":
+    if cfg.get("write_paths") == "auto":
         cfg["write_paths"] = cfg["n_paths"] <= 64
     return recorded, cfg
 
@@ -281,9 +318,22 @@ def _threads() -> int:
     return int(env)
 
 
+def _finite_json(obj):
+    """``obj`` with each float that is not finite, Python or numpy, replaced by ``None``."""
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as strict JSON, a float that is not finite as ``null``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_finite_json(obj), sort_keys=True, indent=2, allow_nan=False)
+                    + "\n")
 
 
 def _seed_file(seed, name: str = "report.json") -> str:
@@ -310,19 +360,22 @@ def _map_seeds(cfg, worker):
 
 CHECK_OPS = {
     "le": lambda v, b: v <= b,
-    "ge": lambda v, b: v >= b,
     "in": lambda v, b: b[0] <= v <= b[1],
     "true": lambda v, b: bool(v) is True,
 }
 
 
 def _check(name, value, op, bound) -> dict:
+    """A graded check.  A value that is a number but not finite is recorded as ``None``
+    (``null`` in JSON), and a ``None`` value FAILs."""
+    if _is_real(value) and not math.isfinite(value):
+        value = None
     return {
         "name": name,
         "value": value,
         "op": op,
         "bound": bound,
-        "passed": bool(CHECK_OPS[op](value, bound)),
+        "passed": value is not None and bool(CHECK_OPS[op](value, bound)),
     }
 
 
@@ -343,10 +396,10 @@ def _recomputed_check(name, rule, seed_rows, op, bound) -> dict:
 def _dig(row: dict, dotted: str):
     """The number (or bool) at a dotted key path of a per-seed row.
 
-    A missing key reads as inf: the seed has no such number (say, an
-    inapplicable report), so the statistic fails any upper bound.  A path
-    through something other than an object, or to something other than a
-    number, is a :class:`SchemaError`.
+    A missing key, a ``null`` and a number that is not finite all read as
+    inf: the seed has no such number (say, an inapplicable report), so the
+    statistic fails any upper bound.  A path through something other than an
+    object, or to something other than a number, is a :class:`SchemaError`.
     """
     cur = row
     for part in dotted.split("."):
@@ -355,6 +408,8 @@ def _dig(row: dict, dotted: str):
         if part not in cur:
             return float("inf")
         cur = cur[part]
+    if cur is None or (_is_real(cur) and not math.isfinite(cur)):
+        return float("inf")
     if not isinstance(cur, numbers.Real):
         raise SchemaError(f"{dotted!r} of a per-seed report is {cur!r}, not a number")
     return cur
@@ -479,6 +534,7 @@ def _run_qv(cfg, kind_dir: Path):
 def _run_decomposition(mode, cfg, kind_dir: Path):
     f, g, level, lt = cfg["function"], cfg["g"], cfg["level"], cfg["local_time"]
     tols = cfg["tolerances"]
+    jump_tol = {"jump_tol": tols["jump"]} if mode == "tanaka" else {}
     if cfg["negative_control"]["corrupt_g_sign"]:
         base_g = g.fn if g is not None else f.derivative(1)
         if base_g is None:
@@ -489,12 +545,11 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
 
     def evaluate(path):
         bracket = BracketModel.from_model(cfg["model"])
-        # the finest level first, so that dyadic_grid rejects a negative level
         report = decompose(f, dyadic_grid(path, level), bracket, g=g)
         coarser = [decompose(f, dyadic_grid(path, lv), bracket, g=g)
                    for lv in (level - 2, level - 1) if lv >= 0]
-        verdict = verify_report(report, mode=mode, tol=tols["residual"], jump_tol=tols["jump"],
-                                gap_tol=tols["identity_gap"], coarser=coarser)
+        verdict = verify_report(report, mode=mode, tol=tols["residual"],
+                                gap_tol=tols["identity_gap"], coarser=coarser, **jump_tol)
         row = {"summary": report.summary_dict(), "verdict": verdict.to_json_dict()}
         if lt is not None and report.applicable:
             oracle = occupation_local_time(path, lt["level"], lt["eps"])
@@ -631,8 +686,9 @@ def _regrade(check, seed_rows) -> dict:
 
     The check must be an object with a string ``name``, an ``op`` of
     :data:`CHECK_OPS`, and a ``value`` and ``bound`` that the op compares: a
-    number and a number for ``le`` and ``ge``, a number and ``[lo, hi]`` for
-    ``in``, anything for ``true``.  Otherwise it is a :class:`SchemaError`.
+    number and a number for ``le``, a number and ``[lo, hi]`` for ``in``,
+    anything for ``true``.  Otherwise it is a :class:`SchemaError`.  A ``null``
+    value (a number that was not finite) FAILs.
     """
     if not (isinstance(check, dict) and {"name", "value", "op", "bound"} <= check.keys()
             and isinstance(check["name"], str)):
@@ -640,7 +696,8 @@ def _regrade(check, seed_rows) -> dict:
     name, value, op, bound = (check[k] for k in ("name", "value", "op", "bound"))
     if not (isinstance(op, str) and op in CHECK_OPS):
         raise SchemaError(f"unknown check op {op!r}")
-    if op != "true" and not (_is_real(value) and (_is_band if op == "in" else _is_real)(bound)):
+    if op != "true" and not ((value is None or _is_real(value))
+                             and (_is_band if op == "in" else _is_real)(bound)):
         raise SchemaError(f"check {name!r} cannot compare {value!r} {op} {bound!r}")
     if "recompute" in check and seed_rows:
         value = _replay_value(check["recompute"], seed_rows)

@@ -264,8 +264,6 @@ class Partition:
 class DyadicRefinement:
     """Nested dyadic partitions: level L has the 2^L - 1 interior L-adic points."""
 
-    label = "dyadic"
-
     def partition(self, a: float, b: float, level: int) -> Partition:
         if level < 0:
             raise ValueError("level must be >= 0")
@@ -279,8 +277,6 @@ class DyadicRefinement:
 
 class RandomBisection:
     """Nested random refinements: each level splits every cell at a uniform point."""
-
-    label = "random_bisection"
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)

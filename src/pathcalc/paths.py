@@ -374,7 +374,6 @@ class SamplePath:
     horizon: float
     model: Optional[object] = None
     seed: Optional[int] = None
-    n_steps: Optional[int] = None
     readd_correction: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -464,7 +463,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
         return SamplePath(
             times=base, values=values, pre_values=values.copy(),
             jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-            horizon=T, model=model, seed=seed, n_steps=n_steps,
+            horizon=T, model=model, seed=seed,
         )
 
     if not isinstance(model, _Parametric):
@@ -505,7 +504,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     return SamplePath(
         times=times, values=values, pre_values=pre_values,
         jump_indices=jump_idx.astype(np.int64), jump_sizes=jump_sizes,
-        horizon=T, model=model, seed=seed, n_steps=n_steps,
+        horizon=T, model=model, seed=seed,
     )
 
 
@@ -605,7 +604,6 @@ def split_jumps(path: SamplePath, a: float):
         jump_indices=path.jump_indices[~big].copy(),
         jump_sizes=path.jump_sizes[~big].copy(),
         horizon=path.horizon, model=path.model, seed=path.seed,
-        n_steps=path.n_steps,
         readd_correction=np.stack([err_v, err_p]),
     )
     removed = [(float(path.times[i]), float(s))
@@ -641,7 +639,6 @@ def reattach_jumps(path: SamplePath, removed) -> SamplePath:
         times=path.times.copy(), values=values, pre_values=pre,
         jump_indices=all_idx[order], jump_sizes=all_sizes[order],
         horizon=path.horizon, model=path.model, seed=path.seed,
-        n_steps=path.n_steps,
     )
 
 

@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pathcalc import SamplePath, cli, simulate
@@ -587,3 +588,270 @@ class TestConfigKeys:
         with pytest.raises(TypeError, match="bug inside realized_qv"):
             main(["run", qv_config(tmp_path)])
         assert "config error" not in capsys.readouterr().err
+
+
+def _out_exists(tmp_path):
+    return (tmp_path / "out").exists()
+
+
+class TestRefinementOrder:
+    """Refinement lists run from coarse to fine, and a bad one ends the run before any
+    output exists."""
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("qv", {"levels": [6, 4]}, "levels must be a non-empty list of integers"),
+        ("qv", {"levels": [4, 4]}, "levels must be a non-empty list of integers"),
+        ("qv", {"levels": [-1, 4]}, "levels must be a non-empty list of integers"),
+        ("independence", {"levels": [6, 5], "hitting_eps": [0.125, 0.25]},
+         "levels must be a non-empty list of integers"),
+        ("independence", {"hitting_eps": [0.125, 0.25]}, "hitting_eps must be a non-empty list"),
+        ("independence", {"hitting_eps": [0.25, 0.25]}, "hitting_eps must be a non-empty list"),
+        ("independence", {"hitting_eps": [0.25, -0.125]}, "hitting_eps must be a non-empty list"),
+        ("independence", {"hitting_eps": [0.25, 0]}, "hitting_eps must be a non-empty list"),
+        ("independence", {"hitting_eps": []}, "hitting_eps must be a non-empty list"),
+        ("independence", {"hitting_eps": [0.25, float("nan")]}, "config must hold only finite"),
+        ("ito", {"level": -1}, "level must be >= 0"),
+        ("tanaka_local_time", {"level": -1}, "level must be >= 0"),
+        ("ito", {"level": 1.5}, "level must be an integer"),
+    ], ids=["qv_decreasing", "qv_repeated", "qv_negative", "independence_levels_decreasing",
+            "eps_increasing", "eps_repeated", "eps_negative", "eps_zero", "eps_empty", "eps_nan",
+            "ito_negative_level", "tanaka_negative_level", "fractional_level"])
+    def test_exits_2_before_any_output(self, tmp_path, capsys, name, change, message):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], **change,
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not _out_exists(tmp_path)
+
+    @pytest.mark.parametrize("name, message", [
+        ("ito", "level must be >= 0"),
+        ("qv", "levels must be a non-empty list of integers"),
+    ])
+    def test_negative_level_override_exits_2_before_any_output(self, tmp_path, capsys, name,
+                                                               message):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg, "--level", "-1"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not _out_exists(tmp_path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# abs has no second derivative at 0, so the k = 3 expansion on [-1, 1] has a NaN gap
+TAYLOR_ABS_K3 = {"kind": "taylor",
+                 "entries": [{"function": {"name": "abs"}, "a": -1.0, "b": 1.0, "k": 3}]}
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("cfg", [*PARITY_CONFIGS.values(), TAYLOR_ABS_K3],
+                             ids=[*PARITY_CONFIGS, "taylor_abs_k3"])
+    def test_every_json_file_is_strict_and_replay_prints_the_run_lines(self, tmp_path, capsys,
+                                                                      cfg):
+        path = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "base_seed": 2, **cfg, "out_dir": str(tmp_path / "out")})
+        run_rc = main(["run", path])
+        run_lines = _check_lines(capsys.readouterr().out)
+        files = sorted((tmp_path / "out").rglob("*.json"))
+        assert files
+        for f in files:
+            json.loads(f.read_text(), parse_constant=_reject_constant)
+        replay_rc = main(["replay", str(tmp_path / "out")])
+        assert _check_lines(capsys.readouterr().out) == run_lines
+        assert replay_rc == run_rc
+
+    @pytest.mark.parametrize("cfg, nulls", [
+        (PARITY_CONFIGS["ito_inapplicable"], ["max_residual", "max_identity_gap"]),
+        (TAYLOR_ABS_K3, ["abs[-1.0,1.0]k=3 identity_gap"]),
+    ], ids=["ito_inapplicable", "taylor_abs_k3"])
+    def test_a_check_that_is_not_finite_is_null_and_fails(self, tmp_path, capsys, cfg, nulls):
+        path = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "base_seed": 2, **cfg, "out_dir": str(tmp_path / "out")})
+        assert main(["run", path]) == 1
+        out = capsys.readouterr().out
+        agg = json.loads((tmp_path / "out" / cfg["kind"] / "aggregate.json").read_text())
+        checks = {c["name"]: c for c in agg["checks"]}
+        for name in nulls:
+            assert checks[name]["value"] is None and not checks[name]["passed"]
+            assert f"{name}: FAIL (value=None, " in out
+
+    def test_write_json_writes_floats_that_are_not_finite_as_null(self, tmp_path):
+        target = tmp_path / "new" / "x.json"
+        cli._write_json(target, {
+            "nan": float("nan"), "list": [np.float64("inf"), np.float32("-inf"), 1.5, 2],
+            "tuple": (np.float32("nan"),), "nested": {"ok": np.float64(0.25), "flag": True}})
+        assert json.loads(target.read_text(), parse_constant=_reject_constant) == {
+            "nan": None, "list": [None, None, 1.5, 2], "tuple": [None],
+            "nested": {"ok": 0.25, "flag": True}}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.nan])
+    def test_check_of_a_value_that_is_not_finite_fails(self, value):
+        check = cli._check("x", value, "le", 1.0)
+        assert check["value"] is None and check["passed"] is False
+
+    def test_replay_grades_a_null_value_as_fail(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path)])
+        agg_path = tmp_path / "out" / "qv" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        del agg["checks"][0]["recompute"]
+        agg["checks"][0]["value"] = None
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 1
+        assert ": FAIL (value=None, in [0.5, 1.5])" in capsys.readouterr().out
+
+    def test_null_leaf_of_a_report_reads_as_a_missing_number(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path)])
+        report = tmp_path / "out" / "qv" / "100" / "report.json"
+        row = json.loads(report.read_text())
+        row["qv"]["7"] = None
+        report.write_text(json.dumps(row))
+        capsys.readouterr()
+        assert main(["replay", str(tmp_path / "out" / "qv")]) == 1
+        assert ": FAIL (value=None, in [0.5, 1.5])" in capsys.readouterr().out
+
+    def test_replay_rejects_an_op_that_no_run_writes(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path)])
+        agg_path = tmp_path / "out" / "qv" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        agg["checks"][0].update(op="ge", bound=0.5)
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        assert "unknown check op 'ge'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_config_number_that_is_not_finite_is_a_config_error(self, tmp_path, capsys, text):
+        cfg = Path(qv_config(tmp_path))
+        cfg.write_text(cfg.read_text().replace('"qv_band": [0.5, 1.5]',
+                                               f'"qv_band": [0.5, {text}]'))
+        assert text in cfg.read_text()
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config must hold only finite")
+        assert not _out_exists(tmp_path)
+
+
+class _ReadLog(dict):
+    """A resolved config that adds the dotted name of every key read from it to ``read``."""
+
+    def __init__(self, cfg, read, prefix=""):
+        super().__init__({k: _ReadLog(v, read, f"{prefix}{k}.") if isinstance(v, dict) else v
+                          for k, v in cfg.items()})
+        self.read, self.prefix = read, prefix
+
+    def __getitem__(self, key):
+        self.read.add(self.prefix + key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(self.prefix + key)
+        return super().get(key, default)
+
+
+def _declared(keys, prefix=""):
+    """The dotted names of a declaration's keys: nested tables by leaf, an empty table as one."""
+    names = set()
+    for name, (typ, _) in keys.items():
+        if isinstance(typ, dict) and typ:
+            names |= _declared(typ, f"{prefix}{name}.")
+        else:
+            names.add(prefix + name)
+    return names
+
+
+LOCAL_TIME = {"local_time": {"level": 0.0, "eps": 0.2}}
+# one config per kind, with its optional features on
+READ_CONFIGS = {
+    "summability": PARITY_CONFIGS["summability"],
+    "taylor": PARITY_CONFIGS["taylor"],
+    "qv": PARITY_CONFIGS["qv"],
+    "ito": {**PARITY_CONFIGS["ito"], "n_steps": 512, **LOCAL_TIME},
+    "tanaka": PARITY_CONFIGS["tanaka_local_time"],
+    "compensator": PARITY_CONFIGS["compensator"],
+    "independence": PARITY_CONFIGS["independence"],
+}
+
+# the defaults that aggregate.json records beside the config as written
+RECORDED_DEFAULTS = {
+    "summability": {"tolerances": {}},
+    "taylor": {"tolerances": {}},
+    "qv": {"T": 1.0, "tolerances": {}, "write_paths": "auto"},
+    "ito": {"T": 1.0, "tolerances": {}, "write_paths": "auto"},
+    "tanaka": {"T": 1.0, "tolerances": {}, "write_paths": "auto"},
+    "compensator": {"T": 1.0},
+    "independence": {"T": 1.0},
+}
+
+
+class TestDeclaredKeys:
+    """Each kind declares the keys that its run reads, and only those."""
+
+    @pytest.mark.parametrize("kind", sorted(READ_CONFIGS))
+    def test_the_run_reads_every_declared_key(self, tmp_path, monkeypatch, kind):
+        read = set()
+        load = cli._load_config
+
+        def logged(path, overrides):
+            recorded, cfg = load(path, overrides)
+            return recorded, _ReadLog(cfg, read)
+
+        monkeypatch.setattr(cli, "_load_config", logged)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "base_seed": 2, **READ_CONFIGS[kind],
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) in (0, 1)
+        declared = _declared({**cli._COMMON, **cli._KEYS[kind]})
+        # _load_config checks schema_version on the config as written
+        assert declared - {"schema_version"} <= read, declared - read
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("summability", {"n_paths": 5}, "unknown key 'n_paths' in the summability config"),
+        ("summability", {"T": 7.0}, "unknown key 'T' in the summability config"),
+        ("summability", {"write_paths": True},
+         "unknown key 'write_paths' in the summability config"),
+        ("taylor", {"n_paths": 5}, "unknown key 'n_paths' in the taylor config"),
+        ("taylor", {"T": 7.0}, "unknown key 'T' in the taylor config"),
+        ("taylor", {"write_paths": True}, "unknown key 'write_paths' in the taylor config"),
+        ("compensator", {"write_paths": True},
+         "unknown key 'write_paths' in the compensator config"),
+        ("compensator", {"tolerances": {}}, "unknown key 'tolerances' in the compensator config"),
+        ("independence", {"write_paths": False},
+         "unknown key 'write_paths' in the independence config"),
+        ("ito", {"tolerances": {"jump": 1e-3}}, "unknown key 'jump' in tolerances"),
+    ], ids=["summability_n_paths", "summability_T", "summability_write_paths", "taylor_n_paths",
+            "taylor_T", "taylor_write_paths", "compensator_write_paths",
+            "compensator_tolerances", "independence_write_paths", "ito_jump"])
+    def test_a_key_the_kind_does_not_read_is_unknown(self, tmp_path, capsys, name, change,
+                                                     message):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], **change,
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not _out_exists(tmp_path)
+
+    def test_tanaka_declares_the_jump_tolerance(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS["tanaka_local_time"],
+            "tolerances": {"jump": 1e-3}})
+        assert _load_config(cfg, NO_OVERRIDES)[1]["tolerances"]["jump"] == 1e-3
+
+    @pytest.mark.parametrize("name", ["summability", "taylor"])
+    def test_paths_on_a_kind_without_n_paths_is_a_config_error(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg, "--paths", "5"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: --paths does not apply to the {name} kind")
+        assert not _out_exists(tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(READ_CONFIGS))
+    def test_recorded_config_is_the_config_with_the_declared_defaults(self, tmp_path, kind):
+        cfg = {"schema_version": 1, "base_seed": 2, **READ_CONFIGS[kind],
+               "out_dir": str(tmp_path / "out")}
+        main(["run", write_config(tmp_path, "cfg.json", cfg)])
+        agg = json.loads((tmp_path / "out" / kind / "aggregate.json").read_text())
+        assert agg["config"] == {**RECORDED_DEFAULTS[kind], **cfg}
