@@ -160,8 +160,7 @@ _CATALOG = {
     "identity": (_identity, "x"),
     "relu": (_relu, "max(x, 0), convex"),
     "cos": (_cos, "cos(x)"),
-    "piecewise_linear": (_piecewise_linear,
-                         "continuous piecewise linear; params: breakpoints, slopes, y0"),
+    "piecewise_linear": (_piecewise_linear, "continuous piecewise linear, f(0) = y0"),
 }
 
 CATALOG_NAMES = tuple(sorted(_CATALOG))

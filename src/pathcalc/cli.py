@@ -4,15 +4,15 @@ reports, or list the ``catalog``.
 Output layout per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per
 path, one per (process, Y) pair for compensator, the base seed alone for
 summability, taylor and independence), beside it ``paths.csv`` and
-``decomposition.csv`` when paths persist and ``trace.csv`` for independence,
-with ``aggregate.json`` and a one-page ``summary.txt`` at the experiment
-level.  Paths persist for the qv, ito and tanaka kinds by the config key
-``write_paths``: ``true``, ``false``, or ``"auto"`` (the default), which
-writes them when ``n_paths`` is at most 64; any other value is a config
-error.  Every JSON file is strict JSON: a number that is not finite is
-written as ``null``, and a check whose value is ``null`` FAILs.  The
-docstrings of ``SamplePath.to_csv``, ``DecompositionReport.series_csv`` and
-``ConvergenceDiagnostic.trace_csv`` state the bytes of the three CSV files.
+``decomposition.csv`` when paths persist, with ``aggregate.json`` and a
+one-page ``summary.txt`` at the experiment level.  Paths persist for the qv,
+ito and tanaka kinds by the config key ``write_paths``: ``true``,
+``false``, or ``"auto"`` (the default), which writes them when ``n_paths``
+is at most 64; any other value is a config error.  Every JSON file is
+strict JSON: a number that is not finite is written as ``null``, and a
+check whose value is ``null`` FAILs.  The docstrings of
+``SamplePath.to_csv`` and ``DecompositionReport.series_csv`` state the
+bytes of the two CSV files.
 Aggregates are byte-identical across reruns of the same config and seed,
 whatever the thread count: workers fan out across seeds on one pool of
 ``PATHCALC_THREADS`` threads (by default the usable CPUs, up to 8) and write
@@ -23,7 +23,8 @@ them.  The coordinator aggregates in fixed seed order, writing once.
 Each kind's config keys, with the type and default of each key, are
 declared once, in ``_COMMON`` and ``_KEYS`` below, and only in the kinds
 that read them: ``n_paths`` and ``T`` in qv, ito, tanaka, compensator and
-independence, ``write_paths`` in qv, ito and tanaka.  ``_load_config``
+independence, ``write_paths`` in qv, ito and tanaka, and ``local_time``
+and ``tolerances.local_time_rel`` in tanaka alone.  ``_load_config``
 checks a config against them and resolves it before any output directory
 exists, and the runners read only the resolved values; ``aggregate.json``
 records the config as written, with the defaults of the ``_RECORDED`` keys
@@ -62,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compensator as comp_mod
-from .catalog import list_catalog, make_scalar_fn
+from .catalog import _PARAMETERS, list_catalog, make_scalar_fn
 from .decompose import (
     BracketModel,
     ito_decompose,
@@ -81,6 +82,8 @@ from .functional import (
     taylor_check,
 )
 from .paths import (
+    _LAWS,
+    _MODELS,
     _REQUIRED,
     _is_real,
     _real,
@@ -205,10 +208,9 @@ def _decomposition_keys(residual: float, **tolerances) -> dict:
         "g": (_function, None),
         "level": (_level, 12),
         "n_steps": (_int, lambda cfg: 2 ** min(cfg["level"] + 2, 18)),
-        "local_time": ({"level": (_real, 0.0), "eps": (_real, _REQUIRED)}, None),
         "negative_control": ({"corrupt_g_sign": (_flag, False)}, {}),
         "tolerances": ({"residual": (_real, residual), **tolerances,
-                        "identity_gap": (_real, 1e-8), "local_time_rel": (_real, 0.10)}, {}),
+                        "identity_gap": (_real, 1e-8)}, {}),
     }
 
 
@@ -242,8 +244,11 @@ _KEYS = {
         "tolerances": ({"qv_band": (_band, _qv_band)}, {}),
     },
     "ito": _decomposition_keys(residual=1e-8),
-    # verify_report reads the jump-cell tolerance only in tanaka mode
-    "tanaka": _decomposition_keys(residual=1e-6, jump=(_real, 1e-3)),
+    # verify_report reads the jump-cell tolerance only in tanaka mode, and only a Tanaka
+    # residual can be a local time (Ito's, of a C^2 function, is about 0)
+    "tanaka": {**_decomposition_keys(residual=1e-6, jump=(_real, 1e-3),
+                                     local_time_rel=(_real, 0.10)),
+               "local_time": ({"level": (_real, 0.0), "eps": (_real, _REQUIRED)}, None)},
     "compensator": {
         # the compensator's paired Monte Carlo, graded at 3 SE, needs many paths
         **_PATHS, "n_paths": (_count, 10_000),
@@ -532,7 +537,8 @@ def _run_qv(cfg, kind_dir: Path):
 
 
 def _run_decomposition(mode, cfg, kind_dir: Path):
-    f, g, level, lt = cfg["function"], cfg["g"], cfg["level"], cfg["local_time"]
+    f, g, level = cfg["function"], cfg["g"], cfg["level"]
+    lt = cfg["local_time"] if mode == "tanaka" else None
     tols = cfg["tolerances"]
     jump_tol = {"jump_tol": tols["jump"]} if mode == "tanaka" else {}
     if cfg["negative_control"]["corrupt_g_sign"]:
@@ -606,7 +612,7 @@ def _run_independence(cfg, kind_dir: Path):
         n_paths=cfg["n_paths"], eps=cfg["tolerances"]["eps"], delta=cfg["tolerances"]["delta"],
         n_steps=cfg["n_steps"], T=cfg["T"], base_seed=cfg["base_seed"],
     )
-    _write_seed(kind_dir, cfg["base_seed"], diag.to_json_dict(), [("trace.csv", diag.trace_csv)])
+    _write_seed(kind_dir, cfg["base_seed"], diag.to_json_dict())
     cross = max(diag.cross_tail.values())
     checks = [
         _check("cross_scheme_tail", cross, "le", diag.delta),
@@ -778,6 +784,12 @@ def run(config_path: str, overrides) -> int:
     return _finish(recorded, kind_dir, checks, seeds)
 
 
+def _signature(name: str, keys: dict) -> str:
+    """``name(key, key=default, ...)`` of a key declaration, or ``name`` when it has no keys."""
+    params = [k if default is _REQUIRED else f"{k}={default}" for k, (_, default) in keys.items()]
+    return f"{name}({', '.join(params)})" if params else name
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pathcalc",
@@ -803,14 +815,18 @@ def main(argv=None) -> int:
     if args.command == "replay":
         return replay(args.directory)
     if args.command == "catalog":
-        print("scalar functions:")
-        for name, desc in list_catalog().items():
-            print(f"  {name}: {desc}")
-        print("path models: bm, cpj, jd, fv (see paths.model_from_dict)")
-        print("jump laws: two_point(p, a1, a2), uniform(lo, hi), normal(mean, std)")
-        print("increasing processes: poisson_counting, compound_poisson_increasing,"
-              " path_qv, deterministic")
-        print("predictable test processes: const(c), step(tau), state(cos|sign|tanh)")
+        sections = {
+            "scalar functions": [f"{_signature(name, _PARAMETERS.get(name, {}))}: {desc}"
+                                 for name, desc in list_catalog().items()],
+            "path models": [_signature(kind, keys) for kind, (_, keys) in _MODELS.items()],
+            "jump laws": [_signature(kind, keys) for kind, (_, keys) in _LAWS.items()],
+            "increasing processes": [model.label for model in comp_mod.catalog_models()],
+            "predictable test processes": [y.label for y in comp_mod.catalog_test_processes()],
+        }
+        for title, lines in sections.items():
+            print(f"{title}:")
+            for line in lines:
+                print(f"  {line}")
         return 0
     return 2
 

@@ -153,6 +153,8 @@ def compensator_closed_form(model) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 # predictable test processes
 # ---------------------------------------------------------------------------
+# Each answers at(states, times), Y_s at the left-limit states X_{s-} and times s, shaped
+# like states, and time_integral(T), int_0^T Y_s ds, or None where that reads the path.
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,12 @@ class ConstantY:
     c: float = 1.0
 
     label = property(lambda self: f"const({self.c})")
+
+    def at(self, states, times):
+        return np.full(np.shape(states), self.c, dtype=float)
+
+    def time_integral(self, T: float) -> float:
+        return self.c * T
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,12 @@ class StepY:
     tau: float
 
     label = property(lambda self: f"step(tau={self.tau})")
+
+    def at(self, states, times):
+        return np.broadcast_to((times <= self.tau).astype(float), np.shape(states))
+
+    def time_integral(self, T: float) -> float:
+        return min(self.tau, T)
 
 
 @dataclass(frozen=True)
@@ -192,6 +206,12 @@ class StateY:
         return self._FUNCS[self.h_name]
 
     label = property(lambda self: f"state({self.h_name})")
+
+    def at(self, states, times):
+        return np.asarray(self.h(states), dtype=float)
+
+    def time_integral(self, T: float) -> None:
+        return None  # int h(X_{s-}) ds reads the path
 
 
 def catalog_models():
@@ -317,10 +337,13 @@ def verify_compensator(
 ) -> CompensatorVerdict:
     """Monte Carlo check of E int Y dA == E int Y dA^p for a catalog pair.
 
-    A continuous part of A, and a state Y of a deterministic A, is
-    integrated over 512 equal time steps.  ``rate_factor`` scales the rate
-    used in the closed-form side only; a value != 1 is the deliberate
-    negative control (the check must fail).
+    With ``integral`` = int_0^T Y_s ds and ``jump_sum`` the sum of Y_s J_s^p
+    over the jumps of A up to T, per path int Y dA = c integral + jump_sum (no
+    c term when A has no continuous part) and int Y dA^p = (c + rate E[J^p])
+    integral.  Each model samples only these two; :class:`PathQV` sums
+    ``integral`` over 512 equal time steps, as a deterministic A does for a
+    state Y.  ``rate_factor`` scales the closed-form side only; a value != 1
+    is the deliberate negative control (the check must fail).
 
     A :class:`PathQV` pair builds its continuous paths in blocks of
     ``_BLOCK_ROWS`` rows: each block draws its normals from the pair's one
@@ -333,68 +356,44 @@ def verify_compensator(
     rng = seeded_rng(seed)
     n_steps = 512
 
-    if isinstance(model, DeterministicIncreasing):  # closed form: A is not random
-        if isinstance(y, ConstantY):
-            val = y.c * model.c * T
-        elif isinstance(y, StepY):
-            val = model.c * min(y.tau, T)
-        else:
+    if isinstance(model, DeterministicIncreasing):  # A is not random: two equal rows
+        integral = y.time_integral(T)
+        if integral is None:
             ts = np.linspace(0, T, n_steps + 1)
-            state = model.c * ts[:-1]
-            val = float(np.sum(np.asarray(y.h(state), dtype=float) * model.c * np.diff(ts)))
-        lhs = np.full(2, val)
-        rhs = np.full(2, rate_factor * val)
-        return _verdict(model, y, lhs, rhs)
-
-    if isinstance(model, PathQV):  # discretised continuous part, exact jumps
+            integral = float(np.sum(y.at(model.c * ts[:-1], ts[:-1]) * np.diff(ts)))
+        integral, jump_sum = np.full(2, integral), np.zeros(2)
+    elif isinstance(model, PathQV):  # discretised continuous part, exact jumps
         sigma, drift = model.model.sigma, model.model.drift
         ts = np.linspace(0.0, T, n_steps + 1)
         dt = T / n_steps
         x = np.zeros((n_paths, n_steps + 1))
-        quad = np.empty(n_paths)
+        integral = np.empty(n_paths)
         for r in range(0, n_paths, _BLOCK_ROWS):
             block = x[r:r + _BLOCK_ROWS]
             if sigma > 0 or drift != 0.0:
                 incr = drift * dt + sigma * np.sqrt(dt) * rng.normal(size=(len(block), n_steps))
                 np.cumsum(incr, axis=1, out=block[:, 1:])
-            quad[r:r + len(block)] = np.sum(_y_at(y, block[:, :-1], ts[:-1]), axis=1) * dt
-        jump_lhs = np.zeros(n_paths)
+            integral[r:r + len(block)] = np.sum(y.at(block[:, :-1], ts[:-1]), axis=1) * dt
+        jump_sum = np.zeros(n_paths)
         if model.rate > 0:
             counts, path_id, times, jumps = _jump_events(rng, model, T, n_paths)
             # the state driving Y is the continuous component, read at the
             # left edge of the grid cell holding the jump; it is adapted and
-            # left-continuous, and both sides below use the same state
+            # left-continuous, and both sides use the same state
             cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
-            state_before = x[path_id, cell]
-            np.add.at(jump_lhs, path_id, _y_at(y, state_before, times) * jumps)
-        lhs = model.c * quad + jump_lhs
-        rhs = model.compensator_slope(rate_factor) * quad
-        return _verdict(model, y, lhs, rhs)
+            np.add.at(jump_sum, path_id, y.at(x[path_id, cell], times) * jumps)
+    else:  # exact pure-jump: A is piecewise constant between its Poisson events
+        counts, path_id, times, sizes = _jump_events(rng, model, T, n_paths)
+        before = _ragged_prefix_before(counts, sizes)
+        jump_sum = np.zeros(n_paths)
+        np.add.at(jump_sum, path_id, y.at(before, times) * sizes)
+        integral = y.time_integral(T)
+        integral = (np.full(n_paths, integral) if integral is not None
+                    else _segment_integral(y.h, counts, path_id, times, before, sizes, T))
 
-    # exact pure-jump: A is piecewise constant between its Poisson events
-    counts, path_id, times, sizes = _jump_events(rng, model, T, n_paths)
-    comp_coeff = model.compensator_slope(rate_factor)
-    before = _ragged_prefix_before(counts, sizes)
-    lhs = np.zeros(n_paths)
-    np.add.at(lhs, path_id, _y_at(y, before, times) * sizes)
-    if isinstance(y, ConstantY):
-        rhs = np.full(n_paths, y.c * comp_coeff * T)
-    elif isinstance(y, StepY):
-        rhs = np.full(n_paths, comp_coeff * min(y.tau, T))
-    else:  # a StateY: _y_at rejects any other test process
-        rhs = comp_coeff * _segment_integral(y.h, counts, path_id, times, before, sizes, T)
+    lhs = jump_sum if model.c is None else model.c * integral + jump_sum
+    rhs = model.compensator_slope(rate_factor) * integral
     return _verdict(model, y, lhs, rhs)
-
-
-def _y_at(y, states, times):
-    """Y_s at the left-limit states X_{s-} and times s, shaped like ``states``."""
-    if isinstance(y, ConstantY):
-        return np.full(np.shape(states), y.c, dtype=float)
-    if isinstance(y, StepY):
-        return np.broadcast_to((times <= y.tau).astype(float), np.shape(states))
-    if isinstance(y, StateY):
-        return np.asarray(y.h(states), dtype=float)
-    raise ValueError(f"unknown test process {y!r}")
 
 
 # ---------------------------------------------------------------------------

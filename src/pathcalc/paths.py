@@ -150,9 +150,6 @@ class TwoPointLaw:
     def nonnegative(self) -> bool:
         return self.a1 >= 0 and self.a2 >= 0
 
-    def to_dict(self):
-        return {"kind": "two_point", "p": self.p, "a1": self.a1, "a2": self.a2}
-
 
 @dataclass(frozen=True)
 class UniformLaw:
@@ -177,9 +174,6 @@ class UniformLaw:
     def nonnegative(self) -> bool:
         return self.lo >= 0
 
-    def to_dict(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class NormalLaw:
@@ -203,9 +197,6 @@ class NormalLaw:
 
     def nonnegative(self) -> bool:
         return False
-
-    def to_dict(self):
-        return {"kind": "normal", "mean": self.mean_, "std": self.std}
 
 
 # kind -> (class, its keys in argument order: name -> (type, default))
@@ -258,9 +249,6 @@ class BrownianMotion(_Parametric):
     def label(self) -> str:
         return f"bm(sigma={self.sigma},drift={self.drift})"
 
-    def to_dict(self):
-        return {"kind": "bm", "sigma": self.sigma, "drift": self.drift, "x0": self.x0}
-
 
 @dataclass(frozen=True)
 class CompoundPoissonJumps(_Parametric):
@@ -279,9 +267,6 @@ class CompoundPoissonJumps(_Parametric):
     def label(self) -> str:
         return f"cpj(rate={self.rate})"
 
-    def to_dict(self):
-        return {"kind": "cpj", "rate": self.rate, "law": self.law.to_dict(), "x0": self.x0}
-
 
 @dataclass(frozen=True)
 class JumpDiffusion(_Parametric):
@@ -298,10 +283,6 @@ class JumpDiffusion(_Parametric):
     @property
     def label(self) -> str:
         return f"jd(sigma={self.sigma},drift={self.drift},rate={self.rate})"
-
-    def to_dict(self):
-        return {"kind": "jd", "sigma": self.sigma, "drift": self.drift,
-                "rate": self.rate, "law": self.law.to_dict(), "x0": self.x0}
 
 
 @dataclass(frozen=True)
@@ -324,9 +305,6 @@ class FiniteVariationPath:
     @property
     def label(self) -> str:
         return "fv"
-
-    def to_dict(self):
-        return {"kind": "fv", "knots_t": list(self.knots_t), "knots_x": list(self.knots_x)}
 
 
 def _law(value, name: str):

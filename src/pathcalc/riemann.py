@@ -291,20 +291,6 @@ class ConvergenceDiagnostic:
             "verdict": self.verdict,
         }
 
-    def trace_csv(self, fh) -> None:
-        """Write the CSV scheme, path, level_ordinal, param, estimate to ``fh``.
-
-        One row per scheme, path and level; ``estimate`` is the ``repr`` of
-        the sum as a Python float.  Fields are separated by "," and every
-        line, the header's too, ends in "\\n".
-        """
-        fh.write("scheme,path,level_ordinal,param,estimate\n")
-        for label, arr in sorted(self.estimates.items()):
-            params = self.scheme_params[label]
-            for p, row in enumerate(arr.tolist()):
-                for lv, estimate in enumerate(row):
-                    fh.write(f"{label},{p},{lv},{params[lv]},{estimate!r}\n")
-
 
 def limit_in_probability(
     base: TwoIndexFn,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathcalc import SamplePath, cli, simulate
+from pathcalc import SamplePath, cli, compensator, paths, simulate
 from pathcalc.cli import _load_config, main
 from pathcalc.paths import model_from_dict
 
@@ -210,6 +210,22 @@ class TestCatalogCommand:
         for name in ("abs", "square", "x_abs_x_half", "sign_primitive", "piecewise_linear"):
             assert name in out
 
+    def test_lists_the_declared_models_laws_and_compensator_pairs(self, capsys):
+        """Models and laws with their parameters, as their key tables declare them, and
+        the increasing and test processes that a compensator run checks."""
+        assert main(["catalog"]) == 0
+        lines = {line.strip() for line in capsys.readouterr().out.splitlines()}
+        for kind, (_, keys) in {**paths._MODELS, **paths._LAWS}.items():
+            line = next(line for line in lines if line.startswith(f"{kind}("))
+            assert all(key in line for key in keys), line
+        assert "jd(sigma=1.0, drift=0.0, rate, law, x0=0.0)" in lines
+        assert ("piecewise_linear(breakpoints, slopes, y0=0.0): continuous piecewise linear, "
+                "f(0) = y0") in lines
+        for entry in compensator.catalog_models() + compensator.catalog_test_processes():
+            assert entry.label in lines
+        out = "\n".join(lines)
+        assert "deterministic" not in out and "tanh" not in out
+
 
 BM = {"kind": "bm", "sigma": 1.0}
 PARITY_CONFIGS = {
@@ -267,7 +283,7 @@ def test_per_seed_layout(tmp_path, name):
     seed_dirs = {p.name for p in kind_dir.iterdir() if p.is_dir()}
     assert set(per_seed) == seed_dirs
     extras = {"qv": {"paths.csv"}, "ito": {"paths.csv", "decomposition.csv"},
-              "tanaka": {"paths.csv", "decomposition.csv"}, "independence": {"trace.csv"}}
+              "tanaka": {"paths.csv", "decomposition.csv"}}
     for seed, rel in per_seed.items():
         assert rel == f"{seed}/report.json"
         files = {p.name for p in (kind_dir / seed).iterdir()}
@@ -768,7 +784,7 @@ READ_CONFIGS = {
     "summability": PARITY_CONFIGS["summability"],
     "taylor": PARITY_CONFIGS["taylor"],
     "qv": PARITY_CONFIGS["qv"],
-    "ito": {**PARITY_CONFIGS["ito"], "n_steps": 512, **LOCAL_TIME},
+    "ito": {**PARITY_CONFIGS["ito"], "n_steps": 512},
     "tanaka": PARITY_CONFIGS["tanaka_local_time"],
     "compensator": PARITY_CONFIGS["compensator"],
     "independence": PARITY_CONFIGS["independence"],
@@ -821,9 +837,13 @@ class TestDeclaredKeys:
         ("independence", {"write_paths": False},
          "unknown key 'write_paths' in the independence config"),
         ("ito", {"tolerances": {"jump": 1e-3}}, "unknown key 'jump' in tolerances"),
+        ("ito", LOCAL_TIME, "unknown key 'local_time' in the ito config"),
+        ("ito", {"tolerances": {"local_time_rel": 0.1}},
+         "unknown key 'local_time_rel' in tolerances"),
     ], ids=["summability_n_paths", "summability_T", "summability_write_paths", "taylor_n_paths",
             "taylor_T", "taylor_write_paths", "compensator_write_paths",
-            "compensator_tolerances", "independence_write_paths", "ito_jump"])
+            "compensator_tolerances", "independence_write_paths", "ito_jump", "ito_local_time",
+            "ito_local_time_rel"])
     def test_a_key_the_kind_does_not_read_is_unknown(self, tmp_path, capsys, name, change,
                                                      message):
         cfg = write_config(tmp_path, "cfg.json", {

@@ -26,7 +26,6 @@ from pathcalc.compensator import (
     _BLOCK_ROWS,
     _jump_events,
     _verdict,
-    _y_at,
     catalog_models,
     catalog_test_processes,
 )
@@ -113,6 +112,17 @@ class TestVerifyCompensator:
     def test_deterministic_exact(self):
         v = verify_compensator(DeterministicIncreasing(1.0), StepY(0.25), n_paths=10, seed=0)
         assert v.passed and v.diff == 0.0
+
+    def test_deterministic_state_process(self):
+        # int_0^1 cos(2 s) 2 ds = sin 2, summed over 512 equal steps
+        v = verify_compensator(DeterministicIncreasing(2.0), StateY("cos"), n_paths=10, seed=0)
+        assert v.passed and v.diff == 0.0
+        assert v.lhs_mean == pytest.approx(np.sin(2.0), abs=1e-2)
+
+    def test_pure_jump_constant_closed_form_side(self):
+        v = verify_compensator(PoissonCounting(3.0), ConstantY(2.5), n_paths=1000, T=0.7,
+                               seed=52)
+        assert v.rhs_mean == pytest.approx(5.25, rel=1e-15)
 
     def test_full_catalog_passes(self):
         seed = 9000
@@ -202,8 +212,8 @@ def _unblocked_path_qv(model, y, n_paths, T=1.0, seed=0, rate_factor=1.0):
         counts, path_id, times, jumps = _jump_events(rng, model, T, n_paths)
         cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
         state_before = x[path_id, cell]
-        np.add.at(jump_lhs, path_id, _y_at(y, state_before, times) * jumps)
-    quad = np.sum(_y_at(y, x[:, :-1], ts[:-1]), axis=1) * dt
+        np.add.at(jump_lhs, path_id, y.at(state_before, times) * jumps)
+    quad = np.sum(y.at(x[:, :-1], ts[:-1]), axis=1) * dt
     lhs = model.c * quad + jump_lhs
     rhs = model.compensator_slope(rate_factor) * quad
     return _verdict(model, y, lhs, rhs)

@@ -171,6 +171,15 @@ class TestItoDecompose:
         verdict = verify_report(rep, "ito")
         assert not verdict.passed
 
+    def test_undeclared_derivatives_come_from_the_grid_surrogate(self):
+        p = simulate(BrownianMotion(), 1024, 1.0, seed=20)
+        grid = dyadic_grid(p, 10)
+        x2 = ScalarFn("x2", lambda x: np.asarray(x, dtype=float) ** 2)
+        rep = ito_decompose(x2, grid)
+        assert rep.applicable and rep.g_label == "D+x2~grid"
+        declared = ito_decompose(SQUARE, grid)
+        assert np.max(np.abs(rep.residual - declared.residual)) <= 1e-12
+
     def test_zero_variance_path_gives_all_zero_report(self):
         p = simulate(BrownianMotion(sigma=0.0, drift=0.0), 64, 1.0, seed=0)
         rep = ito_decompose(SQUARE, dyadic_grid(p, 4))

@@ -1,5 +1,6 @@
 """Tests for seeded path simulation and jump bookkeeping."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -182,6 +183,17 @@ class TestSplitJumps:
         assert np.array_equal(back.pre_values, p.pre_values)
         assert np.array_equal(back.jump_indices, p.jump_indices)
         assert np.array_equal(back.jump_sizes, p.jump_sizes)
+
+    def test_reattach_without_correction_adds_the_jumps_back(self):
+        # a path that carries no compensation residues, as a simulated one; this seed
+        # removes five of its six jumps
+        p = simulate(JD, 512, 1.0, seed=8)
+        cont, removed = split_jumps(p, 0.1)
+        assert len(removed) == 5 and len(cont.jump_indices) == 1
+        back = reattach_jumps(dataclasses.replace(cont, readd_correction=None), removed)
+        assert np.allclose(back.values, p.values, rtol=0, atol=1e-12)
+        assert np.allclose(back.pre_values, p.pre_values, rtol=0, atol=1e-12)
+        assert np.array_equal(back.jump_indices, p.jump_indices)
 
     def test_threshold_validation(self):
         p = simulate(JD, 64, 1.0, seed=0)

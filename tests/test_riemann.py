@@ -1,8 +1,5 @@
 """Tests for stopping-time grids and pathwise sums."""
 
-import csv
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,21 +359,3 @@ class TestLimitInProbability:
         )
         d = diag.to_json_dict()
         assert "estimates" in d and "verdict" in d
-        buf = io.StringIO()
-        diag.trace_csv(buf)
-        assert buf.getvalue().startswith("scheme,path,level_ordinal,param,estimate")
-
-    def test_trace_csv_estimates_read_back_exactly(self):
-        diag = limit_in_probability(
-            squared_increment(), JD,
-            schemes=[{"scheme": "dyadic", "params": [4, 5]},
-                     {"scheme": "hitting", "params": [2**-2, 2**-3]}],
-            n_paths=3, n_steps=512, base_seed=2,
-        )
-        buf = io.StringIO()
-        diag.trace_csv(buf)
-        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert len(rows) == 3 * 4
-        for row in rows:
-            estimate = diag.estimates[row["scheme"]][int(row["path"]), int(row["level_ordinal"])]
-            assert float(row["estimate"]) == estimate
