@@ -76,10 +76,7 @@ from .riemann import (
     dyadic_grid,
     hitting_grid,
     limit_in_probability,
-    pathwise_series,
     pathwise_sum,
-    squared_increment_ratio,
-    stopped_functional,
 )
 
 __version__ = "0.1.0"

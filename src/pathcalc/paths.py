@@ -374,10 +374,16 @@ class SamplePath:
 
         Jumps are excluded by taking the left limit at each cell's end; on a
         jump-free path these are the plain increments.  Grids and oracles use
-        it as the path's resolution scale.
+        it as the path's resolution scale.  It is computed once per path.
         """
-        moves = np.abs(self.pre_values[1:] - self.values[:-1])
-        return float(np.median(moves)) if len(moves) else 0.0
+        # not functools.cached_property: before Python 3.12 it holds one lock for
+        # every path, so seed-pool threads would take turns over their medians
+        median = self.__dict__.get("_median_move")
+        if median is None:
+            moves = np.abs(self.pre_values[1:] - self.values[:-1])
+            median = float(np.median(moves)) if len(moves) else 0.0
+            object.__setattr__(self, "_median_move", median)
+        return median
 
     def jump_size_at(self) -> np.ndarray:
         """Jump size at every grid point, 0 where the path does not jump."""

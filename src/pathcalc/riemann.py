@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import OutsideDomainError, ResolutionExhaustedError
+from .errors import ResolutionExhaustedError
 from .functional import TwoIndexFn
 from .paths import SamplePath, seeded_rng, simulate
 
@@ -27,8 +27,6 @@ __all__ = [
     "build_grid",
     "PathFunctional",
     "pathwise_sum",
-    "stopped_functional",
-    "squared_increment_ratio",
     "boundedness_scan",
     "ConvergenceDiagnostic",
     "limit_in_probability",
@@ -95,6 +93,12 @@ def hitting_grid(path: SamplePath, eps: float) -> RiemannGrid:
     The lattice is anchored at the starting value; each grid point is the
     first index where the path has moved at least eps from the previous
     lattice anchor, which makes the sequence a family of stopping times.
+    The rule is the float walk of :func:`_walk_from`, and the grid is
+    bit-identical to it: :func:`_proposed_hits` proposes the whole walk in
+    lattice units, every step of the proposal is checked against the walk's
+    float rule, and from the first step that fails the check (a path value
+    within rounding of a lattice line, or an overflowing quotient) the walk
+    itself runs to the end of the path.
     Raises :class:`ResolutionExhaustedError` when eps is below twice the
     median absolute continuous move of the path, or so small that a move
     over eps overflows.
@@ -106,10 +110,22 @@ def hitting_grid(path: SamplePath, eps: float) -> RiemannGrid:
         raise ResolutionExhaustedError(
             f"eps={eps} is below the path resolution heuristic {resolution:.3g}"
         )
-    x = path.values.tolist()
-    out = [0]
-    anchor = x[0]
-    for i, xi in enumerate(x):
+    x = np.asarray(path.values, dtype=float)
+    hits, anchors, fail = _checked_hits(x, float(eps))
+    if fail is not None:
+        hits = hits.tolist() + _walk_from(x, eps, fail, float(anchors[len(hits)]))
+    out = np.concatenate(([0], np.asarray(hits, dtype=np.int64)))
+    if out[-1] != len(x) - 1:
+        out = np.append(out, len(x) - 1)
+    return RiemannGrid(path=path, indices=out, scheme="hitting", param=float(eps))
+
+
+def _walk_from(x: np.ndarray, eps: float, start: int, anchor: float) -> list:
+    """The hits of the first-passage walk from index ``start`` with its lattice anchor:
+    a hit is a point at least eps from the anchor, and moves the anchor by eps times
+    the truncated quotient of the move."""
+    out = []
+    for i, xi in enumerate(x[start:].tolist(), start):
         if abs(xi - anchor) >= eps:
             out.append(i)
             try:
@@ -117,9 +133,52 @@ def hitting_grid(path: SamplePath, eps: float) -> RiemannGrid:
             except OverflowError:
                 raise ResolutionExhaustedError(
                     f"eps={eps} is below the float range of the path's moves") from None
-    if out[-1] != len(x) - 1:
-        out.append(len(x) - 1)
-    return RiemannGrid(path=path, indices=np.asarray(out), scheme="hitting", param=float(eps))
+    return out
+
+
+def _proposed_hits(x: np.ndarray, eps: float):
+    """The walk's hits and lattice moves, proposed in lattice units u = (x - x_0) / eps.
+
+    The walk's lattice index k obeys k_i = clamp(k_(i-1), floor(u_i), ceil(u_i)), so
+    k stays put while floor(u) does not change and u stays off the lattice.  At every
+    other point k is floor(u), plus 1 when floor(u) fell and u is off the lattice,
+    whatever k was before.  Hits are those points where k differs from its value at
+    the previous such point.
+    """
+    u = (x - x[0]) / eps
+    floor = np.floor(u)
+    step = np.diff(floor)
+    off = u[1:] != floor[1:]
+    events = np.flatnonzero((step != 0) | ~off)
+    k = np.concatenate(([0.0], floor[events + 1] + ((step[events] < 0) & off[events])))
+    moved = np.flatnonzero(k[1:] != k[:-1])
+    return events[moved] + 1, k[moved + 1] - k[moved]
+
+
+def _checked_hits(x: np.ndarray, eps: float):
+    """The proposed hits that the walk's float rule confirms, the walk's anchors after
+    them, and the first index where the check fails (None when it never does).
+
+    The anchors repeat the walk's ``anchor += eps * trunc(...)`` with one sequential
+    cumulative sum.  A step passes when ``|x_i - anchor| >= eps`` holds exactly at the
+    proposed hits, and at each hit the quotient is finite and truncates to the proposed
+    move; the prefix before the first failure is then the walk's own.
+    """
+    with np.errstate(all="ignore"):
+        hits, moves = _proposed_hits(x, eps)
+        anchors = np.cumsum(np.concatenate(([x[0]], eps * moves)))
+        # anchor j is in effect from the point after hit j up to and including hit j + 1
+        in_effect = np.repeat(anchors, np.diff(np.concatenate(([-1], hits, [len(x) - 1]))))
+        diff = x - in_effect
+        proposed = np.zeros(len(x), dtype=bool)
+        proposed[hits] = True
+        quotient = diff[hits] / eps
+        bad = np.flatnonzero((np.abs(diff) >= eps) != proposed)
+        bad_hits = hits[~(np.isfinite(quotient) & (np.trunc(quotient) == moves))]
+    fail = min(bad[:1].tolist() + bad_hits[:1].tolist(), default=None)
+    if fail is None:
+        return hits, anchors, None
+    return hits[hits < fail], anchors, fail
 
 
 def build_grid(path: SamplePath, scheme: str, param) -> RiemannGrid:
@@ -137,61 +196,23 @@ def build_grid(path: SamplePath, scheme: str, param) -> RiemannGrid:
 
 @dataclass(frozen=True)
 class PathFunctional:
-    """A two-index functional composed with a path: F(s, t) = base(X_s, X_t).
-
-    ``stop_index`` (set via :func:`stopped_functional`) clamps both time
-    slots, realizing F(u ^ sigma, v ^ sigma).
-    """
+    """A two-index functional composed with a path: F(s, t) = base(X_s, X_t)."""
 
     path: SamplePath
     base: TwoIndexFn
-    stop_index: Optional[int] = None
 
     def pair_values(self, i, j) -> np.ndarray:
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        if self.stop_index is not None:
-            i = np.minimum(i, self.stop_index)
-            j = np.minimum(j, self.stop_index)
         return np.asarray(self.base(self.path.values[i], self.path.values[j]), dtype=float)
 
 
-def _cell_values(pf: PathFunctional, grid: RiemannGrid) -> np.ndarray:
-    """F over each pair of consecutive grid times; the grid must be on pf's path."""
+def pathwise_sum(pf: PathFunctional, grid: RiemannGrid) -> float:
+    """Sum of F over consecutive grid times; the grid must be on pf's path."""
     if grid.path is not pf.path:
         raise ValueError("grid belongs to a different path")
     idx = grid.indices
-    return pf.pair_values(idx[:-1], idx[1:])
-
-
-def pathwise_sum(pf: PathFunctional, grid: RiemannGrid) -> float:
-    """Sum of F over consecutive grid times."""
-    return float(np.sum(_cell_values(pf, grid)))
-
-
-def pathwise_series(pf: PathFunctional, grid: RiemannGrid) -> np.ndarray:
-    """Cumulative sums of F along the grid (0 at time 0)."""
-    return np.concatenate(([0.0], np.cumsum(_cell_values(pf, grid))))
-
-
-def stopped_functional(pf: PathFunctional, sigma: float) -> PathFunctional:
-    """Clamp both time slots at sigma (snapped to the last grid time <= sigma)."""
-    if not (0.0 <= sigma <= pf.path.horizon):
-        raise ValueError("sigma must lie within [0, horizon]")
-    cap = int(np.searchsorted(pf.path.times, sigma, side="right") - 1)
-    return replace(pf, stop_index=cap)
-
-
-def squared_increment_ratio(pf: PathFunctional, s: float, t: float) -> float:
-    """F(s, t) / (X_t - X_s)^2 for a pair of grid times with X_s != X_t."""
-    times = pf.path.times
-    i, j = np.minimum(np.searchsorted(times, [s, t]), len(times) - 1)
-    if times[i] != s or times[j] != t:
-        raise ValueError("s and t must be grid times of the path")
-    xs, xt = pf.path.values[i], pf.path.values[j]
-    if xs == xt:
-        raise OutsideDomainError("pair has X_s == X_t; the ratio is undefined there")
-    return float(pf.pair_values(i, j)) / (xt - xs) ** 2
+    return float(np.sum(pf.pair_values(idx[:-1], idx[1:])))
 
 
 # ---------------------------------------------------------------------------

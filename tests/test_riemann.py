@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pathcalc import (
     BrownianMotion,
     CompoundPoissonJumps,
     FiniteVariationPath,
     JumpDiffusion,
-    OutsideDomainError,
     PathFunctional,
     ResolutionExhaustedError,
     SamplePath,
@@ -25,14 +24,12 @@ from pathcalc import (
     limit_in_probability,
     linear_remainder,
     make_scalar_fn,
-    pathwise_series,
     pathwise_sum,
     realized_qv,
     simulate,
     squared_increment,
-    squared_increment_ratio,
-    stopped_functional,
 )
+from pathcalc.riemann import _checked_hits
 
 ABS = make_scalar_fn("abs")
 SQUARE = make_scalar_fn("square")
@@ -95,11 +92,13 @@ class TestGrids:
 
     def test_hitting_below_resolution_raises(self):
         p = bm(seed=2, n=256)
-        with pytest.raises(ResolutionExhaustedError):
+        with pytest.raises(ResolutionExhaustedError,
+                           match=r"^eps=1e-06 is below the path resolution heuristic 0\.\d+$"):
             hitting_grid(p, 1e-6)
         # a pure-jump path has heuristic 0, but a jump over 1e-310 overflows
         cpj = simulate(CPJ, 64, 1.0, seed=5)
-        with pytest.raises(ResolutionExhaustedError):
+        with pytest.raises(ResolutionExhaustedError,
+                           match=r"^eps=1e-310 is below the float range of the path's moves$"):
             hitting_grid(cpj, 1e-310)
 
     @given(model=st.sampled_from([BrownianMotion(), JD, CPJ]), seed=seeds,
@@ -128,6 +127,66 @@ class TestGrids:
             hitting_grid(bm(seed=4, n=64), eps)
 
 
+DECIMAL_EPS = st.sampled_from([0.05, 0.1, 0.2, 0.3])
+
+
+def assert_walk_indices(p, eps):
+    g = hitting_grid(p, eps)
+    assert g.indices.dtype == np.int64
+    assert np.array_equal(g.indices, reference_hitting_indices(p, eps))
+
+
+class TestHittingKernel:
+    """The proposed-and-checked grid equals the scalar walk, also where the check fails
+    on lattice ties and the walk runs from the first failing index."""
+
+    def test_lattice_ties_run_the_walk_and_keep_its_indices(self):
+        fell_back = 0
+        for seed in range(30):
+            p = simulate(CPJ, 1024, 1.0, seed=seed)
+            fell_back += _checked_hits(p.values, 0.05)[2] is not None
+            assert_walk_indices(p, 0.05)
+        assert fell_back > 0
+
+    @given(seed=seeds, n_steps=st.integers(1, 2**11))
+    @settings(max_examples=60, deadline=None)
+    def test_two_point_jumps_on_a_decimal_lattice(self, seed, n_steps):
+        assert_walk_indices(simulate(CPJ, n_steps, 1.0, seed=seed), 0.05)
+
+    @given(drift=st.sampled_from([0.1, 0.3, 0.35, -0.7, 1.0, 2.5]),
+           n_steps=st.sampled_from([10, 20, 50, 100, 1000]), eps=DECIMAL_EPS)
+    @settings(max_examples=60, deadline=None)
+    def test_drift_ramps(self, drift, n_steps, eps):
+        p = simulate(BrownianMotion(sigma=0.0, drift=drift), n_steps, 1.0, seed=0)
+        assume(eps >= 2.0 * p.median_continuous_move())
+        assert_walk_indices(p, eps)
+
+    @given(knots_t=st.sets(st.integers(1, 9), max_size=4),
+           knots_x=st.lists(st.integers(-10, 10), min_size=6, max_size=6),
+           n_steps=st.sampled_from([20, 100, 1000, 4096]), eps=DECIMAL_EPS)
+    @settings(max_examples=60, deadline=None)
+    def test_finite_variation_knots_on_a_decimal_lattice(self, knots_t, knots_x, n_steps, eps):
+        times = (0.0, *(t / 10 for t in sorted(knots_t)), 1.0)
+        fv = FiniteVariationPath(times, tuple(v / 10 for v in knots_x[:len(times)]))
+        p = simulate(fv, n_steps, 1.0, seed=0)
+        assume(eps >= 2.0 * p.median_continuous_move())
+        assert_walk_indices(p, eps)
+
+    @pytest.mark.parametrize("n_steps", [2**14, 2**16])
+    @pytest.mark.parametrize("model", [BrownianMotion(), JD], ids=["bm", "jd"])
+    def test_workload_sizes(self, model, n_steps):
+        for seed in (1000, 1001):
+            p = simulate(model, n_steps, 1.0, seed=seed)
+            for eps in (2**-5.5, 2**-6):
+                assert_walk_indices(p, eps)
+
+    def test_median_move_is_computed_once(self):
+        p = simulate(JD, 1000, 1.0, seed=3)
+        first = p.median_continuous_move()
+        assert p.median_continuous_move() is first
+        assert first == float(np.median(np.abs(p.pre_values[1:] - p.values[:-1])))
+
+
 class TestGridProperties:
     @given(model=st.sampled_from([CPJ, JD]), seed=seeds,
            n_steps=st.integers(1, 600), level=st.integers(0, 10))
@@ -137,7 +196,7 @@ class TestGridProperties:
         g = dyadic_grid(p, level)
         assert set(p.jump_indices.tolist()) <= set(g.indices.tolist())
 
-    @given(model=st.sampled_from([BrownianMotion(), JD]), seed=seeds,
+    @given(model=st.sampled_from([BrownianMotion(), JD, CPJ]), seed=seeds,
            cut_at=st.floats(0.0, 1.0), scale=st.floats(1.0, 8.0))
     @settings(max_examples=80, deadline=None)
     def test_hitting_grid_is_a_stopping_time_rule(self, model, seed, cut_at, scale):
@@ -149,8 +208,10 @@ class TestGridProperties:
             jump_indices=p.jump_indices[kept], jump_sizes=p.jump_sizes[kept],
             horizon=float(p.times[k]),
         )
-        # above the resolution heuristic of both paths, so neither call raises
-        eps = scale * 2.0 * max(p.median_continuous_move(), cut.median_continuous_move())
+        # above the resolution heuristic of both paths, so neither call raises; pure-jump
+        # paths have heuristic 0
+        eps = scale * max(2.0 * p.median_continuous_move(), 2.0 * cut.median_continuous_move(),
+                          0.05)
         full = hitting_grid(p, eps).indices
         stopped = hitting_grid(cut, eps).indices
         assert np.array_equal(full[full < k], stopped[stopped < k])
@@ -202,78 +263,11 @@ class TestPathwiseSum:
         assert pathwise_sum(both, g) == pytest.approx(
             pathwise_sum(pf_f, g) + pathwise_sum(pf_g, g), abs=1e-12)
 
-    def test_series_is_cumulative(self):
-        p = bm(seed=15)
-        g = dyadic_grid(p, 5)
-        pf = PathFunctional(path=p, base=squared_increment())
-        series = pathwise_series(pf, g)
-        assert series[0] == 0.0
-        assert series[-1] == pathwise_sum(pf, g)
-        assert np.all(np.diff(series) >= 0)
-
     def test_grid_path_mismatch_rejected(self):
         p1, p2 = bm(seed=1), bm(seed=2)
         pf = PathFunctional(path=p1, base=squared_increment())
         with pytest.raises(ValueError, match="different path"):
             pathwise_sum(pf, dyadic_grid(p2, 3))
-        with pytest.raises(ValueError, match="different path"):
-            pathwise_series(pf, dyadic_grid(p2, 3))
-
-    @pytest.mark.parametrize("s, t", [(0.5, 2.0), (0.5, 0.5 + 1e-9)],
-                             ids=["past_horizon", "between_points"])
-    def test_ratio_rejects_times_off_the_path(self, s, t):
-        pf = PathFunctional(path=bm(seed=3, n=8), base=squared_increment())
-        with pytest.raises(ValueError, match="grid times"):
-            squared_increment_ratio(pf, s, t)
-
-
-class TestStopping:
-    def test_stop_at_horizon_is_identity(self):
-        p = bm(seed=21)
-        pf = PathFunctional(path=p, base=squared_increment())
-        g = dyadic_grid(p, 6)
-        assert pathwise_sum(stopped_functional(pf, 1.0), g) == pathwise_sum(pf, g)
-
-    def test_stop_at_zero_vanishes(self):
-        p = bm(seed=22)
-        pf = PathFunctional(path=p, base=squared_increment())
-        assert pathwise_sum(stopped_functional(pf, 0.0), dyadic_grid(p, 6)) == 0.0
-
-    def test_stop_matches_truncated_grid(self):
-        p = bm(seed=23)
-        pf = PathFunctional(path=p, base=squared_increment())
-        g = dyadic_grid(p, 6)
-        sigma = 0.5
-        stopped = pathwise_sum(stopped_functional(pf, sigma), g)
-        keep = g.indices[p.times[g.indices] <= sigma]
-        x = p.values[keep]
-        assert stopped == pytest.approx(float(np.sum((x[1:] - x[:-1]) ** 2)), abs=1e-15)
-
-    def test_sigma_outside_horizon_rejected(self):
-        pf = PathFunctional(path=bm(seed=1), base=squared_increment())
-        with pytest.raises(ValueError):
-            stopped_functional(pf, 2.0)
-
-
-class TestSquaredIncrementRatio:
-    def test_quadratic_normalizes_to_one(self):
-        p = bm(seed=31)
-        pf = PathFunctional(path=p, base=squared_increment())
-        for j in (1, 100, 2000):
-            assert squared_increment_ratio(pf, float(p.times[0]), float(p.times[j])) == 1.0
-
-    def test_square_remainder_normalizes_to_one(self):
-        g2x = ScalarFn("2x", lambda x: 2.0 * np.asarray(x, dtype=float))
-        p = bm(seed=32)
-        pf = PathFunctional(path=p, base=linear_remainder(SQUARE, g2x))
-        val = squared_increment_ratio(pf, float(p.times[10]), float(p.times[500]))
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_flat_pair_is_outside_domain(self):
-        p = simulate(BrownianMotion(sigma=0.0, drift=0.0), 8, 1.0, seed=0)
-        pf = PathFunctional(path=p, base=squared_increment())
-        with pytest.raises(OutsideDomainError):
-            squared_increment_ratio(pf, 0.0, 0.5)
 
 
 @pytest.fixture(scope="module")
