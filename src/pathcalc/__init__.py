@@ -6,12 +6,10 @@ from .catalog import list_catalog, make_scalar_fn
 from .compensator import (
     CompoundPoissonIncreasing,
     ConstantY,
-    DeterministicIncreasing,
     PathQV,
     PoissonCounting,
     StateY,
     StepY,
-    compensator_closed_form,
     martingale_check,
     verify_compensator,
 )

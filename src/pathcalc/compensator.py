@@ -7,16 +7,14 @@ Every increasing process in the catalog has the form
 with Poisson(rate) jump times and i.i.d. jumps J of a given law, so its
 compensator is A^p_t = (c + rate E[J^p]) t.  A Poisson counter has p = 0,
 a compound Poisson sum of nonnegative jumps p = 1, the quadratic variation
-of a jump diffusion p = 2 and c = sigma^2, and a deterministic process
-c = slope and no jumps.  The verification estimates E int Y dA and
-E int Y dA^p with paired sampling, so the verdict compares the mean
-difference against three standard errors of the paired difference.
+of a jump diffusion p = 2 and c = sigma^2.  The verification estimates
+E int Y dA and E int Y dA^p with paired sampling, so the verdict compares
+the mean difference against three standard errors of the paired difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,11 +26,9 @@ __all__ = [
     "PoissonCounting",
     "CompoundPoissonIncreasing",
     "PathQV",
-    "DeterministicIncreasing",
     "ConstantY",
     "StepY",
     "StateY",
-    "compensator_closed_form",
     "verify_compensator",
     "martingale_check",
     "CompensatorVerdict",
@@ -127,27 +123,6 @@ class PathQV(_Increasing):
     law = property(lambda self: self.model.law)
     p = 2
     label = property(lambda self: f"path_qv({self.model.label})")
-
-
-@dataclass(frozen=True)
-class DeterministicIncreasing(_Increasing):
-    slope: float = 1.0
-
-    def __post_init__(self):
-        if self.slope < 0:
-            raise ValueError("slope must be >= 0")
-
-    c = property(lambda self: self.slope)
-    rate = 0.0
-    law = None
-    label = property(lambda self: f"deterministic(slope={self.slope})")
-
-
-def compensator_closed_form(model) -> Callable[[np.ndarray], np.ndarray]:
-    """The predictable compensator t -> A^p_t of a catalog model."""
-    _require_increasing(model, "compensator_closed_form")
-    coeff = model.compensator_slope()
-    return lambda t: coeff * np.asarray(t, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +316,9 @@ def verify_compensator(
     over the jumps of A up to T, per path int Y dA = c integral + jump_sum (no
     c term when A has no continuous part) and int Y dA^p = (c + rate E[J^p])
     integral.  Each model samples only these two; :class:`PathQV` sums
-    ``integral`` over 512 equal time steps, as a deterministic A does for a
-    state Y.  ``rate_factor`` scales the closed-form side only; a value != 1
-    is the deliberate negative control (the check must fail).
+    ``integral`` over 512 equal time steps.  ``rate_factor`` scales the
+    closed-form side only; a value != 1 is the deliberate negative control
+    (the check must fail).
 
     A :class:`PathQV` pair builds its continuous paths in blocks of
     ``_BLOCK_ROWS`` rows: each block draws its normals from the pair's one
@@ -356,13 +331,7 @@ def verify_compensator(
     rng = seeded_rng(seed)
     n_steps = 512
 
-    if isinstance(model, DeterministicIncreasing):  # A is not random: two equal rows
-        integral = y.time_integral(T)
-        if integral is None:
-            ts = np.linspace(0, T, n_steps + 1)
-            integral = float(np.sum(y.at(model.c * ts[:-1], ts[:-1]) * np.diff(ts)))
-        integral, jump_sum = np.full(2, integral), np.zeros(2)
-    elif isinstance(model, PathQV):  # discretised continuous part, exact jumps
+    if isinstance(model, PathQV):  # discretised continuous part, exact jumps
         sigma, drift = model.model.sigma, model.model.drift
         ts = np.linspace(0.0, T, n_steps + 1)
         dt = T / n_steps

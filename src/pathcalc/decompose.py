@@ -236,10 +236,16 @@ def _grid_info(grid: RiemannGrid) -> dict:
 
 
 def _cells(grid: RiemannGrid):
-    """Per-cell left and right indices, left value, continuous right value and jump size."""
+    """The path's values at the grid points, the cells' continuous right values and the
+    cells' jump sizes, None when no cell ends at a jump."""
     path, idx = grid.path, grid.indices
-    i, j = idx[:-1], idx[1:]
-    return i, j, path.values[i], path.pre_values[j], path.jump_size_at()[j]
+    j = idx[1:]
+    d = None
+    if len(path.jump_indices):
+        d = path.jump_size_at()[j]
+        if not np.any(d != 0.0):
+            d = None
+    return path.values[idx], path.pre_values[j], d
 
 
 def _integrand_cells(g, a, m, d):
@@ -248,21 +254,29 @@ def _integrand_cells(g, a, m, d):
     The continuous move m - a is weighted by g at the cell's left point a,
     and the jump displacement d by g at the left limit m, so a jump
     contributes g(X_{s-}) Delta X_s.  Returns (continuous part, jump part);
-    the jump part is None when no cell ends at a jump.
+    the jump part is None when d is None (no cell ends at a jump).
     """
     cont = np.asarray(g(a), dtype=float) * (m - a)
-    jumps = d != 0.0
-    if not np.any(jumps):
+    if d is None:
         return cont, None
-    return cont, np.where(jumps, np.asarray(g(m), dtype=float) * d, 0.0)
+    return cont, np.where(d != 0.0, np.asarray(g(m), dtype=float) * d, 0.0)
+
+
+def _cumulative(cells: np.ndarray) -> np.ndarray:
+    """0 followed by the running sums of ``cells``."""
+    col = np.empty(len(cells) + 1)
+    col[0] = 0.0
+    np.cumsum(cells, out=col[1:])
+    return col
 
 
 def stochastic_integral(g, grid: RiemannGrid) -> np.ndarray:
     """Cumulative left-point sums of g(X_-) dX along the grid's path (see :func:`_integrand_cells`)."""
-    _, _, a, m, d = _cells(grid)
-    cont, jump = _integrand_cells(g, a, m, d)
-    vals = cont if jump is None else cont + jump
-    return np.concatenate(([0.0], np.cumsum(vals)))
+    x, m, d = _cells(grid)
+    cont, jump = _integrand_cells(g, x[:-1], m, d)
+    if jump is not None:
+        cont += jump
+    return _cumulative(cont)
 
 
 def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:
@@ -275,36 +289,45 @@ def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:
     if taufn is None:
         return _not_applicable(mode, f, grid, "no second derivative limit on the path range")
 
-    i, j, a, m, d = _cells(grid)
-    idx = grid.indices
-    tg = path.times[idx]
-    fa = np.asarray(f(a), dtype=float)
-    fm = np.asarray(f(m), dtype=float)
+    x, m, d = _cells(grid)
+    a = x[:-1]
+    tg = path.times[grid.indices]
+    # f once at the grid points; a cell's left limit is its right value bit for bit
+    # unless the cell ends at a jump (or the path's left limits differ from its values)
+    fx = np.asarray(f(x), dtype=float)
+    fa, fb = fx[:-1], fx[1:]
+    same = np.array_equal(m.view(np.int64), x[1:].view(np.int64))
+    fm = fb if same else np.asarray(f(m), dtype=float)
     ta = np.asarray(taufn(a), dtype=float)
 
     stoch_cells, stoch_jump = _integrand_cells(gfn, a, m, d)
     comp_cells = ta * (m - a)**2
-    rem_cells = fm - fa - stoch_cells
-    resid_cells = rem_cells - comp_cells
+    resid_cells = fm - fa
+    resid_cells -= stoch_cells
+    resid_cells -= comp_cells
 
-    jump_mask = d != 0.0
-    jump_cells = np.zeros(len(d))
-    if stoch_jump is not None:
-        fb = np.asarray(f(path.values[j]), dtype=float)
-        jump_cells = np.where(jump_mask, fb - fm - stoch_jump, 0.0)
-        stoch_cells = stoch_cells + stoch_jump
+    if stoch_jump is None:
+        jump = np.zeros(len(x))
+        jump_cell_residuals = np.array([])
+    else:
+        jump_mask = d != 0.0
+        jump = _cumulative(np.where(jump_mask, fb - fm - stoch_jump, 0.0))
+        jump_cell_residuals = resid_cells[jump_mask]
+        stoch_cells += stoch_jump
 
-    fx = np.asarray(f(path.values[idx]), dtype=float)
     lhs = fx - fx[0]
-    stoch = np.concatenate(([0.0], np.cumsum(stoch_cells)))
-    comp = np.concatenate(([0.0], np.cumsum(comp_cells)))
-    jump = np.concatenate(([0.0], np.cumsum(jump_cells)))
-    resid = np.concatenate(([0.0], np.cumsum(resid_cells)))
-    gap = np.abs(lhs - (stoch + comp + jump + resid))
+    stoch = _cumulative(stoch_cells)
+    comp = _cumulative(comp_cells)
+    resid = _cumulative(resid_cells)
+    # the closure defect, summed in the order ((stoch + comp) + jump) + resid
+    gap = stoch + comp
+    gap += jump
+    gap += resid
+    np.subtract(lhs, gap, out=gap)
+    np.abs(gap, out=gap)
 
     bt = np.asarray(bracket.continuous_at(tg), dtype=float)
-    comp_closed_cells = ta * np.diff(bt)
-    comp_closed = np.concatenate(([0.0], np.cumsum(comp_closed_cells)))
+    comp_closed = _cumulative(ta * np.diff(bt))
 
     notes = {"tau": tau_label,
              "bracket": {"cont_coeff": bracket.cont_coeff, "jump_coeff": bracket.jump_coeff}}
@@ -314,7 +337,7 @@ def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:
         times=tg, lhs=lhs, stochastic_integral=stoch,
         compensator_term=comp, compensator_closed=comp_closed,
         jump_term=jump, residual=resid, identity_gap=gap,
-        jump_cell_residuals=resid_cells[jump_mask] if np.any(jump_mask) else np.array([]),
+        jump_cell_residuals=jump_cell_residuals,
         applicable=True, notes=notes,
     )
 

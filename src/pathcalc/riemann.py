@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,20 +72,60 @@ class RiemannGrid:
 
 def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     """The points nearest to the dyadic times j T / 2^level (ties go right),
-    every jump index and both endpoints."""
+    every jump index and both endpoints.
+
+    The nearest-point picks depend only on the time grid (``path.times`` and
+    ``path.horizon``) and the level.  The targets nest bitwise: target j at
+    level L is target j 2^k at level L + k, since T (2^k j) is exactly
+    2^k fl(T j) and dividing by a power of two is exact.  Jump-free paths of
+    one model share their time grid, so each thread keeps the picks of the
+    last jump-free time grid it saw at the finest level computed, and a
+    coarser level on an equal time grid takes every 2^k-th of them.  A path
+    with jumps has a time grid of its own: its picks are searched on every
+    call and not kept.
+    """
     if level < 0:
         raise ValueError("level must be >= 0")
-    targets = path.horizon * np.arange(2**level + 1) / 2**level
-    pos = np.searchsorted(path.times, targets)
-    pos = np.clip(pos, 0, path.n_points - 1)
-    left = np.clip(pos - 1, 0, path.n_points - 1)
-    pick_left = np.abs(path.times[left] - targets) < np.abs(path.times[pos] - targets)
+    pick = _nearest_picks if len(path.jump_indices) else _shared_picks
     marked = np.zeros(path.n_points, dtype=bool)
-    marked[np.where(pick_left, left, pos)] = True
+    marked[pick(path.times, path.horizon, level)] = True
     marked[path.jump_indices] = True
     marked[[0, -1]] = True
     return RiemannGrid(path=path, indices=np.flatnonzero(marked), scheme="dyadic",
                        param=float(level))
+
+
+def _nearest_picks(times: np.ndarray, horizon: float, level: int) -> np.ndarray:
+    """The index nearest to each target horizon j / 2^level, ties to the right."""
+    targets = horizon * np.arange(2**level + 1) / 2**level
+    pos = np.clip(np.searchsorted(times, targets), 0, len(times) - 1)
+    left = np.clip(pos - 1, 0, len(times) - 1)
+    return np.where(np.abs(times[left] - targets) < np.abs(times[pos] - targets), left, pos)
+
+
+# per thread: (times, horizon, level, picks) of the last time grid that _shared_picks
+# searched; the times are a path's own read-only array
+_last_picks = threading.local()
+
+
+def _shared_picks(times: np.ndarray, horizon: float, level: int) -> np.ndarray:
+    """:func:`_nearest_picks`, taken strided from this thread's last search when that
+    was on an equal time grid at a level at least as fine."""
+    memo = getattr(_last_picks, "memo", None)
+    if (memo is not None and memo[1] == horizon and memo[2] >= level
+            and (memo[0] is times or np.array_equal(memo[0], times))):
+        # hold the newest path's times, so that an older path's are not kept alive
+        _last_picks.memo = (times,) + memo[1:]
+        return memo[3][::2 ** (memo[2] - level)]
+    picks = _nearest_picks(times, horizon, level)
+    # the targets nest only while the finest product T 2^level does not overflow
+    if math.isfinite(horizon * 2**level):
+        # the narrowest unsigned type that holds the indices: it keeps the memo, and the
+        # process's peak memory, small
+        picks = picks.astype(np.min_scalar_type(len(times) - 1))
+        picks.flags.writeable = False
+        _last_picks.memo = (times, horizon, level, picks)
+    return picks
 
 
 def hitting_grid(path: SamplePath, eps: float) -> RiemannGrid:

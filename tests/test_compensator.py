@@ -7,7 +7,6 @@ from pathcalc import (
     BrownianMotion,
     CompoundPoissonIncreasing,
     ConstantY,
-    DeterministicIncreasing,
     JumpDiffusion,
     NormalLaw,
     PathQV,
@@ -17,7 +16,6 @@ from pathcalc import (
     TwoPointLaw,
     UniformLaw,
     UnsupportedModelError,
-    compensator_closed_form,
     martingale_check,
     verify_compensator,
 )
@@ -35,32 +33,28 @@ CPI = CompoundPoissonIncreasing(rate=2.0, law=UniformLaw(0.0, 1.0))
 
 
 class TestClosedForms:
+    # A^p_t = compensator_slope() * t
     def test_poisson_counting(self):
-        ap = compensator_closed_form(PoissonCounting(3.0))
-        assert ap(1.0) == 3.0
-        assert ap(0.5) == 1.5
+        assert PoissonCounting(3.0).compensator_slope() == 3.0
+        assert PoissonCounting(3.0).compensator_slope() * 0.5 == 1.5
 
     def test_compound_poisson_increasing(self):
-        ap = compensator_closed_form(CPI)
-        assert ap(1.0) == pytest.approx(1.0)
+        assert CPI.compensator_slope() == pytest.approx(1.0)
 
     def test_path_qv_brackets(self):
-        assert compensator_closed_form(PathQV(BrownianMotion(sigma=1.0)))(1.0) == 1.0
+        assert PathQV(BrownianMotion(sigma=1.0)).compensator_slope() == 1.0
         jd = PathQV(JumpDiffusion(sigma=0.5, drift=0.0, rate=2.0, law=UniformLaw(0.0, 1.0)))
-        assert compensator_closed_form(jd)(1.0) == pytest.approx(0.25 + 2.0 / 3.0)
-
-    def test_deterministic(self):
-        assert compensator_closed_form(DeterministicIncreasing(2.0))(3.0) == 6.0
+        assert jd.compensator_slope() == pytest.approx(0.25 + 2.0 / 3.0)
 
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModelError):
-            compensator_closed_form(object())
+            verify_compensator(object(), ConstantY(1.0), n_paths=10)
+        with pytest.raises(UnsupportedModelError):
+            martingale_check(object(), n_paths=10)
 
     def test_nonnegative_nondecreasing_zero_start(self):
         for model in catalog_models():
-            ap = compensator_closed_form(model)
-            t = np.linspace(0, 2, 9)
-            vals = ap(t)
+            vals = model.compensator_slope() * np.linspace(0, 2, 9)
             assert vals[0] == 0.0
             assert np.all(np.diff(vals) >= 0)
             assert np.all(vals >= 0)
@@ -109,16 +103,6 @@ class TestVerifyCompensator:
         v = verify_compensator(jd, StateY("sign"), n_paths=5000, seed=46)
         assert v.passed
 
-    def test_deterministic_exact(self):
-        v = verify_compensator(DeterministicIncreasing(1.0), StepY(0.25), n_paths=10, seed=0)
-        assert v.passed and v.diff == 0.0
-
-    def test_deterministic_state_process(self):
-        # int_0^1 cos(2 s) 2 ds = sin 2, summed over 512 equal steps
-        v = verify_compensator(DeterministicIncreasing(2.0), StateY("cos"), n_paths=10, seed=0)
-        assert v.passed and v.diff == 0.0
-        assert v.lhs_mean == pytest.approx(np.sin(2.0), abs=1e-2)
-
     def test_pure_jump_constant_closed_form_side(self):
         v = verify_compensator(PoissonCounting(3.0), ConstantY(2.5), n_paths=1000, T=0.7,
                                seed=52)
@@ -149,11 +133,6 @@ class TestMartingaleCheck:
                              checkpoints=(0.0, 0.5, 1.0), seed=48)
         assert r["passed"]
         assert len(r["increments"]) == 2
-
-    def test_deterministic_increments_exactly_zero(self):
-        r = martingale_check(DeterministicIncreasing(1.0), n_paths=50, seed=49)
-        assert r["passed"]
-        assert all(row["mean_increment"] == 0.0 for row in r["increments"])
 
     def test_wrong_intensity_fails(self):
         r = martingale_check(PoissonCounting(2.0), n_paths=10_000, seed=50, rate_factor=1.5)
@@ -187,7 +166,8 @@ class TestStandardErrorRule:
                 assert inc["passed"] == (abs(inc["mean_increment"]) <= 3.0 * inc["se"] + 1e-12)
 
     def test_single_draw_has_zero_standard_error(self):
-        v = verify_compensator(DeterministicIncreasing(1.0), ConstantY(1.0), n_paths=1)
+        v = verify_compensator(CPI, ConstantY(0.0), n_paths=1)
+        assert v.n_paths == 1
         assert v.se_combined == 0.0 and v.passed
         res = martingale_check(PoissonCounting(2.0), n_paths=1, seed=1)
         assert all(inc["se"] == 0.0 for inc in res["increments"])

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     BracketModel,
@@ -27,6 +28,8 @@ from pathcalc import (
     tanaka_decompose,
     verify_report,
 )
+from pathcalc.catalog import CATALOG_NAMES
+from pathcalc.decompose import _resolve_derivative
 
 SQUARE = make_scalar_fn("square")
 ABS = make_scalar_fn("abs")
@@ -349,3 +352,99 @@ class TestReportStatistics:
         rep = tanaka_decompose(ABS, dyadic_grid(p, 0))
         assert rep.summary_dict()["max_jump_cell_residual"] == 0.0
         assert verify_report(rep, mode="tanaka").checks["max_jump_time_increment"]["value"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the per-cell decomposition written column by column, as the reference
+# ---------------------------------------------------------------------------
+
+
+def reference_columns(f, grid, bracket, g=None):
+    """Every column of the decomposition, each array built on its own: f at the left
+    points, at the left limits and at the right points, and each running sum
+    concatenated after a 0.  None when a derivative limit is missing."""
+    path = grid.path
+    gfn, _ = _resolve_derivative(f, path, 1, g)
+    taufn, _ = _resolve_derivative(f, path, 2)
+    if gfn is None or taufn is None:
+        return None
+    idx = grid.indices
+    i, j = idx[:-1], idx[1:]
+    a, m, d = path.values[i], path.pre_values[j], path.jump_size_at()[j]
+    tg = path.times[idx]
+    fa = np.asarray(f(a), dtype=float)
+    fm = np.asarray(f(m), dtype=float)
+    ta = np.asarray(taufn(a), dtype=float)
+
+    stoch_cells = np.asarray(gfn(a), dtype=float) * (m - a)
+    jump_mask = d != 0.0
+    stoch_jump = (np.where(jump_mask, np.asarray(gfn(m), dtype=float) * d, 0.0)
+                  if np.any(jump_mask) else None)
+    comp_cells = ta * (m - a)**2
+    rem_cells = fm - fa - stoch_cells
+    resid_cells = rem_cells - comp_cells
+
+    jump_cells = np.zeros(len(d))
+    if stoch_jump is not None:
+        fb = np.asarray(f(path.values[j]), dtype=float)
+        jump_cells = np.where(jump_mask, fb - fm - stoch_jump, 0.0)
+        stoch_cells = stoch_cells + stoch_jump
+
+    fx = np.asarray(f(path.values[idx]), dtype=float)
+    lhs = fx - fx[0]
+    stoch = np.concatenate(([0.0], np.cumsum(stoch_cells)))
+    comp = np.concatenate(([0.0], np.cumsum(comp_cells)))
+    jump = np.concatenate(([0.0], np.cumsum(jump_cells)))
+    resid = np.concatenate(([0.0], np.cumsum(resid_cells)))
+    bt = np.asarray(bracket.continuous_at(tg), dtype=float)
+    return {
+        "times": tg, "lhs": lhs, "stochastic_integral": stoch, "compensator_term": comp,
+        "compensator_closed": np.concatenate(([0.0], np.cumsum(ta * np.diff(bt)))),
+        "jump_term": jump, "residual": resid,
+        "identity_gap": np.abs(lhs - (stoch + comp + jump + resid)),
+        "jump_cell_residuals": resid_cells[jump_mask] if np.any(jump_mask) else np.array([]),
+    }
+
+
+PWL = make_scalar_fn("piecewise_linear", breakpoints=[-0.5, 0.0, 0.7],
+                     slopes=[-1.0, 0.5, 2.0, -0.3], y0=0.2)
+CATALOG_FNS = [PWL] + [make_scalar_fn(name) for name in CATALOG_NAMES
+                       if name != "piecewise_linear"]
+CPJ = CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4))
+
+
+def assert_columns_match_reference(f, grid, bracket, mode="ito"):
+    rep = (ito_decompose if mode == "ito" else tanaka_decompose)(f, grid, bracket)
+    ref = reference_columns(f, grid, bracket)
+    assert rep.applicable == (ref is not None)
+    for name, col in (ref or {}).items():
+        got = getattr(rep, name)
+        assert got.shape == col.shape, name
+        assert np.array_equal(got.view(np.int64), col.view(np.int64)), name
+
+
+class TestReportMatchesReference:
+    @given(f=st.sampled_from(CATALOG_FNS), model=st.sampled_from([BrownianMotion(), JD, CPJ, FV]),
+           seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 2**10),
+           mode=st.sampled_from(["ito", "tanaka"]), scheme=st.sampled_from(["dyadic", "hitting"]),
+           level=st.integers(0, 10), scale=st.floats(1.0, 8.0))
+    @settings(max_examples=120, deadline=None)
+    def test_every_column_bitwise(self, f, model, seed, n_steps, mode, scheme, level, scale):
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        grid = (dyadic_grid(p, level) if scheme == "dyadic"
+                else hitting_grid(p, scale * max(2.0 * p.median_continuous_move(), 0.05)))
+        assert_columns_match_reference(f, grid, BracketModel.from_model(model), mode)
+
+    def test_left_limits_apart_from_values_without_jump_indices(self):
+        # a path may carry left limits that differ from its values where no jump index
+        # is marked (an imported CSV, say): f must then be taken at the left limits too
+        p = simulate(BrownianMotion(), 256, 1.0, seed=3)
+        pre = p.values.copy()
+        pre[5::7] = np.nextafter(pre[5::7], np.inf)
+        q = SamplePath(times=p.times, values=p.values, pre_values=pre,
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
+                       horizon=1.0, model=p.model)
+        grid = dyadic_grid(q, 8)
+        assert not np.array_equal(pre[grid.indices], p.values[grid.indices])
+        for f in (ABS, COS, PWL):
+            assert_columns_match_reference(f, grid, BracketModel.from_model(q.model))

@@ -1,5 +1,8 @@
 """Tests for stopping-time grids and pathwise sums."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -44,6 +47,7 @@ def bm(seed=11, n=4096):
 JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=6.0, law=UniformLaw(-1.0, 1.0))
 CPJ = CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4))
 FV = FiniteVariationPath((0.0, 0.3, 0.7, 1.0), (0.0, 1.5, -0.5, 0.25))
+FV5 = FiniteVariationPath((0.0, 0.3, 0.7, 5.0), (0.0, 1.5, -0.5, 0.25))
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -112,14 +116,50 @@ class TestGrids:
         assert np.array_equal(g.indices, reference_hitting_indices(p, eps))
         assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
 
-    @given(model=st.sampled_from([BrownianMotion(), JD, CPJ, FV]), seed=seeds,
-           n_steps=st.integers(1, 2**12), level=st.integers(0, 14))
+    @given(models=st.lists(st.sampled_from([BrownianMotion(), JD, CPJ, FV5]),
+                           min_size=2, max_size=2),
+           path_seeds=st.lists(seeds, min_size=1, max_size=4), n_steps=st.integers(1, 2**12),
+           T=st.floats(0.3, 5.0), levels=st.lists(st.integers(0, 14), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_dyadic_matches_union_reference(self, model, seed, n_steps, level):
-        p = simulate(model, n_steps, 1.0, seed=seed)
-        g = dyadic_grid(p, level)
-        assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
-        assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
+    def test_dyadic_matches_union_reference(self, models, path_seeds, n_steps, T, levels):
+        # paths of two models in turn on one thread, each at the levels in the drawn
+        # order: BM and FV paths share their time grid, jump paths do not
+        for k, seed in enumerate(path_seeds):
+            p = simulate(models[k % 2], n_steps, T, seed=seed)
+            for level in levels:
+                g = dyadic_grid(p, level)
+                assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
+                assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
+
+    def test_dyadic_picks_follow_the_time_grid_and_the_horizon(self):
+        uniform = np.linspace(0.0, 1.0, 65)
+        for times, horizon, level in ((uniform, 1.0, 6), (uniform, 0.5, 5),
+                                      (uniform**2, 1.0, 4), (uniform, 1.0, 4)):
+            p = SamplePath(times=times, values=np.zeros(65), pre_values=np.zeros(65),
+                           jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
+                           horizon=horizon)
+            assert np.array_equal(dyadic_grid(p, level).indices,
+                                  reference_dyadic_indices(p, level))
+
+    def test_dyadic_grids_built_on_two_threads_match_reference(self):
+        levels = (11, 9, 10)
+
+        def grids(seed):
+            p = simulate(JD if seed % 2 else BrownianMotion(), 2048, 1.0, seed=seed)
+            return p, [dyadic_grid(p, level) for level in levels]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(grids, seed) for seed in range(40)]
+                results = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 40
+        for p, gs in results:
+            for level, g in zip(levels, gs):
+                assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
 
     @pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.25])
     def test_hitting_rejects_eps_not_above_zero(self, eps):
