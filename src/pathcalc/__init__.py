@@ -18,13 +18,10 @@ from .decompose import (
     DecompositionReport,
     ito_decompose,
     occupation_local_time,
-    stochastic_integral,
     tanaka_decompose,
     verify_report,
 )
 from .errors import (
-    NumericRangeError,
-    OutsideDomainError,
     PathcalcError,
     ResolutionExhaustedError,
     SchemaError,
@@ -37,19 +34,14 @@ from .functional import (
     RandomBisection,
     ScalarFn,
     TwoIndexFn,
-    approx_derivative,
-    custom_two_index,
     derivative_limit,
     increment_fn,
-    incremental_ratio,
     linear_remainder,
     lipschitz_scan,
     partition_sum,
     squared_increment,
     summability_limit,
     taylor_check,
-    variation_limit,
-    weighted_increment,
 )
 from .paths import (
     BrownianMotion,
@@ -61,9 +53,7 @@ from .paths import (
     TwoPointLaw,
     UniformLaw,
     realized_qv,
-    reattach_jumps,
     simulate,
-    split_jumps,
 )
 from .riemann import (
     ConvergenceDiagnostic,

@@ -36,7 +36,6 @@ def _abs_fn(label: str) -> ScalarFn:
     return ScalarFn(
         label=label, fn=np.abs,
         derivatives={1: sign_rc, 2: _zero},
-        lipschitz_bounds=(((-1e9, 1e9), 1.0),),
         convex=True, kinks=(0.0,),
     )
 
@@ -45,7 +44,6 @@ def _square() -> ScalarFn:
     return ScalarFn(
         label="square", fn=lambda x: np.asarray(x, dtype=float) ** 2,
         derivatives={1: lambda x: 2.0 * np.asarray(x, dtype=float), 2: lambda x: 2.0 * _one(x)},
-        lipschitz_bounds=(((-10.0, 10.0), 20.0),),
         convex=True,
     )
 
@@ -55,7 +53,6 @@ def _cube() -> ScalarFn:
         label="cube", fn=lambda x: np.asarray(x, dtype=float) ** 3,
         derivatives={1: lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
                      2: lambda x: 6.0 * np.asarray(x, dtype=float)},
-        lipschitz_bounds=(((-10.0, 10.0), 300.0),),
     )
 
 
@@ -64,7 +61,6 @@ def _x_abs_x_half() -> ScalarFn:
         label="x_abs_x_half",
         fn=lambda x: np.asarray(x, dtype=float) * np.abs(x) / 2.0,
         derivatives={1: np.abs, 2: sign_rc},
-        lipschitz_bounds=(((-10.0, 10.0), 10.0),),
         kinks=(0.0,),
     )
 
@@ -81,7 +77,6 @@ def _identity() -> ScalarFn:
     return ScalarFn(
         label="identity", fn=lambda x: np.asarray(x, dtype=float),
         derivatives={1: _one, 2: _zero},
-        lipschitz_bounds=(((-1e9, 1e9), 1.0),),
         convex=True,
     )
 
@@ -90,7 +85,6 @@ def _relu() -> ScalarFn:
     return ScalarFn(
         label="relu", fn=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0),
         derivatives={1: _step_rc, 2: _zero},
-        lipschitz_bounds=(((-1e9, 1e9), 1.0),),
         convex=True, kinks=(0.0,),
     )
 
@@ -99,7 +93,6 @@ def _cos() -> ScalarFn:
     return ScalarFn(
         label="cos", fn=np.cos,
         derivatives={1: lambda x: -np.sin(x), 2: lambda x: -np.cos(x)},
-        lipschitz_bounds=(((-1e9, 1e9), 1.0),),
     )
 
 
@@ -138,12 +131,10 @@ def _piecewise_linear(breakpoints, slopes, y0: float) -> ScalarFn:
         x = np.asarray(x, dtype=float)
         return sl[np.searchsorted(bp, x, side="right")]
 
-    lip = float(np.max(np.abs(sl)))
     return ScalarFn(
         label=f"piecewise_linear[{','.join(str(v) for v in bp)}]",
         fn=_anti,
         derivatives={1: _deriv, 2: _zero},
-        lipschitz_bounds=(((-1e9, 1e9), lip),),
         convex=bool(np.all(np.diff(sl) >= 0)),
         kinks=tuple(float(v) for v in bp),
     )

@@ -32,7 +32,6 @@ __all__ = [
     "BracketModel",
     "DecompositionReport",
     "VerdictRecord",
-    "stochastic_integral",
     "ito_decompose",
     "tanaka_decompose",
     "occupation_local_time",
@@ -268,15 +267,6 @@ def _cumulative(cells: np.ndarray) -> np.ndarray:
     col[0] = 0.0
     np.cumsum(cells, out=col[1:])
     return col
-
-
-def stochastic_integral(g, grid: RiemannGrid) -> np.ndarray:
-    """Cumulative left-point sums of g(X_-) dX along the grid's path (see :func:`_integrand_cells`)."""
-    x, m, d = _cells(grid)
-    cont, jump = _integrand_cells(g, x[:-1], m, d)
-    if jump is not None:
-        cont += jump
-    return _cumulative(cont)
 
 
 def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:

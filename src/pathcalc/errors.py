@@ -4,17 +4,16 @@ Plain ``ValueError`` is used for ordinary invalid arguments; the classes here
 mark conditions callers may want to handle separately.
 """
 
+__all__ = [
+    "PathcalcError",
+    "ResolutionExhaustedError",
+    "UnsupportedModelError",
+    "SchemaError",
+]
+
 
 class PathcalcError(Exception):
     """Base class for package-specific errors."""
-
-
-class NumericRangeError(PathcalcError):
-    """A computation left the representable floating-point range."""
-
-
-class OutsideDomainError(PathcalcError, ValueError):
-    """An evaluation was requested outside the operation's domain."""
 
 
 class ResolutionExhaustedError(PathcalcError):

@@ -2,11 +2,11 @@
 
 A two-index functional F(x, y) with F(x, x) = 0 plays the role of a
 generalized increment.  This module provides the constructions built from
-scalar functions (increment, weighted increment, first-order linear
-remainder, squared increment), iterated incremental ratios, partition sums
-and their refinement limits, variation scans, boundedness scans for the
-ratios, vanishing-step derivative limits, and a Taylor-style expansion
-check with an independently computed remainder.
+scalar functions (increment, first-order linear remainder, squared
+increment), iterated incremental ratios, partition sums and their
+refinement limits, boundedness scans for the ratios, vanishing-step
+derivative limits, and a Taylor-style expansion check with an
+independently computed remainder.
 
 Everything here is pure: types are frozen dataclasses and operations are
 functions of their inputs only.
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NumericRangeError
 from .paths import seeded_rng
 
 __all__ = [
@@ -30,25 +29,17 @@ __all__ = [
     "DyadicRefinement",
     "RandomBisection",
     "LimitResult",
-    "VariationResult",
     "ScanResult",
     "DerivativeResult",
     "ExpansionReport",
     "increment_fn",
-    "weighted_increment",
     "linear_remainder",
     "squared_increment",
-    "custom_two_index",
-    "incremental_ratio",
     "partition_sum",
     "summability_limit",
-    "variation_limit",
     "lipschitz_scan",
     "derivative_limit",
-    "approx_derivative",
     "taylor_check",
-    "check_declared_derivatives",
-    "check_lipschitz_bounds",
 ]
 
 
@@ -63,16 +54,14 @@ class ScalarFn:
 
     ``derivatives`` maps order j to a callable for the a.e. j-th derivative;
     at kinks the right-continuous version is declared (that convention is
-    what the decomposition code relies on).  ``lipschitz_bounds`` lists
-    ``((lo, hi), L)`` pairs valid on the given interval.  ``kinks`` marks
-    points where the declared derivatives are one-sided, so spot-check
-    grids can avoid straddling them.
+    what the decomposition code relies on).  ``kinks`` marks points where
+    the declared derivatives are one-sided, so spot-check grids can avoid
+    straddling them.
     """
 
     label: str
     fn: Callable[[np.ndarray], np.ndarray]
     derivatives: Mapping[int, Callable] = field(default_factory=dict)
-    lipschitz_bounds: tuple = ()
     convex: bool = False
     kinks: tuple = ()
 
@@ -81,45 +70,6 @@ class ScalarFn:
 
     def derivative(self, order: int):
         return self.derivatives.get(order)
-
-
-def check_lipschitz_bounds(f: ScalarFn) -> bool:
-    """Spot-check each declared (interval, L) pair on 400 random point pairs (seed 0)."""
-    rng = seeded_rng(0)
-    for (lo, hi), lip in f.lipschitz_bounds:
-        lo_, hi_ = max(lo, -1e6), min(hi, 1e6)
-        x = rng.uniform(lo_, hi_, size=400)
-        y = rng.uniform(lo_, hi_, size=400)
-        gap = np.abs(np.asarray(f(y)) - np.asarray(f(x)))
-        if np.any(gap > lip * np.abs(y - x) + 1e-9):
-            return False
-    return True
-
-
-def check_declared_derivatives(f: ScalarFn) -> bool:
-    """Check declared derivatives against centered differences of step h = 1e-5.
-
-    The 200 points are uniform on [-2, 2] (seed 1), and a derivative passes
-    within 1e-3 relative to 1 + |declared value|.  Points within ``10 * h``
-    of a declared kink are skipped: there the declared value is one-sided
-    while the centered difference is not.
-    """
-    h, tol = 1e-5, 1e-3
-    x = seeded_rng(1).uniform(-2.0, 2.0, size=200)
-    for kink in f.kinks:
-        x = x[np.abs(x - kink) > 10 * h]
-    for order, dfn in f.derivatives.items():
-        if order == 1:
-            approx = (np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2 * h)
-        elif order == 2:
-            approx = (np.asarray(f(x + h)) - 2 * np.asarray(f(x)) + np.asarray(f(x - h))) / h**2
-        else:
-            continue
-        target = np.asarray(dfn(x), dtype=float)
-        scale = 1.0 + np.abs(target)
-        if np.any(np.abs(approx - target) > tol * scale):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +95,6 @@ def increment_fn(f: ScalarFn) -> TwoIndexFn:
     )
 
 
-def weighted_increment(g: ScalarFn, f: ScalarFn) -> TwoIndexFn:
-    """F(x, y) = g(x) * (f(y) - f(x))."""
-    return TwoIndexFn(
-        label=f"winc[{g.label},{f.label}]",
-        fn=lambda x, y: np.asarray(g(x)) * (np.asarray(f(y)) - np.asarray(f(x))),
-    )
-
-
 def linear_remainder(f: ScalarFn, g: ScalarFn) -> TwoIndexFn:
     """F(x, y) = f(y) - f(x) - g(x)(y - x).
 
@@ -170,25 +112,18 @@ def squared_increment() -> TwoIndexFn:
     return TwoIndexFn(label="sq", fn=lambda x, y: (np.asarray(y) - np.asarray(x)) ** 2)
 
 
-def custom_two_index(fn: Callable, label: str, validate: bool = True) -> TwoIndexFn:
-    """Wrap an arbitrary F(x, y); spot-checks the diagonal when ``validate``."""
-    if validate:
-        probe = np.array([-2.0, -0.3, 0.0, 0.7, 3.1])
-        vals = np.asarray(fn(probe, probe), dtype=float)
-        if np.any(vals != 0.0):
-            raise ValueError(f"{label}: F(x, x) must be exactly 0 on the diagonal")
-    return TwoIndexFn(label=label, fn=fn)
-
-
 # ---------------------------------------------------------------------------
 # incremental ratios
 # ---------------------------------------------------------------------------
 
 
 def _raw_ratio(F: TwoIndexFn, k: int, xs, h):
-    """The k-th incremental ratio recursion, without the finite-value guard.
+    """k-th iterated incremental ratio of F at xs with steps h = (h_1 ... h_k).
 
-    Scans and derivative limits call it directly, since they welcome inf.
+    The first ratio is F(x, x + h_1) / h_1; each further order differences
+    the previous one over a step h_j and divides by h_j.  Vectorized over
+    xs.  An overflow comes back as inf or nan, which the scans and the
+    derivative limits handle themselves.
     """
 
     def ratio(j: int, pts):
@@ -197,31 +132,6 @@ def _raw_ratio(F: TwoIndexFn, k: int, xs, h):
         return (ratio(j - 1, pts + h[j - 1]) - ratio(j - 1, pts)) / h[j - 1]
 
     return ratio(k, np.asarray(xs, dtype=float))
-
-
-def incremental_ratio(F: TwoIndexFn, k: int, x, h: Sequence[float]):
-    """k-th iterated incremental ratio of F at x with steps h = (h_1 ... h_k).
-
-    The first ratio is F(x, x + h_1) / h_1; each further order differences
-    the previous one over a step h_j and divides by h_j.  Accepts scalar or
-    array x (vectorized).  Raises ``ValueError`` for nonpositive steps and
-    ``NumericRangeError`` if the result is not finite.
-    """
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    h = [float(v) for v in h]
-    if len(h) != k:
-        raise ValueError(f"expected {k} step(s), got {len(h)}")
-    if any(v <= 0 for v in h):
-        raise ValueError("all steps h_i must be positive")
-    xs = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _raw_ratio(F, k, xs, h)
-    if not np.all(np.isfinite(out)):
-        raise NumericRangeError(
-            f"incremental ratio of {F.label} overflowed at order {k} with steps {h}"
-        )
-    return out if xs.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +162,6 @@ class Partition:
         if pts and (pts[0] <= self.a or pts[-1] >= self.b):
             raise ValueError("partition points must lie strictly inside (a, b)")
         object.__setattr__(self, "points", pts)
-
-    def refines(self, other: "Partition") -> bool:
-        """True when this partition contains every point of ``other``."""
-        return (self.a, self.b) == (other.a, other.b) and set(other.points) <= set(self.points)
 
     def cells(self) -> np.ndarray:
         return np.array([self.a, *self.points, self.b])
@@ -314,25 +220,16 @@ class LimitResult:
     trace: tuple
 
 
-@dataclass(frozen=True)
-class VariationResult:
-    estimate: float
-    finite: bool
-    trace: tuple
-
-
-def _refine(F: TwoIndexFn, a, b, scheme, tol, max_levels, threshold=math.inf):
+def _refine(F: TwoIndexFn, a, b, scheme, tol, max_levels):
     """Partition sums along a nested refinement chain, stopped by a Cauchy test.
 
     Returns (trace, converged): converged when the sums moved by less than
-    ``tol`` over the last three levels, not converged when a sum exceeds
-    ``threshold`` or the chain ends first.
+    ``tol`` over the last three levels, not converged when the chain ends
+    first.
     """
     trace: list[float] = []
     for part in (scheme or DyadicRefinement()).chain(a, b, max_levels):
         trace.append(partition_sum(F, part))
-        if trace[-1] > threshold:
-            return trace, False
         if len(trace) >= 3:
             d1 = abs(trace[-1] - trace[-2])
             d2 = abs(trace[-2] - trace[-3])
@@ -355,24 +252,6 @@ def summability_limit(
         raise ValueError("summability_limit needs a < b")
     trace, converged = _refine(F, a, b, scheme, tol, max_levels)
     return LimitResult(trace[-1], converged, tuple(trace))
-
-
-def variation_limit(
-    F: TwoIndexFn, a: float, b: float, scheme=None,
-    tol: float = 1e-4, max_levels: int = 16,
-) -> VariationResult:
-    """Same refinement chain with |F| summands.
-
-    ``finite`` is False when the trace exceeds the divergence threshold
-    ``1e6 * (|F(a, b)| + 1)`` or keeps growing (fails the Cauchy window)
-    through ``max_levels``.
-    """
-    if not (a < b):
-        raise ValueError("variation_limit needs a < b")
-    absF = TwoIndexFn(label=f"abs[{F.label}]", fn=lambda x, y: np.abs(F(x, y)))
-    threshold = 1e6 * abs(float(F(a, b))) + 1e6
-    trace, finite = _refine(absF, a, b, scheme, tol, max_levels, threshold)
-    return VariationResult(trace[-1], finite, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +371,6 @@ def derivative_limit(F: TwoIndexFn, j: int, x: float) -> DerivativeResult:
         col = new_col
     exists = best_err <= 1e-6 * max(1.0, abs(best))
     return DerivativeResult(float(best), bool(exists))
-
-
-def approx_derivative(f: ScalarFn, j: int, x: float) -> DerivativeResult:
-    """Vanishing-step j-th derivative of f (right version at kinks)."""
-    return derivative_limit(increment_fn(f), j, x)
 
 
 # ---------------------------------------------------------------------------

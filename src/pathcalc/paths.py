@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,8 +29,6 @@ __all__ = [
     "FiniteVariationPath",
     "SamplePath",
     "simulate",
-    "split_jumps",
-    "reattach_jumps",
     "realized_qv",
 ]
 
@@ -338,10 +336,7 @@ class SamplePath:
 
     ``values`` holds the post-jump (right-continuous) state at each grid
     time; ``pre_values`` differs from ``values`` only at jump indices,
-    where it holds the left limit.  ``readd_correction`` carries the
-    compensated-arithmetic residues produced by :func:`split_jumps` so that
-    :func:`reattach_jumps` is bit-exact; it is ``None`` for simulated and
-    imported paths.
+    where it holds the left limit.
     """
 
     times: np.ndarray
@@ -352,7 +347,6 @@ class SamplePath:
     horizon: float
     model: Optional[object] = None
     seed: Optional[int] = None
-    readd_correction: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
@@ -402,6 +396,13 @@ class SamplePath:
 
     @classmethod
     def from_csv(cls, path) -> "SamplePath":
+        """Read a file that :meth:`to_csv` wrote; a malformed file is a ``ValueError``.
+
+        Each row must hold value = pre_jump_value + jump_size exactly, as
+        :func:`simulate` builds it.  The error for a row that does not (a
+        left limit apart from its value where jump_size is 0, say) names
+        its line.
+        """
         times, values, pre, sizes = [], [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -413,10 +414,14 @@ class SamplePath:
             for row in reader:
                 if len(row) < 4:
                     raise ValueError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-                pre.append(float(row[2]))
-                sizes.append(float(row[3]))
+                t, v, p, size = map(float, row[:4])
+                if v != p + size:
+                    raise ValueError(f"line {reader.line_num}: value {v!r} is not "
+                                     f"pre_jump_value + jump_size = {p!r} + {size!r}")
+                times.append(t)
+                values.append(v)
+                pre.append(p)
+                sizes.append(size)
         if not times:
             raise ValueError("CSV file has a header but no rows")
         sizes = np.asarray(sizes)
@@ -537,7 +542,7 @@ def _write_float_rows(fh, header: str, columns) -> None:
 
 
 # ---------------------------------------------------------------------------
-# jump offsets and splitting
+# jump offsets
 # ---------------------------------------------------------------------------
 
 
@@ -553,77 +558,6 @@ def _jump_offsets(n: int, idx, sizes):
     at = _at_points(n, idx, sizes)
     cum = np.cumsum(at)
     return cum, cum - at
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray):
-    """Error-free transform: returns (s, e) with a + b = s + e exactly."""
-    s = a + b
-    bv = s - a
-    e = (a - (s - bv)) + (b - bv)
-    return s, e
-
-
-def split_jumps(path: SamplePath, a: float):
-    """Remove jumps larger than ``a`` in absolute size.
-
-    Returns the continuous(-er) path with those displacements subtracted
-    plus the ordered list of removed ``(time, size)`` pairs.  The returned
-    path carries compensation residues, so :func:`reattach_jumps` restores
-    the original values bit-exactly.
-    """
-    if a <= 0:
-        raise ValueError("jump threshold a must be > 0")
-    big = np.abs(path.jump_sizes) > a
-    if not np.any(big):
-        return path, []
-
-    removed_idx = path.jump_indices[big]
-    removed_sizes = path.jump_sizes[big]
-    cum, cum_pre = _jump_offsets(path.n_points, removed_idx, removed_sizes)
-    values0, err_v = _two_sum(path.values, -cum)
-    pre0, err_p = _two_sum(path.pre_values, -cum_pre)
-
-    stripped = SamplePath(
-        times=path.times.copy(), values=values0, pre_values=pre0,
-        jump_indices=path.jump_indices[~big].copy(),
-        jump_sizes=path.jump_sizes[~big].copy(),
-        horizon=path.horizon, model=path.model, seed=path.seed,
-        readd_correction=np.stack([err_v, err_p]),
-    )
-    removed = [(float(path.times[i]), float(s))
-               for i, s in zip(removed_idx, removed_sizes)]
-    return stripped, removed
-
-
-def reattach_jumps(path: SamplePath, removed) -> SamplePath:
-    """Inverse of :func:`split_jumps`; bit-exact when the correction is present."""
-    if not removed:
-        return path
-    times = np.asarray([t for t, _ in removed])
-    sizes = np.asarray([s for _, s in removed])
-    idx = np.searchsorted(path.times, times)
-    if not np.array_equal(path.times[idx], times):
-        raise ValueError("removed jump times are not grid points of the path")
-
-    cum, cum_pre = _jump_offsets(path.n_points, idx, sizes)
-    if path.readd_correction is not None:
-        err_v, err_p = path.readd_correction
-        s, e2 = _two_sum(path.values, cum)
-        values = s + (e2 + err_v)
-        s, e2 = _two_sum(path.pre_values, cum_pre)
-        pre = s + (e2 + err_p)
-    else:
-        values = path.values + cum
-        pre = path.pre_values + cum_pre
-
-    all_idx = np.concatenate([path.jump_indices, idx])
-    all_sizes = np.concatenate([path.jump_sizes, sizes])
-    order = np.argsort(all_idx)
-    return SamplePath(
-        times=path.times.copy(), values=values, pre_values=pre,
-        jump_indices=all_idx[order], jump_sizes=all_sizes[order],
-        horizon=path.horizon, model=path.model, seed=path.seed,
-    )
 
 
 def realized_qv(grid) -> float:

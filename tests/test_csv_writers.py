@@ -25,7 +25,6 @@ from pathcalc import (
     ito_decompose,
     make_scalar_fn,
     simulate,
-    split_jumps,
     tanaka_decompose,
 )
 from pathcalc.paths import _CSV_BLOCK_ROWS
@@ -77,15 +76,12 @@ def signed_zeros(path, seed) -> SamplePath:
 
 class TestPathsCsv:
     @given(model=st.sampled_from(MODELS), n_steps=N_STEPS, seed=SEEDS,
-           form=st.sampled_from(["simulated", "split", "imported", "signed_zeros"]))
+           form=st.sampled_from(["simulated", "imported", "signed_zeros"]))
     @settings(max_examples=60, deadline=None)
     def test_bytes_equal_the_row_writer(self, tmp_path_factory, model, n_steps, seed, form):
         directory = tmp_path_factory.mktemp("csv")
         path = simulate(model, n_steps, 1.0, seed=seed)
-        if form == "split":
-            # the stripped path's left limits differ from its values off the jump indices
-            path, _ = split_jumps(path, 0.1)
-        elif form == "imported":
+        if form == "imported":
             reference_to_csv(path, directory / "exported.csv")
             path = SamplePath.from_csv(directory / "exported.csv")
         elif form == "signed_zeros":

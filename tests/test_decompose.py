@@ -24,7 +24,6 @@ from pathcalc import (
     make_scalar_fn,
     occupation_local_time,
     simulate,
-    stochastic_integral,
     tanaka_decompose,
     verify_report,
 )
@@ -59,17 +58,15 @@ class TestBracketModel:
 class TestStochasticIntegral:
     def test_constant_integrand_gives_increment(self):
         p = simulate(JD, 2048, 1.0, seed=9)
-        one = ScalarFn("one", lambda x: np.ones_like(np.asarray(x, dtype=float)))
         g = dyadic_grid(p, 11)
-        si = stochastic_integral(one, g)
+        si = ito_decompose(make_scalar_fn("identity"), g).stochastic_integral
         assert np.max(np.abs(si - (p.values[g.indices] - p.values[0]))) < 1e-12
 
     def test_two_x_identity_per_cell(self):
         # per cell: b^2 - a^2 - 2a(b - a) = (b - a)^2, split at jumps
         p = simulate(JD, 2048, 1.0, seed=10)
         g = dyadic_grid(p, 11)
-        g2x = ScalarFn("2x", lambda x: 2.0 * np.asarray(x, dtype=float))
-        si = stochastic_integral(g2x, g)
+        si = ito_decompose(SQUARE, g).stochastic_integral
         idx = g.indices
         x = p.values[idx]
         m = p.pre_values[idx]
@@ -80,11 +77,11 @@ class TestStochasticIntegral:
         assert np.max(np.abs(lhs - si - split_qv)) < 1e-12
 
     def test_sign_integral_isometry(self):
-        sign = make_scalar_fn("sign")
+        # the integrand of |x| is the right-continuous sign
         vals = []
         for seed in range(300):
             p = simulate(BrownianMotion(), 2**12, 1.0, seed=8000 + seed)
-            vals.append(stochastic_integral(sign, dyadic_grid(p, 12))[-1] ** 2)
+            vals.append(ito_decompose(ABS, dyadic_grid(p, 12)).stochastic_integral[-1] ** 2)
         assert 0.9 <= float(np.mean(vals)) <= 1.1
 
 

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     DyadicRefinement,
-    NumericRangeError,
     Partition,
     RandomBisection,
     ScalarFn,
-    approx_derivative,
-    custom_two_index,
+    TwoIndexFn,
+    derivative_limit,
     increment_fn,
-    incremental_ratio,
     linear_remainder,
     lipschitz_scan,
     list_catalog,
@@ -22,11 +20,10 @@ from pathcalc import (
     squared_increment,
     summability_limit,
     taylor_check,
-    variation_limit,
-    weighted_increment,
 )
 from pathcalc.catalog import CATALOG_NAMES
-from pathcalc.functional import check_declared_derivatives, check_lipschitz_bounds
+from pathcalc.functional import _raw_ratio
+from pathcalc.paths import seeded_rng
 
 ABS = make_scalar_fn("abs")
 SQUARE = make_scalar_fn("square")
@@ -41,34 +38,27 @@ small_steps = st.floats(1e-3, 1.0, allow_nan=False, allow_infinity=False)
 class TestIncrementalRatio:
     def test_linear_first_ratio(self):
         F = increment_fn(IDENT)
-        assert incremental_ratio(F, 1, 3.7, [0.2]) == pytest.approx(1.0)
+        assert _raw_ratio(F, 1, 3.7, [0.2]) == pytest.approx(1.0)
 
     def test_square_second_ratio_constant(self):
         F = increment_fn(SQUARE)
-        assert incremental_ratio(F, 2, 0.0, [0.5, 0.25]) == pytest.approx(2.0)
+        assert _raw_ratio(F, 2, 0.0, [0.5, 0.25]) == pytest.approx(2.0)
 
     def test_x_abs_x_half_second_ratio_at_origin(self):
         F = increment_fn(XABS)
         for h in ([0.5, 0.25], [0.03, 0.7], [1e-3, 1e-3]):
-            assert incremental_ratio(F, 2, 0.0, h) == pytest.approx(1.0)
+            assert _raw_ratio(F, 2, 0.0, h) == pytest.approx(1.0)
 
-    def test_nonpositive_step_rejected(self):
-        F = increment_fn(SQUARE)
-        with pytest.raises(ValueError):
-            incremental_ratio(F, 1, 0.0, [0.0])
-        with pytest.raises(ValueError):
-            incremental_ratio(F, 2, 0.0, [0.1, -0.1])
-
-    def test_overflow_raises_numeric_range(self):
+    def test_overflow_is_not_finite(self):
         huge = ScalarFn("huge", lambda x: (np.asarray(x, dtype=float) * 1e200) ** 2)
-        with pytest.raises(NumericRangeError):
-            incremental_ratio(increment_fn(huge), 1, 1.0, [0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_raw_ratio(increment_fn(huge), 1, 1.0, [0.5]))
 
     @given(x=finite_floats, h1=small_steps, h2=small_steps)
     @settings(max_examples=60, deadline=None)
     def test_recursion_matches_four_point_formula(self, x, h1, h2):
         F = increment_fn(XABS)
-        via_recursion = incremental_ratio(F, 2, x, [h1, h2])
+        via_recursion = float(_raw_ratio(F, 2, x, [h1, h2]))
         direct = (F(x + h2, x + h2 + h1) / h1 - F(x, x + h1) / h1) / h2
         assert via_recursion == direct  # identical expression tree, bitwise
 
@@ -77,10 +67,8 @@ class TestTwoIndexConstructions:
     @given(x=finite_floats)
     @settings(max_examples=100, deadline=None)
     def test_diagonal_vanishes_exactly(self, x):
-        sign = make_scalar_fn("sign")
         constructions = [
             increment_fn(ABS),
-            weighted_increment(sign, SQUARE),
             linear_remainder(XABS, ABS),
             squared_increment(),
         ]
@@ -90,10 +78,6 @@ class TestTwoIndexConstructions:
     def test_increment_kind_is_plain_difference(self):
         F = increment_fn(CUBE)
         assert F(1.5, 2.5) == float(CUBE(2.5)) - float(CUBE(1.5))
-
-    def test_custom_requires_vanishing_diagonal(self):
-        with pytest.raises(ValueError):
-            custom_two_index(lambda x, y: np.asarray(y) + 1.0, "bad")
 
 
 class TestPartitionSum:
@@ -124,12 +108,6 @@ class TestPartitionSum:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             Partition(1.0, 1.0, ())
-
-    def test_refinement_is_point_inclusion(self):
-        coarse = Partition(0.0, 1.0, (0.5,))
-        fine = Partition(0.0, 1.0, (0.25, 0.5, 0.75))
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
 
 
 class TestSummabilityLimit:
@@ -184,28 +162,6 @@ class TestSummabilityLimit:
             summability_limit(squared_increment(), 1.0, 0.0)
 
 
-class TestVariationLimit:
-    def test_abs_total_variation(self):
-        res = variation_limit(increment_fn(ABS), -1.0, 1.0)
-        assert res.finite
-        assert res.estimate == pytest.approx(2.0, abs=1e-12)
-
-    def test_monotone_function(self):
-        res = variation_limit(increment_fn(CUBE), -1.0, 2.0)
-        assert res.finite
-        assert res.estimate == pytest.approx(float(CUBE(2.0)) - float(CUBE(-1.0)), abs=1e-10)
-
-    def test_unbounded_oscillation_not_finite(self):
-        def xsin(x):
-            x = np.asarray(x, dtype=float)
-            safe = np.where(x != 0, x, 1.0)
-            return np.where(x != 0, x * np.sin(1.0 / safe), 0.0)
-
-        res = variation_limit(increment_fn(ScalarFn("xsin", xsin)), 0.0, 1.0, max_levels=18)
-        assert not res.finite
-        assert res.trace[-1] > res.trace[-3]  # still growing at the last levels
-
-
 class TestLipschitzScan:
     def test_square_second_ratio_bounded_at_two(self):
         res = lipschitz_scan(increment_fn(SQUARE), 2, (-1.0, 1.0))
@@ -228,36 +184,36 @@ class TestLipschitzScan:
         assert res.sup_estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_nan_reported_as_failed_scan(self):
-        bad = custom_two_index(
+        bad = TwoIndexFn(
+            "nan_after_half",
             lambda x, y: np.where(np.asarray(y) > 0.5, np.nan, 0.0) * (np.asarray(y) - np.asarray(x)),
-            "nan_after_half", validate=False,
         )
         res = lipschitz_scan(bad, 1, (0.0, 1.0))
         assert not res.bounded
         assert np.isnan(res.sup_estimate)
 
 
-class TestApproxDerivative:
+class TestDerivativeLimit:
     def test_square_second_derivative(self):
-        res = approx_derivative(SQUARE, 2, 1.0)
+        res = derivative_limit(increment_fn(SQUARE), 2, 1.0)
         assert res.exists
         assert res.value == pytest.approx(2.0, abs=1e-9)
 
     def test_abs_right_derivative_at_origin(self):
-        res = approx_derivative(ABS, 1, 0.0)
+        res = derivative_limit(increment_fn(ABS), 1, 0.0)
         assert res.exists
         assert res.value == 1.0
 
     def test_abs_second_ratio_anchored_at_origin(self):
         # with equal steps anchored at x = 0 the second ratio is identically 0
-        res = approx_derivative(ABS, 2, 0.0)
+        res = derivative_limit(increment_fn(ABS), 2, 0.0)
         assert res.exists
         assert res.value == 0.0
 
     def test_cube_derivatives(self):
-        assert approx_derivative(CUBE, 1, 1.0).value == pytest.approx(3.0, abs=1e-8)
-        assert approx_derivative(CUBE, 2, 0.5).value == pytest.approx(3.0, abs=1e-8)
-        assert approx_derivative(CUBE, 3, -0.3).value == pytest.approx(6.0, abs=1e-8)
+        assert derivative_limit(increment_fn(CUBE), 1, 1.0).value == pytest.approx(3.0, abs=1e-8)
+        assert derivative_limit(increment_fn(CUBE), 2, 0.5).value == pytest.approx(3.0, abs=1e-8)
+        assert derivative_limit(increment_fn(CUBE), 3, -0.3).value == pytest.approx(6.0, abs=1e-8)
 
     def test_oscillating_limit_does_not_exist(self):
         def xsin(x):
@@ -265,7 +221,33 @@ class TestApproxDerivative:
             safe = np.where(x != 0, x, 1.0)
             return np.where(x != 0, x * np.sin(1.0 / safe), 0.0)
 
-        assert not approx_derivative(ScalarFn("xsin", xsin), 1, 0.0).exists
+        assert not derivative_limit(increment_fn(ScalarFn("xsin", xsin)), 1, 0.0).exists
+
+
+def check_declared_derivatives(f: ScalarFn) -> bool:
+    """Check declared derivatives against centered differences of step h = 1e-5.
+
+    The 200 points are uniform on [-2, 2] (seed 1), and a derivative passes
+    within 1e-3 relative to 1 + |declared value|.  Points within ``10 * h``
+    of a declared kink are skipped: there the declared value is one-sided
+    while the centered difference is not.
+    """
+    h, tol = 1e-5, 1e-3
+    x = seeded_rng(1).uniform(-2.0, 2.0, size=200)
+    for kink in f.kinks:
+        x = x[np.abs(x - kink) > 10 * h]
+    for order, dfn in f.derivatives.items():
+        if order == 1:
+            approx = (np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2 * h)
+        elif order == 2:
+            approx = (np.asarray(f(x + h)) - 2 * np.asarray(f(x)) + np.asarray(f(x - h))) / h**2
+        else:
+            continue
+        target = np.asarray(dfn(x), dtype=float)
+        scale = 1.0 + np.abs(target)
+        if np.any(np.abs(approx - target) > tol * scale):
+            return False
+    return True
 
 
 class TestCatalogDeclarations:
@@ -273,11 +255,6 @@ class TestCatalogDeclarations:
                                       "sign_primitive", "identity", "relu", "cos"])
     def test_declared_derivatives_match_finite_differences(self, name):
         assert check_declared_derivatives(make_scalar_fn(name))
-
-    @pytest.mark.parametrize("name", ["abs", "square", "cube", "x_abs_x_half",
-                                      "identity", "relu", "cos"])
-    def test_lipschitz_bounds_hold_on_samples(self, name):
-        assert check_lipschitz_bounds(make_scalar_fn(name))
 
     def test_piecewise_linear_eval_and_convexity(self):
         f = make_scalar_fn("piecewise_linear", breakpoints=[0.3], slopes=[0.0, 1.0])

@@ -1,11 +1,9 @@
 """Tests for seeded path simulation and jump bookkeeping."""
 
-import dataclasses
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     BrownianMotion,
@@ -18,9 +16,7 @@ from pathcalc import (
     UniformLaw,
     dyadic_grid,
     realized_qv,
-    reattach_jumps,
     simulate,
-    split_jumps,
 )
 from pathcalc.paths import law_from_dict, model_from_dict, seeded_rng
 
@@ -159,62 +155,6 @@ class TestSimulate:
             JumpDiffusion(sigma=1.0, drift=0.0, rate=-1.0, law=UniformLaw(0, 1))
 
 
-class TestSplitJumps:
-    def test_no_jumps_identity(self):
-        p = simulate(BrownianMotion(), 128, 1.0, seed=3)
-        cont, removed = split_jumps(p, 1.0)
-        assert cont is p and removed == []
-
-    def test_single_big_jump_removed(self):
-        p = simulate(CompoundPoissonJumps(rate=1.0, law=TwoPointLaw(1.0, 2.0, 2.0)), 64, 1.0, seed=8)
-        assert len(p.jump_indices) >= 1
-        cont, removed = split_jumps(p, 1.0)
-        assert len(removed) == len(p.jump_indices)
-        assert len(cont.jump_indices) == 0
-        # with all jumps removed the path is flat at the start level
-        assert np.allclose(cont.values, cont.values[0])
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_reattach_is_bit_exact(self, seed):
-        p = simulate(JD, 512, 1.0, seed=seed)
-        cont, removed = split_jumps(p, 0.1)
-        back = reattach_jumps(cont, removed)
-        assert np.array_equal(back.values, p.values)
-        assert np.array_equal(back.pre_values, p.pre_values)
-        assert np.array_equal(back.jump_indices, p.jump_indices)
-        assert np.array_equal(back.jump_sizes, p.jump_sizes)
-
-    def test_reattach_without_correction_adds_the_jumps_back(self):
-        # a path that carries no compensation residues, as a simulated one; this seed
-        # removes five of its six jumps
-        p = simulate(JD, 512, 1.0, seed=8)
-        cont, removed = split_jumps(p, 0.1)
-        assert len(removed) == 5 and len(cont.jump_indices) == 1
-        back = reattach_jumps(dataclasses.replace(cont, readd_correction=None), removed)
-        assert np.allclose(back.values, p.values, rtol=0, atol=1e-12)
-        assert np.allclose(back.pre_values, p.pre_values, rtol=0, atol=1e-12)
-        assert np.array_equal(back.jump_indices, p.jump_indices)
-
-    def test_threshold_validation(self):
-        p = simulate(JD, 64, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            split_jumps(p, 0.0)
-
-    @given(model=st.sampled_from([CPJ, JD]), seed=st.integers(0, 2**32),
-           a=st.floats(1e-6, 3.0, allow_nan=False))
-    @settings(max_examples=80, deadline=None)
-    def test_split_then_reattach_is_bit_exact_for_any_threshold(self, model, seed, a):
-        p = simulate(model, 256, 1.0, seed=seed)
-        cont, removed = split_jumps(p, a)
-        assert all(abs(size) > a for _, size in removed)
-        assert np.all(np.abs(cont.jump_sizes) <= a)
-        # the stripped path moves at a point by exactly its remaining jump there
-        assert np.allclose(cont.values - cont.pre_values, cont.jump_size_at(), rtol=0, atol=1e-12)
-        back = reattach_jumps(cont, removed)
-        for name in ("values", "pre_values", "jump_indices", "jump_sizes"):
-            assert np.array_equal(getattr(back, name), getattr(p, name)), name
-
-
 class TestSeededRng:
     def test_same_stream_as_the_integer_key(self):
         rng = np.random.default_rng(5)
@@ -256,8 +196,12 @@ class TestRealizedQV:
 
 
 class TestCsvRoundTrip:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        p = simulate(JD, 256, 1.0, seed=21)
+    @pytest.mark.parametrize("model", [
+        BrownianMotion(), JD, CPJ, CompoundPoissonJumps(rate=4.0, law=TwoPointLaw(0.5, 1.0, -1.0)),
+        FiniteVariationPath((0.0, 0.4, 1.0), (0.0, 0.8, 0.3)),
+    ], ids=["bm", "jd", "cpj", "cpj_two_point", "fv"])
+    def test_round_trip_preserves_everything(self, tmp_path, model):
+        p = simulate(model, 256, 1.0, seed=21)
         f = tmp_path / "path.csv"
         p.to_csv(f)
         q = SamplePath.from_csv(f)
@@ -278,9 +222,25 @@ class TestCsvRoundTrip:
         ("time,value,pre_jump_value,jump_size\n", "no rows"),
         ("time,value,pre_jump_value,jump_size\n0.0,0.0,0.0,0.0\n1.0,0.5,0.5\n",
          "line 3: expected 4 fields, got 3"),
-    ], ids=["empty", "header_only", "short_row"])
+        ("time,value,pre_jump_value,jump_size\n0.0,0.0,0.0,0.0\n1.0,0.5,0.25,0.0\n",
+         "line 3: value 0.5 is not pre_jump_value"),
+        ("time,value,pre_jump_value,jump_size\n0.0,0.0,0.0,0.0\n1.0,0.5,0.25,0.5\n",
+         "line 3: value 0.5 is not pre_jump_value"),
+    ], ids=["empty", "header_only", "short_row", "left_limit_off_a_jump", "jump_mismatch"])
     def test_malformed_files_raise_value_error(self, tmp_path, text, message):
         f = tmp_path / "bad.csv"
         f.write_text(text)
         with pytest.raises(ValueError, match=message):
+            SamplePath.from_csv(f)
+
+    def test_left_limit_moved_off_the_jumps_is_rejected(self, tmp_path):
+        # loaded, this path has no jump, and ito_decompose(square) on it reports an
+        # identity gap of 0.19 while its residual stays below 1e-16
+        f = tmp_path / "path.csv"
+        simulate(BrownianMotion(), 64, 1.0, seed=3).to_csv(f)
+        lines = f.read_text().splitlines()
+        t, v, pre, size = lines[20].split(",")
+        lines[20] = ",".join([t, v, repr(float(pre) + 0.5), size])
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 21: value"):
             SamplePath.from_csv(f)

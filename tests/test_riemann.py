@@ -16,10 +16,10 @@ from pathcalc import (
     ResolutionExhaustedError,
     SamplePath,
     ScalarFn,
+    TwoIndexFn,
     TwoPointLaw,
     UniformLaw,
     boundedness_scan,
-    custom_two_index,
     dyadic_grid,
     hitting_grid,
     increment_fn,
@@ -295,10 +295,8 @@ class TestPathwiseSum:
         G = squared_increment()
         pf_f = PathFunctional(path=p, base=F)
         pf_g = PathFunctional(path=p, base=G)
-        scaled = PathFunctional(path=p, base=custom_two_index(
-            lambda x, y: 3.5 * F(x, y), "3.5F", validate=False))
-        both = PathFunctional(path=p, base=custom_two_index(
-            lambda x, y: F(x, y) + G(x, y), "F+G", validate=False))
+        scaled = PathFunctional(path=p, base=TwoIndexFn("3.5F", lambda x, y: 3.5 * F(x, y)))
+        both = PathFunctional(path=p, base=TwoIndexFn("F+G", lambda x, y: F(x, y) + G(x, y)))
         assert pathwise_sum(scaled, g) == pytest.approx(3.5 * pathwise_sum(pf_f, g), abs=1e-12)
         assert pathwise_sum(both, g) == pytest.approx(
             pathwise_sum(pf_f, g) + pathwise_sum(pf_g, g), abs=1e-12)
@@ -362,8 +360,7 @@ class TestLimitInProbability:
         assert max(diag.cross_tail.values()) <= 0.05
 
     def test_first_order_increments_diverge(self):
-        absinc = custom_two_index(
-            lambda x, y: np.abs(np.asarray(y) - np.asarray(x)), "abs_inc")
+        absinc = TwoIndexFn("abs_inc", lambda x, y: np.abs(np.asarray(y) - np.asarray(x)))
         diag = limit_in_probability(
             absinc, BrownianMotion(),
             schemes=[{"scheme": "dyadic", "params": [6, 8, 10]},
