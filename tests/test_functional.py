@@ -250,11 +250,37 @@ def check_declared_derivatives(f: ScalarFn) -> bool:
     return True
 
 
+# (interval, L): |f(y) - f(x)| <= L |y - x| for x, y in the interval
+LIPSCHITZ_BOUNDS = {
+    "abs": ((-1e9, 1e9), 1.0),
+    "square": ((-10.0, 10.0), 20.0),
+    "cube": ((-10.0, 10.0), 300.0),
+    "x_abs_x_half": ((-10.0, 10.0), 10.0),
+    "identity": ((-1e9, 1e9), 1.0),
+    "relu": ((-1e9, 1e9), 1.0),
+    "cos": ((-1e9, 1e9), 1.0),
+}
+
+
 class TestCatalogDeclarations:
     @pytest.mark.parametrize("name", ["abs", "square", "cube", "x_abs_x_half",
                                       "sign_primitive", "identity", "relu", "cos"])
     def test_declared_derivatives_match_finite_differences(self, name):
         assert check_declared_derivatives(make_scalar_fn(name))
+
+    @pytest.mark.parametrize("name", list(LIPSCHITZ_BOUNDS))
+    def test_lipschitz_bounds_hold_on_samples(self, name):
+        f = make_scalar_fn(name)
+        (lo, hi), lip = LIPSCHITZ_BOUNDS[name]
+        lo, hi = max(lo, -1e6), min(hi, 1e6)
+        rng = seeded_rng(0)
+        x = rng.uniform(lo, hi, size=400)
+        y = rng.uniform(lo, hi, size=400)
+        gap = np.abs(np.asarray(f(y)) - np.asarray(f(x)))
+        assert np.all(gap <= lip * np.abs(y - x) + 1e-9)
+        # the first ratio, scanned with steps up to 0.25, stays under the same constant
+        res = lipschitz_scan(increment_fn(f), 1, (max(lo, -9.0), min(hi, 9.0)))
+        assert res.bounded and res.sup_estimate <= lip
 
     def test_piecewise_linear_eval_and_convexity(self):
         f = make_scalar_fn("piecewise_linear", breakpoints=[0.3], slopes=[0.0, 1.0])

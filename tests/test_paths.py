@@ -211,6 +211,17 @@ class TestCsvRoundTrip:
         assert np.array_equal(p.jump_indices, q.jump_indices)
         assert np.array_equal(p.jump_sizes, q.jump_sizes)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_jump_paths_read_back_bit_exact(self, tmp_path, seed):
+        # from_csv compares value with pre_jump_value + jump_size exactly, so every
+        # simulated jump path has to satisfy that sum to the last bit
+        p = simulate(JD, 512, 1.0, seed=seed)
+        f = tmp_path / "path.csv"
+        p.to_csv(f)
+        q = SamplePath.from_csv(f)
+        for name in ("times", "values", "pre_values", "jump_indices", "jump_sizes"):
+            assert np.array_equal(getattr(q, name), getattr(p, name)), name
+
     def test_header_validation(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("a,b,c,d\n0,0,0,0\n")
