@@ -19,7 +19,6 @@ from .decompose import (
     ito_decompose,
     occupation_local_time,
     tanaka_decompose,
-    verify_report,
 )
 from .errors import (
     PathcalcError,
@@ -57,7 +56,6 @@ from .paths import (
 )
 from .riemann import (
     ConvergenceDiagnostic,
-    PathFunctional,
     RiemannGrid,
     boundedness_scan,
     build_grid,

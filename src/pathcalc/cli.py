@@ -41,11 +41,16 @@ started, only a plain ``ValueError`` (an argument the library rejects, see
 ``errors.py``) or a ``ResolutionExhaustedError`` is reported as a config
 error; any other exception is a fault of the program and propagates.
 
-``replay`` re-evaluates the persisted numbers against the recorded bounds
-without recomputation, so acceptance stays auditable after the fact.  It
+``replay`` grades every recorded check again against its recorded bound, so
+acceptance stays auditable after the fact.  A check with a ``recompute``
+rule (every qv, ito, tanaka and summability check) takes its value from the
+per-seed reports through the :data:`STATS` entry that graded the run, so an
+edited report number changes the verdict; the compensator, independence and
+taylor checks are graded on the value that ``aggregate.json`` recorded.  It
 checks the fields of every check and report that it reads; a malformed
-aggregate or report prints ``error: …`` and exits 2, and any other
-exception is a fault of the program and propagates.
+aggregate or report (a recompute rule with no per-seed report to read among
+them) prints ``error: …`` and exits 2, and any other exception is a fault of
+the program and propagates.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ from .decompose import (
     ito_decompose,
     occupation_local_time,
     tanaka_decompose,
-    verify_report,
 )
 from .errors import ResolutionExhaustedError, SchemaError
 from .functional import (
@@ -244,8 +248,9 @@ _KEYS = {
         "tolerances": ({"qv_band": (_band, _qv_band)}, {}),
     },
     "ito": _decomposition_keys(residual=1e-8),
-    # verify_report reads the jump-cell tolerance only in tanaka mode, and only a Tanaka
-    # residual can be a local time (Ito's, of a C^2 function, is about 0)
+    # only a Tanaka run grades the residual of its jump cells on its own (an Ito run grades
+    # the whole residual), and only a Tanaka residual can be a local time (Ito's, of a C^2
+    # function, is about 0)
     "tanaka": {**_decomposition_keys(residual=1e-6, jump=(_real, 1e-3),
                                      local_time_rel=(_real, 0.10)),
                "local_time": ({"level": (_real, 0.0), "eps": (_real, _REQUIRED)}, None)},
@@ -459,7 +464,6 @@ def _mean_rel_err(rule, rows) -> float:
 STATS = {
     "max": lambda rule, rows: max(_column(rule, rows)),
     "mean": lambda rule, rows: float(np.mean(_column(rule, rows))),
-    "all_true": lambda rule, rows: all(map(bool, _column(rule, rows))),
     "diff_decreasing": _diff_decreasing,
     "mean_rel_err": _mean_rel_err,
 }
@@ -536,11 +540,15 @@ def _run_qv(cfg, kind_dir: Path):
     return checks, seeds
 
 
+# the rounding floor within which a report's identity gap may exceed its coarser reports'
+_GAP_GROWTH = 1e-10
+
+
 def _run_decomposition(mode, cfg, kind_dir: Path):
     f, g, level = cfg["function"], cfg["g"], cfg["level"]
     lt = cfg["local_time"] if mode == "tanaka" else None
     tols = cfg["tolerances"]
-    jump_tol = {"jump_tol": tols["jump"]} if mode == "tanaka" else {}
+    coarser_levels = [lv for lv in (level - 2, level - 1) if lv >= 0]
     if cfg["negative_control"]["corrupt_g_sign"]:
         base_g = g.fn if g is not None else f.derivative(1)
         if base_g is None:
@@ -552,31 +560,36 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
     def evaluate(path):
         bracket = BracketModel.from_model(cfg["model"])
         report = decompose(f, dyadic_grid(path, level), bracket, g=g)
-        coarser = [decompose(f, dyadic_grid(path, lv), bracket, g=g)
-                   for lv in (level - 2, level - 1) if lv >= 0]
-        verdict = verify_report(report, mode=mode, tol=tols["residual"],
-                                gap_tol=tols["identity_gap"], coarser=coarser, **jump_tol)
-        row = {"summary": report.summary_dict(), "verdict": verdict.to_json_dict()}
+        row = {"summary": report.summary_dict()}
+        # an inapplicable report has none of these numbers, and each check then FAILs
+        if report.applicable and coarser_levels:
+            # the coarser reports read the same path, so they are applicable too
+            coarser = [decompose(f, dyadic_grid(path, lv), bracket, g=g).stats["max_identity_gap"]
+                       for lv in coarser_levels]
+            row["identity_gap_growth"] = report.stats["max_identity_gap"] - max(coarser)
         if lt is not None and report.applicable:
             oracle = occupation_local_time(path, lt["level"], lt["eps"])
             row["local_time"] = {"a_c_final": float(report.residual[-1]), "oracle": oracle}
         return row, [("decomposition.csv", report.series_csv)]
 
     seeds, rows = _map_paths(cfg, kind_dir, evaluate)
-    checks = [
-        _recomputed_check("max_identity_gap", {"stat": "max", "key": "summary.max_identity_gap"},
-                          rows, "le", tols["identity_gap"]),
-        _recomputed_check("all_verdicts_pass", {"stat": "all_true", "key": "verdict.passed"},
-                          rows, "true", True),
-    ]
+
+    def at_most(name, key, bound, stat="max"):
+        return _recomputed_check(name, {"stat": stat, "key": key}, rows, "le", bound)
+
+    checks = [at_most("max_identity_gap", "summary.max_identity_gap", tols["identity_gap"])]
+    if coarser_levels:
+        checks.append(at_most("identity_gap_growth", "identity_gap_growth", _GAP_GROWTH))
     if mode == "ito":
-        checks.insert(0, _recomputed_check(
-            "max_residual", {"stat": "max", "key": "summary.max_abs_residual"}, rows, "le",
-            tols["residual"]))
+        checks.insert(0, at_most("max_residual", "summary.max_abs_residual", tols["residual"]))
+    else:
+        checks += [
+            at_most("max_residual_decrease", "summary.max_residual_decrease", tols["residual"]),
+            at_most("max_jump_cell_residual", "summary.max_jump_cell_residual", tols["jump"]),
+        ]
     if lt is not None:
-        checks.append(_recomputed_check(
-            "local_time_mean_rel_err", {"stat": "mean_rel_err", "key": "local_time"}, rows,
-            "le", tols["local_time_rel"]))
+        checks.append(at_most("local_time_mean_rel_err", "local_time", tols["local_time_rel"],
+                              stat="mean_rel_err"))
     return checks, seeds
 
 
@@ -647,12 +660,11 @@ def _run_summability(cfg, kind_dir: Path):
         right = summability_limit(F, t, b, tol=tol)
         add_worst = max(add_worst, abs(whole.estimate - left.estimate - right.estimate))
 
-    checks = [
-        _check("telescoping_max_error", worst, "le", exact_tol),
-        _check("additivity_max_error", add_worst, "le", 2 * tol),
-    ]
-    _write_seed(kind_dir, cfg["base_seed"],
-                {"telescoping_max_error": worst, "additivity_max_error": add_worst})
+    row = {"telescoping_max_error": worst, "additivity_max_error": add_worst}
+    _write_seed(kind_dir, cfg["base_seed"], row)
+    bounds = {"telescoping_max_error": exact_tol, "additivity_max_error": 2 * tol}
+    checks = [_recomputed_check(name, {"stat": "max", "key": name}, [row], "le", bound)
+              for name, bound in bounds.items()]
     return checks, [cfg["base_seed"]]
 
 
@@ -688,7 +700,8 @@ _RUNNERS = {
 
 
 def _regrade(check, seed_rows) -> dict:
-    """A persisted check graded again, with its rule's value when it has one.
+    """A persisted check graded again, with its rule's value when it has one; a rule
+    with no per-seed rows to read is a :class:`SchemaError`.
 
     The check must be an object with a string ``name``, an ``op`` of
     :data:`CHECK_OPS`, and a ``value`` and ``bound`` that the op compares: a
@@ -705,7 +718,10 @@ def _regrade(check, seed_rows) -> dict:
     if op != "true" and not ((value is None or _is_real(value))
                              and (_is_band if op == "in" else _is_real)(bound)):
         raise SchemaError(f"check {name!r} cannot compare {value!r} {op} {bound!r}")
-    if "recompute" in check and seed_rows:
+    if "recompute" in check:
+        if not seed_rows:
+            raise SchemaError(f"check {name!r} has a recompute rule, but the aggregate lists "
+                              "no per-seed report")
         value = _replay_value(check["recompute"], seed_rows)
     return _check(name, value, op, bound)
 

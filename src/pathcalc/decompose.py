@@ -31,11 +31,9 @@ from .riemann import RiemannGrid
 __all__ = [
     "BracketModel",
     "DecompositionReport",
-    "VerdictRecord",
     "ito_decompose",
     "tanaka_decompose",
     "occupation_local_time",
-    "verify_report",
 ]
 
 
@@ -158,13 +156,16 @@ class DecompositionReport:
 
     @cached_property
     def stats(self) -> dict:
-        """Extremes that summary and verdict read (applicable reports); absent ones read 0."""
+        """Extremes that the summary records and the CLI grades (applicable reports), each
+        an upper bound's value; absent ones read 0.  ``max_residual_decrease`` is minus
+        the least residual increment, at most 0 when the residual never decreases."""
         incr = np.diff(self.residual) if len(self.residual) > 1 else np.array([0.0])
         jumps = self.jump_cell_residuals
         return {
             "max_abs_residual": float(np.max(np.abs(self.residual))),
             "max_identity_gap": float(np.max(self.identity_gap)),
-            "min_residual_increment": float(np.min(incr)),
+            # 0.0 - x, not -x, so that a least increment of 0.0 reads 0.0, not -0.0
+            "max_residual_decrease": 0.0 - float(np.min(incr)),
             "max_jump_cell_residual": float(np.max(np.abs(jumps))) if len(jumps) else 0.0,
         }
 
@@ -400,66 +401,3 @@ def occupation_local_time(path: SamplePath, a: float, eps: float) -> float:
         np.clip(overlap, 0.0, None) / np.where(flat, 1.0, hi - lo),
     )
     return float(np.sum(w * frac)) / (2 * eps)
-
-
-# ---------------------------------------------------------------------------
-# verdicts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerdictRecord:
-    mode: str
-    checks: dict
-    passed: bool
-
-    def to_json_dict(self):
-        return {"mode": self.mode, "checks": self.checks, "passed": self.passed}
-
-
-def _at_most(value: float, bound: float) -> dict:
-    return {"value": value, "bound": bound, "passed": value <= bound}
-
-
-def verify_report(
-    report: DecompositionReport,
-    mode: str,
-    tol: float = 1e-8,
-    jump_tol: float = 1e-3,
-    gap_tol: Optional[float] = None,
-    coarser=(),
-) -> VerdictRecord:
-    """Grade a report: residual smallness (ito) or A^c shape (tanaka).
-
-    ``coarser`` may hold reports of the same experiment at coarser grids;
-    the identity-gap closure must then not grow under refinement (within a
-    1e-10 rounding floor).  Verdicts are data, never exceptions.
-    """
-    if mode not in ("ito", "tanaka"):
-        raise ValueError("mode must be 'ito' or 'tanaka'")
-    checks: dict = {}
-    if not report.applicable:
-        checks["applicable"] = {"value": False, "bound": True, "passed": False}
-        return VerdictRecord(mode=mode, checks=checks, passed=False)
-
-    gap_tol = tol if gap_tol is None else gap_tol
-    stats = report.stats
-    gap_max = stats["max_identity_gap"]
-    checks["identity_gap_max"] = _at_most(gap_max, gap_tol)
-
-    if mode == "ito":
-        checks["max_abs_residual"] = _at_most(stats["max_abs_residual"], tol)
-    else:
-        min_incr = stats["min_residual_increment"]
-        checks["residual_increments_min"] = {"value": min_incr, "bound": -tol,
-                                             "passed": min_incr >= -tol}
-        start = float(abs(report.residual[0])) if len(report.residual) else 0.0
-        checks["residual_starts_at_zero"] = _at_most(start, tol)
-        checks["max_jump_time_increment"] = _at_most(stats["max_jump_cell_residual"], jump_tol)
-
-    coarser_gaps = [r.stats["max_identity_gap"] for r in coarser if r.applicable]
-    if coarser_gaps:
-        checks["identity_gap_nonincreasing"] = _at_most(gap_max, max(coarser_gaps) + 1e-10)
-
-    passed = all(c["passed"] for c in checks.values())
-    return VerdictRecord(mode=mode, checks=checks, passed=passed)

@@ -26,7 +26,6 @@ __all__ = [
     "dyadic_grid",
     "hitting_grid",
     "build_grid",
-    "PathFunctional",
     "pathwise_sum",
     "boundedness_scan",
     "ConvergenceDiagnostic",
@@ -235,25 +234,10 @@ def build_grid(path: SamplePath, scheme: str, param) -> RiemannGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathFunctional:
-    """A two-index functional composed with a path: F(s, t) = base(X_s, X_t)."""
-
-    path: SamplePath
-    base: TwoIndexFn
-
-    def pair_values(self, i, j) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        return np.asarray(self.base(self.path.values[i], self.path.values[j]), dtype=float)
-
-
-def pathwise_sum(pf: PathFunctional, grid: RiemannGrid) -> float:
-    """Sum of F over consecutive grid times; the grid must be on pf's path."""
-    if grid.path is not pf.path:
-        raise ValueError("grid belongs to a different path")
-    idx = grid.indices
-    return float(np.sum(pf.pair_values(idx[:-1], idx[1:])))
+def pathwise_sum(base: TwoIndexFn, grid: RiemannGrid) -> float:
+    """Sum of F(s, t) = base(X_s, X_t) over consecutive times of the grid, X its path."""
+    x = grid.path.values[grid.indices]
+    return float(np.sum(np.asarray(base(x[:-1], x[1:]), dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +245,14 @@ def pathwise_sum(pf: PathFunctional, grid: RiemannGrid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_extrema(pf: PathFunctional, i: np.ndarray, j: np.ndarray):
-    xs = pf.path.values[i]
-    xt = pf.path.values[j]
+def _ratio_extrema(base: TwoIndexFn, path: SamplePath, i: np.ndarray, j: np.ndarray):
+    xs = path.values[i]
+    xt = path.values[j]
     keep = (xt - xs) ** 2 > 1e-12
     if not np.any(keep):
         return None
-    vals = pf.pair_values(i[keep], j[keep]) / (xt[keep] - xs[keep]) ** 2
+    xs, xt = xs[keep], xt[keep]
+    vals = np.asarray(base(xs, xt), dtype=float) / (xt - xs) ** 2
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -296,7 +281,6 @@ def boundedness_scan(
     sup_abs = {s: 0.0 for s in strides}
     inf_val = {s: np.inf for s in strides}
     for path in paths:
-        pf = PathFunctional(path=path, base=base)
         n = path.n_points
         starts = {s: np.arange(0, n - s, s, dtype=np.int64) for s in strides}
         i = rng.integers(0, n - 1, size=20000)
@@ -305,7 +289,7 @@ def boundedness_scan(
         # pairs s apart for each stride s, then the random pairs counted with stride 1
         pairs = [(s, a, a + s) for s, a in starts.items()] + [(1, i, j)]
         for s, i, j in pairs:
-            ext = _ratio_extrema(pf, i, j)
+            ext = _ratio_extrema(base, path, i, j)
             if ext is not None:
                 inf_val[s] = min(inf_val[s], ext[0])
                 sup_abs[s] = max(sup_abs[s], abs(ext[0]), abs(ext[1]))
@@ -381,10 +365,9 @@ def limit_in_probability(
 
     for p in range(n_paths):
         path = simulate(model, n_steps=n_steps, T=T, seed=base_seed + p)
-        pf = PathFunctional(path=path, base=base)
         for name, ps in params.items():
             for lv, param in enumerate(ps):
-                estimates[name][p, lv] = pathwise_sum(pf, build_grid(path, name, param))
+                estimates[name][p, lv] = pathwise_sum(base, build_grid(path, name, param))
 
     tail_probs = {
         name: [float(np.mean(np.abs(arr[:, k] - arr[:, k + 1]) > eps))

@@ -91,7 +91,10 @@ class TestRun:
             "out_dir": str(tmp_path / "out_neg"),
         })
         assert main(["run", cfg]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        run_lines = _check_lines(capsys.readouterr().out)
+        assert any(line.startswith("max_residual_decrease: FAIL (") for line in run_lines)
+        assert main(["replay", str(tmp_path / "out_neg" / "tanaka")]) == 1
+        assert _check_lines(capsys.readouterr().out) == run_lines
 
     def test_summability_and_taylor_runners(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "summ.json", {
@@ -375,6 +378,100 @@ class TestMalformedAggregate:
         with pytest.raises(TypeError, match="bug inside a statistic"):
             main(["replay", str(agg_path.parent)])
         assert "malformed" not in capsys.readouterr().err
+
+
+# passing decomposition runs; a loose local-time tolerance, as 3 paths test plumbing
+GRADED_CONFIGS = {
+    "ito": PARITY_CONFIGS["ito"],
+    "tanaka": {**PARITY_CONFIGS["tanaka_local_time"], "tolerances": {"local_time_rel": 5.0}},
+}
+
+
+class TestDecompositionChecksFollowTheReports:
+    """Every ito and tanaka check is recomputed from the numbers of the per-seed reports."""
+
+    def _run(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, f"{kind}.json", {
+            "schema_version": 1, "base_seed": 2, **GRADED_CONFIGS[kind],
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        capsys.readouterr()
+        return tmp_path / "out" / kind
+
+    @pytest.mark.parametrize("kind, check, key", [
+        ("ito", "max_residual", "summary.max_abs_residual"),
+        ("ito", "max_identity_gap", "summary.max_identity_gap"),
+        ("ito", "identity_gap_growth", "identity_gap_growth"),
+        ("tanaka", "max_identity_gap", "summary.max_identity_gap"),
+        ("tanaka", "identity_gap_growth", "identity_gap_growth"),
+        ("tanaka", "max_residual_decrease", "summary.max_residual_decrease"),
+        ("tanaka", "max_jump_cell_residual", "summary.max_jump_cell_residual"),
+        ("tanaka", "local_time_mean_rel_err", "local_time.a_c_final"),
+    ], ids=["ito_max_residual", "ito_max_identity_gap", "ito_identity_gap_growth",
+            "tanaka_max_identity_gap", "tanaka_identity_gap_growth",
+            "tanaka_max_residual_decrease", "tanaka_max_jump_cell_residual",
+            "tanaka_local_time_mean_rel_err"])
+    def test_editing_one_reports_number_fails_its_check(self, tmp_path, capsys, kind, check,
+                                                          key):
+        kind_dir = self._run(tmp_path, capsys, kind)
+        agg = json.loads((kind_dir / "aggregate.json").read_text())
+        assert check in [c["name"] for c in agg["checks"]]
+        assert main(["replay", str(kind_dir)]) == 0
+        capsys.readouterr()
+        report = kind_dir / "3" / "report.json"
+        row = json.loads(report.read_text())
+        assert "verdict" not in row
+        *parents, leaf = key.split(".")
+        entry = row
+        for part in parents:
+            entry = entry[part]
+        entry[leaf] = 100.0 * entry[leaf] + 1.0
+        report.write_text(json.dumps(row))
+        assert main(["replay", str(kind_dir)]) == 1
+        lines = _check_lines(capsys.readouterr().out)
+        assert [line.split(":")[0] for line in lines if ": FAIL (" in line] == [check]
+
+    @pytest.mark.parametrize("level, declared", [(0, False), (1, True)])
+    def test_identity_gap_growth_needs_a_coarser_level(self, tmp_path, level, declared):
+        cfg = write_config(tmp_path, "ito.json", {
+            "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS["ito"], "level": level,
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        agg = json.loads((tmp_path / "out" / "ito" / "aggregate.json").read_text())
+        assert ("identity_gap_growth" in [c["name"] for c in agg["checks"]]) is declared
+
+    def test_editing_the_summability_report_fails_its_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "summ.json", {
+            "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS["summability"],
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        kind_dir = tmp_path / "out" / "summability"
+        report = kind_dir / "2" / "report.json"
+        row = json.loads(report.read_text())
+        row["additivity_max_error"] = 1.0
+        report.write_text(json.dumps(row))
+        capsys.readouterr()
+        assert main(["replay", str(kind_dir)]) == 1
+        assert "additivity_max_error: FAIL (value=1.0, le 0.0002)" in capsys.readouterr().out
+
+    def test_a_recompute_rule_with_no_per_seed_report_exits_2(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path)])
+        kind_dir = tmp_path / "out" / "qv"
+        report = kind_dir / "107" / "report.json"
+        row = json.loads(report.read_text())
+        row["qv"]["7"] = 100.0
+        report.write_text(json.dumps(row))
+        capsys.readouterr()
+        assert main(["replay", str(kind_dir)]) == 1
+        agg_path = kind_dir / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        agg["per_seed"] = {}
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(kind_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed aggregate or report: SchemaError: ")
+        assert "no per-seed report" in captured.err and captured.out == ""
 
 
 class TestRunnerInputErrors:

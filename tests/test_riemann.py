@@ -12,7 +12,6 @@ from pathcalc import (
     CompoundPoissonJumps,
     FiniteVariationPath,
     JumpDiffusion,
-    PathFunctional,
     ResolutionExhaustedError,
     SamplePath,
     ScalarFn,
@@ -260,9 +259,8 @@ class TestGridProperties:
 class TestPathwiseSum:
     def test_increment_fn_telescopes_on_any_grid(self):
         p = bm(seed=11)
-        pf = PathFunctional(path=p, base=increment_fn(ABS))
         for level in (0, 3, 6, 9):
-            s = pathwise_sum(pf, dyadic_grid(p, level))
+            s = pathwise_sum(increment_fn(ABS), dyadic_grid(p, level))
             assert s == pytest.approx(abs(p.values[-1]) - abs(p.values[0]), abs=1e-12)
 
     @given(model=st.sampled_from([BrownianMotion(), JD, CPJ, FV]), seed=seeds,
@@ -278,34 +276,26 @@ class TestPathwiseSum:
         else:
             # at or above the resolution heuristic; pure-jump paths have heuristic 0
             g = hitting_grid(p, scale * max(2.0 * p.median_continuous_move(), 0.05))
-        assert realized_qv(g) == pathwise_sum(PathFunctional(g.path, squared_increment()), g)
+        assert realized_qv(g) == pathwise_sum(squared_increment(), g)
         assert np.max(np.abs(ito_decompose(SQUARE, g).residual)) <= 1e-8
 
     def test_remainder_sum_equals_qv_for_square(self):
         g2x = ScalarFn("2x", lambda x: 2.0 * np.asarray(x, dtype=float))
         p = bm(seed=13)
-        pf = PathFunctional(path=p, base=linear_remainder(SQUARE, g2x))
         g = dyadic_grid(p, 8)
-        assert pathwise_sum(pf, g) == pytest.approx(realized_qv(g), abs=1e-12)
+        assert pathwise_sum(linear_remainder(SQUARE, g2x), g) == pytest.approx(realized_qv(g),
+                                                                               abs=1e-12)
 
     def test_scaling_and_linearity(self):
         p = bm(seed=14)
         g = dyadic_grid(p, 6)
         F = increment_fn(XABS)
         G = squared_increment()
-        pf_f = PathFunctional(path=p, base=F)
-        pf_g = PathFunctional(path=p, base=G)
-        scaled = PathFunctional(path=p, base=TwoIndexFn("3.5F", lambda x, y: 3.5 * F(x, y)))
-        both = PathFunctional(path=p, base=TwoIndexFn("F+G", lambda x, y: F(x, y) + G(x, y)))
-        assert pathwise_sum(scaled, g) == pytest.approx(3.5 * pathwise_sum(pf_f, g), abs=1e-12)
+        scaled = TwoIndexFn("3.5F", lambda x, y: 3.5 * F(x, y))
+        both = TwoIndexFn("F+G", lambda x, y: F(x, y) + G(x, y))
+        assert pathwise_sum(scaled, g) == pytest.approx(3.5 * pathwise_sum(F, g), abs=1e-12)
         assert pathwise_sum(both, g) == pytest.approx(
-            pathwise_sum(pf_f, g) + pathwise_sum(pf_g, g), abs=1e-12)
-
-    def test_grid_path_mismatch_rejected(self):
-        p1, p2 = bm(seed=1), bm(seed=2)
-        pf = PathFunctional(path=p1, base=squared_increment())
-        with pytest.raises(ValueError, match="different path"):
-            pathwise_sum(pf, dyadic_grid(p2, 3))
+            pathwise_sum(F, g) + pathwise_sum(G, g), abs=1e-12)
 
 
 @pytest.fixture(scope="module")
