@@ -574,8 +574,8 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
 
     seeds, rows = _map_paths(cfg, kind_dir, evaluate)
 
-    def at_most(name, key, bound, stat="max"):
-        return _recomputed_check(name, {"stat": stat, "key": key}, rows, "le", bound)
+    def at_most(name, key, bound):
+        return _recomputed_check(name, {"stat": "max", "key": key}, rows, "le", bound)
 
     checks = [at_most("max_identity_gap", "summary.max_identity_gap", tols["identity_gap"])]
     if coarser_levels:
@@ -588,8 +588,9 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
             at_most("max_jump_cell_residual", "summary.max_jump_cell_residual", tols["jump"]),
         ]
     if lt is not None:
-        checks.append(at_most("local_time_mean_rel_err", "local_time", tols["local_time_rel"],
-                              stat="mean_rel_err"))
+        checks.append(_recomputed_check(
+            "local_time_mean_rel_err", {"stat": "mean_rel_err", "key": "local_time"}, rows,
+            "le", tols["local_time_rel"]))
     return checks, seeds
 
 
