@@ -2,8 +2,9 @@
 reports, or list the ``catalog``.
 
 Output layout per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per
-path, one per (process, Y) pair for compensator, the base seed alone for
-summability, taylor and independence), beside it ``paths.csv`` and
+path; for compensator one per (process, Y) pair, then one for its martingale
+check and one for its negative control at the next two seeds; the base seed
+alone for summability, taylor and independence), beside it ``paths.csv`` and
 ``decomposition.csv`` when paths persist, with ``aggregate.json`` and a
 one-page ``summary.txt`` at the experiment level.  Paths persist for the qv,
 ito and tanaka kinds by the config key ``write_paths``: ``true``,
@@ -16,9 +17,9 @@ bytes of the two CSV files.
 Aggregates are byte-identical across reruns of the same config and seed,
 whatever the thread count: workers fan out across seeds on one pool of
 ``PATHCALC_THREADS`` threads (by default the usable CPUs, up to 8) and write
-their own files; a compensator run fans out its (process, Y) pairs, each
-with its own seed, and runs its martingale check and negative control after
-them.  The coordinator aggregates in fixed seed order, writing once.
+their own files; a compensator run fans out its (process, Y) pairs, its
+martingale check and its negative control, each with its own seed.  The
+coordinator aggregates in fixed seed order, writing once.
 
 Each kind's config keys, with the type and default of each key, are
 declared once, in ``_COMMON`` and ``_KEYS`` below, and only in the kinds
@@ -41,15 +42,16 @@ started, only a plain ``ValueError`` (an argument the library rejects, see
 ``errors.py``) or a ``ResolutionExhaustedError`` is reported as a config
 error; any other exception is a fault of the program and propagates.
 
-``replay`` grades every recorded check again against its recorded bound, so
-acceptance stays auditable after the fact.  A check with a ``recompute``
-rule (every qv, ito, tanaka and summability check) takes its value from the
-per-seed reports through the :data:`STATS` entry that graded the run, so an
-edited report number changes the verdict; the compensator, independence and
-taylor checks are graded on the value that ``aggregate.json`` recorded.  It
-checks the fields of every check and report that it reads; a malformed
-aggregate or report (a recompute rule with no per-seed report to read among
-them) prints ``error: …`` and exits 2, and any other exception is a fault of
+``replay`` grades a run again from its persisted numbers, so acceptance
+stays auditable after the fact.  Each kind has one grading function of its
+resolved config and its per-seed reports (:data:`_KIND_FUNCTIONS`): ``run``
+calls it on the reports that it has just written, and ``replay`` on the
+reports that it reads back, with the aggregate's recorded ``config``
+resolved again, so an edited report number changes the verdict.  ``replay``
+reads only the aggregate's ``schema_version`` (:data:`AGGREGATE_VERSION`),
+``kind``, ``config`` and ``per_seed``.  Any other version, a config that
+does not resolve, a ``per_seed`` other than the config's, or a malformed
+report prints ``error: …`` and exits 2; any other exception is a fault of
 the program and propagates.
 """
 
@@ -62,7 +64,6 @@ import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +98,12 @@ from .paths import (
     seeded_rng,
     simulate,
 )
-from .riemann import dyadic_grid, limit_in_probability
+from .riemann import _tail_fractions, dyadic_grid, limit_in_probability
 
+# the version of a run config's fields
 SCHEMA_VERSION = 1
+# the version of aggregate.json's fields; replay reads no other
+AGGREGATE_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +283,19 @@ _OVERRIDES = {"seed": ("base_seed",), "paths": ("n_paths",), "out": ("out_dir",)
 
 
 def _load_config(path: str, overrides) -> tuple[dict, dict]:
-    """The config at ``path`` with the CLI ``overrides``, checked against its kind's keys.
+    """The config at ``path`` with the CLI ``overrides``: see :func:`_resolve_config`."""
+    with open(path) as fh:
+        return _resolve_config(json.load(fh), overrides)
+
+
+def _resolve_config(raw, overrides=None) -> tuple[dict, dict]:
+    """The config ``raw`` with the CLI ``overrides``, checked against its kind's keys.
 
     Returns the config as ``aggregate.json`` records it (as written, with the
     overrides and the defaults of :data:`_RECORDED`) and the resolved config
     that the runner reads: every key of the kind, of its declared type, with
     models and catalog functions built and ``write_paths`` true or false.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     if _finite_json(raw) != raw:
@@ -301,7 +309,7 @@ def _load_config(path: str, overrides) -> tuple[dict, dict]:
         raise ValueError(f"config kind must be one of {KINDS}, got {kind!r}")
     keys = {**_COMMON, **_KEYS[kind]}
     for flag, targets in _OVERRIDES.items():
-        value = getattr(overrides, flag)
+        value = getattr(overrides, flag, None)
         if value is None:
             continue
         key = next((k for k in targets if k in keys), None)
@@ -359,13 +367,19 @@ def _write_seed(kind_dir: Path, seed, report: dict, files=()) -> None:
             write(fh)
 
 
-def _map_seeds(cfg, worker):
-    """``worker(seed)`` on the pool for the ``n_paths`` seeds from ``base_seed`` on; returns
-    the seeds and the results, both in seed order."""
-    seeds = [cfg["base_seed"] + i for i in range(cfg["n_paths"])]
+def _seeds(cfg) -> range:
+    """The seeds of a run's reports, in order (see the module docstring): one per path of
+    the kinds that may write paths, one per (process, Y) pair and two more for compensator,
+    one for the other kinds."""
+    n = (len(_compensator_pairs(cfg["T"])) + 2 if cfg["kind"] == "compensator"
+         else cfg["n_paths"] if "write_paths" in cfg else 1)
+    return range(cfg["base_seed"], cfg["base_seed"] + n)
+
+
+def _map_seeds(cfg, worker) -> list:
+    """``worker(seed)``'s results on the pool for each seed of :func:`_seeds`, in order."""
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        results = list(pool.map(worker, seeds))
-    return seeds, results
+        return list(pool.map(worker, _seeds(cfg)))
 
 
 CHECK_OPS = {
@@ -389,95 +403,6 @@ def _check(name, value, op, bound) -> dict:
     }
 
 
-def _recomputed_check(name, rule, seed_rows, op, bound) -> dict:
-    """A check whose value is the statistic ``rule`` of the per-seed rows.
-
-    The rule is stored with the check, and ``replay`` recomputes the value
-    from the persisted rows through the same :data:`STATS` entry.
-    """
-    return {**_check(name, _replay_value(rule, seed_rows), op, bound), "recompute": rule}
-
-
-# ---------------------------------------------------------------------------
-# named statistics over per-seed rows (shared by run and replay)
-# ---------------------------------------------------------------------------
-
-
-def _dig(row: dict, dotted: str):
-    """The number (or bool) at a dotted key path of a per-seed row.
-
-    A missing key, a ``null`` and a number that is not finite all read as
-    inf: the seed has no such number (say, an inapplicable report), so the
-    statistic fails any upper bound.  A path through something other than an
-    object, or to something other than a number, is a :class:`SchemaError`.
-    """
-    cur = row
-    for part in dotted.split("."):
-        if not isinstance(cur, dict):
-            raise SchemaError(f"{dotted!r} of a per-seed report runs through {cur!r}")
-        if part not in cur:
-            return float("inf")
-        cur = cur[part]
-    if cur is None or (_is_real(cur) and not math.isfinite(cur)):
-        return float("inf")
-    if not isinstance(cur, numbers.Real):
-        raise SchemaError(f"{dotted!r} of a per-seed report is {cur!r}, not a number")
-    return cur
-
-
-def _rule_field(rule: dict, name: str, accepts, what: str):
-    """The field ``name`` of a recompute rule; a :class:`SchemaError` unless it is ``what``."""
-    if not accepts(rule.get(name)):
-        raise SchemaError(f"recompute rule {rule!r} needs {name!r} to be {what}")
-    return rule[name]
-
-
-def _column(rule, rows) -> list:
-    """The value at the rule's ``key`` in each row (see :func:`_dig`)."""
-    key = _rule_field(rule, "key", lambda v: isinstance(v, str), "a string")
-    return [_dig(r, key) for r in rows]
-
-
-def _diff_decreasing(rule, rows) -> bool:
-    """Mean |S_k - S_(k+1)| over seeds does not grow along ``keys`` (5% slack)."""
-    keys = _rule_field(rule, "keys", lambda v: isinstance(v, list)
-                       and all(isinstance(k, str) for k in v), "a list of strings")
-    diffs = [
-        float(np.mean([abs(_dig(r, a) - _dig(r, b)) for r in rows]))
-        for a, b in zip(keys[:-1], keys[1:])
-    ]
-    return all(d2 <= d1 * 1.05 + 1e-12 for d1, d2 in zip(diffs[:-1], diffs[1:]))
-
-
-def _mean_rel_err(rule, rows) -> float:
-    """Per-seed |a_c_final - oracle| / oracle, averaged over the seeds that have
-    a ``rule["key"]`` entry; inf when none has."""
-    key = _rule_field(rule, "key", lambda v: isinstance(v, str), "a string")
-    entries = [r[key] for r in rows if key in r]
-    if not all(isinstance(e, dict) and _is_real(e.get("a_c_final")) and _is_real(e.get("oracle"))
-               for e in entries):
-        raise SchemaError(f"a {key!r} entry needs the numbers a_c_final and oracle")
-    rels = [abs(e["a_c_final"] - e["oracle"]) / max(e["oracle"], 1e-12) for e in entries]
-    return float(np.mean(rels)) if rels else float("inf")
-
-
-STATS = {
-    "max": lambda rule, rows: max(_column(rule, rows)),
-    "mean": lambda rule, rows: float(np.mean(_column(rule, rows))),
-    "diff_decreasing": _diff_decreasing,
-    "mean_rel_err": _mean_rel_err,
-}
-
-
-def _replay_value(rule, seed_rows):
-    if not isinstance(rule, dict):
-        raise SchemaError(f"a recompute rule must be an object, got {rule!r}")
-    stat = rule.get("stat")
-    if not (isinstance(stat, str) and stat in STATS):
-        raise SchemaError(f"unknown recompute stat {stat!r}")
-    return STATS[stat](rule, seed_rows)
-
-
 def _verdicts(checks, summary_path=None) -> int:
     """Print the check lines and the overall line (and write them to ``summary_path``)."""
     lines = [f"{c['name']}: {'PASS' if c['passed'] else 'FAIL'} "
@@ -490,20 +415,8 @@ def _verdicts(checks, summary_path=None) -> int:
     return 0 if ok else 1
 
 
-def _finish(recorded, kind_dir: Path, checks, seeds) -> int:
-    aggregate = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": recorded["kind"],
-        "config": recorded,
-        "checks": checks,
-        "per_seed": {str(s): _seed_file(s) for s in seeds},
-    }
-    _write_json(kind_dir / "aggregate.json", aggregate)
-    return _verdicts(checks, kind_dir / "summary.txt")
-
-
 # ---------------------------------------------------------------------------
-# experiment runners: each returns its checks and the seeds that have a report
+# experiment runners: each writes its per-seed reports and returns them in seed order
 # ---------------------------------------------------------------------------
 
 
@@ -524,30 +437,17 @@ def _map_paths(cfg, kind_dir: Path, evaluate):
 
 
 def _run_qv(cfg, kind_dir: Path):
-    levels, band = cfg["levels"], cfg["tolerances"]["qv_band"]
+    levels = cfg["levels"]
 
     def evaluate(path):
         return {"qv": {str(lv): realized_qv(dyadic_grid(path, lv)) for lv in levels}}, ()
 
-    seeds, rows = _map_paths(cfg, kind_dir, evaluate)
-    checks = [
-        _recomputed_check(f"E[QV]_{cfg['T']:g} in {band}",
-                          {"stat": "mean", "key": f"qv.{levels[-1]}"}, rows, "in", band),
-        _recomputed_check("cauchy_trace_decreasing",
-                          {"stat": "diff_decreasing", "keys": [f"qv.{lv}" for lv in levels]},
-                          rows, "true", True),
-    ]
-    return checks, seeds
+    return _map_paths(cfg, kind_dir, evaluate)
 
 
-# the rounding floor within which a report's identity gap may exceed its coarser reports'
-_GAP_GROWTH = 1e-10
-
-
-def _run_decomposition(mode, cfg, kind_dir: Path):
-    f, g, level = cfg["function"], cfg["g"], cfg["level"]
+def _run_decomposition(cfg, kind_dir: Path):
+    mode, f, g, level = cfg["kind"], cfg["function"], cfg["g"], cfg["level"]
     lt = cfg["local_time"] if mode == "tanaka" else None
-    tols = cfg["tolerances"]
     coarser_levels = [lv for lv in (level - 2, level - 1) if lv >= 0]
     if cfg["negative_control"]["corrupt_g_sign"]:
         base_g = g.fn if g is not None else f.derivative(1)
@@ -572,73 +472,63 @@ def _run_decomposition(mode, cfg, kind_dir: Path):
             row["local_time"] = {"a_c_final": float(report.residual[-1]), "oracle": oracle}
         return row, [("decomposition.csv", report.series_csv)]
 
-    seeds, rows = _map_paths(cfg, kind_dir, evaluate)
+    return _map_paths(cfg, kind_dir, evaluate)
 
-    def at_most(name, key, bound):
-        return _recomputed_check(name, {"stat": "max", "key": key}, rows, "le", bound)
 
-    checks = [at_most("max_identity_gap", "summary.max_identity_gap", tols["identity_gap"])]
-    if coarser_levels:
-        checks.append(at_most("identity_gap_growth", "identity_gap_growth", _GAP_GROWTH))
-    if mode == "ito":
-        checks.insert(0, at_most("max_residual", "summary.max_abs_residual", tols["residual"]))
-    else:
-        checks += [
-            at_most("max_residual_decrease", "summary.max_residual_decrease", tols["residual"]),
-            at_most("max_jump_cell_residual", "summary.max_jump_cell_residual", tols["jump"]),
-        ]
-    if lt is not None:
-        checks.append(_recomputed_check(
-            "local_time_mean_rel_err", {"stat": "mean_rel_err", "key": "local_time"}, rows,
-            "le", tols["local_time_rel"]))
-    return checks, seeds
+def _compensator_pairs(T: float) -> list:
+    return [(model, y) for model in comp_mod.catalog_models()
+            for y in comp_mod.catalog_test_processes(T)]
 
 
 def _run_compensator(cfg, kind_dir: Path):
-    n_paths, T = cfg["n_paths"], cfg["T"]
-    models = comp_mod.catalog_models()
-    pairs = [(model, y) for model in models for y in comp_mod.catalog_test_processes(T)]
+    n_paths, T, rate_factor = cfg["n_paths"], cfg["T"], cfg["negative_control"]["rate_factor"]
+    pairs = _compensator_pairs(T)
+    model = pairs[0][0]
 
-    def worker(pair_seed: int) -> dict:
-        model, y = pairs[pair_seed - cfg["base_seed"]]
-        verdict = comp_mod.verify_compensator(model, y, n_paths=n_paths, T=T, seed=pair_seed)
-        _write_seed(kind_dir, pair_seed, {"seed": pair_seed, "pair": verdict.to_json_dict()})
-        return _check(f"{model.label} x {y.label}", abs(verdict.diff), "le", verdict.bound)
+    # one seed per (process, Y) pair, then the martingale check's and the negative control's
+    def worker(seed: int) -> dict:
+        i = seed - cfg["base_seed"]
+        if i < len(pairs):
+            row = {"pair": comp_mod.verify_compensator(*pairs[i], n_paths=n_paths, T=T,
+                                                       seed=seed).to_json_dict()}
+        elif i == len(pairs):
+            mart = comp_mod.martingale_check(model, n_paths=n_paths, checkpoints=(0.0, T / 2, T),
+                                             seed=seed)
+            row = {"martingale": {"model": mart["model"], "increments": [
+                {k: inc[k] for k in ("s", "t", "mean_increment", "se")}
+                for inc in mart["increments"]]}}
+        else:
+            row = {"negative_control": comp_mod.verify_compensator(
+                model, comp_mod.ConstantY(1.0), n_paths=n_paths, T=T, seed=seed,
+                rate_factor=rate_factor).to_json_dict()}
+        row = {"seed": seed, **row}
+        _write_seed(kind_dir, seed, row)
+        return row
 
-    # the pool's seeds are the pairs' seeds: one per (process, Y) pair
-    seeds, checks = _map_seeds({**cfg, "n_paths": len(pairs)}, worker)
-    pair_seed = seeds[-1] + 1
-    mart = comp_mod.martingale_check(models[0], n_paths=n_paths,
-                                     checkpoints=(0.0, T / 2, T), seed=pair_seed)
-    checks.append(_check("martingale_increments", mart["passed"], "true", True))
-    neg = comp_mod.verify_compensator(models[0], comp_mod.ConstantY(1.0), n_paths=n_paths,
-                                      T=T, seed=pair_seed + 1,
-                                      rate_factor=cfg["negative_control"]["rate_factor"])
-    checks.append(_check("negative_control_fails", not neg.passed, "true", True))
-    return checks, seeds
+    return _map_seeds(cfg, worker)
+
+
+def _schemes(cfg) -> dict:
+    """The params of each grid scheme of an independence run, coarse to fine."""
+    return {"dyadic": cfg["levels"], "hitting": cfg["hitting_eps"]}
 
 
 def _run_independence(cfg, kind_dir: Path):
     diag = limit_in_probability(
         squared_increment(), cfg["model"],
-        schemes=[{"scheme": "dyadic", "params": cfg["levels"]},
-                 {"scheme": "hitting", "params": cfg["hitting_eps"]}],
+        schemes=[{"scheme": name, "params": ps} for name, ps in _schemes(cfg).items()],
         n_paths=cfg["n_paths"], eps=cfg["tolerances"]["eps"], delta=cfg["tolerances"]["delta"],
         n_steps=cfg["n_steps"], T=cfg["T"], base_seed=cfg["base_seed"],
     )
-    _write_seed(kind_dir, cfg["base_seed"], diag.to_json_dict())
-    cross = max(diag.cross_tail.values())
-    checks = [
-        _check("cross_scheme_tail", cross, "le", diag.delta),
-        _check("verdict", diag.verdict, "true", True),
-    ]
-    return checks, [cfg["base_seed"]]
+    row = diag.to_json_dict()
+    _write_seed(kind_dir, cfg["base_seed"], row)
+    return [row]
 
 
 def _run_summability(cfg, kind_dir: Path):
     rng = seeded_rng(cfg["base_seed"])
     fns = cfg["functions"]
-    tol, exact_tol = cfg["tolerances"]["limit"], cfg["tolerances"]["exact"]
+    tol = cfg["tolerances"]["limit"]
 
     worst = 0.0
     for _ in range(cfg["n_draws"]):
@@ -663,35 +553,165 @@ def _run_summability(cfg, kind_dir: Path):
 
     row = {"telescoping_max_error": worst, "additivity_max_error": add_worst}
     _write_seed(kind_dir, cfg["base_seed"], row)
-    bounds = {"telescoping_max_error": exact_tol, "additivity_max_error": 2 * tol}
-    checks = [_recomputed_check(name, {"stat": "max", "key": name}, [row], "le", bound)
-              for name, bound in bounds.items()]
-    return checks, [cfg["base_seed"]]
+    return [row]
 
 
 def _run_taylor(cfg, kind_dir: Path):
-    gap_tol = cfg["tolerances"]["identity_gap"]
-    checks = []
-    rows = []
-    for e in cfg["entries"]:
-        f = e["function"]
-        rep = taylor_check(increment_fn(f), e["a"], e["b"], e["k"], tol=gap_tol)
-        rows.append(rep.to_dict())
-        label = f"{f.label}[{e['a']},{e['b']}]k={e['k']}"
-        checks.append(_check(f"{label} identity_gap", rep.identity_gap, "le", gap_tol))
-        checks.append(_check(f"{label} remainder_bound", rep.bound_ok, "true", True))
-    _write_seed(kind_dir, cfg["base_seed"], {"expansions": rows})
-    return checks, [cfg["base_seed"]]
+    row = {"expansions": [
+        taylor_check(increment_fn(e["function"]), e["a"], e["b"], e["k"],
+                     tol=cfg["tolerances"]["identity_gap"]).to_dict()
+        for e in cfg["entries"]]}
+    _write_seed(kind_dir, cfg["base_seed"], row)
+    return [row]
 
 
-_RUNNERS = {
-    "qv": _run_qv,
-    "ito": partial(_run_decomposition, "ito"),
-    "tanaka": partial(_run_decomposition, "tanaka"),
-    "compensator": _run_compensator,
-    "independence": _run_independence,
-    "summability": _run_summability,
-    "taylor": _run_taylor,
+# ---------------------------------------------------------------------------
+# grading: one function per kind, of its resolved config and its per-seed reports in
+# seed order, shared by run and replay
+# ---------------------------------------------------------------------------
+
+
+def _field(row: dict, dotted: str, accepts, what: str):
+    """The value at a dotted key path of a per-seed report, ``None`` where a key is missing
+    or ``null``; a :class:`SchemaError` unless ``accepts(value)``, where ``what`` names such
+    values, or where the path runs through something other than an object."""
+    value = row
+    for part in dotted.split("."):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{dotted!r} of a per-seed report runs through {value!r}")
+        value = value.get(part)
+        if value is None:
+            break
+    if not accepts(value):
+        raise SchemaError(f"{dotted!r} of a per-seed report must be {what}, got {value!r}")
+    return value
+
+
+def _dig(row: dict, dotted: str) -> float:
+    """The number at a dotted key path of a per-seed report.
+
+    A missing key, a ``null`` and a number that is not finite all read as
+    inf: the seed has no such number (say, an inapplicable report), so the
+    statistic fails any upper bound.
+    """
+    value = _field(row, dotted, lambda v: v is None or _is_real(v), "a number")
+    return float(value) if value is not None and math.isfinite(value) else math.inf
+
+
+def _grade_qv(cfg, rows) -> list:
+    levels, band = cfg["levels"], cfg["tolerances"]["qv_band"]
+    diffs = [float(np.mean([abs(_dig(r, f"qv.{a}") - _dig(r, f"qv.{b}")) for r in rows]))
+             for a, b in zip(levels, levels[1:])]
+    return [
+        _check(f"E[QV]_{cfg['T']:g} in {band}",
+               float(np.mean([_dig(r, f"qv.{levels[-1]}") for r in rows])), "in", band),
+        # the mean |S_k - S_(k+1)| over seeds does not grow along the levels (5% slack)
+        _check("cauchy_trace_decreasing",
+               all(d2 <= d1 * 1.05 + 1e-12 for d1, d2 in zip(diffs, diffs[1:])), "true", True),
+    ]
+
+
+def _grade_decomposition(cfg, rows) -> list:
+    tols = cfg["tolerances"]
+
+    def at_most(name, key, bound):
+        return _check(name, max(_dig(r, key) for r in rows), "le", bound)
+
+    checks = [at_most("max_identity_gap", "summary.max_identity_gap", tols["identity_gap"])]
+    # a run at level >= 1 has coarser levels; a report's gap may exceed the largest of its
+    # coarser reports' only by a rounding floor
+    if cfg["level"] >= 1:
+        checks.append(at_most("identity_gap_growth", "identity_gap_growth", 1e-10))
+    if cfg["kind"] == "ito":
+        return [at_most("max_residual", "summary.max_abs_residual", tols["residual"]), *checks]
+    checks += [
+        at_most("max_residual_decrease", "summary.max_residual_decrease", tols["residual"]),
+        at_most("max_jump_cell_residual", "summary.max_jump_cell_residual", tols["jump"]),
+    ]
+    if cfg["local_time"] is not None:
+        # per-seed |a_c_final - oracle| / oracle, averaged over the seeds whose report is
+        # applicable and so has the entry; inf when none has
+        lt = [(_dig(r, "local_time.a_c_final"), _dig(r, "local_time.oracle"))
+              for r in rows if "local_time" in r]
+        rel = float(np.mean([abs(a - o) / max(o, 1e-12) for a, o in lt])) if lt else math.inf
+        checks.append(_check("local_time_mean_rel_err", rel, "le", tols["local_time_rel"]))
+    return checks
+
+
+def _within_3se(name: str, row: dict, mean: str, se: str) -> dict:
+    """The check |mean| <= 3 se (``compensator._se_bound``) of a paired Monte Carlo report;
+    it FAILs when either number is missing or not finite."""
+    mean, se = _dig(row, mean), _dig(row, se)
+    return _check(name, abs(mean) if math.isfinite(se) else math.inf, "le",
+                  comp_mod._se_bound(se))
+
+
+def _grade_compensator(cfg, rows) -> list:
+    *pair_rows, mart, neg = rows
+    checks = [_within_3se(f"{model.label} x {y.label}", row, "pair.diff", "pair.se_combined")
+              for (model, y), row in zip(_compensator_pairs(cfg["T"]), pair_rows)]
+    increments = _field(mart, "martingale.increments", lambda v: isinstance(v, list)
+                        and len(v) == 2, "its 2 increments, over [0, T/2] and [T/2, T]")
+    checks.append(_check(
+        "martingale_increments",
+        all(_within_3se("", inc, "mean_increment", "se")["passed"] for inc in increments),
+        "true", True))
+    control = _within_3se("", neg, "negative_control.diff", "negative_control.se_combined")
+    # the control passes when its own check FAILs on numbers that it has
+    checks.append(_check("negative_control_fails",
+                         None if control["value"] is None else not control["passed"],
+                         "true", True))
+    return checks
+
+
+def _grade_independence(cfg, rows) -> list:
+    (row,), tols, n, estimates = rows, cfg["tolerances"], cfg["n_paths"], {}
+    for name, ps in _schemes(cfg).items():
+        # one list of sums per path, one sum per param; null reads as NaN
+        sums = _field(row, f"estimates.{name}", lambda v: isinstance(v, list) and len(v) == n
+                      and all(isinstance(p, list) and len(p) == len(ps)
+                              and all(x is None or _is_real(x) for x in p) for p in v),
+                      f"{n} lists of {len(ps)} numbers")
+        estimates[name] = np.array(sums, dtype=float)
+    _, cross_tail, verdict = _tail_fractions(estimates, tols["eps"], tols["delta"])
+    return [
+        _check("cross_scheme_tail", max(cross_tail.values()), "le", tols["delta"]),
+        _check("verdict", verdict, "true", True),
+    ]
+
+
+def _grade_summability(cfg, rows) -> list:
+    (row,), tols = rows, cfg["tolerances"]
+    return [
+        _check("telescoping_max_error", _dig(row, "telescoping_max_error"), "le", tols["exact"]),
+        _check("additivity_max_error", _dig(row, "additivity_max_error"), "le",
+               2 * tols["limit"]),
+    ]
+
+
+def _grade_taylor(cfg, rows) -> list:
+    (row,), entries, checks = rows, cfg["entries"], []
+    expansions = _field(row, "expansions", lambda v: isinstance(v, list)
+                        and len(v) == len(entries), f"a list of {len(entries)} expansions")
+    for e, rep in zip(entries, expansions):
+        label = f"{e['function'].label}[{e['a']},{e['b']}]k={e['k']}"
+        bound_ok = _field(rep, "bound_ok", lambda v: isinstance(v, bool), "true or false")
+        checks += [_check(f"{label} identity_gap", _dig(rep, "identity_gap"), "le",
+                          cfg["tolerances"]["identity_gap"]),
+                   _check(f"{label} remainder_bound", bound_ok, "true", True)]
+    return checks
+
+
+# each kind's runner, which writes its per-seed reports and returns them in seed order, and
+# its grading function of its resolved config and those reports
+_KIND_FUNCTIONS = {
+    "qv": (_run_qv, _grade_qv),
+    "ito": (_run_decomposition, _grade_decomposition),
+    "tanaka": (_run_decomposition, _grade_decomposition),
+    "compensator": (_run_compensator, _grade_compensator),
+    "independence": (_run_independence, _grade_independence),
+    "summability": (_run_summability, _grade_summability),
+    "taylor": (_run_taylor, _grade_taylor),
 }
 
 
@@ -700,75 +720,46 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _regrade(check, seed_rows) -> dict:
-    """A persisted check graded again, with its rule's value when it has one; a rule
-    with no per-seed rows to read is a :class:`SchemaError`.
-
-    The check must be an object with a string ``name``, an ``op`` of
-    :data:`CHECK_OPS`, and a ``value`` and ``bound`` that the op compares: a
-    number and a number for ``le``, a number and ``[lo, hi]`` for ``in``,
-    anything for ``true``.  Otherwise it is a :class:`SchemaError`.  A ``null``
-    value (a number that was not finite) FAILs.
-    """
-    if not (isinstance(check, dict) and {"name", "value", "op", "bound"} <= check.keys()
-            and isinstance(check["name"], str)):
-        raise SchemaError(f"a check needs a string name, a value, an op and a bound: {check!r}")
-    name, value, op, bound = (check[k] for k in ("name", "value", "op", "bound"))
-    if not (isinstance(op, str) and op in CHECK_OPS):
-        raise SchemaError(f"unknown check op {op!r}")
-    if op != "true" and not ((value is None or _is_real(value))
-                             and (_is_band if op == "in" else _is_real)(bound)):
-        raise SchemaError(f"check {name!r} cannot compare {value!r} {op} {bound!r}")
-    if "recompute" in check:
-        if not seed_rows:
-            raise SchemaError(f"check {name!r} has a recompute rule, but the aggregate lists "
-                              "no per-seed report")
-        value = _replay_value(check["recompute"], seed_rows)
-    return _check(name, value, op, bound)
+def _recorded_run(agg_path: Path):
+    """The resolved config and the per-seed reports, in seed order, of the run whose
+    aggregate is at ``agg_path``; a :class:`SchemaError` where the files describe none."""
+    aggregate = json.loads(agg_path.read_text())
+    version = aggregate.get("schema_version") if isinstance(aggregate, dict) else None
+    if version != AGGREGATE_VERSION:
+        raise SchemaError(f"unsupported aggregate schema_version {version!r}")
+    try:
+        cfg = _resolve_config(aggregate.get("config"))[1]
+    except (ValueError, SchemaError) as exc:
+        raise SchemaError(f"malformed aggregate: its config: {exc}") from exc
+    seeds, per_seed = _seeds(cfg), aggregate.get("per_seed")
+    # the lengths first: the seeds come from a file, and may be many
+    if not (aggregate.get("kind") == cfg["kind"] and isinstance(per_seed, dict)
+            and len(per_seed) == len(seeds)
+            and all(per_seed.get(str(s)) == _seed_file(s) for s in seeds)):
+        raise SchemaError(f"malformed aggregate: its kind and per_seed must be its config's, "
+                          f"{cfg['kind']!r} and the reports of seeds {seeds}")
+    return cfg, [json.loads((agg_path.parent / _seed_file(s)).read_text()) for s in seeds]
 
 
 def replay(directory: str) -> int:
-    """Re-evaluate pass/fail from persisted numbers; exit 0/1, or 2 on errors."""
+    """Grade a run again from its recorded config and per-seed reports; exit 0/1, or 2 on
+    errors."""
     root = Path(directory)
-    agg_path = root / "aggregate.json"
-    if not agg_path.exists():
-        candidates = sorted(root.glob("*/aggregate.json"))
-        if len(candidates) != 1:
-            print(f"error: no aggregate.json under {root}", file=sys.stderr)
-            return 2
-        agg_path = candidates[0]
+    found = ([root / "aggregate.json"] if (root / "aggregate.json").exists()
+             else sorted(root.glob("*/aggregate.json")))
+    if len(found) != 1:
+        print(f"error: no aggregate.json under {root}", file=sys.stderr)
+        return 2
+    # the files are checked field by field, so a KeyError or TypeError here is a fault of
+    # the program, not of the files, and propagates
     try:
-        aggregate = json.loads(agg_path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: unparsable aggregate: {exc}", file=sys.stderr)
+        cfg, rows = _recorded_run(found[0])
+        checks = _KIND_FUNCTIONS[cfg["kind"]][1](cfg, rows)
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    per_seed = aggregate.get("per_seed", {}) if isinstance(aggregate, dict) else None
-    if not (isinstance(per_seed, dict) and all(isinstance(rel, str) for rel in per_seed.values())):
-        print("error: malformed aggregate: it must be a JSON object whose per_seed maps seeds"
-              " to report paths", file=sys.stderr)
-        return 2
-    if aggregate.get("schema_version") != SCHEMA_VERSION:
-        print(f"error: unsupported schema_version {aggregate.get('schema_version')!r}",
-              file=sys.stderr)
-        return 2
-
-    seed_paths = [agg_path.parent / rel for rel in per_seed.values()]
-    missing = [p for p in seed_paths if not p.exists()]
-    if missing:
-        print(f"error: missing per-seed report {missing[0]}", file=sys.stderr)
-        return 2
-    # the checks and reports are checked field by field, so a KeyError or TypeError
-    # here is a fault of the program, not of the files, and propagates
-    try:
-        seed_rows = [json.loads(p.read_text()) for p in seed_paths]
-        if not all(isinstance(row, dict) for row in seed_rows):
-            raise SchemaError("a per-seed report must be a JSON object")
-        if not isinstance(aggregate.get("checks"), list):
-            raise SchemaError("the aggregate needs a list of checks")
-        checks = [_regrade(c, seed_rows) for c in aggregate["checks"]]
-    except (json.JSONDecodeError, SchemaError) as exc:
-        print(f"error: malformed aggregate or report: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: unreadable aggregate or report: {exc}", file=sys.stderr)
         return 2
     return _verdicts(checks)
 
@@ -793,12 +784,17 @@ def run(config_path: str, overrides) -> int:
         return 2
     # a plain ValueError marks an invalid argument (see errors.py): here a config value
     # that the library rejects, such as a local-time eps below the path's resolution
+    run_kind, grade = _KIND_FUNCTIONS[cfg["kind"]]
     try:
-        checks, seeds = _RUNNERS[cfg["kind"]](cfg, kind_dir)
+        rows = run_kind(cfg, kind_dir)
     except (ValueError, ResolutionExhaustedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _finish(recorded, kind_dir, checks, seeds)
+    checks = grade(cfg, rows)
+    _write_json(kind_dir / "aggregate.json", {
+        "schema_version": AGGREGATE_VERSION, "kind": cfg["kind"], "config": recorded,
+        "checks": checks, "per_seed": {str(s): _seed_file(s) for s in _seeds(cfg)}})
+    return _verdicts(checks, kind_dir / "summary.txt")
 
 
 def _signature(name: str, keys: dict) -> str:

@@ -327,15 +327,28 @@ class ConvergenceDiagnostic:
     verdict: bool
 
     def to_json_dict(self):
+        """The params and the estimates, from which :func:`_tail_fractions` gives the rest."""
         return {
             "scheme_params": self.scheme_params,
             "estimates": {k: np.asarray(v).tolist() for k, v in self.estimates.items()},
-            "tail_probs": self.tail_probs,
-            "cross_tail": self.cross_tail,
-            "eps": self.eps,
-            "delta": self.delta,
-            "verdict": self.verdict,
         }
+
+
+def _tail_fractions(estimates: dict, eps: float, delta: float):
+    """The tail frequencies and the verdict of a :class:`ConvergenceDiagnostic` from its
+    estimates, an (n_paths, n_params) array per scheme in scheme order."""
+    tail_probs = {
+        name: [float(np.mean(np.abs(arr[:, k] - arr[:, k + 1]) > eps))
+               for k in range(arr.shape[1] - 1)]
+        for name, arr in estimates.items()
+    }
+    cross_tail = {
+        f"{a}|{b}": float(np.mean(np.abs(estimates[a][:, -1] - estimates[b][:, -1]) > eps))
+        for a, b in itertools.combinations(estimates, 2)
+    }
+    ok_scheme = all((not tails) or tails[-1] <= delta for tails in tail_probs.values())
+    ok_cross = all(frac <= delta for frac in cross_tail.values())
+    return tail_probs, cross_tail, bool(ok_scheme and ok_cross)
 
 
 def limit_in_probability(
@@ -369,17 +382,7 @@ def limit_in_probability(
             for lv, param in enumerate(ps):
                 estimates[name][p, lv] = pathwise_sum(base, build_grid(path, name, param))
 
-    tail_probs = {
-        name: [float(np.mean(np.abs(arr[:, k] - arr[:, k + 1]) > eps))
-               for k in range(arr.shape[1] - 1)]
-        for name, arr in estimates.items()
-    }
-    cross_tail = {
-        f"{a}|{b}": float(np.mean(np.abs(estimates[a][:, -1] - estimates[b][:, -1]) > eps))
-        for a, b in itertools.combinations(params, 2)
-    }
-    ok_scheme = all((not tails) or tails[-1] <= delta for tails in tail_probs.values())
-    ok_cross = all(frac <= delta for frac in cross_tail.values())
+    tail_probs, cross_tail, verdict = _tail_fractions(estimates, eps, delta)
     return ConvergenceDiagnostic(
         scheme_params=params,
         estimates=estimates,
@@ -387,5 +390,5 @@ def limit_in_probability(
         cross_tail=cross_tail,
         eps=eps,
         delta=delta,
-        verdict=bool(ok_scheme and ok_cross),
+        verdict=verdict,
     )

@@ -148,8 +148,9 @@ class TestRun:
             kind_dir = Path("out", "compensator")
             trees.append({str(f.relative_to(kind_dir)): f.read_bytes()
                           for f in sorted(kind_dir.rglob("*")) if f.is_file()})
-        assert len(trees[0]) == 25 + 2
-        assert {"aggregate.json", "summary.txt", "5/report.json", "29/report.json"} <= set(trees[0])
+        # 20 pairs, the martingale check, the negative control, the aggregate and the summary
+        assert len(trees[0]) == 20 + 2 + 2
+        assert {"aggregate.json", "summary.txt", "5/report.json", "26/report.json"} <= set(trees[0])
         assert trees[0] == trees[1]
 
     def test_overrides(self, tmp_path):
@@ -227,7 +228,8 @@ class TestCatalogCommand:
         for entry in compensator.catalog_models() + compensator.catalog_test_processes():
             assert entry.label in lines
         out = "\n".join(lines)
-        assert "deterministic" not in out and "tanh" not in out
+        # Y = 0 compares 0 with 0 at SE 0, a pair that cannot fail
+        assert "deterministic" not in out and "tanh" not in out and "const(0.0)" not in out
 
 
 BM = {"kind": "bm", "sigma": 1.0}
@@ -300,16 +302,18 @@ class TestMalformedAggregate:
         return tmp_path / "mal" / "qv" / "aggregate.json"
 
     @pytest.mark.parametrize("corrupt", [
-        lambda agg: agg["checks"][0]["recompute"].update(stat="median"),
-        lambda agg: agg["checks"][0].update(op="approx"),
-        lambda agg: agg.pop("checks"),
-        lambda agg: agg["checks"][1].pop("bound"),
-        lambda agg: agg["checks"][0].update(bound=1.0),
         lambda agg: agg.update(per_seed=[]),
         lambda agg: agg.update(per_seed=["100/report.json"]),
         lambda agg: agg["per_seed"].update({"100": 100}),
-    ], ids=["unknown_stat", "unknown_op", "no_checks", "no_bound", "scalar_band",
-            "per_seed_empty_list", "per_seed_list", "per_seed_number"])
+        lambda agg: agg["per_seed"].pop("115"),
+        lambda agg: agg["per_seed"].update({"116": "116/report.json"}),
+        lambda agg: agg.update(kind="ito"),
+        lambda agg: agg.pop("config"),
+        lambda agg: agg["config"].update(kind="ito"),
+        lambda agg: agg["config"].update(schema_version=2),
+    ], ids=["per_seed_empty_list", "per_seed_list", "per_seed_number", "per_seed_short",
+            "per_seed_long", "kind_not_the_configs", "no_config", "config_of_another_kind",
+            "config_schema_version"])
     def test_replay_reports_an_error_and_exits_2(self, agg_path, capsys, corrupt):
         agg = json.loads(agg_path.read_text())
         corrupt(agg)
@@ -335,49 +339,84 @@ class TestMalformedAggregate:
         assert main(["replay", str(agg_path.parent)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda agg, row: agg["checks"].append("a check"),
-        lambda agg, row: agg["checks"][0].pop("name"),
-        lambda agg, row: agg["checks"][0].update(op=["in"]),
-        lambda agg, row: agg["checks"][1].update(value="yes", op="le", bound=1.0),
-        lambda agg, row: agg["checks"][0].update(recompute=["mean"]),
-        lambda agg, row: agg["checks"][0]["recompute"].update(stat=["mean"]),
-        lambda agg, row: agg["checks"][0]["recompute"].pop("key"),
-        lambda agg, row: agg["checks"][1]["recompute"].update(keys="qv.5"),
-        lambda agg, row: agg.update(checks={}),
-        lambda agg, row: row.update(qv={"7": "1.0"}),
-        lambda agg, row: row.update(qv=[1.0]),
-    ], ids=["check_not_an_object", "no_name", "list_op", "string_value", "rule_not_an_object",
-            "list_stat", "rule_without_key", "string_keys", "checks_not_a_list", "string_leaf",
-            "leaf_under_a_list"])
-    def test_malformed_checks_and_reports_exit_2(self, agg_path, capsys, corrupt):
-        agg = json.loads(agg_path.read_text())
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda row: row.update(qv={"7": "1.0"}), "'qv.7' of a per-seed report must be a number"),
+        (lambda row: row.update(qv=[1.0]), "'qv.5' of a per-seed report runs through [1.0]"),
+    ], ids=["string_leaf", "leaf_under_a_list"])
+    def test_malformed_reports_exit_2(self, agg_path, capsys, corrupt, message):
         report = agg_path.parent / "100" / "report.json"
         row = json.loads(report.read_text())
-        corrupt(agg, row)
-        agg_path.write_text(json.dumps(agg))
+        corrupt(row)
         report.write_text(json.dumps(row))
         capsys.readouterr()
         assert main(["replay", str(agg_path.parent)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: malformed aggregate or report: SchemaError: ")
+        assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
     def test_report_that_is_not_an_object_exits_2(self, agg_path, capsys):
         (agg_path.parent / "100" / "report.json").write_text("[1.0]")
         capsys.readouterr()
         assert main(["replay", str(agg_path.parent)]) == 2
-        assert capsys.readouterr().err.startswith("error: malformed aggregate or report: ")
+        assert capsys.readouterr().err.startswith("error: 'qv.5' of a per-seed report runs "
+                                                  "through [1.0]")
 
-    def test_type_error_inside_a_statistic_propagates(self, agg_path, capsys, monkeypatch):
-        def broken(rule, rows):
-            raise TypeError("bug inside a statistic")
+    def test_type_error_inside_a_grading_function_propagates(self, agg_path, capsys,
+                                                             monkeypatch):
+        def broken(cfg, rows):
+            raise TypeError("bug inside a grading function")
 
-        monkeypatch.setitem(cli.STATS, "mean", broken)
+        monkeypatch.setitem(cli._KIND_FUNCTIONS, "qv", (cli._run_qv, broken))
         capsys.readouterr()
-        with pytest.raises(TypeError, match="bug inside a statistic"):
+        with pytest.raises(TypeError, match="bug inside a grading function"):
             main(["replay", str(agg_path.parent)])
-        assert "malformed" not in capsys.readouterr().err
+        assert "error" not in capsys.readouterr().err
+
+    def test_aggregate_of_another_version_exits_2(self, agg_path, capsys):
+        """An aggregate of version 1 held recompute rules, which replay no longer reads."""
+        agg = json.loads(agg_path.read_text())
+        agg["schema_version"] = 1
+        agg["checks"][0]["recompute"] = {"stat": "all_true", "key": "verdict.passed"}
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unsupported aggregate schema_version 1\n"
+        assert captured.out == ""
+
+    def test_replay_grades_the_reports_not_the_recorded_checks(self, agg_path, capsys):
+        run_lines = _check_lines((agg_path.parent / "summary.txt").read_text())
+        agg = json.loads(agg_path.read_text())
+        for check in agg["checks"]:
+            check.update(value=None, op="ge", bound="anything", passed=False)
+        agg["checks"].append("a check")
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 0
+        assert _check_lines(capsys.readouterr().out) == run_lines
+
+
+@pytest.mark.parametrize("name", ["summability", "taylor", "qv", "ito", "tanaka_local_time",
+                                  "compensator", "independence"])
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda agg: agg["config"].update(unknown_key=1), "unknown key 'unknown_key'"),
+    (lambda agg: agg["config"].update(base_seed="2"), "base_seed must be an integer"),
+    (lambda agg: agg.update(per_seed={}), "its kind and per_seed must be its config's"),
+], ids=["config_unknown_key", "config_wrong_type", "per_seed_empty"])
+def test_replay_of_a_malformed_aggregate_exits_2(tmp_path, capsys, name, corrupt, message):
+    cfg = write_config(tmp_path, f"{name}.json", {
+        "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS[name],
+        "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) in (0, 1)
+    agg_path = tmp_path / "out" / PARITY_CONFIGS[name]["kind"] / "aggregate.json"
+    agg = json.loads(agg_path.read_text())
+    corrupt(agg)
+    agg_path.write_text(json.dumps(agg))
+    capsys.readouterr()
+    assert main(["replay", str(agg_path.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed aggregate: ")
+    assert message in captured.err and captured.out == ""
 
 
 # passing decomposition runs; a loose local-time tolerance, as 3 paths test plumbing
@@ -454,24 +493,65 @@ class TestDecompositionChecksFollowTheReports:
         assert main(["replay", str(kind_dir)]) == 1
         assert "additivity_max_error: FAIL (value=1.0, le 0.0002)" in capsys.readouterr().out
 
-    def test_a_recompute_rule_with_no_per_seed_report_exits_2(self, tmp_path, capsys):
-        main(["run", qv_config(tmp_path)])
-        kind_dir = tmp_path / "out" / "qv"
-        report = kind_dir / "107" / "report.json"
+
+def _edit(entry, dotted, edit):
+    """Set the value at a dotted key path (list indices as numbers) to ``edit(value)``."""
+    *parents, leaf = [int(k) if k.isdecimal() else k for k in dotted.split(".")]
+    for key in parents:
+        entry = entry[key]
+    entry[leaf] = edit(entry[leaf])
+
+
+# passing runs of the kinds graded from Monte Carlo and expansion reports; the independence
+# tolerances let an edited estimate FAIL the run
+MONTE_CARLO_CONFIGS = {
+    "compensator": PARITY_CONFIGS["compensator"],
+    "independence": {**PARITY_CONFIGS["independence"], "tolerances": {"eps": 1.0, "delta": 0.5}},
+    "taylor": PARITY_CONFIGS["taylor"],
+}
+
+
+class TestMonteCarloChecksFollowTheReports:
+    """The compensator, independence and taylor checks are recomputed from the numbers of
+    the per-seed reports: editing one number moves its check, and only its check."""
+
+    @pytest.mark.parametrize("kind, seed, key, edit, failed", [
+        ("compensator", 2, "pair.diff", lambda v: 1e6,
+         ["poisson_counting(rate=3.0) x const(1.0): FAIL (value=1000000.0, le "]),
+        ("compensator", 21, "pair.se_combined", lambda v: None,
+         ["path_qv(jd(sigma=0.8,drift=0.1,rate=1.0)) x state(sign): FAIL (value=None, le inf)"]),
+        ("compensator", 22, "martingale.increments.1.mean_increment", lambda v: 1e6,
+         ["martingale_increments: FAIL (value=False, true True)"]),
+        ("compensator", 23, "negative_control.diff", lambda v: 0.0,
+         ["negative_control_fails: FAIL (value=False, true True)"]),
+        ("compensator", 23, "negative_control.diff", lambda v: None,
+         ["negative_control_fails: FAIL (value=None, true True)"]),
+        ("independence", 2, "estimates.hitting", lambda v: [[x + 10 for x in p] for p in v],
+         ["cross_scheme_tail: FAIL (value=1.0, le 0.5)", "verdict: FAIL (value=False, true True)"]),
+        ("taylor", 2, "expansions.0.identity_gap", lambda v: 1.0,
+         ["square[0.0,2.0]k=2 identity_gap: FAIL (value=1.0, le 1e-08)"]),
+        ("taylor", 2, "expansions.1.bound_ok", lambda v: False,
+         ["cube[0.0,1.0]k=3 remainder_bound: FAIL (value=False, true True)"]),
+    ], ids=["compensator_pair", "compensator_pair_without_se", "compensator_martingale",
+            "compensator_negative_control", "compensator_negative_control_without_diff",
+            "independence_estimates", "taylor_identity_gap", "taylor_remainder_bound"])
+    def test_editing_one_reports_number_fails_its_check(self, tmp_path, capsys, kind, seed, key,
+                                                          edit, failed):
+        cfg = write_config(tmp_path, f"{kind}.json", {
+            "schema_version": 1, "base_seed": 2, **MONTE_CARLO_CONFIGS[kind],
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 0
+        run_lines = _check_lines(capsys.readouterr().out)
+        kind_dir = tmp_path / "out" / kind
+        report = kind_dir / str(seed) / "report.json"
         row = json.loads(report.read_text())
-        row["qv"]["7"] = 100.0
+        _edit(row, key, edit)
         report.write_text(json.dumps(row))
-        capsys.readouterr()
         assert main(["replay", str(kind_dir)]) == 1
-        agg_path = kind_dir / "aggregate.json"
-        agg = json.loads(agg_path.read_text())
-        agg["per_seed"] = {}
-        agg_path.write_text(json.dumps(agg))
-        capsys.readouterr()
-        assert main(["replay", str(kind_dir)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: malformed aggregate or report: SchemaError: ")
-        assert "no per-seed report" in captured.err and captured.out == ""
+        lines = _check_lines(capsys.readouterr().out)
+        changed = [line for line in lines if line not in run_lines]
+        assert len(changed) == len(failed) and len(lines) == len(run_lines)
+        assert all(line.startswith(prefix) for line, prefix in zip(changed, failed)), changed
 
 
 class TestRunnerInputErrors:
@@ -561,15 +641,18 @@ class TestConfigDefaults:
         assert agg["checks"][0]["bound"] == pytest.approx(expected, rel=1e-15)
         assert agg["checks"][0]["name"] == f"E[QV]_1 in {agg['checks'][0]['bound']}"
 
-    def test_compensator_defaults_to_ten_thousand_paths(self, tmp_path):
+    def test_compensator_defaults_to_ten_thousand_paths(self, tmp_path, monkeypatch):
+        n_paths = []
+        for name in ("verify_compensator", "martingale_check"):
+            original = getattr(compensator, name)
+            monkeypatch.setattr(compensator, name, lambda *args, original=original, **kwargs:
+                                n_paths.append(kwargs["n_paths"]) or original(*args, **kwargs))
         cfg = write_config(tmp_path, "comp.json", {
             "schema_version": 1, "kind": "compensator", "out_dir": str(tmp_path / "out")})
         main(["run", cfg])
-        kind_dir = tmp_path / "out" / "compensator"
-        agg = json.loads((kind_dir / "aggregate.json").read_text())
+        agg = json.loads((tmp_path / "out" / "compensator" / "aggregate.json").read_text())
         assert agg["config"]["n_paths"] == 10_000
-        for rel in agg["per_seed"].values():
-            assert json.loads((kind_dir / rel).read_text())["pair"]["n_paths"] == 10_000
+        assert n_paths == [10_000] * len(agg["per_seed"]) == [10_000] * 22
 
     def test_other_kinds_default_to_one_path(self, tmp_path):
         cfg = write_config(tmp_path, "qv.json", {
@@ -772,6 +855,7 @@ class TestStrictJson:
         assert files
         for f in files:
             json.loads(f.read_text(), parse_constant=_reject_constant)
+            assert '"recompute"' not in f.read_text()
         replay_rc = main(["replay", str(tmp_path / "out")])
         assert _check_lines(capsys.readouterr().out) == run_lines
         assert replay_rc == run_rc
@@ -805,17 +889,6 @@ class TestStrictJson:
         check = cli._check("x", value, "le", 1.0)
         assert check["value"] is None and check["passed"] is False
 
-    def test_replay_grades_a_null_value_as_fail(self, tmp_path, capsys):
-        main(["run", qv_config(tmp_path)])
-        agg_path = tmp_path / "out" / "qv" / "aggregate.json"
-        agg = json.loads(agg_path.read_text())
-        del agg["checks"][0]["recompute"]
-        agg["checks"][0]["value"] = None
-        agg_path.write_text(json.dumps(agg))
-        capsys.readouterr()
-        assert main(["replay", str(agg_path.parent)]) == 1
-        assert ": FAIL (value=None, in [0.5, 1.5])" in capsys.readouterr().out
-
     def test_null_leaf_of_a_report_reads_as_a_missing_number(self, tmp_path, capsys):
         main(["run", qv_config(tmp_path)])
         report = tmp_path / "out" / "qv" / "100" / "report.json"
@@ -825,16 +898,6 @@ class TestStrictJson:
         capsys.readouterr()
         assert main(["replay", str(tmp_path / "out" / "qv")]) == 1
         assert ": FAIL (value=None, in [0.5, 1.5])" in capsys.readouterr().out
-
-    def test_replay_rejects_an_op_that_no_run_writes(self, tmp_path, capsys):
-        main(["run", qv_config(tmp_path)])
-        agg_path = tmp_path / "out" / "qv" / "aggregate.json"
-        agg = json.loads(agg_path.read_text())
-        agg["checks"][0].update(op="ge", bound=0.5)
-        agg_path.write_text(json.dumps(agg))
-        capsys.readouterr()
-        assert main(["replay", str(agg_path.parent)]) == 2
-        assert "unknown check op 'ge'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_config_number_that_is_not_finite_is_a_config_error(self, tmp_path, capsys, text):

@@ -124,7 +124,9 @@ class TestVerifyCompensator:
     def test_verdict_serializes(self):
         v = verify_compensator(CPI, ConstantY(1.0), n_paths=500, seed=48)
         d = v.to_json_dict()
-        assert set(d) >= {"model", "Y", "diff", "se_combined", "passed"}
+        # the verdict and the path count are not persisted: they follow from diff, se_combined
+        # and the run's config
+        assert set(d) == {"model", "Y", "lhs_mean", "rhs_mean", "diff", "se_combined"}
 
 
 class TestMartingaleCheck:

@@ -1,5 +1,6 @@
 """Tests for stopping-time grids and pathwise sums."""
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,7 +32,7 @@ from pathcalc import (
     simulate,
     squared_increment,
 )
-from pathcalc.riemann import _checked_hits
+from pathcalc.riemann import _checked_hits, _tail_fractions
 
 ABS = make_scalar_fn("abs")
 SQUARE = make_scalar_fn("square")
@@ -378,5 +379,9 @@ class TestLimitInProbability:
                      {"scheme": "hitting", "params": [2**-2]}],
             n_paths=5, n_steps=512, base_seed=1,
         )
-        d = diag.to_json_dict()
-        assert "estimates" in d and "verdict" in d
+        d = json.loads(json.dumps(diag.to_json_dict(), allow_nan=False))
+        assert set(d) == {"scheme_params", "estimates"}
+        # the persisted estimates give back the tail frequencies and the verdict
+        estimates = {name: np.array(d["estimates"][name]) for name in d["scheme_params"]}
+        assert _tail_fractions(estimates, diag.eps, diag.delta) == (
+            diag.tail_probs, diag.cross_tail, diag.verdict)
