@@ -4,16 +4,17 @@ reports, or list the ``catalog``.
 Output layout per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per
 path; for compensator one per (process, Y) pair, then one for its martingale
 check and one for its negative control at the next two seeds; the base seed
-alone for summability, taylor and independence), beside it ``paths.csv`` and
-``decomposition.csv`` when paths persist, with ``aggregate.json`` and a
-one-page ``summary.txt`` at the experiment level.  Paths persist for the qv,
-ito and tanaka kinds by the config key ``write_paths``: ``true``,
-``false``, or ``"auto"`` (the default), which writes them when ``n_paths``
-is at most 64; any other value is a config error.  Every JSON file is
-strict JSON: a number that is not finite is written as ``null``, and a
-check whose value is ``null`` FAILs.  The docstrings of
-``SamplePath.to_csv`` and ``DecompositionReport.series_csv`` state the
-bytes of the two CSV files.
+alone for summability, taylor and independence), with ``aggregate.json`` and
+a one-page ``summary.txt`` at the experiment level.  That is the whole
+output unless a qv, ito or tanaka config sets ``write_paths`` to ``true``
+(``false`` by default; a value other than ``true`` or ``false`` is a config
+error): then each seed directory also holds its path as ``paths.csv``, and
+for ito and tanaka the decomposition series as ``decomposition.csv``.
+Nothing here reads them back, since ``simulate`` rebuilds each path bit for
+bit from the recorded config; they are for export.  The docstrings of
+``SamplePath.to_csv`` and ``DecompositionReport.series_csv`` state their
+bytes.  Every JSON file is strict JSON: a number that is not finite is
+written as ``null``, and a check whose value is ``null`` FAILs.
 Aggregates are byte-identical across reruns of the same config and seed,
 whatever the thread count: workers fan out across seeds on one pool of
 ``PATHCALC_THREADS`` threads (by default the usable CPUs, up to 8) and write
@@ -50,9 +51,20 @@ reports that it reads back, with the aggregate's recorded ``config``
 resolved again, so an edited report number changes the verdict.  ``replay``
 reads only the aggregate's ``schema_version`` (:data:`AGGREGATE_VERSION`),
 ``kind``, ``config`` and ``per_seed``.  Any other version, a config that
-does not resolve, a ``per_seed`` other than the config's, or a malformed
-report prints ``error: …`` and exits 2; any other exception is a fault of
-the program and propagates.
+does not resolve (an aggregate that recorded ``"write_paths": "auto"``, a
+value that older runs accepted, among them), a ``per_seed`` other than the
+config's, or a malformed report prints ``error: …`` and exits 2; any other
+exception is a fault of the program and propagates.
+
+``replay --recompute`` then audits what grading cannot: a number edited
+within its check's bound.  It runs the kind's runner again on the resolved
+config, into a temporary directory, and compares every file under each
+seed directory byte for byte with the recorded one (a per-seed file records
+no output path, so a faithful run matches it exactly).  Each file that
+differs, is missing or is extra prints ``recompute: <seed>/<file> differs``
+and the replay exits 1; a runner that rejects the recorded config exits 2;
+otherwise it prints ``recompute: every seed file matches``, and the exit
+code is the grade's.
 """
 
 from __future__ import annotations
@@ -63,6 +75,7 @@ import math
 import numbers
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -132,7 +145,6 @@ _int = _typed(_is_int, "an integer")
 _count = _typed(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _flag = _typed(lambda v: isinstance(v, bool), "true or false")
 _text = _typed(lambda v: isinstance(v, str), "a string")
-_write_paths = _typed(lambda v: isinstance(v, bool) or v == "auto", 'true, false or "auto"')
 
 
 # refinement lists run from coarse to fine: the checks read the last entry as the finest
@@ -200,7 +212,7 @@ _TAYLOR_ENTRY = {"function": (_function, _REQUIRED), "a": (_real, _REQUIRED),
 _PATHS = {"n_paths": (_count, 1), "T": (_real, 1.0)}
 
 # the kinds that simulate one path per seed, and may write it (see the module docstring)
-_SEED_PATHS = {**_PATHS, "write_paths": (_write_paths, "auto")}
+_SEED_PATHS = {**_PATHS, "write_paths": (_flag, False)}
 
 _LEVELS = {
     "levels": (_levels, [8, 10, 12]),
@@ -294,7 +306,7 @@ def _resolve_config(raw, overrides=None) -> tuple[dict, dict]:
     Returns the config as ``aggregate.json`` records it (as written, with the
     overrides and the defaults of :data:`_RECORDED`) and the resolved config
     that the runner reads: every key of the kind, of its declared type, with
-    models and catalog functions built and ``write_paths`` true or false.
+    models and catalog functions built.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
@@ -317,10 +329,7 @@ def _resolve_config(raw, overrides=None) -> tuple[dict, dict]:
             raise ValueError(f"--{flag} does not apply to the {kind} kind")
         raw[key] = [value] if key == "levels" else value
     recorded = {**{k: keys[k][1] for k in _RECORDED if k in keys}, **raw}
-    cfg = _resolve_keys(raw, keys, f"the {kind} config")
-    if cfg.get("write_paths") == "auto":
-        cfg["write_paths"] = cfg["n_paths"] <= 64
-    return recorded, cfg
+    return recorded, _resolve_keys(raw, keys, f"the {kind} config")
 
 
 def _threads() -> int:
@@ -741,9 +750,30 @@ def _recorded_run(agg_path: Path):
     return cfg, [json.loads((agg_path.parent / _seed_file(s)).read_text()) for s in seeds]
 
 
-def replay(directory: str) -> int:
-    """Grade a run again from its recorded config and per-seed reports; exit 0/1, or 2 on
-    errors."""
+def _seed_files(kind_dir: Path, seed) -> dict:
+    """The files under a seed's directory, by their path relative to the kind directory."""
+    seed_dir = (kind_dir / _seed_file(seed)).parent
+    return {_seed_file(seed, p.relative_to(seed_dir).as_posix()): p
+            for p in seed_dir.rglob("*") if p.is_file()}
+
+
+def _recompute(cfg, kind_dir: Path) -> list:
+    """The seed files of the run in ``kind_dir`` that differ, by bytes or by being there,
+    from those of the kind's runner run again on ``cfg`` (see the module docstring)."""
+    with tempfile.TemporaryDirectory() as fresh:
+        _KIND_FUNCTIONS[cfg["kind"]][0]({**cfg, "threads": _threads()}, Path(fresh))
+        differing = []
+        for seed in _seeds(cfg):
+            recorded, rerun = _seed_files(kind_dir, seed), _seed_files(Path(fresh), seed)
+            differing += [rel for rel in sorted(recorded.keys() | rerun.keys())
+                          if rel not in recorded or rel not in rerun
+                          or recorded[rel].read_bytes() != rerun[rel].read_bytes()]
+        return differing
+
+
+def replay(directory: str, recompute: bool = False) -> int:
+    """Grade a run again from its recorded config and per-seed reports, and with
+    ``recompute`` compare its seed files with a fresh run's; exit 0/1, or 2 on errors."""
     root = Path(directory)
     found = ([root / "aggregate.json"] if (root / "aggregate.json").exists()
              else sorted(root.glob("*/aggregate.json")))
@@ -761,7 +791,21 @@ def replay(directory: str) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: unreadable aggregate or report: {exc}", file=sys.stderr)
         return 2
-    return _verdicts(checks)
+    rc = _verdicts(checks)
+    if not recompute:
+        return rc
+    # as in run, a plain ValueError marks a recorded config value that the library rejects
+    try:
+        differing = _recompute(cfg, found[0].parent)
+    except (ValueError, ResolutionExhaustedError, OSError) as exc:
+        print(f"error: recompute: {exc}", file=sys.stderr)
+        return 2
+    for rel in differing:
+        print(f"recompute: {rel} differs")
+    if differing:
+        return 1
+    print("recompute: every seed file matches")
+    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +863,9 @@ def main(argv=None) -> int:
 
     p_replay = sub.add_parser("replay", help="re-grade persisted reports")
     p_replay.add_argument("directory")
+    p_replay.add_argument("--recompute", action="store_true",
+                          help="also run the recorded config again and compare every seed "
+                               "file byte for byte")
 
     sub.add_parser("catalog", help="list catalog functions, models and test processes")
 
@@ -826,7 +873,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return run(args.config, args)
     if args.command == "replay":
-        return replay(args.directory)
+        return replay(args.directory, args.recompute)
     if args.command == "catalog":
         sections = {
             "scalar functions": [f"{_signature(name, _PARAMETERS.get(name, {}))}: {desc}"

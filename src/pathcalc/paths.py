@@ -350,8 +350,9 @@ class SamplePath:
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        # a NaN compares false both ways, so test what must hold, not what must not
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
         if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.pre_values))):
             raise ValueError("path values must be finite")
         for name in ("times", "values", "pre_values", "jump_indices", "jump_sizes"):
@@ -401,7 +402,8 @@ class SamplePath:
         Each row must hold value = pre_jump_value + jump_size exactly, as
         :func:`simulate` builds it.  The error for a row that does not (a
         left limit apart from its value where jump_size is 0, say) names
-        its line.
+        its line.  The times must be finite and strictly increasing, as for
+        any :class:`SamplePath`.
         """
         times, values, pre, sizes = [], [], [], []
         with open(path, newline="") as fh:

@@ -46,15 +46,18 @@ class TestRun:
         kind_dir = tmp_path / "out" / "qv"
         assert (kind_dir / "aggregate.json").exists()
         assert (kind_dir / "summary.txt").exists()
-        assert (kind_dir / "100" / "report.json").exists()
-        assert (kind_dir / "100" / "paths.csv").exists()
+        # path CSVs are opt-in: a config without write_paths writes the reports alone
+        assert {p.name for p in (kind_dir / "100").iterdir()} == {"report.json"}
+        agg = json.loads((kind_dir / "aggregate.json").read_text())
+        assert agg["config"]["write_paths"] is False
         summary = (kind_dir / "summary.txt").read_text()
         assert summary.strip().endswith("overall: PASS")
 
     def test_paths_csv_reads_back_as_the_simulated_path(self, tmp_path):
         model = {"kind": "jd", "sigma": 1.0, "drift": 0.1, "rate": 3.0,
                  "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}}
-        main(["run", qv_config(tmp_path, model=model, n_paths=3, n_steps=2048)])
+        main(["run", qv_config(tmp_path, model=model, n_paths=3, n_steps=2048,
+                               write_paths=True)])
         for seed in (100, 101, 102):
             read = SamplePath.from_csv(tmp_path / "out" / "qv" / str(seed) / "paths.csv")
             simulated = simulate(model_from_dict(model), 2048, 1.0, seed)
@@ -145,9 +148,7 @@ class TestRun:
             (tmp_path / threads).mkdir()
             monkeypatch.chdir(tmp_path / threads)
             main(["run", cfg])
-            kind_dir = Path("out", "compensator")
-            trees.append({str(f.relative_to(kind_dir)): f.read_bytes()
-                          for f in sorted(kind_dir.rglob("*")) if f.is_file()})
+            trees.append(_tree(Path("out", "compensator")))
         # 20 pairs, the martingale check, the negative control, the aggregate and the summary
         assert len(trees[0]) == 20 + 2 + 2
         assert {"aggregate.json", "summary.txt", "5/report.json", "26/report.json"} <= set(trees[0])
@@ -233,17 +234,19 @@ class TestCatalogCommand:
 
 
 BM = {"kind": "bm", "sigma": 1.0}
+# the path kinds write their CSVs, so that tests/test_golden.py pins those bytes too
 PARITY_CONFIGS = {
     "summability": {"kind": "summability", "n_draws": 50},
     "taylor": {"kind": "taylor"},
-    "qv": {"kind": "qv", "model": BM, "levels": [4, 5, 6], "n_paths": 4, "n_steps": 256},
+    "qv": {"kind": "qv", "model": BM, "levels": [4, 5, 6], "n_paths": 4, "n_steps": 256,
+           "write_paths": True},
     "ito": {"kind": "ito", "model": BM, "function": {"name": "square"},
-            "level": 6, "n_paths": 2, "n_steps": 256},
+            "level": 6, "n_paths": 2, "n_steps": 256, "write_paths": True},
     "ito_inapplicable": {"kind": "ito", "model": BM, "function": {"name": "sign"},
-                         "level": 6, "n_paths": 2, "n_steps": 256},
+                         "level": 6, "n_paths": 2, "n_steps": 256, "write_paths": True},
     "tanaka_local_time": {"kind": "tanaka", "model": BM, "function": {"name": "abs"},
                           "level": 7, "n_paths": 3, "n_steps": 512,
-                          "local_time": {"level": 0.0, "eps": 0.2}},
+                          "local_time": {"level": 0.0, "eps": 0.2}, "write_paths": True},
     "compensator": {"kind": "compensator", "n_paths": 200},
     "independence": {"kind": "independence", "model": BM, "levels": [5, 6],
                      "hitting_eps": [0.25, 0.125], "n_paths": 4, "n_steps": 512,
@@ -293,6 +296,91 @@ def test_per_seed_layout(tmp_path, name):
         assert rel == f"{seed}/report.json"
         files = {p.name for p in (kind_dir / seed).iterdir()}
         assert files == {"report.json"} | extras.get(kind, set())
+
+
+def _tree(directory):
+    return {f.relative_to(directory).as_posix(): f.read_bytes()
+            for f in sorted(directory.rglob("*")) if f.is_file()}
+
+
+def _verdict_words(text):
+    """Each check's name with its PASS or FAIL, and the overall line."""
+    return [line.split(" (")[0] for line in text.splitlines()
+            if ": PASS" in line or ": FAIL" in line]
+
+
+class TestRecompute:
+    """``replay --recompute`` runs the recorded config again and compares every seed file
+    byte for byte with the recorded one."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+    def test_a_fresh_run_matches(self, tmp_path, capsys, monkeypatch, name, threads):
+        # the run uses the other pool size: no seed file depends on it
+        monkeypatch.setenv("PATHCALC_THREADS", "2" if threads == "1" else "1")
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS[name],
+            "out_dir": str(tmp_path / "out")})
+        run_rc = main(["run", cfg])
+        run_lines = _check_lines(capsys.readouterr().out)
+        kind_dir = tmp_path / "out" / PARITY_CONFIGS[name]["kind"]
+        before = _tree(kind_dir)
+        monkeypatch.setenv("PATHCALC_THREADS", threads)
+        assert main(["replay", "--recompute", str(kind_dir)]) == run_rc
+        out = capsys.readouterr().out
+        assert _check_lines(out) == run_lines
+        assert out.splitlines()[-1] == "recompute: every seed file matches"
+        assert _tree(kind_dir) == before
+
+    def test_an_edit_within_the_band_fails_only_the_recompute(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path)])
+        kind_dir = tmp_path / "out" / "qv"
+        run_words = _verdict_words((kind_dir / "summary.txt").read_text())
+        report = kind_dir / "103" / "report.json"
+        row = json.loads(report.read_text())
+        row["qv"]["7"] += 1e-9
+        cli._write_json(report, row)
+        capsys.readouterr()
+        assert main(["replay", str(kind_dir)]) == 0
+        graded = capsys.readouterr().out
+        assert _verdict_words(graded) == run_words
+        assert main(["replay", "--recompute", str(kind_dir)]) == 1
+        assert capsys.readouterr().out == graded + "recompute: 103/report.json differs\n"
+
+    def test_a_missing_or_extra_file_differs(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path, write_paths=True)])
+        kind_dir = tmp_path / "out" / "qv"
+        (kind_dir / "101" / "paths.csv").unlink()
+        (kind_dir / "104" / "notes.txt").write_text("a file that no run writes\n")
+        capsys.readouterr()
+        assert main(["replay", "--recompute", str(kind_dir)]) == 1
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("recompute: ")] == ["recompute: 101/paths.csv differs",
+                                                       "recompute: 104/notes.txt differs"]
+
+    def test_a_deleted_seed_report_exits_2(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path)])
+        kind_dir = tmp_path / "out" / "qv"
+        (kind_dir / "105" / "report.json").unlink()
+        capsys.readouterr()
+        assert main(["replay", "--recompute", str(kind_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unreadable aggregate or report: ")
+        assert captured.out == ""
+
+    def test_a_recorded_config_that_the_runner_rejects_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "tanaka.json", {
+            "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS["tanaka_local_time"],
+            "out_dir": str(tmp_path / "out")})
+        main(["run", cfg])
+        agg_path = tmp_path / "out" / "tanaka" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        # below the path's resolution: the grade reads the reports, the runner rejects it
+        agg["config"]["local_time"]["eps"] = 1e-6
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", "--recompute", str(agg_path.parent)]) == 2
+        assert capsys.readouterr().err.startswith("error: recompute: eps=1e-06")
 
 
 class TestMalformedAggregate:
@@ -382,6 +470,19 @@ class TestMalformedAggregate:
         assert main(["replay", str(agg_path.parent)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: unsupported aggregate schema_version 1\n"
+        assert captured.out == ""
+
+    def test_aggregate_that_recorded_write_paths_auto_exits_2(self, agg_path, capsys):
+        """Runs before path CSVs became opt-in recorded the default ``"auto"``, which no
+        config accepts now."""
+        agg = json.loads(agg_path.read_text())
+        agg["config"]["write_paths"] = "auto"
+        agg_path.write_text(json.dumps(agg))
+        capsys.readouterr()
+        assert main(["replay", str(agg_path.parent)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: malformed aggregate: its config: write_paths must be "
+                                "true or false, got 'auto'\n")
         assert captured.out == ""
 
     def test_replay_grades_the_reports_not_the_recorded_checks(self, agg_path, capsys):
@@ -603,11 +704,11 @@ class TestRunnerInputErrors:
         assert err.startswith(f"config error: {message}")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["false", "true", 0, None, "never"])
-    def test_write_paths_is_true_false_or_auto(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value", ["false", "true", 0, None, "never", "auto"])
+    def test_write_paths_is_true_or_false(self, tmp_path, capsys, value):
         assert main(["run", qv_config(tmp_path, write_paths=value)]) == 2
         assert capsys.readouterr().err.startswith(
-            f'config error: write_paths must be true, false or "auto", got {value!r}')
+            f"config error: write_paths must be true or false, got {value!r}")
         assert not (tmp_path / "out" / "qv").exists()
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
@@ -954,9 +1055,9 @@ READ_CONFIGS = {
 RECORDED_DEFAULTS = {
     "summability": {"tolerances": {}},
     "taylor": {"tolerances": {}},
-    "qv": {"T": 1.0, "tolerances": {}, "write_paths": "auto"},
-    "ito": {"T": 1.0, "tolerances": {}, "write_paths": "auto"},
-    "tanaka": {"T": 1.0, "tolerances": {}, "write_paths": "auto"},
+    "qv": {"T": 1.0, "tolerances": {}, "write_paths": False},
+    "ito": {"T": 1.0, "tolerances": {}, "write_paths": False},
+    "tanaka": {"T": 1.0, "tolerances": {}, "write_paths": False},
     "compensator": {"T": 1.0},
     "independence": {"T": 1.0},
 }

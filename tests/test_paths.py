@@ -244,6 +244,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=message):
             SamplePath.from_csv(f)
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    @pytest.mark.parametrize("row", [1, 2, 3], ids=["first", "middle", "last"])
+    def test_times_that_are_not_finite_are_rejected(self, tmp_path, time, row):
+        # a NaN time once slipped past the increasing-times test, and dyadic_grid built a
+        # grid on it; a last time of inf gave the path an infinite horizon
+        lines = ["time,value,pre_jump_value,jump_size", "0.0,0.0,0.0,0.0", "0.5,0.25,0.25,0.0",
+                 "1.0,0.5,0.5,0.0"]
+        lines[row] = ",".join([time, *lines[row].split(",")[1:]])
+        f = tmp_path / "path.csv"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+            SamplePath.from_csv(f)
+
     def test_left_limit_moved_off_the_jumps_is_rejected(self, tmp_path):
         # loaded, this path has no jump, and ito_decompose(square) on it reports an
         # identity gap of 0.19 while its residual stays below 1e-16
