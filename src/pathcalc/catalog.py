@@ -33,11 +33,7 @@ def _one(x):
 
 
 def _abs_fn(label: str) -> ScalarFn:
-    return ScalarFn(
-        label=label, fn=np.abs,
-        derivatives={1: sign_rc, 2: _zero},
-        convex=True, kinks=(0.0,),
-    )
+    return ScalarFn(label=label, fn=np.abs, derivatives={1: sign_rc, 2: _zero}, convex=True)
 
 
 def _square() -> ScalarFn:
@@ -61,16 +57,11 @@ def _x_abs_x_half() -> ScalarFn:
         label="x_abs_x_half",
         fn=lambda x: np.asarray(x, dtype=float) * np.abs(x) / 2.0,
         derivatives={1: np.abs, 2: sign_rc},
-        kinks=(0.0,),
     )
 
 
 def _sign() -> ScalarFn:
-    return ScalarFn(
-        label="sign", fn=sign_rc,
-        derivatives={1: _zero},
-        kinks=(0.0,),
-    )
+    return ScalarFn(label="sign", fn=sign_rc, derivatives={1: _zero})
 
 
 def _identity() -> ScalarFn:
@@ -85,7 +76,7 @@ def _relu() -> ScalarFn:
     return ScalarFn(
         label="relu", fn=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0),
         derivatives={1: _step_rc, 2: _zero},
-        convex=True, kinks=(0.0,),
+        convex=True,
     )
 
 
@@ -136,7 +127,6 @@ def _piecewise_linear(breakpoints, slopes, y0: float) -> ScalarFn:
         fn=_anti,
         derivatives={1: _deriv, 2: _zero},
         convex=bool(np.all(np.diff(sl) >= 0)),
-        kinks=tuple(float(v) for v in bp),
     )
 
 

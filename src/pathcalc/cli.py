@@ -1,8 +1,10 @@
 """Batch experiment runner: ``run`` a JSON config, ``replay`` persisted
 reports, or list the ``catalog``.
 
-Output layout per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per
-path; for compensator one per (process, Y) pair, then one for its martingale
+A run owns ``<out>/<kind>``: before its runner starts, it empties that
+directory, so nothing that an earlier run left there stays.  Output layout
+per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per path; for
+compensator one per (process, Y) pair, then one for its martingale
 check and one for its negative control at the next two seeds; the base seed
 alone for summability, taylor and independence), with ``aggregate.json`` and
 a one-page ``summary.txt`` at the experiment level.  That is the whole
@@ -35,7 +37,8 @@ that the kind declares.  Refinement lists run from coarse to fine:
 override sets the key that it names: ``--seed`` ``base_seed``, ``--paths``
 ``n_paths``, ``--out`` ``out_dir``, and ``--level`` ``level``, or
 ``levels`` as ``[level]``.  An unknown key, a missing required key, a value
-of the wrong type, a NaN or Infinity anywhere in the config, an override on
+of the wrong type or out of its range (``T`` and ``local_time.eps`` > 0,
+``n_steps`` >= 1), a NaN or Infinity anywhere in the config, an override on
 a kind that does not declare its key (``--paths`` on summability), or a
 ``PATHCALC_THREADS`` that is not a positive integer is a config error.  A
 config error prints ``config error: …`` and exits 2.  Once a runner has
@@ -74,6 +77,7 @@ import json
 import math
 import numbers
 import os
+import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -157,6 +161,13 @@ _eps_list = _typed(lambda v: isinstance(v, list) and v
                    "a non-empty list of finite numbers > 0, strictly decreasing")
 
 
+def _positive_real(value, name: str) -> float:
+    """A number > 0, made a float like ``_real``."""
+    if not (_is_real(value) and value > 0):
+        raise ValueError(f"{name} must be a number > 0, got {value!r}")
+    return float(value)
+
+
 def _level(value, name: str) -> int:
     if _int(value, name) < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
@@ -209,14 +220,14 @@ _TAYLOR_ENTRY = {"function": (_function, _REQUIRED), "a": (_real, _REQUIRED),
                  "b": (_real, _REQUIRED), "k": (_int, _REQUIRED)}
 
 # the kinds that simulate paths: how many (per pair, for compensator) and over [0, T]
-_PATHS = {"n_paths": (_count, 1), "T": (_real, 1.0)}
+_PATHS = {"n_paths": (_count, 1), "T": (_positive_real, 1.0)}
 
 # the kinds that simulate one path per seed, and may write it (see the module docstring)
 _SEED_PATHS = {**_PATHS, "write_paths": (_flag, False)}
 
 _LEVELS = {
     "levels": (_levels, [8, 10, 12]),
-    "n_steps": (_int, lambda cfg: 2 ** (max(cfg["levels"]) + 2)),
+    "n_steps": (_count, lambda cfg: 2 ** (max(cfg["levels"]) + 2)),
 }
 
 
@@ -227,7 +238,7 @@ def _decomposition_keys(residual: float, **tolerances) -> dict:
         "function": (_function, _REQUIRED),
         "g": (_function, None),
         "level": (_level, 12),
-        "n_steps": (_int, lambda cfg: 2 ** min(cfg["level"] + 2, 18)),
+        "n_steps": (_count, lambda cfg: 2 ** min(cfg["level"] + 2, 18)),
         "negative_control": ({"corrupt_g_sign": (_flag, False)}, {}),
         "tolerances": ({"residual": (_real, residual), **tolerances,
                         "identity_gap": (_real, 1e-8)}, {}),
@@ -269,7 +280,7 @@ _KEYS = {
     # function, is about 0)
     "tanaka": {**_decomposition_keys(residual=1e-6, jump=(_real, 1e-3),
                                      local_time_rel=(_real, 0.10)),
-               "local_time": ({"level": (_real, 0.0), "eps": (_real, _REQUIRED)}, None)},
+               "local_time": ({"level": (_real, 0.0), "eps": (_positive_real, _REQUIRED)}, None)},
     "compensator": {
         # the compensator's paired Monte Carlo, graded at 3 SE, needs many paths
         **_PATHS, "n_paths": (_count, 10_000),
@@ -501,11 +512,8 @@ def _run_compensator(cfg, kind_dir: Path):
             row = {"pair": comp_mod.verify_compensator(*pairs[i], n_paths=n_paths, T=T,
                                                        seed=seed).to_json_dict()}
         elif i == len(pairs):
-            mart = comp_mod.martingale_check(model, n_paths=n_paths, checkpoints=(0.0, T / 2, T),
-                                             seed=seed)
-            row = {"martingale": {"model": mart["model"], "increments": [
-                {k: inc[k] for k in ("s", "t", "mean_increment", "se")}
-                for inc in mart["increments"]]}}
+            row = {"martingale": comp_mod.martingale_check(model, n_paths=n_paths, T=T,
+                                                           seed=seed)}
         else:
             row = {"negative_control": comp_mod.verify_compensator(
                 model, comp_mod.ConstantY(1.0), n_paths=n_paths, T=T, seed=seed,
@@ -820,9 +828,12 @@ def run(config_path: str, overrides) -> int:
     except (OSError, ValueError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # the run owns its kind directory: what an earlier run left there goes
     kind_dir = Path(cfg["out_dir"]) / cfg["kind"]
     try:
-        kind_dir.mkdir(parents=True, exist_ok=True)
+        if kind_dir.exists():
+            shutil.rmtree(kind_dir)
+        kind_dir.mkdir(parents=True)
     except OSError as exc:
         print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 """Real-line calculus of two-index functionals.
 
 A two-index functional F(x, y) with F(x, x) = 0 plays the role of a
-generalized increment.  This module provides the constructions built from
+generalized increment; it is any vectorized callable F(x, y)
+(:data:`TwoIndexFn`).  This module provides the constructions built from
 scalar functions (increment, first-order linear remainder, squared
 increment), iterated incremental ratios, partition sums and their
-refinement limits, boundedness scans for the ratios, vanishing-step
+refinement limits, a sup estimate of the ratios, vanishing-step
 derivative limits, and a Taylor-style expansion check with an
 independently computed remainder.
 
@@ -14,6 +15,7 @@ functions of their inputs only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -29,7 +31,6 @@ __all__ = [
     "DyadicRefinement",
     "RandomBisection",
     "LimitResult",
-    "ScanResult",
     "DerivativeResult",
     "ExpansionReport",
     "increment_fn",
@@ -50,20 +51,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """A real function with optional declared derivatives and metadata.
+    """A real function with optional declared derivatives and a convexity flag.
 
     ``derivatives`` maps order j to a callable for the a.e. j-th derivative;
     at kinks the right-continuous version is declared (that convention is
-    what the decomposition code relies on).  ``kinks`` marks points where
-    the declared derivatives are one-sided, so spot-check grids can avoid
-    straddling them.
+    what the decomposition code relies on).
     """
 
     label: str
     fn: Callable[[np.ndarray], np.ndarray]
     derivatives: Mapping[int, Callable] = field(default_factory=dict)
     convex: bool = False
-    kinks: tuple = ()
 
     def __call__(self, x):
         return self.fn(x)
@@ -77,22 +75,13 @@ class ScalarFn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoIndexFn:
-    """A functional F(x, y) vanishing on the diagonal."""
-
-    label: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
+# a functional F(x, y) vanishing on the diagonal, vectorized over x and y
+TwoIndexFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def increment_fn(f: ScalarFn) -> TwoIndexFn:
     """F(x, y) = f(y) - f(x)."""
-    return TwoIndexFn(
-        label=f"inc[{f.label}]", fn=lambda x, y: np.asarray(f(y)) - np.asarray(f(x)),
-    )
+    return lambda x, y: np.asarray(f(y)) - np.asarray(f(x))
 
 
 def linear_remainder(f: ScalarFn, g: ScalarFn) -> TwoIndexFn:
@@ -101,15 +90,13 @@ def linear_remainder(f: ScalarFn, g: ScalarFn) -> TwoIndexFn:
     Nonnegative exactly when f is convex and g lies between the one-sided
     derivatives of f.
     """
-    return TwoIndexFn(
-        label=f"rem[{f.label},{g.label}]",
-        fn=lambda x, y: np.asarray(f(y)) - np.asarray(f(x)) - np.asarray(g(x)) * (np.asarray(y) - np.asarray(x)),
-    )
+    return lambda x, y: (np.asarray(f(y)) - np.asarray(f(x))
+                         - np.asarray(g(x)) * (np.asarray(y) - np.asarray(x)))
 
 
 def squared_increment() -> TwoIndexFn:
     """F(x, y) = (y - x)^2, whose pathwise sums are realized quadratic variation."""
-    return TwoIndexFn(label="sq", fn=lambda x, y: (np.asarray(y) - np.asarray(x)) ** 2)
+    return lambda x, y: (np.asarray(y) - np.asarray(x)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +128,12 @@ def _raw_ratio(F: TwoIndexFn, k: int, xs, h):
 
 @dataclass(frozen=True)
 class Partition:
-    """A finite collection of points inside an interval (a, b).
+    """A finite collection of points inside a finite interval (a, b).
 
-    Points are sorted (ties allowed; tied cells contribute F(x, x) = 0) and
-    must lie strictly inside the interval.  Endpoint cells are added by
-    :func:`partition_sum`, so the increment functional telescopes exactly to
-    f(b) - f(a) at every refinement level.
+    Points are sorted, none NaN (ties allowed; tied cells contribute
+    F(x, x) = 0), and lie strictly inside the interval.  Endpoint cells are
+    added by :func:`partition_sum`, so the increment functional telescopes
+    exactly to f(b) - f(a) at every refinement level.
     """
 
     a: float
@@ -154,12 +141,13 @@ class Partition:
     points: tuple
 
     def __post_init__(self):
-        if not (self.a < self.b):
-            raise ValueError("partition needs a < b")
+        # each check is a comparison that NaN fails
+        if not (-math.inf < self.a < self.b < math.inf):
+            raise ValueError("partition needs finite a < b")
         pts = tuple(float(p) for p in self.points)
-        if any(pts[i] > pts[i + 1] for i in range(len(pts) - 1)):
-            raise ValueError("partition points must be sorted")
-        if pts and (pts[0] <= self.a or pts[-1] >= self.b):
+        if not all(p <= q for p, q in itertools.pairwise(pts)):
+            raise ValueError("partition points must be sorted and not NaN")
+        if pts and not (self.a < pts[0] and pts[-1] < self.b):
             raise ValueError("partition points must lie strictly inside (a, b)")
         object.__setattr__(self, "points", pts)
 
@@ -255,31 +243,21 @@ def summability_limit(
 
 
 # ---------------------------------------------------------------------------
-# ratio boundedness scan
+# sup scan of the incremental ratios
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    sup_estimate: float
-    bounded: bool
-    sups: tuple
-
-
-def lipschitz_scan(F: TwoIndexFn, k: int, interval, h_max: float = 0.25) -> ScanResult:
+def lipschitz_scan(F: TwoIndexFn, k: int, interval, h_max: float = 0.25) -> float:
     """Estimate sup over x in ``interval``, steps <= h_max of |F^k|.
 
     The sup is estimated on 65 equally spaced points at the four step
-    scales h_max / 2^m, m < 4; ``bounded`` is True when the final estimate
-    has not grown beyond twice the first one (the sup is stable as the
-    steps vanish).  NaN from F turns into a failed scan (NaN estimate,
-    bounded False).
+    scales h_max / 2^m, m < 4, and the estimate is the one at the finest
+    scale.  NaN from F gives a NaN estimate.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi) or h_max <= 0:
         raise ValueError("lipschitz_scan needs lo < hi, h_max > 0")
     base = np.linspace(lo, hi, 65)
-    sups = []
     x_star = None
     for m in range(4):
         hm = h_max / 2**m
@@ -295,14 +273,12 @@ def lipschitz_scan(F: TwoIndexFn, k: int, interval, h_max: float = 0.25) -> Scan
                 _raw_ratio(F, k, xs, [float(c) for c in combo]), dtype=float
             ))
             if np.any(np.isnan(vals)):
-                return ScanResult(float("nan"), False, tuple(sups))
+                return float("nan")
             i = int(np.argmax(vals))
             if vals[i] > best:
                 best, best_x = float(vals[i]), float(xs[i])
-        sups.append(best)
         x_star = best_x
-    bounded = sups[-1] <= 2.0 * sups[0] + 1e-9
-    return ScanResult(sups[-1], bounded, tuple(sups))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +364,7 @@ class ExpansionReport:
     ratio limit against the (b - t)^(k-1) remainder density, so
     ``identity_gap = |I - sum(terms) - remainder|`` genuinely measures how
     well the expansion closes.  ``remainder_bound`` is
-    (b - a)^k / k! * sup|F^k| from the boundedness scan.
+    (b - a)^k / k! * sup|F^k| from :func:`lipschitz_scan`.
     """
 
     a: float
@@ -465,8 +441,8 @@ def taylor_check(F: TwoIndexFn, a: float, b: float, k: int, tol: float = 1e-8) -
     remainder = (b - a) ** k / math.factorial(k) * float(np.mean(node_vals))
 
     gap = abs(total - sum(v for _, v in terms) - remainder)
-    scan = lipschitz_scan(F, k, (a, b), h_max=min(0.25, (b - a) / 4))
-    bound = (b - a) ** k / math.factorial(k) * scan.sup_estimate
+    sup = lipschitz_scan(F, k, (a, b), h_max=min(0.25, (b - a) / 4))
+    bound = (b - a) ** k / math.factorial(k) * sup
     bound_ok = abs(remainder) <= bound + 1e-9 + 1e-9 * abs(bound)
     return ExpansionReport(
         a=a, b=b, order=k, terms=tuple(terms), remainder=remainder,

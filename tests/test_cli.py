@@ -358,6 +358,19 @@ class TestRecompute:
                 if line.startswith("recompute: ")] == ["recompute: 101/paths.csv differs",
                                                        "recompute: 104/notes.txt differs"]
 
+    def test_a_rerun_into_the_same_out_replaces_the_earlier_run(self, tmp_path, capsys):
+        main(["run", qv_config(tmp_path, n_paths=3, write_paths=True)])
+        kind_dir = tmp_path / "out" / "qv"
+        assert (kind_dir / "102" / "paths.csv").exists()
+        run_rc = main(["run", qv_config(tmp_path, n_paths=3), "--paths", "2"])
+        # only the second run's files: no paths.csv and no seed directory 102
+        assert sorted(_tree(kind_dir)) == ["100/report.json", "101/report.json",
+                                           "aggregate.json", "summary.txt"]
+        capsys.readouterr()
+        # two paths may FAIL the Cauchy check: the exit code is the grade's, as the run's
+        assert main(["replay", "--recompute", str(kind_dir)]) == run_rc
+        assert capsys.readouterr().out.splitlines()[-1] == "recompute: every seed file matches"
+
     def test_a_deleted_seed_report_exits_2(self, tmp_path, capsys):
         main(["run", qv_config(tmp_path)])
         kind_dir = tmp_path / "out" / "qv"
@@ -892,8 +905,8 @@ def _out_exists(tmp_path):
 
 
 class TestRefinementOrder:
-    """Refinement lists run from coarse to fine, and a bad one ends the run before any
-    output exists."""
+    """Refinement lists run from coarse to fine, and a bad one, like a ``T``, ``n_steps`` or
+    local-time ``eps`` out of its range, ends the run before any output exists."""
 
     @pytest.mark.parametrize("name, change, message", [
         ("qv", {"levels": [6, 4]}, "levels must be a non-empty list of integers"),
@@ -910,9 +923,23 @@ class TestRefinementOrder:
         ("ito", {"level": -1}, "level must be >= 0"),
         ("tanaka_local_time", {"level": -1}, "level must be >= 0"),
         ("ito", {"level": 1.5}, "level must be an integer"),
+        ("qv", {"T": 0}, "T must be a number > 0, got 0"),
+        ("qv", {"T": -1.0}, "T must be a number > 0, got -1.0"),
+        ("ito", {"T": -0.5}, "T must be a number > 0"),
+        ("independence", {"T": 0.0}, "T must be a number > 0"),
+        ("compensator", {"T": 0}, "T must be a number > 0"),
+        ("qv", {"n_steps": 0}, "n_steps must be an integer >= 1, got 0"),
+        ("independence", {"n_steps": -4}, "n_steps must be an integer >= 1"),
+        ("tanaka_local_time", {"n_steps": 0}, "n_steps must be an integer >= 1"),
+        ("tanaka_local_time", {"local_time": {"level": 0.0, "eps": 0}},
+         "eps must be a number > 0, got 0"),
+        ("tanaka_local_time", {"local_time": {"eps": -0.2}}, "eps must be a number > 0"),
     ], ids=["qv_decreasing", "qv_repeated", "qv_negative", "independence_levels_decreasing",
             "eps_increasing", "eps_repeated", "eps_negative", "eps_zero", "eps_empty", "eps_nan",
-            "ito_negative_level", "tanaka_negative_level", "fractional_level"])
+            "ito_negative_level", "tanaka_negative_level", "fractional_level",
+            "qv_zero_T", "qv_negative_T", "ito_negative_T", "independence_zero_T",
+            "compensator_zero_T", "qv_zero_steps", "independence_negative_steps",
+            "tanaka_zero_steps", "zero_local_time_eps", "negative_local_time_eps"])
     def test_exits_2_before_any_output(self, tmp_path, capsys, name, change, message):
         cfg = write_config(tmp_path, "cfg.json", {
             "schema_version": 1, **PARITY_CONFIGS[name], **change,

@@ -16,7 +16,6 @@ from pathcalc import (
     ResolutionExhaustedError,
     SamplePath,
     ScalarFn,
-    TwoIndexFn,
     TwoPointLaw,
     UniformLaw,
     boundedness_scan,
@@ -292,8 +291,12 @@ class TestPathwiseSum:
         g = dyadic_grid(p, 6)
         F = increment_fn(XABS)
         G = squared_increment()
-        scaled = TwoIndexFn("3.5F", lambda x, y: 3.5 * F(x, y))
-        both = TwoIndexFn("F+G", lambda x, y: F(x, y) + G(x, y))
+        def scaled(x, y):
+            return 3.5 * F(x, y)
+
+        def both(x, y):
+            return F(x, y) + G(x, y)
+
         assert pathwise_sum(scaled, g) == pytest.approx(3.5 * pathwise_sum(F, g), abs=1e-12)
         assert pathwise_sum(both, g) == pytest.approx(
             pathwise_sum(F, g) + pathwise_sum(G, g), abs=1e-12)
@@ -312,11 +315,6 @@ class TestBoundednessScan:
         # the default move floor that is at most ~1e-4 on top of the true 1/2
         assert est <= 0.5 + 2e-4
 
-    def test_convex_pair_is_lower_bounded(self, scan_paths):
-        est, flag = boundedness_scan(linear_remainder(ABS, SIGN), scan_paths, "lower_bounded", seed=2)
-        assert flag
-        assert est >= -1e-12
-
     def test_concave_kink_is_unbounded(self, scan_paths):
         neg_abs = ScalarFn("neg_abs", lambda x: -np.abs(x))
         neg_sign = ScalarFn("neg_sign", lambda x: -np.asarray(SIGN(x), dtype=float))
@@ -326,6 +324,11 @@ class TestBoundednessScan:
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
             boundedness_scan(squared_increment(), [], "bounded")
+
+    @pytest.mark.parametrize("bound_type", ["lower_bounded", "Bounded", None])
+    def test_only_the_bounded_scan_exists(self, scan_paths, bound_type):
+        with pytest.raises(ValueError, match="bound_type must be 'bounded'"):
+            boundedness_scan(squared_increment(), scan_paths, bound_type)
 
 
 class TestLimitInProbability:
@@ -351,9 +354,8 @@ class TestLimitInProbability:
         assert max(diag.cross_tail.values()) <= 0.05
 
     def test_first_order_increments_diverge(self):
-        absinc = TwoIndexFn("abs_inc", lambda x, y: np.abs(np.asarray(y) - np.asarray(x)))
         diag = limit_in_probability(
-            absinc, BrownianMotion(),
+            lambda x, y: np.abs(np.asarray(y) - np.asarray(x)), BrownianMotion(),
             schemes=[{"scheme": "dyadic", "params": [6, 8, 10]},
                      {"scheme": "hitting", "params": [2**-3, 2**-4]}],
             n_paths=40, eps=0.05, delta=0.05, n_steps=4096, base_seed=6,
