@@ -1,8 +1,11 @@
 """Batch experiment runner: ``run`` a JSON config, ``replay`` persisted
 reports, or list the ``catalog``.
 
-A run owns ``<out>/<kind>``: before its runner starts, it empties that
-directory, so nothing that an earlier run left there stays.  Output layout
+A run owns ``<out>/<kind>``: its runner writes into a fresh directory under
+``<out>``, which replaces ``<out>/<kind>`` when the runner returns, so
+nothing that an earlier run left there stays.  A run that ends before that
+(a config value that the runner rejects, say) removes the fresh directory
+and leaves ``<out>/<kind>`` as it was.  Output layout
 per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per path; for
 compensator one per (process, Y) pair, then one for its martingale
 check and one for its negative control at the next two seeds; the base seed
@@ -555,7 +558,7 @@ def _run_summability(cfg, kind_dir: Path):
             continue
         pts = np.sort(rng.uniform(a, b, size=int(rng.integers(1, 32))))
         pts = pts[(pts > a) & (pts < b)]
-        s = partition_sum(increment_fn(f), Partition(a, b, tuple(pts)))
+        s = partition_sum(increment_fn(f), Partition(a, b, pts))
         worst = max(worst, abs(s - (float(f(b)) - float(f(a)))))
 
     add_worst = 0.0
@@ -828,23 +831,30 @@ def run(config_path: str, overrides) -> int:
     except (OSError, ValueError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # the run owns its kind directory: what an earlier run left there goes
+    # the run owns its kind directory: its runner writes into a fresh one (made by mkdir,
+    # as mkdtemp's mode is 0o700), which replaces it once the runner returns and is removed
+    # on any other exit, so a run that ends early leaves an earlier run as it was
     kind_dir = Path(cfg["out_dir"]) / cfg["kind"]
     try:
-        if kind_dir.exists():
-            shutil.rmtree(kind_dir)
-        kind_dir.mkdir(parents=True)
+        kind_dir.parent.mkdir(parents=True, exist_ok=True)
+        scratch = Path(tempfile.mkdtemp(prefix=f".{cfg['kind']}-", dir=kind_dir.parent))
     except OSError as exc:
         print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
         return 2
+    fresh = scratch / cfg["kind"]
     # a plain ValueError marks an invalid argument (see errors.py): here a config value
     # that the library rejects, such as a local-time eps below the path's resolution
     run_kind, grade = _KIND_FUNCTIONS[cfg["kind"]]
     try:
-        rows = run_kind(cfg, kind_dir)
+        fresh.mkdir()
+        rows = run_kind(cfg, fresh)
+        shutil.rmtree(kind_dir, ignore_errors=True)
+        fresh.rename(kind_dir)
     except (ValueError, ResolutionExhaustedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
     checks = grade(cfg, rows)
     _write_json(kind_dir / "aggregate.json", {
         "schema_version": AGGREGATE_VERSION, "kind": cfg["kind"], "config": recorded,

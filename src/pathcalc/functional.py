@@ -9,13 +9,14 @@ refinement limits, a sup estimate of the ratios, vanishing-step
 derivative limits, and a Taylor-style expansion check with an
 independently computed remainder.
 
-Everything here is pure: types are frozen dataclasses and operations are
-functions of their inputs only.
+Everything here is pure: types are frozen dataclasses, a partition's
+points are a read-only float array, and operations are functions of their
+inputs only.  A refinement scheme's ``chain`` builds each partition when
+it is read, so a limit that converges early builds no finer level.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -126,68 +127,67 @@ def _raw_ratio(F: TwoIndexFn, k: int, xs, h):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """A finite collection of points inside a finite interval (a, b).
 
-    Points are sorted, none NaN (ties allowed; tied cells contribute
-    F(x, x) = 0), and lie strictly inside the interval.  Endpoint cells are
+    ``points`` is a read-only float array, a copy of the one given.  It is
+    one-dimensional, sorted, none NaN (ties allowed; tied cells contribute
+    F(x, x) = 0), and lies strictly inside the interval.  Endpoint cells are
     added by :func:`partition_sum`, so the increment functional telescopes
-    exactly to f(b) - f(a) at every refinement level.
+    exactly to f(b) - f(a) at every refinement level.  Partitions compare by
+    identity, as an array has no truth value for ``==``.
     """
 
     a: float
     b: float
-    points: tuple
+    points: np.ndarray
 
     def __post_init__(self):
         # each check is a comparison that NaN fails
         if not (-math.inf < self.a < self.b < math.inf):
             raise ValueError("partition needs finite a < b")
-        pts = tuple(float(p) for p in self.points)
-        if not all(p <= q for p, q in itertools.pairwise(pts)):
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 1:
+            raise ValueError("partition points must be one-dimensional")
+        if not np.all(pts[:-1] <= pts[1:]):
             raise ValueError("partition points must be sorted and not NaN")
-        if pts and not (self.a < pts[0] and pts[-1] < self.b):
+        if pts.size and not (self.a < pts[0] and pts[-1] < self.b):
             raise ValueError("partition points must lie strictly inside (a, b)")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def cells(self) -> np.ndarray:
-        return np.array([self.a, *self.points, self.b])
+        return np.concatenate(([self.a], self.points, [self.b]))
 
 
 class DyadicRefinement:
     """Nested dyadic partitions: level L has the 2^L - 1 interior L-adic points."""
 
-    def partition(self, a: float, b: float, level: int) -> Partition:
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        n = 2**level
-        pts = a + (b - a) * np.arange(1, n) / n
-        return Partition(a, b, tuple(pts))
-
     def chain(self, a: float, b: float, n_levels: int):
-        return [self.partition(a, b, lv) for lv in range(n_levels)]
+        for level in range(n_levels):
+            n = 2**level
+            yield Partition(a, b, a + (b - a) * np.arange(1, n) / n)
 
 
 class RandomBisection:
-    """Nested random refinements: each level splits every cell at a uniform point."""
+    """Nested random refinements: each level splits every cell of the one before at a
+    uniform point of its middle half, one draw per cell in cell order."""
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
     def chain(self, a: float, b: float, n_levels: int):
         rng = seeded_rng(self.seed)
-        pts: list[float] = []
-        out = [Partition(a, b, ())]
-        for _ in range(1, n_levels):
-            edges = [a, *pts, b]
-            new = [
-                lo + (hi - lo) * rng.uniform(0.25, 0.75)
-                for lo, hi in zip(edges[:-1], edges[1:])
-            ]
-            pts = sorted(pts + new)
-            out.append(Partition(a, b, tuple(pts)))
-        return out
+        part = Partition(a, b, ())
+        for level in range(n_levels):
+            if level:
+                edges = part.cells()
+                pts = np.empty(2 * part.points.size + 1)
+                pts[0::2] = edges[:-1] + np.diff(edges) * rng.uniform(0.25, 0.75, edges.size - 1)
+                pts[1::2] = part.points
+                part = Partition(a, b, pts)
+            yield part
 
 
 def partition_sum(F: TwoIndexFn, part: Partition) -> float:
@@ -205,25 +205,6 @@ def partition_sum(F: TwoIndexFn, part: Partition) -> float:
 class LimitResult:
     estimate: float
     converged: bool
-    trace: tuple
-
-
-def _refine(F: TwoIndexFn, a, b, scheme, tol, max_levels):
-    """Partition sums along a nested refinement chain, stopped by a Cauchy test.
-
-    Returns (trace, converged): converged when the sums moved by less than
-    ``tol`` over the last three levels, not converged when the chain ends
-    first.
-    """
-    trace: list[float] = []
-    for part in (scheme or DyadicRefinement()).chain(a, b, max_levels):
-        trace.append(partition_sum(F, part))
-        if len(trace) >= 3:
-            d1 = abs(trace[-1] - trace[-2])
-            d2 = abs(trace[-2] - trace[-3])
-            if d1 < tol and d2 < tol:
-                return trace, True
-    return trace, False
 
 
 def summability_limit(
@@ -232,14 +213,21 @@ def summability_limit(
 ) -> LimitResult:
     """Partition sums along a nested refinement chain with a Cauchy verdict.
 
-    Converged means the estimates moved by less than ``tol`` over the last
-    three levels.  Non-convergence is reported through the flag, never
-    raised.
+    The chain (dyadic by default) is read level by level, and reading stops
+    once the sums moved by less than ``tol`` over the last three levels:
+    that is convergence.  A chain that ends first, after ``max_levels``
+    levels, is reported through the flag, never raised.
     """
     if not (a < b):
         raise ValueError("summability_limit needs a < b")
-    trace, converged = _refine(F, a, b, scheme, tol, max_levels)
-    return LimitResult(trace[-1], converged, tuple(trace))
+    if max_levels < 1:
+        raise ValueError("summability_limit needs max_levels >= 1")
+    sums: list[float] = []  # the last three partition sums, oldest first
+    for part in (scheme or DyadicRefinement()).chain(a, b, max_levels):
+        sums = [*sums[-2:], partition_sum(F, part)]
+        if len(sums) == 3 and abs(sums[2] - sums[1]) < tol and abs(sums[1] - sums[0]) < tol:
+            return LimitResult(sums[-1], True)
+    return LimitResult(sums[-1], False)
 
 
 # ---------------------------------------------------------------------------

@@ -692,6 +692,21 @@ class TestRunnerInputErrors:
         assert main(["run", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: eps=1e-06")
 
+    def test_a_rejected_config_leaves_the_earlier_run_as_it_was(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, **PARITY_CONFIGS["tanaka_local_time"],
+               "out_dir": str(tmp_path / "out")}
+        main(["run", write_config(tmp_path, "tanaka.json", cfg)])
+        before = _tree(tmp_path / "out")
+        rejected = write_config(tmp_path, "rejected.json", {
+            **cfg, "local_time": {"level": 0.0, "eps": 1e-6}})
+        capsys.readouterr()
+        assert main(["run", rejected]) == 2
+        assert capsys.readouterr().err.startswith("config error: eps=1e-06")
+        # every file of the earlier run, byte for byte, and no directory that the rejected
+        # run made
+        assert _tree(tmp_path / "out") == before
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["tanaka"]
+
     @pytest.mark.parametrize("name, change, message", [
         ("qv", {"model": {"kind": "cpj"}}, "missing key 'rate'"),
         ("qv", {"model": None}, "missing key 'model'"),

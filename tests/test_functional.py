@@ -121,6 +121,66 @@ class TestPartitionSum:
         with pytest.raises(ValueError, match="partition points"):
             Partition(0.0, 1.0, points)
 
+    @pytest.mark.parametrize("points", [0.5, [[0.25, 0.5]]], ids=["scalar", "two_dimensional"])
+    def test_points_that_are_not_one_dimensional_are_rejected(self, points):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Partition(0.0, 1.0, points)
+
+    def test_points_are_a_read_only_copy(self):
+        given = np.array([0.25, 0.5, 0.75])
+        part = Partition(0.0, 1.0, given)
+        given[1] = 0.3
+        assert part.points.tolist() == [0.25, 0.5, 0.75]
+        with pytest.raises(ValueError, match="read-only"):
+            part.points[0] = 0.1
+
+
+def _eager_dyadic(a, b, n_levels):
+    """Dyadic levels built one by one from their closed form, as a list."""
+    return [a + (b - a) * np.arange(1, 2**lv) / 2**lv for lv in range(n_levels)]
+
+
+def _eager_random_bisection(seed, a, b, n_levels):
+    """Random bisection levels as a list, one scalar draw per cell and the points kept as
+    a sorted tuple of floats."""
+    rng = seeded_rng(seed)
+    pts = []
+    out = [np.array(pts)]
+    for _ in range(1, n_levels):
+        edges = [a, *pts, b]
+        pts = sorted(pts + [lo + (hi - lo) * rng.uniform(0.25, 0.75)
+                            for lo, hi in zip(edges[:-1], edges[1:])])
+        out.append(np.array(pts))
+    return out
+
+
+class TestRefinementChains:
+    @given(seed=st.integers(0, 2**32 - 1), n_levels=st.integers(1, 10),
+           a=st.floats(-2.0, 2.0), length=st.sampled_from([1e-9, 3e-9, 1e-6, 1e-3, 0.5, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_chains_match_their_eager_references(self, seed, n_levels, a, length):
+        b = a + length
+        pairs = [(list(DyadicRefinement().chain(a, b, n_levels)), _eager_dyadic(a, b, n_levels)),
+                 (list(RandomBisection(seed).chain(a, b, n_levels)),
+                  _eager_random_bisection(seed, a, b, n_levels))]
+        for chain, reference in pairs:
+            assert len(chain) == len(reference) == n_levels
+            for part, pts in zip(chain, reference):
+                assert np.array_equal(part.points, pts)
+
+    def test_a_chain_is_not_read_past_convergence(self):
+        class RaisesAfterLevelFive:
+            def chain(self, a, b, n_levels):
+                for level, part in enumerate(DyadicRefinement().chain(a, b, n_levels)):
+                    if level > 5:
+                        raise AssertionError("read past convergence")
+                    yield part
+
+        # the increment of |x| telescopes, so its sums converge at level 2
+        res = summability_limit(increment_fn(ABS), -1.0, 1.0, RaisesAfterLevelFive())
+        assert res.converged
+        assert res.estimate == 0.0
+
 
 class TestSummabilityLimit:
     def test_abs_increment_on_symmetric_interval(self):
@@ -172,6 +232,10 @@ class TestSummabilityLimit:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             summability_limit(squared_increment(), 1.0, 0.0)
+
+    def test_no_levels_is_rejected(self):
+        with pytest.raises(ValueError, match="max_levels >= 1"):
+            summability_limit(squared_increment(), 0.0, 1.0, max_levels=0)
 
 
 class TestLipschitzScan:
