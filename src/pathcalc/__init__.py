@@ -14,7 +14,6 @@ from .compensator import (
     verify_compensator,
 )
 from .decompose import (
-    BracketModel,
     DecompositionReport,
     ito_decompose,
     occupation_local_time,

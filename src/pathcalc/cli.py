@@ -90,12 +90,7 @@ import numpy as np
 
 from . import compensator as comp_mod
 from .catalog import _PARAMETERS, list_catalog, make_scalar_fn
-from .decompose import (
-    BracketModel,
-    ito_decompose,
-    occupation_local_time,
-    tanaka_decompose,
-)
+from .decompose import ito_decompose, occupation_local_time, tanaka_decompose
 from .errors import ResolutionExhaustedError, SchemaError
 from .functional import (
     Partition,
@@ -215,7 +210,7 @@ def _taylor_entries(value, name: str) -> list:
 
 def _qv_band(cfg) -> list:
     """Within 5% of the closed-form E[QV_T] = <X>_T of the model."""
-    expected = float(BracketModel.from_model(cfg["model"]).total_at(cfg["T"]))
+    expected = sum(cfg["model"].bracket_coeffs) * cfg["T"]
     return [0.95 * expected, 1.05 * expected]
 
 
@@ -481,13 +476,12 @@ def _run_decomposition(cfg, kind_dir: Path):
     decompose = ito_decompose if mode == "ito" else tanaka_decompose
 
     def evaluate(path):
-        bracket = BracketModel.from_model(cfg["model"])
-        report = decompose(f, dyadic_grid(path, level), bracket, g=g)
+        report = decompose(f, dyadic_grid(path, level), g=g)
         row = {"summary": report.summary_dict()}
         # an inapplicable report has none of these numbers, and each check then FAILs
         if report.applicable and coarser_levels:
             # the coarser reports read the same path, so they are applicable too
-            coarser = [decompose(f, dyadic_grid(path, lv), bracket, g=g).stats["max_identity_gap"]
+            coarser = [decompose(f, dyadic_grid(path, lv), g=g).stats["max_identity_gap"]
                        for lv in coarser_levels]
             row["identity_gap_growth"] = report.stats["max_identity_gap"] - max(coarser)
         if lt is not None and report.applicable:
@@ -537,8 +531,8 @@ def _run_independence(cfg, kind_dir: Path):
     diag = limit_in_probability(
         squared_increment(), cfg["model"],
         schemes=[{"scheme": name, "params": ps} for name, ps in _schemes(cfg).items()],
-        n_paths=cfg["n_paths"], eps=cfg["tolerances"]["eps"], delta=cfg["tolerances"]["delta"],
-        n_steps=cfg["n_steps"], T=cfg["T"], base_seed=cfg["base_seed"],
+        n_paths=cfg["n_paths"], eps=cfg["tolerances"]["eps"], n_steps=cfg["n_steps"],
+        T=cfg["T"], base_seed=cfg["base_seed"],
     )
     row = diag.to_json_dict()
     _write_seed(kind_dir, cfg["base_seed"], row)

@@ -6,8 +6,9 @@ Every increasing process in the catalog has the form
 
 with Poisson(rate) jump times and i.i.d. jumps J of a given law, so its
 compensator is A^p_t = (c + rate E[J^p]) t.  A Poisson counter has p = 0,
-a compound Poisson sum of nonnegative jumps p = 1, the quadratic variation
-of a jump diffusion p = 2 and c = sigma^2.  The verification estimates
+a compound Poisson sum of nonnegative jumps p = 1, both with c = 0, and the
+quadratic variation of a jump diffusion p = 2 and c = sigma^2: its slope is
+the sum of the path model's ``bracket_coeffs``.  The verification estimates
 E int Y dA and E int Y dA^p with paired sampling, so the verdict compares
 the mean difference against three standard errors of the paired difference.
 """
@@ -45,26 +46,14 @@ __all__ = [
 class _Increasing:
     """A_t = c t + sum J^p (see the module docstring).
 
-    Each subclass answers ``c`` (None when A has no continuous part),
-    ``rate``, ``law`` (None when there are no jumps or p = 0) and, when it
-    has jumps, ``p``.
+    Each subclass answers ``c`` (0.0 when A has no continuous part),
+    ``rate``, ``law`` (None when there are no jumps or p = 0) and ``p``;
+    :class:`PathQV` (p = 2) reads its slope off its path model.
     """
 
     def compensator_slope(self, rate_factor: float = 1.0) -> float:
-        """Slope c + rate E[J^p] of t -> A^p_t, scaled by ``rate_factor``.
-
-        A pure-jump process (c None) scales its intensity, rate_factor * rate;
-        one with a continuous part scales the whole slope.
-        """
-        if self.c is None:
-            return rate_factor * self.rate * self._jump_moment()
-        jump = self.rate * self._jump_moment() if self.law is not None else 0.0
-        return rate_factor * (self.c + jump)
-
-    def _jump_moment(self) -> float:
-        if self.p == 0:
-            return 1.0
-        return self.law.mean if self.p == 1 else self.law.second_moment
+        """Slope c + rate E[J^p] of t -> A^p_t, scaled by ``rate_factor``."""
+        return rate_factor * (self.c + self.rate * (1.0 if self.p == 0 else self.law.mean))
 
     def jumps(self, rng, n: int) -> np.ndarray:
         """n i.i.d. jumps J^p of A; no draw when p = 0."""
@@ -86,7 +75,7 @@ class PoissonCounting(_Increasing):
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
 
-    c = None
+    c = 0.0
     law = None
     p = 0
     label = property(lambda self: f"poisson_counting(rate={self.rate})")
@@ -103,14 +92,18 @@ class CompoundPoissonIncreasing(_Increasing):
         if not self.law.nonnegative():
             raise ValueError("increasing process needs a jump law supported on [0, inf)")
 
-    c = None
+    c = 0.0
     p = 1
     label = property(lambda self: f"compound_poisson_increasing(rate={self.rate})")
 
 
 @dataclass(frozen=True)
 class PathQV(_Increasing):
-    """Quadratic variation [X] of a diffusion-with-jumps path model: c = sigma^2, p = 2."""
+    """Quadratic variation [X] of a diffusion-with-jumps path model: c = sigma^2, p = 2.
+
+    Its compensator is the model's closed-form bracket <X>, so its slope is the sum of
+    the model's ``bracket_coeffs``.
+    """
 
     model: object
 
@@ -123,6 +116,9 @@ class PathQV(_Increasing):
     law = property(lambda self: self.model.law)
     p = 2
     label = property(lambda self: f"path_qv({self.model.label})")
+
+    def compensator_slope(self, rate_factor: float = 1.0) -> float:
+        return rate_factor * sum(self.model.bracket_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +304,11 @@ def verify_compensator(
     """Monte Carlo check of E int Y dA == E int Y dA^p for a catalog pair.
 
     With ``integral`` = int_0^T Y_s ds and ``jump_sum`` the sum of Y_s J_s^p
-    over the jumps of A up to T, per path int Y dA = c integral + jump_sum (no
-    c term when A has no continuous part) and int Y dA^p = (c + rate E[J^p])
-    integral.  Each model samples only these two; :class:`PathQV` sums
-    ``integral`` over 512 equal time steps.  ``rate_factor`` scales the
-    closed-form side only; a value != 1 is the deliberate negative control
-    (the check must fail).
+    over the jumps of A up to T, per path int Y dA = c integral + jump_sum and
+    int Y dA^p = (c + rate E[J^p]) integral.  Each model samples only these
+    two; :class:`PathQV` sums ``integral`` over 512 equal time steps.
+    ``rate_factor`` scales the closed-form side only; a value != 1 is the
+    deliberate negative control (the check must fail).
 
     A :class:`PathQV` pair builds its continuous paths in blocks of
     ``_BLOCK_ROWS`` rows: each block draws its normals from the pair's one
@@ -355,7 +350,7 @@ def verify_compensator(
         integral = (np.full(n_paths, integral) if integral is not None
                     else _segment_integral(y.h, counts, path_id, times, before, sizes, T))
 
-    lhs = jump_sum if model.c is None else model.c * integral + jump_sum
+    lhs = model.c * integral + jump_sum
     rhs = model.compensator_slope(rate_factor) * integral
     return _verdict(model, y, lhs, rhs)
 
@@ -379,7 +374,7 @@ def martingale_check(model, n_paths: int = 10_000, T: float = 1.0, seed: int = 0
     increments = []
     for s, t in ((0.0, T / 2), (T / 2, T)):
         span = t - s
-        incr = np.full(n_paths, (model.c or 0.0) * span)
+        incr = np.full(n_paths, model.c * span)
         if model.rate > 0:
             counts = rng.poisson(model.rate * span, size=n_paths)
             jumps = model.jumps(rng, int(np.sum(counts)))

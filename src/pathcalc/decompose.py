@@ -9,10 +9,12 @@ identically for f(x) = x^2 (per-cell algebra), tends to zero under
 refinement for functions with bounded second ratios, and recovers the
 local time for f = |x|.
 
-The closed-form bracket of the model is kept as a separate oracle column
-(``compensator_closed``); the defect between realized and closed-form
-bracket weighting is reported as a diagnostic, never folded into the
-residual.
+The closed-form bracket of the model, its ``bracket_coeffs``, is kept as
+a separate oracle column (``compensator_closed``); the defect between
+realized and closed-form bracket weighting is reported as a diagnostic,
+never folded into the residual.  A path with no model (one read by
+``SamplePath.from_csv``) has no closed form: that column and the defect
+are NaN, and every other column is the same as for the simulated path.
 """
 
 from __future__ import annotations
@@ -23,53 +25,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ResolutionExhaustedError, UnsupportedModelError
+from .errors import ResolutionExhaustedError
 from .functional import ScalarFn, _raw_ratio, derivative_limit, increment_fn
 from .paths import SamplePath, _write_float_rows
 from .riemann import RiemannGrid
 
 __all__ = [
-    "BracketModel",
     "DecompositionReport",
     "ito_decompose",
     "tanaka_decompose",
     "occupation_local_time",
 ]
-
-
-# ---------------------------------------------------------------------------
-# sharp brackets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BracketModel:
-    """Closed-form brackets t -> <X^c>_t and t -> <X>_t for a path model.
-
-    Both are linear in t for the supported models: the continuous part
-    carries sigma^2 and the jump compensator adds rate * E[J^2].
-    """
-
-    cont_coeff: float
-    jump_coeff: float
-
-    def __post_init__(self):
-        if self.cont_coeff < 0 or self.jump_coeff < 0:
-            raise ValueError("bracket coefficients must be >= 0")
-
-    def continuous_at(self, t):
-        return self.cont_coeff * np.asarray(t, dtype=float)
-
-    def total_at(self, t):
-        return (self.cont_coeff + self.jump_coeff) * np.asarray(t, dtype=float)
-
-    @classmethod
-    def from_model(cls, model) -> "BracketModel":
-        try:
-            coeffs = model.bracket_coeffs
-        except AttributeError:
-            raise UnsupportedModelError(f"no closed-form bracket for {model!r}") from None
-        return cls(*coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +99,8 @@ class DecompositionReport:
     closure defect of the independently accumulated columns).  The
     ``compensator_closed`` column integrates the same curvature surrogate
     against the model's closed-form bracket; its gap to
-    ``compensator_term`` is the realized-vs-closed bracket defect,
-    reported in ``notes``.
+    ``compensator_term`` is the realized-vs-closed bracket defect.  Both
+    are NaN for a path with no model.
     """
 
     mode: str
@@ -270,9 +236,8 @@ def _cumulative(cells: np.ndarray) -> np.ndarray:
     return col
 
 
-def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:
+def _decompose(f, grid, g, mode) -> DecompositionReport:
     path = grid.path
-    bracket = bracket or BracketModel.from_model(path.model)
     gfn, g_label = _resolve_derivative(f, path, 1, g)
     if gfn is None:
         return _not_applicable(mode, f, grid, "no first derivative limit on the path range")
@@ -317,11 +282,16 @@ def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:
     np.subtract(lhs, gap, out=gap)
     np.abs(gap, out=gap)
 
-    bt = np.asarray(bracket.continuous_at(tg), dtype=float)
-    comp_closed = _cumulative(ta * np.diff(bt))
+    # the closed-form bracket <X^c>_t = cont_coeff t, absent for a path with no model
+    coeffs = getattr(path.model, "bracket_coeffs", None)
+    if coeffs is None:
+        comp_closed, bracket = np.full(len(tg), np.nan), None
+    else:
+        cont, jump_coeff = coeffs
+        comp_closed = _cumulative(ta * np.diff(cont * tg))
+        bracket = {"cont_coeff": cont, "jump_coeff": jump_coeff}
 
-    notes = {"tau": tau_label,
-             "bracket": {"cont_coeff": bracket.cont_coeff, "jump_coeff": bracket.jump_coeff}}
+    notes = {"tau": tau_label, "bracket": bracket}
     return DecompositionReport(
         mode=mode, f_label=f.label, g_label=g_label,
         path_info=_path_info(path), grid_info=_grid_info(grid),
@@ -333,30 +303,29 @@ def _decompose(f, grid, bracket, g, mode) -> DecompositionReport:
     )
 
 
-def ito_decompose(
-    f: ScalarFn, grid: RiemannGrid, bracket: Optional[BracketModel] = None, g=None,
-) -> DecompositionReport:
+def ito_decompose(f: ScalarFn, grid: RiemannGrid, *, g=None) -> DecompositionReport:
     """Decomposition report along the grid's path for a function with bounded second ratios.
 
     For such f the residual column must vanish under refinement; the exact
     per-cell algebra makes it identically zero (to rounding) for
-    f(x) = x^2 on every path and grid.
+    f(x) = x^2 on every path and grid.  ``compensator_closed`` weighs the
+    curvature against the path model's ``bracket_coeffs``; a path with no
+    model (read from a CSV) has none, so that column is NaN.
     """
-    return _decompose(f, grid, bracket, g, mode="ito")
+    return _decompose(f, grid, g, mode="ito")
 
 
-def tanaka_decompose(
-    f: ScalarFn, grid: RiemannGrid, bracket: Optional[BracketModel] = None, g=None,
-) -> DecompositionReport:
+def tanaka_decompose(f: ScalarFn, grid: RiemannGrid, *, g=None) -> DecompositionReport:
     """Decomposition report keeping the residual as the increasing part A^c.
 
     ``g`` defaults to the right-derivative convention of the catalog; for
     f = |x| the curvature surrogate is 0, so the residual accumulates
     exactly the remainder terms of the zero-crossing cells (the local
     time).  A quick lower-bound scan of the second ratios over the path
-    range is recorded in the notes.
+    range is recorded in the notes.  As for :func:`ito_decompose`, a path
+    with no model gets a NaN ``compensator_closed`` column.
     """
-    report = _decompose(f, grid, bracket, g, mode="tanaka")
+    report = _decompose(f, grid, g, mode="tanaka")
     if report.applicable:
         lo = float(np.min(grid.path.values))
         hi = float(np.max(grid.path.values))

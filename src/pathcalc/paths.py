@@ -503,44 +503,17 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
 # float-column CSV
 # ---------------------------------------------------------------------------
 
-_CSV_BLOCK_ROWS = 1024
-
 
 def _write_float_rows(fh, header: str, columns) -> None:
     """Write ``header`` and then one row per index of the equal-length ``columns``.
 
     A field is the ``repr`` of the value as a Python float, fields are joined
     by "," and each line ends in "\\n", which a file opened with
-    ``newline="\\r\\n"`` writes as CRLF.  Rows are formatted and written in
-    blocks of ``_CSV_BLOCK_ROWS``, so memory stays bounded whatever the
-    length.  ``repr`` runs only where it can give a new string: a field that
-    is bitwise equal to its left neighbour in the row takes the neighbour's
-    string, and +0.0 takes "0.0".
+    ``newline="\\r\\n"`` writes as CRLF.
     """
-    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
     fh.write(header + "\n")
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        fields = []
-        left_bits = left = None
-        for col in columns:
-            block = col[start:start + _CSV_BLOCK_ROWS]
-            bits = block.view(np.int64)
-            fresh = bits != 0
-            if left is not None:
-                same = bits == left_bits
-                fresh &= ~same
-            if fresh.all():
-                text = list(map(repr, block.tolist()))
-            else:
-                text = np.full(len(block), "0.0", dtype=object)
-                if left is not None:
-                    text[same] = np.array(left, dtype=object)[same]
-                fresh = np.flatnonzero(fresh)
-                text[fresh] = list(map(repr, block[fresh].tolist()))
-                text = text.tolist()
-            fields.append(text)
-            left_bits, left = bits, text
-        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

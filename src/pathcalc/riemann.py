@@ -304,19 +304,14 @@ class ConvergenceDiagnostic:
     """Empirical certificate for a limit in probability along refining grids.
 
     ``estimates[label]`` is an (n_paths, n_levels) array of pathwise sums;
-    ``tail_probs[label][k]`` is the empirical frequency of
-    |S_k - S_{k+1}| > eps.  The verdict requires the final per-scheme tail
-    frequency and every cross-scheme discrepancy frequency (at the finest
-    levels) to fall below delta.
+    ``cross_tail["a|b"]`` is the empirical frequency of |S^a - S^b| > eps at
+    the finest params of schemes a and b.  :func:`_tail_fractions` gives the
+    per-scheme tail frequencies and the verdict from the estimates.
     """
 
     scheme_params: dict
     estimates: dict
-    tail_probs: dict
     cross_tail: dict
-    eps: float
-    delta: float
-    verdict: bool
 
     def to_json_dict(self):
         """The params and the estimates, from which :func:`_tail_fractions` gives the rest."""
@@ -327,8 +322,14 @@ class ConvergenceDiagnostic:
 
 
 def _tail_fractions(estimates: dict, eps: float, delta: float):
-    """The tail frequencies and the verdict of a :class:`ConvergenceDiagnostic` from its
-    estimates, an (n_paths, n_params) array per scheme in scheme order."""
+    """The per-scheme tail frequencies, the cross-scheme ones and the verdict of a
+    :class:`ConvergenceDiagnostic` from its estimates, an (n_paths, n_params) array per
+    scheme in scheme order.
+
+    ``tail_probs[label][k]`` is the frequency of |S_k - S_{k+1}| > eps.  The verdict
+    requires the final per-scheme tail frequency and every cross-scheme one to be at
+    most delta.
+    """
     tail_probs = {
         name: [float(np.mean(np.abs(arr[:, k] - arr[:, k + 1]) > eps))
                for k in range(arr.shape[1] - 1)]
@@ -359,7 +360,9 @@ def limit_in_probability(
     ``schemes`` is a list of {"scheme": name, "params": [...]} with params
     ordered coarse to fine.  At least two schemes of distinct names are
     required, since independence of the intervening grid family is part of
-    the contract, and each needs at least one param.
+    the contract, and each needs at least one param.  ``eps`` is the
+    tolerance of ``cross_tail``; ``delta`` does not change the result, whose
+    verdict :func:`_tail_fractions` gives from the estimates.
     """
     params = {spec["scheme"]: list(spec["params"]) for spec in schemes}
     if len(schemes) < 2 or len(params) < len(schemes):
@@ -374,13 +377,5 @@ def limit_in_probability(
             for lv, param in enumerate(ps):
                 estimates[name][p, lv] = pathwise_sum(base, build_grid(path, name, param))
 
-    tail_probs, cross_tail, verdict = _tail_fractions(estimates, eps, delta)
-    return ConvergenceDiagnostic(
-        scheme_params=params,
-        estimates=estimates,
-        tail_probs=tail_probs,
-        cross_tail=cross_tail,
-        eps=eps,
-        delta=delta,
-        verdict=verdict,
-    )
+    cross_tail = _tail_fractions(estimates, eps, delta)[1]
+    return ConvergenceDiagnostic(scheme_params=params, estimates=estimates, cross_tail=cross_tail)

@@ -47,6 +47,15 @@ class TestClosedForms:
         jd = PathQV(JumpDiffusion(sigma=0.5, drift=0.0, rate=2.0, law=UniformLaw(0.0, 1.0)))
         assert jd.compensator_slope() == pytest.approx(0.25 + 2.0 / 3.0)
 
+    @pytest.mark.parametrize("rate_factor", [1.0, 1.5])
+    def test_slope_is_one_formula(self, rate_factor):
+        # c + rate E[J^p], with c = 0 for the pure-jump processes and E[J^0] = 1
+        for model in catalog_models():
+            moment = (1.0 if model.p == 0 else 0.0 if model.law is None
+                      else model.law.mean if model.p == 1 else model.law.second_moment)
+            expected = rate_factor * (model.c + model.rate * moment)
+            assert model.compensator_slope(rate_factor) == pytest.approx(expected, rel=1e-15)
+
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModelError):
             verify_compensator(object(), ConstantY(1.0), n_paths=10)

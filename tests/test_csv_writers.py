@@ -27,7 +27,6 @@ from pathcalc import (
     simulate,
     tanaka_decompose,
 )
-from pathcalc.paths import _CSV_BLOCK_ROWS
 
 MODELS = [
     BrownianMotion(),
@@ -35,9 +34,8 @@ MODELS = [
     CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4)),
     FiniteVariationPath((0.0, 0.3, 0.7, 1.0), (0.0, 1.5, -0.5, 0.25)),
 ]
-# rows are n_steps + 1 plus the jumps: one row, and a block's length give or take one
-N_STEPS = st.sampled_from([1, _CSV_BLOCK_ROWS - 2, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                           _CSV_BLOCK_ROWS + 1]) | st.integers(1, 3 * _CSV_BLOCK_ROWS)
+# rows are n_steps + 1 plus the jumps: one row, and 1024 give or take one
+N_STEPS = st.sampled_from([1, 1022, 1023, 1024, 1025]) | st.integers(1, 3072)
 SEEDS = st.integers(0, 2**32 - 1)
 
 

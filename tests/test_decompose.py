@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
-    BracketModel,
     BrownianMotion,
     CompoundPoissonJumps,
     FiniteVariationPath,
@@ -27,6 +26,7 @@ from pathcalc import (
     tanaka_decompose,
 )
 from pathcalc.catalog import CATALOG_NAMES
+from pathcalc.cli import _write_json
 from pathcalc.decompose import _resolve_derivative
 
 SQUARE = make_scalar_fn("square")
@@ -37,21 +37,19 @@ JD = JumpDiffusion(sigma=1.0, drift=0.1, rate=3.0, law=UniformLaw(-1.0, 1.0))
 FV = FiniteVariationPath((0.0, 0.4, 1.0), (0.0, 0.8, 0.3))
 
 
-class TestBracketModel:
+class TestBracketCoeffs:
+    # <X^c>_t = cont_coeff t and <X>_t = (cont_coeff + jump_coeff) t
     def test_closed_forms(self):
-        assert BracketModel.from_model(BrownianMotion(sigma=2.0)).continuous_at(1.0) == 4.0
-        b = BracketModel.from_model(JD)
-        assert b.continuous_at(1.0) == 1.0
-        assert b.total_at(1.0) == pytest.approx(1.0 + 3.0 * (1 / 3))
-        assert BracketModel.from_model(FV).total_at(5.0) == 0.0
+        assert BrownianMotion(sigma=2.0).bracket_coeffs == (4.0, 0.0)
+        cont, jump = JD.bracket_coeffs
+        assert cont == 1.0
+        assert jump == pytest.approx(3.0 * (1 / 3))
+        assert FV.bracket_coeffs == (0.0, 0.0)
 
-    def test_total_splits_additively(self):
-        b = BracketModel.from_model(JD)
-        t = np.linspace(0, 2, 9)
-        jump_part = b.total_at(t) - b.continuous_at(t)
-        assert np.allclose(jump_part, 3.0 * (1 / 3) * t)
-        assert np.all(np.diff(b.continuous_at(t)) >= 0)
-        assert np.all(b.continuous_at(t) <= b.total_at(t) + 1e-15)
+    def test_coefficients_are_nonnegative(self):
+        for model in (BrownianMotion(sigma=0.5, drift=-1.0), JD, CPJ, FV):
+            assert all(c >= 0.0 for c in model.bracket_coeffs)
+        assert CPJ.bracket_coeffs[0] == 0.0
 
 
 class TestStochasticIntegral:
@@ -280,9 +278,8 @@ class TestOccupationLocalTime:
 class TestReportNumbers:
     def test_square_passes_tight(self):
         p = simulate(BrownianMotion(), 4096, 1.0, seed=30)
-        bracket = BracketModel.from_model(p.model)
-        coarser = [ito_decompose(SQUARE, dyadic_grid(p, lv), bracket) for lv in (10, 11)]
-        rep = ito_decompose(SQUARE, dyadic_grid(p, 12), bracket)
+        coarser = [ito_decompose(SQUARE, dyadic_grid(p, lv)) for lv in (10, 11)]
+        rep = ito_decompose(SQUARE, dyadic_grid(p, 12))
         assert rep.stats["max_abs_residual"] <= 1e-8 and rep.stats["max_identity_gap"] <= 1e-8
         growth = rep.stats["max_identity_gap"] - max(r.stats["max_identity_gap"] for r in coarser)
         assert growth <= 1e-10
@@ -311,6 +308,48 @@ class TestReportSerialization:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,lhs,stoch_integral,compensator,jump_term,residual"
         assert len(lines) == len(rep.times) + 1
+
+
+class TestImportedPath:
+    """A path read back from its CSV has no model, so no closed-form bracket: its report is
+    that of the simulated path, with the closed-form column and the defect NaN."""
+
+    COLUMNS = ("times", "lhs", "stochastic_integral", "compensator_term", "jump_term",
+               "residual", "identity_gap", "jump_cell_residuals")
+
+    @pytest.mark.parametrize("model, decompose, f", [(JD, ito_decompose, SQUARE),
+                                                     (BrownianMotion(), tanaka_decompose, ABS)],
+                             ids=["jd-ito-square", "bm-tanaka-abs"])
+    def test_report_is_the_simulated_one_without_the_closed_form(self, tmp_path, model,
+                                                                  decompose, f):
+        p = simulate(model, 2048, 1.0, seed=41)
+        p.to_csv(tmp_path / "paths.csv")
+        q = SamplePath.from_csv(tmp_path / "paths.csv")
+        assert q.model is None
+        simulated = decompose(f, dyadic_grid(p, 11))
+        imported = decompose(f, dyadic_grid(q, 11))
+        assert imported.applicable
+        for name in self.COLUMNS:
+            got, want = getattr(imported, name), getattr(simulated, name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        assert np.all(np.isnan(imported.compensator_closed))
+        assert imported.stats == simulated.stats
+        assert imported.stats["max_identity_gap"] <= 1e-8
+
+        # the summaries as a run writes them: strict JSON, NaN as null
+        summaries = []
+        for name, rep in (("imported", imported), ("simulated", simulated)):
+            _write_json(tmp_path / f"{name}.json", rep.summary_dict())
+            summaries.append(json.loads((tmp_path / f"{name}.json").read_text()))
+        got, want = summaries
+        assert got["bracket_defect"] is None
+        assert got["final"]["compensator_closed"] is None
+        assert got["notes"]["bracket"] is None
+        assert got["path"] == {**want["path"], "model": "imported", "seed": None}
+        for summary in summaries:
+            del summary["bracket_defect"], summary["final"]["compensator_closed"]
+            del summary["notes"]["bracket"], summary["path"]
+        assert got == want
 
 
 class TestReportStatistics:
@@ -342,7 +381,7 @@ class TestReportStatistics:
 # ---------------------------------------------------------------------------
 
 
-def reference_columns(f, grid, bracket, g=None):
+def reference_columns(f, grid, g=None):
     """Every column of the decomposition, each array built on its own: f at the left
     points, at the left limits and at the right points, and each running sum
     concatenated after a 0.  None when a derivative limit is missing."""
@@ -379,7 +418,7 @@ def reference_columns(f, grid, bracket, g=None):
     comp = np.concatenate(([0.0], np.cumsum(comp_cells)))
     jump = np.concatenate(([0.0], np.cumsum(jump_cells)))
     resid = np.concatenate(([0.0], np.cumsum(resid_cells)))
-    bt = np.asarray(bracket.continuous_at(tg), dtype=float)
+    bt = path.model.bracket_coeffs[0] * tg
     return {
         "times": tg, "lhs": lhs, "stochastic_integral": stoch, "compensator_term": comp,
         "compensator_closed": np.concatenate(([0.0], np.cumsum(ta * np.diff(bt)))),
@@ -396,9 +435,9 @@ CATALOG_FNS = [PWL] + [make_scalar_fn(name) for name in CATALOG_NAMES
 CPJ = CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4))
 
 
-def assert_columns_match_reference(f, grid, bracket, mode="ito"):
-    rep = (ito_decompose if mode == "ito" else tanaka_decompose)(f, grid, bracket)
-    ref = reference_columns(f, grid, bracket)
+def assert_columns_match_reference(f, grid, mode="ito"):
+    rep = (ito_decompose if mode == "ito" else tanaka_decompose)(f, grid)
+    ref = reference_columns(f, grid)
     assert rep.applicable == (ref is not None)
     for name, col in (ref or {}).items():
         got = getattr(rep, name)
@@ -416,7 +455,7 @@ class TestReportMatchesReference:
         p = simulate(model, n_steps, 1.0, seed=seed)
         grid = (dyadic_grid(p, level) if scheme == "dyadic"
                 else hitting_grid(p, scale * max(2.0 * p.median_continuous_move(), 0.05)))
-        assert_columns_match_reference(f, grid, BracketModel.from_model(model), mode)
+        assert_columns_match_reference(f, grid, mode)
 
     def test_left_limits_apart_from_values_without_jump_indices(self):
         # a path may carry left limits that differ from its values where no jump index
@@ -430,4 +469,4 @@ class TestReportMatchesReference:
         grid = dyadic_grid(q, 8)
         assert not np.array_equal(pre[grid.indices], p.values[grid.indices])
         for f in (ABS, COS, PWL):
-            assert_columns_match_reference(f, grid, BracketModel.from_model(q.model))
+            assert_columns_match_reference(f, grid)

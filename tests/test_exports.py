@@ -30,7 +30,7 @@ def test_every_exported_name_exists(module):
 
 def test_the_package_imports_only_exported_names():
     imports = package_imports()
-    assert len(imports) > 40  # the parse found the import list
+    assert len(imports) == 50  # the parse found the whole import list
     unexported = [f"{module}.{name}" for module, name in imports
                   if name not in importlib.import_module(f"pathcalc.{module}").__all__]
     assert not unexported, f"imported by pathcalc but not in its module's __all__: {unexported}"

@@ -339,7 +339,7 @@ class TestLimitInProbability:
                      {"scheme": "hitting", "params": [2**-3, 2**-4]}],
             n_paths=40, eps=1e-9, delta=0.05, n_steps=4096, base_seed=5,
         )
-        assert diag.verdict
+        assert _tail_fractions(diag.estimates, 1e-9, 0.05)[2]
         assert max(diag.cross_tail.values()) == 0.0
 
     def test_quadratic_converges_with_agreeing_schemes(self):
@@ -349,8 +349,9 @@ class TestLimitInProbability:
                      {"scheme": "hitting", "params": [2**-5, 2**-5.5, 2**-6]}],
             n_paths=120, eps=0.05, delta=0.05, n_steps=2**16, base_seed=7,
         )
-        assert diag.verdict
-        assert diag.tail_probs["dyadic"][-1] <= 0.05
+        tail_probs, _, verdict = _tail_fractions(diag.estimates, 0.05, 0.05)
+        assert verdict
+        assert tail_probs["dyadic"][-1] <= 0.05
         assert max(diag.cross_tail.values()) <= 0.05
 
     def test_first_order_increments_diverge(self):
@@ -360,7 +361,7 @@ class TestLimitInProbability:
                      {"scheme": "hitting", "params": [2**-3, 2**-4]}],
             n_paths=40, eps=0.05, delta=0.05, n_steps=4096, base_seed=6,
         )
-        assert not diag.verdict
+        assert not _tail_fractions(diag.estimates, 0.05, 0.05)[2]
 
     def test_needs_two_schemes(self):
         one = {"scheme": "dyadic", "params": [4]}
@@ -385,5 +386,6 @@ class TestLimitInProbability:
         assert set(d) == {"scheme_params", "estimates"}
         # the persisted estimates give back the tail frequencies and the verdict
         estimates = {name: np.array(d["estimates"][name]) for name in d["scheme_params"]}
-        assert _tail_fractions(estimates, diag.eps, diag.delta) == (
-            diag.tail_probs, diag.cross_tail, diag.verdict)
+        fractions = _tail_fractions(estimates, 0.05, 0.05)
+        assert fractions == _tail_fractions(diag.estimates, 0.05, 0.05)
+        assert fractions[1] == diag.cross_tail
