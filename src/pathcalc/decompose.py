@@ -211,7 +211,8 @@ def _cells(grid: RiemannGrid):
         d = path.jump_size_at()[j]
         if not np.any(d != 0.0):
             d = None
-    return path.values[idx], path.pre_values[j], d
+    x = path.values[idx]
+    return x, x[1:] if path.pre_values is path.values else path.pre_values[j], d
 
 
 def _integrand_cells(g, a, m, d):
@@ -252,7 +253,8 @@ def _decompose(f, grid, g, mode) -> DecompositionReport:
     # unless the cell ends at a jump (or the path's left limits differ from its values)
     fx = np.asarray(f(x), dtype=float)
     fa, fb = fx[:-1], fx[1:]
-    same = np.array_equal(m.view(np.int64), x[1:].view(np.int64))
+    same = (path.pre_values is path.values
+            or np.array_equal(m.view(np.int64), x[1:].view(np.int64)))
     fm = fb if same else np.asarray(f(m), dtype=float)
     ta = np.asarray(taufn(a), dtype=float)
 
@@ -346,11 +348,14 @@ def occupation_local_time(path: SamplePath, a: float, eps: float) -> float:
     """(1 / 2 eps) x time the linearly interpolated path spends in (a-eps, a+eps).
 
     Exact for piecewise-linear paths; jump displacements occupy zero time.
-    Raises :class:`ResolutionExhaustedError` when eps is below the median
-    absolute continuous move of the path.
+    Raises ``ValueError`` when eps is not > 0 or a is NaN, and
+    :class:`ResolutionExhaustedError` when eps is below the median absolute
+    continuous move of the path.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if a != a:
+        raise ValueError(f"level a must not be NaN, got {a}")
     median_move = path.median_continuous_move()
     if eps < median_move:
         raise ResolutionExhaustedError(
@@ -358,10 +363,13 @@ def occupation_local_time(path: SamplePath, a: float, eps: float) -> float:
         )
     p = path.values[:-1]
     q = path.pre_values[1:]
-    w = np.diff(path.times)
     lo = np.minimum(p, q)
     hi = np.maximum(p, q)
     band_lo, band_hi = a - eps, a + eps
+    # a cell wholly below or wholly above the band adds +0.0 by the rule below, so it
+    # is skipped; a NaN band edge (a and eps infinite) skips none
+    cells = np.flatnonzero(~((hi < band_lo) | (lo > band_hi)))
+    lo, hi = lo[cells], hi[cells]
     overlap = np.minimum(hi, band_hi) - np.maximum(lo, band_lo)
     flat = hi == lo
     frac = np.where(
@@ -369,4 +377,7 @@ def occupation_local_time(path: SamplePath, a: float, eps: float) -> float:
         ((lo > band_lo) & (lo < band_hi)).astype(float),
         np.clip(overlap, 0.0, None) / np.where(flat, 1.0, hi - lo),
     )
-    return float(np.sum(w * frac)) / (2 * eps)
+    # the full-length array keeps the order of the sum over all cells
+    weighted = np.zeros(len(p))
+    weighted[cells] = (path.times[cells + 1] - path.times[cells]) * frac
+    return float(np.sum(weighted)) / (2 * eps)

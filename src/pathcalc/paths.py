@@ -8,12 +8,20 @@ post-jump convention with the left limits stored in a separate column.
 
 Draw order is fixed and documented: jump count, jump times, jump sizes,
 then one Gaussian increment per cell of the jump-refined grid.
+
+A path without jumps (Brownian motion, a jump model with rate 0, a
+finite-variation path) keeps no jump bookkeeping: its ``times`` is the one
+read-only uniform grid that the simulating thread holds for its last
+(n_steps, T), shared by every such path simulated there, and its
+``pre_values`` is its ``values`` array.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -336,7 +344,10 @@ class SamplePath:
 
     ``values`` holds the post-jump (right-continuous) state at each grid
     time; ``pre_values`` differs from ``values`` only at jump indices,
-    where it holds the left limit.
+    where it holds the left limit.  Every array is read-only.  A jump-free
+    path from :func:`simulate` shares its ``times`` with the other jump-free
+    paths simulated on the same thread with the same (n_steps, T), and its
+    ``pre_values`` is its ``values`` array.
     """
 
     times: np.ndarray
@@ -353,7 +364,8 @@ class SamplePath:
         # a NaN compares false both ways, so test what must hold, not what must not
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError("times must be finite and strictly increasing")
-        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.pre_values))):
+        if not (np.all(np.isfinite(self.values)) and (self.pre_values is self.values
+                                                      or np.all(np.isfinite(self.pre_values)))):
             raise ValueError("path values must be finite")
         for name in ("times", "values", "pre_values", "jump_indices", "jump_sizes"):
             arr = np.ascontiguousarray(getattr(self, name))
@@ -376,7 +388,7 @@ class SamplePath:
         median = self.__dict__.get("_median_move")
         if median is None:
             moves = np.abs(self.pre_values[1:] - self.values[:-1])
-            median = float(np.median(moves)) if len(moves) else 0.0
+            median = _median(moves) if len(moves) else 0.0
             object.__setattr__(self, "_median_move", median)
         return median
 
@@ -435,45 +447,107 @@ class SamplePath:
         )
 
 
+def _median(moves: np.ndarray) -> float:
+    """``np.median(moves)`` bit for bit, for a non-empty array without NaN, from one
+    partition of ``moves`` in place.
+
+    For an even length the lower middle is the largest value left of the upper one,
+    and the two are averaged as ``np.median`` does, (lower + upper) / 2.
+    """
+    half = len(moves) // 2
+    moves.partition(half)
+    upper = float(moves[half])
+    if len(moves) % 2:
+        return upper
+    return (float(moves[:half].max()) + upper) / 2
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# per thread: (n_steps, T, times, dt, sqrt(dt)) of the last uniform grid that simulate
+# built, every array read-only; the jump-free paths simulated on it share its times
+_last_grid = threading.local()
+
+
+def _uniform_grid(n_steps: int, T: float):
+    """``linspace(0, T, n_steps + 1)``, its cell widths and their square roots, kept for
+    this thread's last (n_steps, T)."""
+    memo = getattr(_last_grid, "memo", None)
+    if memo is None or memo[0] != n_steps or memo[1] != T:
+        times = _read_only(np.linspace(0.0, T, n_steps + 1))
+        dt = _read_only(np.diff(times))
+        memo = _last_grid.memo = (n_steps, T, times, dt, _read_only(np.sqrt(dt)))
+    return memo[2:]
+
+
+# the jump indices and sizes of every jump-free simulated path
+_NO_JUMP_INDICES = _read_only(np.array([], dtype=np.int64))
+_NO_JUMP_SIZES = _read_only(np.array([]))
+
+
+def _jump_free(model, times, values, T, seed) -> SamplePath:
+    return SamplePath(times=times, values=values, pre_values=values,
+                      jump_indices=_NO_JUMP_INDICES, jump_sizes=_NO_JUMP_SIZES,
+                      horizon=T, model=model, seed=seed)
+
+
 def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     """Simulate a sample path on a uniform n_steps grid over [0, T].
 
     Poisson jump times are superposed as extra grid points carrying exact
     pre/post values; Gaussian increments are drawn per cell of the refined
-    grid so the diffusion law is exact at the inserted times too.
+    grid so the diffusion law is exact at the inserted times too.  A model
+    that draws no jumps gives a path on the shared read-only uniform grid
+    whose ``pre_values`` is its ``values`` (see the module docstring).
+    ``n_steps`` must be an integer >= 1 and ``T`` finite and > 0.
     """
-    if n_steps < 1 or T <= 0:
-        raise ValueError("need n_steps >= 1 and T > 0")
+    if not (isinstance(n_steps, numbers.Integral) and not isinstance(n_steps, bool)
+            and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if not (_is_real(T) and math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     rng = seeded_rng(seed)
-    base = np.linspace(0.0, T, n_steps + 1)
 
     if isinstance(model, FiniteVariationPath):
         if model.knots_t[-1] < T:
             raise ValueError("finite-variation knots must cover the horizon")
-        values = np.interp(base, model.knots_t, model.knots_x)
-        return SamplePath(
-            times=base, values=values, pre_values=values.copy(),
-            jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-            horizon=T, model=model, seed=seed,
-        )
+        times = _uniform_grid(n_steps, T)[0]
+        return _jump_free(model, times, np.interp(times, model.knots_t, model.knots_x), T, seed)
 
     if not isinstance(model, _Parametric):
         raise ValueError(f"unknown path model {model!r}")
     sigma, drift, rate, law = model.sigma, model.drift, model.rate, model.law
 
+    if not rate > 0:
+        times, dt, sqrt_dt = _uniform_grid(n_steps, T)
+        values = np.empty(n_steps + 1)
+        values[0] = 0.0
+        if sigma > 0 or drift != 0.0:
+            incr = sigma * sqrt_dt
+            incr *= rng.normal(size=n_steps)
+            np.add(drift * dt, incr, out=incr)
+            np.cumsum(incr, out=values[1:])
+        else:
+            values[1:] = 0.0
+        # + 0.0 turns a start of -0.0 into 0.0, as adding the zero jump offsets of the
+        # general construction below does
+        values += model.x0 + 0.0
+        return _jump_free(model, times, values, T, seed)
+
+    # a path with jumps owns its time grid: the uniform grid refined by the jump times
+    base = np.linspace(0.0, T, n_steps + 1)
     # fixed draw order: jump count, times, sizes, then diffusion increments
-    if rate > 0:
-        n_jumps = int(rng.poisson(rate * T))
-        jump_times = np.sort(rng.uniform(0.0, T, size=n_jumps))
-        jump_sizes = np.asarray(law.sample(rng, n_jumps), dtype=float)
-        keep = ~np.isin(jump_times, base)  # exact grid collisions (measure zero)
+    n_jumps = int(rng.poisson(rate * T))
+    jump_times = np.sort(rng.uniform(0.0, T, size=n_jumps))
+    jump_sizes = np.asarray(law.sample(rng, n_jumps), dtype=float)
+    keep = ~np.isin(jump_times, base)  # exact grid collisions (measure zero)
+    jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
+    if len(jump_times) > 1:  # coincident jump times (measure zero)
+        keep = np.concatenate(([True], np.diff(jump_times) > 0))
         jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
-        if len(jump_times) > 1:  # coincident jump times (measure zero)
-            keep = np.concatenate(([True], np.diff(jump_times) > 0))
-            jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
-    else:
-        jump_times = np.array([])
-        jump_sizes = np.array([])
 
     times = np.sort(np.concatenate([base, jump_times]))
     jump_idx = np.searchsorted(times, jump_times)

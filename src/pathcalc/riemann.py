@@ -76,12 +76,14 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     The nearest-point picks depend only on the time grid (``path.times`` and
     ``path.horizon``) and the level.  The targets nest bitwise: target j at
     level L is target j 2^k at level L + k, since T (2^k j) is exactly
-    2^k fl(T j) and dividing by a power of two is exact.  Jump-free paths of
-    one model share their time grid, so each thread keeps the picks of the
-    last jump-free time grid it saw at the finest level computed, and a
-    coarser level on an equal time grid takes every 2^k-th of them.  A path
-    with jumps has a time grid of its own: its picks are searched on every
-    call and not kept.
+    2^k fl(T j) and dividing by a power of two is exact.  Jump-free paths
+    that :func:`~pathcalc.paths.simulate` builds on one thread with one
+    (n_steps, T) share one read-only time grid object, so each thread keeps
+    the picks of the last jump-free time grid it saw at the finest level
+    computed, and a coarser level on the same grid object, or on an equal
+    grid (a path read from a CSV file, say), takes every 2^k-th of them.  A
+    path with jumps has a time grid of its own: its picks are searched on
+    every call and not kept.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -103,13 +105,14 @@ def _nearest_picks(times: np.ndarray, horizon: float, level: int) -> np.ndarray:
 
 
 # per thread: (times, horizon, level, picks) of the last time grid that _shared_picks
-# searched; the times are a path's own read-only array
+# searched; the times are a path's read-only array, for a simulated jump-free path the
+# time grid that it shares with the others simulated on its thread
 _last_picks = threading.local()
 
 
 def _shared_picks(times: np.ndarray, horizon: float, level: int) -> np.ndarray:
     """:func:`_nearest_picks`, taken strided from this thread's last search when that
-    was on an equal time grid at a level at least as fine."""
+    was on the same time grid object, or an equal one, at a level at least as fine."""
     memo = getattr(_last_picks, "memo", None)
     if (memo is not None and memo[1] == horizon and memo[2] >= level
             and (memo[0] is times or np.array_equal(memo[0], times))):

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pathcalc import (
     BrownianMotion,
@@ -273,6 +273,57 @@ class TestOccupationLocalTime:
         vals = [occupation_local_time(simulate(BrownianMotion(), 2**14, 1.0, seed=900 + s), 0.0, 0.01)
                 for s in range(100)]
         assert float(np.mean(vals)) == pytest.approx(np.sqrt(2 / np.pi), abs=0.2)
+
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.1])
+    def test_eps_not_above_zero_is_a_value_error(self, eps):
+        p = simulate(BrownianMotion(), 256, 1.0, seed=1)
+        with pytest.raises(ValueError, match=r"^eps must be > 0, got "):
+            occupation_local_time(p, 0.0, eps)
+
+    def test_nan_level_is_a_value_error(self):
+        p = simulate(BrownianMotion(), 256, 1.0, seed=1)
+        with pytest.raises(ValueError, match=r"^level a must not be NaN, got nan$"):
+            occupation_local_time(p, float("nan"), 0.2)
+
+    @given(model=st.sampled_from([BrownianMotion(), JD, FV]), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(1, 2**12), scale=st.floats(1.0, 4.0),
+           at=st.floats(0.0, 1.0), edge=st.sampled_from([-1.0, 0.0, 1.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_band_cells_equal_the_all_cells_rule(self, model, seed, n_steps, scale, at, edge):
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        eps = scale * max(p.median_continuous_move(), 1e-3)
+        # a level that puts a band edge on a path value, or the path value mid-band
+        a = float(p.values[int(at * (p.n_points - 1))]) - edge * eps
+        assert _bits(occupation_local_time(p, a, eps)) == _bits(_all_cells_oracle(p, a, eps))
+
+    @given(steps=st.lists(st.integers(-2, 2), min_size=1, max_size=40),
+           a=st.integers(-8, 8), eps=st.sampled_from([0.25, 0.5, 0.75]))
+    @settings(max_examples=200, deadline=None)
+    def test_flat_cells_and_cells_that_end_on_a_band_edge(self, steps, a, eps):
+        # values on a 1/4 lattice: flat cells and cell ends meet the band edges exactly
+        values = np.concatenate(([0.0], np.cumsum(steps) / 4))
+        n = len(values)
+        p = SamplePath(times=np.linspace(0.0, 1.0, n), values=values, pre_values=values,
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
+                       horizon=1.0)
+        a = a / 4
+        assume(eps >= p.median_continuous_move())
+        assert _bits(occupation_local_time(p, a, eps)) == _bits(_all_cells_oracle(p, a, eps))
+
+
+def _all_cells_oracle(path, a, eps):
+    """The occupation-time oracle computed on every cell of the path."""
+    p, q = path.values[:-1], path.pre_values[1:]
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    overlap = np.minimum(hi, a + eps) - np.maximum(lo, a - eps)
+    flat = hi == lo
+    frac = np.where(flat, ((lo > a - eps) & (lo < a + eps)).astype(float),
+                    np.clip(overlap, 0.0, None) / np.where(flat, 1.0, hi - lo))
+    return float(np.sum(np.diff(path.times) * frac)) / (2 * eps)
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
 
 
 class TestReportNumbers:

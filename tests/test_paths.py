@@ -1,9 +1,12 @@
 """Tests for seeded path simulation and jump bookkeeping."""
 
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     BrownianMotion,
@@ -18,7 +21,8 @@ from pathcalc import (
     realized_qv,
     simulate,
 )
-from pathcalc.paths import law_from_dict, model_from_dict, seeded_rng
+from pathcalc import paths as paths_module
+from pathcalc.paths import _median, law_from_dict, model_from_dict, seeded_rng
 
 JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=3.0, law=NormalLaw(0.0, 0.8))
 CPJ = CompoundPoissonJumps(rate=6.0, law=UniformLaw(-1.5, 1.5))
@@ -146,13 +150,170 @@ class TestSimulate:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            simulate(BrownianMotion(), 0, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            simulate(BrownianMotion(), 8, 0.0, seed=0)
-        with pytest.raises(ValueError):
             BrownianMotion(sigma=-1.0)
         with pytest.raises(ValueError):
             JumpDiffusion(sigma=1.0, drift=0.0, rate=-1.0, law=UniformLaw(0, 1))
+
+
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5, 8.0, True, "8", None])
+    def test_n_steps_that_is_not_a_count_is_a_value_error(self, n_steps):
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer >= 1, got "):
+            simulate(BrownianMotion(), n_steps, 1.0, seed=0)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("-inf"), float("nan"),
+                                   True, "1.0", None])
+    def test_T_that_is_not_finite_and_positive_is_a_value_error(self, T):
+        paths_module._last_grid.memo = memo = (8, 1.0) + paths_module._uniform_grid(8, 1.0)
+        with pytest.raises(ValueError, match=r"^T must be finite and > 0, got "):
+            simulate(BrownianMotion(), 8, T, seed=0)
+        # rejected before the time grid of this thread is looked up
+        assert paths_module._last_grid.memo is memo
+
+    def test_integer_arguments_of_numpy_types_are_accepted(self):
+        p = simulate(BrownianMotion(), np.int64(8), np.float64(1.0), seed=0)
+        q = simulate(BrownianMotion(), 8, 1, seed=0)
+        assert np.array_equal(p.values, q.values) and p.n_points == 9
+
+
+def _general_simulate(model, n_steps, T, seed):
+    """(times, values, pre_values) of a path built the general way, jumps or none: a
+    fresh time grid refined by the jump times, and the jump offsets added to the
+    continuous part."""
+    rng = seeded_rng(seed)
+    base = np.linspace(0.0, T, n_steps + 1)
+    if isinstance(model, FiniteVariationPath):
+        values = np.interp(base, model.knots_t, model.knots_x)
+        return base, values, values.copy()
+    if model.rate > 0:
+        n_jumps = int(rng.poisson(model.rate * T))
+        jump_times = np.sort(rng.uniform(0.0, T, size=n_jumps))
+        jump_sizes = np.asarray(model.law.sample(rng, n_jumps), dtype=float)
+        keep = ~np.isin(jump_times, base)
+        jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
+        if len(jump_times) > 1:
+            keep = np.concatenate(([True], np.diff(jump_times) > 0))
+            jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
+    else:
+        jump_times, jump_sizes = np.array([]), np.array([])
+    times = np.sort(np.concatenate([base, jump_times]))
+    jump_idx = np.searchsorted(times, jump_times)
+    dt = np.diff(times)
+    if model.sigma > 0 or model.drift != 0.0:
+        incr = model.drift * dt + model.sigma * np.sqrt(dt) * rng.normal(size=len(dt))
+    else:
+        incr = np.zeros(len(dt))
+    cont = model.x0 + np.concatenate(([0.0], np.cumsum(incr)))
+    at = np.zeros(len(times))
+    at[jump_idx] = jump_sizes
+    offsets = np.cumsum(at)
+    values = cont + offsets
+    pre_values = values.copy()
+    pre_values[jump_idx] = cont[jump_idx] + (offsets - at)[jump_idx]
+    values[jump_idx] = pre_values[jump_idx] + jump_sizes
+    return times, values, pre_values
+
+
+def _bits(a) -> np.ndarray:
+    """The bit patterns of a float array, so that -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+JUMP_FREE_MODELS = st.one_of(
+    st.builds(BrownianMotion, sigma=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+              drift=st.sampled_from([0.0, -0.0, 0.2, -1.5]),
+              x0=st.sampled_from([0.0, -0.0, 1.0, -3.25])),
+    st.builds(JumpDiffusion, sigma=st.sampled_from([0.0, 1.0]), drift=st.sampled_from([0.0, 0.4]),
+              rate=st.just(0.0), law=st.just(NormalLaw(0.0, 0.8)),
+              x0=st.sampled_from([0.0, -0.0, 0.5])),
+    st.builds(CompoundPoissonJumps, rate=st.just(0.0), law=st.just(UniformLaw(-1.0, 1.0)),
+              x0=st.sampled_from([0.0, -0.0, 2.0])),
+    st.just(FiniteVariationPath((0.0, 0.3, 5.0), (0.0, 1.0, -0.5))),
+)
+
+
+class TestJumpFreePaths:
+    """A path without jumps shares its thread's read-only time grid and its left limits
+    are its values; its arrays are those of the general construction bit for bit."""
+
+    @given(model=JUMP_FREE_MODELS, n_steps=st.integers(1, 2**12), T=st.floats(0.3, 5.0),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_general_construction(self, model, n_steps, T, seed):
+        p = simulate(model, n_steps, T, seed=seed)
+        times, values, pre_values = _general_simulate(model, n_steps, T, seed)
+        assert np.array_equal(_bits(p.times), _bits(times))
+        assert np.array_equal(_bits(p.values), _bits(values))
+        assert np.array_equal(_bits(p.pre_values), _bits(pre_values))
+        assert p.pre_values is p.values
+        assert len(p.jump_indices) == len(p.jump_sizes) == 0
+        assert p.jump_indices.dtype == np.int64
+        for arr in (p.times, p.values, p.jump_indices, p.jump_sizes):
+            assert not arr.flags.writeable
+        assert p.median_continuous_move() == float(np.median(np.abs(np.diff(values))))
+
+    @given(seed=st.integers(0, 2**64 - 1), n_steps=st.integers(1, 2**10))
+    @settings(max_examples=40, deadline=None)
+    def test_paths_with_jumps_keep_the_general_construction(self, seed, n_steps):
+        p = simulate(JD, n_steps, 1.0, seed=seed)
+        times, values, pre_values = _general_simulate(JD, n_steps, 1.0, seed)
+        assert np.array_equal(_bits(p.times), _bits(times))
+        assert np.array_equal(_bits(p.values), _bits(values))
+        assert np.array_equal(_bits(p.pre_values), _bits(pre_values))
+
+    def test_paths_of_one_grid_share_its_times(self):
+        p = simulate(BrownianMotion(), 64, 1.0, seed=1)
+        q = simulate(FiniteVariationPath((0.0, 1.0), (0.0, 1.0)), 64, 1.0, seed=2)
+        r = simulate(BrownianMotion(), 32, 1.0, seed=1)
+        assert p.times is q.times
+        assert r.times is not p.times
+        # a path with jumps owns its times and leaves the thread's grid as it was
+        jd = simulate(JD, 32, 1.0, seed=3)
+        assert jd.times is not r.times and paths_module._last_grid.memo[2] is r.times
+        with pytest.raises(ValueError, match="read-only"):
+            p.values[0] = 1.0
+
+    def test_two_grids_on_two_threads_match_a_serial_build(self):
+        configs = [(512, 1.0), (300, 2.5)]
+        jobs = [(configs[k % 2], k) for k in range(40)]
+
+        def build(job):
+            (n_steps, T), seed = job
+            p = simulate(BrownianMotion(sigma=0.8, drift=0.1), n_steps, T, seed=seed)
+            # one entry per thread: the grid just used, and nothing else
+            memo = paths_module._last_grid.memo
+            assert memo[:2] == (n_steps, T) and memo[2] is p.times
+            return p
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(build, job) for job in jobs]
+                results = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(jobs)
+        for ((n_steps, T), seed), p in zip(jobs, results):
+            times, values, _ = _general_simulate(BrownianMotion(sigma=0.8, drift=0.1),
+                                                 n_steps, T, seed)
+            assert np.array_equal(_bits(p.times), _bits(times))
+            assert np.array_equal(_bits(p.values), _bits(values))
+
+
+class TestMedian:
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1.0, 2.5, 3.0]),
+                                      st.floats(0.0, 10.0)), min_size=1, max_size=64),
+           scale=st.sampled_from([1e-8, 1e-3, 1.0, 7.0, 1e8]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_median_bitwise(self, values, scale):
+        a = np.asarray(values) * scale
+        assert _bits([_median(a.copy())]) == _bits([np.median(a)])
+
+    @pytest.mark.parametrize("a", [[3.0], [2.0, 1.0], [1.0, 1.0], [0.1, 0.2], [5.0, 1.0, 1.0],
+                                   [4.0, 1.0, 3.0, 2.0], [1e8, 3e8], [0.0, 5e-324]])
+    def test_short_and_tied_arrays(self, a):
+        a = np.asarray(a)
+        assert _bits([_median(a.copy())]) == _bits([np.median(a)])
 
 
 class TestSeededRng:
