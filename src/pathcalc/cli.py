@@ -466,7 +466,6 @@ def _run_qv(cfg, kind_dir: Path):
 def _run_decomposition(cfg, kind_dir: Path):
     mode, f, g, level = cfg["kind"], cfg["function"], cfg["g"], cfg["level"]
     lt = cfg["local_time"] if mode == "tanaka" else None
-    coarser_levels = [lv for lv in (level - 2, level - 1) if lv >= 0]
     if cfg["negative_control"]["corrupt_g_sign"]:
         base_g = g.fn if g is not None else f.derivative(1)
         if base_g is None:
@@ -478,12 +477,7 @@ def _run_decomposition(cfg, kind_dir: Path):
     def evaluate(path):
         report = decompose(f, dyadic_grid(path, level), g=g)
         row = {"summary": report.summary_dict()}
-        # an inapplicable report has none of these numbers, and each check then FAILs
-        if report.applicable and coarser_levels:
-            # the coarser reports read the same path, so they are applicable too
-            coarser = [decompose(f, dyadic_grid(path, lv), g=g).stats["max_identity_gap"]
-                       for lv in coarser_levels]
-            row["identity_gap_growth"] = report.stats["max_identity_gap"] - max(coarser)
+        # an inapplicable report has no local time, and its checks FAIL
         if lt is not None and report.applicable:
             oracle = occupation_local_time(path, lt["level"], lt["eps"])
             row["local_time"] = {"a_c_final": float(report.residual[-1]), "oracle": oracle}
@@ -631,11 +625,12 @@ def _grade_decomposition(cfg, rows) -> list:
     def at_most(name, key, bound):
         return _check(name, max(_dig(r, key) for r in rows), "le", bound)
 
-    checks = [at_most("max_identity_gap", "summary.max_identity_gap", tols["identity_gap"])]
-    # a run at level >= 1 has coarser levels; a report's gap may exceed the largest of its
-    # coarser reports' only by a rounding floor
-    if cfg["level"] >= 1:
-        checks.append(at_most("identity_gap_growth", "identity_gap_growth", 1e-10))
+    checks = [
+        at_most("max_identity_gap", "summary.max_identity_gap", tols["identity_gap"]),
+        # whatever the tolerance, the independently summed columns close the identity
+        # up to rounding: a larger gap is a defect
+        at_most("identity_gap_floor", "summary.max_identity_gap", 1e-10),
+    ]
     if cfg["kind"] == "ito":
         return [at_most("max_residual", "summary.max_abs_residual", tols["residual"]), *checks]
     checks += [

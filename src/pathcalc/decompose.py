@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ResolutionExhaustedError
-from .functional import ScalarFn, _raw_ratio, derivative_limit, increment_fn
+from .functional import ScalarFn, derivative_limit, increment_fn
 from .paths import SamplePath, _write_float_rows
 from .riemann import RiemannGrid
 
@@ -174,7 +174,7 @@ def _not_applicable(mode, f, grid, reason) -> DecompositionReport:
     empty = np.array([])
     return DecompositionReport(
         mode=mode, f_label=f.label, g_label="", path_info=_path_info(grid.path),
-        grid_info=_grid_info(grid), times=empty, lhs=empty,
+        grid_info=_grid_info(grid, grid.times), times=empty, lhs=empty,
         stochastic_integral=empty, compensator_term=empty,
         compensator_closed=empty, jump_term=empty, residual=empty,
         identity_gap=empty, jump_cell_residuals=empty,
@@ -191,9 +191,12 @@ def _path_info(path: SamplePath) -> dict:
     }
 
 
-def _grid_info(grid: RiemannGrid) -> dict:
+def _grid_info(grid: RiemannGrid, times: np.ndarray) -> dict:
+    """The grid's scheme, param, cell count and mesh; ``times`` are the grid's times,
+    ``path.times[grid.indices]``, so that :attr:`RiemannGrid.mesh` need not gather them
+    again."""
     return {"scheme": grid.scheme, "param": grid.param, "n_cells": len(grid) - 1,
-            "mesh": grid.mesh}
+            "mesh": float(np.max(np.diff(times)))}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,7 @@ def _decompose(f, grid, g, mode) -> DecompositionReport:
     notes = {"tau": tau_label, "bracket": bracket}
     return DecompositionReport(
         mode=mode, f_label=f.label, g_label=g_label,
-        path_info=_path_info(path), grid_info=_grid_info(grid),
+        path_info=_path_info(path), grid_info=_grid_info(grid, tg),
         times=tg, lhs=lhs, stochastic_integral=stoch,
         compensator_term=comp, compensator_closed=comp_closed,
         jump_term=jump, residual=resid, identity_gap=gap,
@@ -323,20 +326,10 @@ def tanaka_decompose(f: ScalarFn, grid: RiemannGrid, *, g=None) -> Decomposition
     ``g`` defaults to the right-derivative convention of the catalog; for
     f = |x| the curvature surrogate is 0, so the residual accumulates
     exactly the remainder terms of the zero-crossing cells (the local
-    time).  A quick lower-bound scan of the second ratios over the path
-    range is recorded in the notes.  As for :func:`ito_decompose`, a path
-    with no model gets a NaN ``compensator_closed`` column.
+    time).  As for :func:`ito_decompose`, a path with no model gets a NaN
+    ``compensator_closed`` column.
     """
-    report = _decompose(f, grid, g, mode="tanaka")
-    if report.applicable:
-        lo = float(np.min(grid.path.values))
-        hi = float(np.max(grid.path.values))
-        xs = np.linspace(lo, hi, 41)
-        F = increment_fn(f)
-        h = max((hi - lo) * 1e-3, 1e-6)
-        vals = np.asarray(_raw_ratio(F, 2, xs, [h, h]), dtype=float)
-        report.notes["second_ratio_lower_bound"] = float(np.min(vals))
-    return report
+    return _decompose(f, grid, g, mode="tanaka")
 
 
 # ---------------------------------------------------------------------------

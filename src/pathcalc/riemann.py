@@ -84,16 +84,32 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     grid (a path read from a CSV file, say), takes every 2^k-th of them.  A
     path with jumps has a time grid of its own: its picks are searched on
     every call and not kept.
+
+    The grids nest too: once a level's grid holds every index, so does every
+    finer level's.  Past the least level L with 2^L >= 2 (n_points - 1),
+    where a uniform time grid holds every index, the search runs upward from
+    L and stops at the first level whose grid does.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
+    # (2 n_points - 3).bit_length() is that L
+    for lv in range((2 * path.n_points - 3).bit_length(), level):
+        indices = _dyadic_indices(path, lv)
+        if len(indices) == path.n_points:
+            break
+    else:
+        indices = _dyadic_indices(path, level)
+    return RiemannGrid(path=path, indices=indices, scheme="dyadic", param=float(level))
+
+
+def _dyadic_indices(path: SamplePath, level: int) -> np.ndarray:
+    """The indices of :func:`dyadic_grid` at ``level``, searched at that level."""
     pick = _nearest_picks if len(path.jump_indices) else _shared_picks
     marked = np.zeros(path.n_points, dtype=bool)
     marked[pick(path.times, path.horizon, level)] = True
     marked[path.jump_indices] = True
     marked[[0, -1]] = True
-    return RiemannGrid(path=path, indices=np.flatnonzero(marked), scheme="dyadic",
-                       param=float(level))
+    return np.flatnonzero(marked)
 
 
 def _nearest_picks(times: np.ndarray, horizon: float, level: int) -> np.ndarray:

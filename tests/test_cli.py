@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathcalc import SamplePath, cli, compensator, paths, simulate
+from pathcalc import SamplePath, cli, compensator, paths, riemann, simulate
 from pathcalc.cli import _load_config, main
 from pathcalc.paths import model_from_dict
 
@@ -551,47 +551,81 @@ class TestDecompositionChecksFollowTheReports:
         capsys.readouterr()
         return tmp_path / "out" / kind
 
-    @pytest.mark.parametrize("kind, check, key", [
-        ("ito", "max_residual", "summary.max_abs_residual"),
-        ("ito", "max_identity_gap", "summary.max_identity_gap"),
-        ("ito", "identity_gap_growth", "identity_gap_growth"),
-        ("tanaka", "max_identity_gap", "summary.max_identity_gap"),
-        ("tanaka", "identity_gap_growth", "identity_gap_growth"),
-        ("tanaka", "max_residual_decrease", "summary.max_residual_decrease"),
-        ("tanaka", "max_jump_cell_residual", "summary.max_jump_cell_residual"),
-        ("tanaka", "local_time_mean_rel_err", "local_time.a_c_final"),
-    ], ids=["ito_max_residual", "ito_max_identity_gap", "ito_identity_gap_growth",
-            "tanaka_max_identity_gap", "tanaka_identity_gap_growth",
+    @pytest.mark.parametrize("kind, key, failing", [
+        ("ito", "summary.max_abs_residual", ["max_residual"]),
+        ("ito", "summary.max_identity_gap", ["max_identity_gap", "identity_gap_floor"]),
+        ("tanaka", "summary.max_identity_gap", ["max_identity_gap", "identity_gap_floor"]),
+        ("tanaka", "summary.max_residual_decrease", ["max_residual_decrease"]),
+        ("tanaka", "summary.max_jump_cell_residual", ["max_jump_cell_residual"]),
+        ("tanaka", "local_time.a_c_final", ["local_time_mean_rel_err"]),
+    ], ids=["ito_max_residual", "ito_max_identity_gap", "tanaka_max_identity_gap",
             "tanaka_max_residual_decrease", "tanaka_max_jump_cell_residual",
             "tanaka_local_time_mean_rel_err"])
-    def test_editing_one_reports_number_fails_its_check(self, tmp_path, capsys, kind, check,
-                                                          key):
+    def test_editing_one_reports_number_fails_its_check(self, tmp_path, capsys, kind, key,
+                                                          failing):
+        self._edit_and_replay(tmp_path, capsys, kind, key, lambda v: 100.0 * v + 1.0,
+                              failing)
+
+    @pytest.mark.parametrize("kind", ["ito", "tanaka"])
+    def test_a_gap_above_the_floor_fails_the_floor_alone(self, tmp_path, capsys, kind):
+        # 1e-9 is within the gap tolerance (1e-8) and above the rounding floor (1e-10)
+        self._edit_and_replay(tmp_path, capsys, kind, "summary.max_identity_gap",
+                              lambda v: 1e-9, ["identity_gap_floor"])
+
+    def _edit_and_replay(self, tmp_path, capsys, kind, key, edit, failing):
+        """Edit one number of seed 3's report, and see replay FAIL exactly ``failing``."""
         kind_dir = self._run(tmp_path, capsys, kind)
         agg = json.loads((kind_dir / "aggregate.json").read_text())
-        assert check in [c["name"] for c in agg["checks"]]
+        assert set(failing) <= {c["name"] for c in agg["checks"]}
         assert main(["replay", str(kind_dir)]) == 0
         capsys.readouterr()
         report = kind_dir / "3" / "report.json"
         row = json.loads(report.read_text())
         assert "verdict" not in row
-        *parents, leaf = key.split(".")
-        entry = row
-        for part in parents:
-            entry = entry[part]
-        entry[leaf] = 100.0 * entry[leaf] + 1.0
+        _edit(row, key, edit)
         report.write_text(json.dumps(row))
         assert main(["replay", str(kind_dir)]) == 1
         lines = _check_lines(capsys.readouterr().out)
-        assert [line.split(":")[0] for line in lines if ": FAIL (" in line] == [check]
+        assert [line.split(":")[0] for line in lines if ": FAIL (" in line] == failing
 
-    @pytest.mark.parametrize("level, declared", [(0, False), (1, True)])
-    def test_identity_gap_growth_needs_a_coarser_level(self, tmp_path, level, declared):
-        cfg = write_config(tmp_path, "ito.json", {
-            "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS["ito"], "level": level,
+    @pytest.mark.parametrize("kind, level", [("ito", 0), ("ito", 1), ("tanaka", 0)])
+    def test_identity_gap_floor_is_declared_at_every_level(self, tmp_path, kind, level):
+        cfg = write_config(tmp_path, f"{kind}.json", {
+            "schema_version": 1, "base_seed": 2, **GRADED_CONFIGS[kind], "level": level,
             "out_dir": str(tmp_path / "out")})
-        assert main(["run", cfg]) == 0
-        agg = json.loads((tmp_path / "out" / "ito" / "aggregate.json").read_text())
-        assert ("identity_gap_growth" in [c["name"] for c in agg["checks"]]) is declared
+        assert main(["run", cfg]) in (0, 1)
+        kind_dir = tmp_path / "out" / kind
+        agg = json.loads((kind_dir / "aggregate.json").read_text())
+        floor = [c for c in agg["checks"] if c["name"] == "identity_gap_floor"]
+        assert len(floor) == 1 and floor[0]["bound"] == 1e-10 and floor[0]["passed"]
+        # the floor is graded from the finest report alone: no coarser level is recorded
+        for report in kind_dir.glob("*/report.json"):
+            assert "identity_gap_growth" not in json.loads(report.read_text())
+
+    def test_a_level_past_every_index_gives_a_verdict(self, tmp_path, capsys, monkeypatch):
+        # level 40 would be 2^40 + 1 dyadic targets; a 512-step path has every index in
+        # its grid from level 10 on, and no finer level is searched
+        searched = []
+        nearest = riemann._nearest_picks
+
+        def bounded(times, horizon, level):
+            searched.append(level)
+            assert level <= 12, level
+            return nearest(times, horizon, level)
+
+        monkeypatch.setattr(riemann, "_nearest_picks", bounded)
+        cfg = write_config(tmp_path, "tanaka.json", {
+            "schema_version": 1, "base_seed": 2, **GRADED_CONFIGS["tanaka"], "level": 40,
+            "out_dir": str(tmp_path / "out")})
+        run_rc = main(["run", cfg])
+        assert run_rc in (0, 1) and searched
+        run_lines = _check_lines(capsys.readouterr().out)
+        kind_dir = tmp_path / "out" / "tanaka"
+        assert main(["replay", str(kind_dir)]) == run_rc
+        assert _check_lines(capsys.readouterr().out) == run_lines
+        row = json.loads((kind_dir / "2" / "report.json").read_text())
+        assert row["summary"]["grid"]["param"] == 40.0
+        assert row["summary"]["grid"]["n_cells"] == 512
 
     def test_editing_the_summability_report_fails_its_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "summ.json", {

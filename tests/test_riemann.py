@@ -130,10 +130,28 @@ class TestGrids:
                 assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
                 assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
 
+    @given(model=st.sampled_from([BrownianMotion(), JD]), seed=seeds,
+           n_steps=st.integers(1, 64), levels=st.lists(st.integers(0, 12), min_size=1,
+                                                       max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_levels_past_every_index_match_the_direct_construction(self, model, seed,
+                                                                   n_steps, levels):
+        # past 2^level >= 2 n_points - 2 the search stops at the first level whose grid
+        # holds every index; a jump path may need a level or two more than a uniform one
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        for level in levels:
+            g = dyadic_grid(p, level)
+            assert g.indices.dtype == np.int64 and g.param == float(level)
+            assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
+
     def test_dyadic_picks_follow_the_time_grid_and_the_horizon(self):
         uniform = np.linspace(0.0, 1.0, 65)
+        # a level past 7 is searched from 7 on: the uniform grid holds every index there,
+        # the squared one, with shorter cells near 0, only from level 11 on
         for times, horizon, level in ((uniform, 1.0, 6), (uniform, 0.5, 5),
-                                      (uniform**2, 1.0, 4), (uniform, 1.0, 4)):
+                                      (uniform**2, 1.0, 4), (uniform, 1.0, 4),
+                                      (uniform, 1.0, 9), (uniform**2, 1.0, 10),
+                                      (uniform**2, 1.0, 16)):
             p = SamplePath(times=times, values=np.zeros(65), pre_values=np.zeros(65),
                            jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
                            horizon=horizon)
