@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ResolutionExhaustedError
 from .functional import ScalarFn, derivative_limit, increment_fn
 from .paths import SamplePath, _write_float_rows
-from .riemann import RiemannGrid
+from .riemann import RiemannGrid, _mesh
 
 __all__ = [
     "DecompositionReport",
@@ -196,7 +196,7 @@ def _grid_info(grid: RiemannGrid, times: np.ndarray) -> dict:
     ``path.times[grid.indices]``, so that :attr:`RiemannGrid.mesh` need not gather them
     again."""
     return {"scheme": grid.scheme, "param": grid.param, "n_cells": len(grid) - 1,
-            "mesh": float(np.max(np.diff(times)))}
+            "mesh": _mesh(times)}
 
 
 # ---------------------------------------------------------------------------

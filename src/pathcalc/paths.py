@@ -360,10 +360,10 @@ class SamplePath:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        # this thread's shared uniform grid was checked once, when it was built
-        memo = getattr(_last_grid, "memo", None)
-        if memo is None or self.times is not memo[2]:
-            _check_times(np.ascontiguousarray(self.times, dtype=float))
+        times = np.ascontiguousarray(self.times, dtype=float)
+        # a NaN compares false both ways, so test what must hold, not what must not
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
         if not (np.all(np.isfinite(self.values)) and (self.pre_values is self.values
                                                       or np.all(np.isfinite(self.pre_values)))):
             raise ValueError("path values must be finite")
@@ -462,32 +462,22 @@ def _median(moves: np.ndarray) -> float:
     return (float(moves[:half].max()) + upper) / 2
 
 
-def _check_times(times: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``times`` are finite and strictly increasing."""
-    # a NaN compares false both ways, so test what must hold, not what must not
-    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
-        raise ValueError("times must be finite and strictly increasing")
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
 # per thread: (n_steps, T, times, dt, sqrt(dt)) of the last uniform grid that simulate
-# built, every array read-only and the times checked; the jump-free paths simulated on it
-# share its times
+# built, every array read-only; the jump-free paths simulated on it share its times
 _last_grid = threading.local()
 
 
 def _uniform_grid(n_steps: int, T: float):
     """``linspace(0, T, n_steps + 1)``, its cell widths and their square roots, kept for
-    this thread's last (n_steps, T).  The times are checked here, once per grid, and a
-    ``ValueError`` (a T too small for n_steps distinct times) keeps no grid."""
+    this thread's last (n_steps, T)."""
     memo = getattr(_last_grid, "memo", None)
     if memo is None or memo[0] != n_steps or memo[1] != T:
         times = _read_only(np.linspace(0.0, T, n_steps + 1))
-        _check_times(times)
         dt = _read_only(np.diff(times))
         memo = _last_grid.memo = (n_steps, T, times, dt, _read_only(np.sqrt(dt)))
     return memo[2:]

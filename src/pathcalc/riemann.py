@@ -63,10 +63,15 @@ class RiemannGrid:
     @property
     def mesh(self) -> float:
         """The longest cell of the grid."""
-        return float(np.max(np.diff(self.times)))
+        return _mesh(self.times)
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def _mesh(times: np.ndarray) -> float:
+    """The longest cell between increasing ``times``."""
+    return float(np.max(np.diff(times)))
 
 
 def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
@@ -86,18 +91,16 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     every call and not kept.
 
     The grids nest too: once a level's grid holds every index, so does every
-    finer level's.  Past the least level L with 2^L >= 2 (n_points - 1),
-    where a uniform time grid holds every index, the search runs upward from
-    L and stops at the first level whose grid does.
+    finer level's.  A level past the least level L with 2^L >= 2 (n_points - 1),
+    where a uniform time grid holds every index, is first searched at L; when
+    that grid does not hold every index, the level asked for is searched.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     # (2 n_points - 3).bit_length() is that L
-    for lv in range((2 * path.n_points - 3).bit_length(), level):
-        indices = _dyadic_indices(path, lv)
-        if len(indices) == path.n_points:
-            break
-    else:
+    least = (2 * path.n_points - 3).bit_length()
+    indices = _dyadic_indices(path, min(least, level))
+    if least < level and len(indices) < path.n_points:
         indices = _dyadic_indices(path, level)
     return RiemannGrid(path=path, indices=indices, scheme="dyadic", param=float(level))
 

@@ -169,20 +169,10 @@ class TestSimulate:
         # rejected before the time grid of this thread is looked up
         assert paths_module._last_grid.memo is memo
 
-    def test_a_T_too_small_for_distinct_times_keeps_no_grid(self):
-        paths_module._last_grid.memo = memo = (8, 1.0) + paths_module._uniform_grid(8, 1.0)
-        # linspace(0, 5e-324, 3) repeats its first time
-        with pytest.raises(ValueError, match="^times must be finite and strictly increasing$"):
-            simulate(BrownianMotion(), 2, 5e-324, seed=0)
-        assert paths_module._last_grid.memo is memo
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.25],
                              ids=["nan", "inf", "repeated"])
-    def test_hand_built_times_are_checked_beside_a_shared_grid(self, bad):
-        # the thread's shared grid is checked once, when it is built; a copy of it is
-        # checked as any other times are
+    def test_hand_built_times_are_checked(self, bad):
         shared = simulate(BrownianMotion(), 8, 1.0, seed=0)
-        assert paths_module._last_grid.memo[2] is shared.times
         times = shared.times.copy()
         times[3] = bad
         with pytest.raises(ValueError, match="^times must be finite and strictly increasing$"):

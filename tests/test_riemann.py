@@ -31,6 +31,7 @@ from pathcalc import (
     simulate,
     squared_increment,
 )
+from pathcalc import riemann
 from pathcalc.riemann import _checked_hits, _tail_fractions
 
 ABS = make_scalar_fn("abs")
@@ -60,6 +61,19 @@ def reference_hitting_indices(p, eps):
     if out[-1] != p.n_points - 1:
         out.append(p.n_points - 1)
     return np.asarray(out)
+
+
+def _record_searched_levels(monkeypatch):
+    """The levels that :func:`dyadic_grid` searches from here on, in order."""
+    levels = []
+    direct = riemann._dyadic_indices
+
+    def recorded(path, level):
+        levels.append(level)
+        return direct(path, level)
+
+    monkeypatch.setattr(riemann, "_dyadic_indices", recorded)
+    return levels
 
 
 def reference_dyadic_indices(p, level):
@@ -136,8 +150,8 @@ class TestGrids:
     @settings(max_examples=100, deadline=None)
     def test_levels_past_every_index_match_the_direct_construction(self, model, seed,
                                                                    n_steps, levels):
-        # past 2^level >= 2 n_points - 2 the search stops at the first level whose grid
-        # holds every index; a jump path may need a level or two more than a uniform one
+        # past 2^level >= 2 n_points - 2 the grid is searched at that least level first,
+        # and at the level asked for only when that grid misses an index
         p = simulate(model, n_steps, 1.0, seed=seed)
         for level in levels:
             g = dyadic_grid(p, level)
@@ -146,7 +160,7 @@ class TestGrids:
 
     def test_dyadic_picks_follow_the_time_grid_and_the_horizon(self):
         uniform = np.linspace(0.0, 1.0, 65)
-        # a level past 7 is searched from 7 on: the uniform grid holds every index there,
+        # a level past 7 is searched at 7 first: the uniform grid holds every index there,
         # the squared one, with shorter cells near 0, only from level 11 on
         for times, horizon, level in ((uniform, 1.0, 6), (uniform, 0.5, 5),
                                       (uniform**2, 1.0, 4), (uniform, 1.0, 4),
@@ -157,6 +171,35 @@ class TestGrids:
                            horizon=horizon)
             assert np.array_equal(dyadic_grid(p, level).indices,
                                   reference_dyadic_indices(p, level))
+
+    @pytest.mark.parametrize("times, horizon, level, searched", [
+        (np.linspace(0.0, 1.0, 65), 1.0, 5, [5]),
+        (np.linspace(0.0, 1.0, 65), 1.0, 7, [7]),
+        (np.linspace(0.0, 1.0, 65), 1.0, 40, [7]),
+        (np.linspace(0.0, 1.0, 65)**2, 1.0, 16, [7, 16]),
+        (np.linspace(0.0, 1.0, 65), 0.5, 12, [7, 12]),
+    ], ids=["coarse", "least", "uniform_40", "squared_16", "half_horizon_12"])
+    def test_a_level_past_every_index_searches_at_most_two_levels(self, monkeypatch, times,
+                                                                  horizon, level, searched):
+        # 65 points hold every index of a uniform grid from level 7 on; a grid that misses
+        # one there (short cells, or times past the horizon) is searched at the level asked
+        # for, and at no level in between
+        levels = _record_searched_levels(monkeypatch)
+        p = SamplePath(times=times, values=np.zeros(65), pre_values=np.zeros(65),
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
+                       horizon=horizon)
+        g = dyadic_grid(p, level)
+        assert levels == searched and g.param == float(level)
+        if level <= 16:
+            assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
+
+    def test_a_jump_path_holds_every_index_at_the_least_level(self, monkeypatch):
+        levels = _record_searched_levels(monkeypatch)
+        p = simulate(JD, 512, 1.0, seed=3)
+        assert len(p.jump_indices) > 0
+        least = (2 * p.n_points - 3).bit_length()
+        g = dyadic_grid(p, least + 3)
+        assert levels == [least] and len(g) == p.n_points
 
     def test_dyadic_grids_built_on_two_threads_match_reference(self):
         levels = (11, 9, 10)
