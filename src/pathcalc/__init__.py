@@ -26,10 +26,8 @@ from .errors import (
     UnsupportedModelError,
 )
 from .functional import (
-    DyadicRefinement,
     ExpansionReport,
     Partition,
-    RandomBisection,
     ScalarFn,
     TwoIndexFn,
     derivative_limit,
@@ -46,7 +44,6 @@ from .paths import (
     CompoundPoissonJumps,
     FiniteVariationPath,
     JumpDiffusion,
-    NormalLaw,
     SamplePath,
     TwoPointLaw,
     UniformLaw,

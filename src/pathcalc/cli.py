@@ -31,23 +31,30 @@ Each kind's config keys, with the type and default of each key, are
 declared once, in ``_COMMON`` and ``_KEYS`` below, and only in the kinds
 that read them: ``n_paths`` and ``T`` in qv, ito, tanaka, compensator and
 independence, ``write_paths`` in qv, ito and tanaka, and ``local_time``
-and ``tolerances.local_time_rel`` in tanaka alone.  ``_load_config``
-checks a config against them and resolves it before any output directory
-exists, and the runners read only the resolved values; ``aggregate.json``
-records the config as written, with the defaults of the ``_RECORDED`` keys
-that the kind declares.  Refinement lists run from coarse to fine:
-``levels`` strictly increasing, ``hitting_eps`` strictly decreasing.  Each
-override sets the key that it names: ``--seed`` ``base_seed``, ``--paths``
-``n_paths``, ``--out`` ``out_dir``, and ``--level`` ``level``, or
-``levels`` as ``[level]``.  An unknown key, a missing required key, a value
-of the wrong type or out of its range (``T`` and ``local_time.eps`` > 0,
-``n_steps`` >= 1), a NaN or Infinity anywhere in the config, an override on
-a kind that does not declare its key (``--paths`` on summability), or a
-``PATHCALC_THREADS`` that is not a positive integer is a config error.  A
-config error prints ``config error: …`` and exits 2.  Once a runner has
-started, only a plain ``ValueError`` (an argument the library rejects, see
-``errors.py``) or a ``ResolutionExhaustedError`` is reported as a config
-error; any other exception is a fault of the program and propagates.
+and ``tolerances.local_time_rel`` in tanaka alone.  The ito and tanaka
+kinds grade their identity gap against the rounding floor 1e-10 alone
+(``identity_gap_floor``), so neither declares a ``tolerances.identity_gap``;
+taylor keeps its own.  ``_load_config`` checks a config against them and
+resolves it before any output directory exists, and the runners read only
+the resolved values; ``aggregate.json`` records the config as written,
+with the defaults of the ``_RECORDED`` keys that the kind declares.
+Refinement lists run from coarse to fine: ``levels`` strictly increasing,
+``hitting_eps`` strictly decreasing.  Each override sets the key that it
+names: ``--seed`` ``base_seed``, ``--paths`` ``n_paths``, ``--out``
+``out_dir``, and ``--level`` ``level``, or ``levels`` as ``[level]``.
+
+An unknown key, a missing required key, a value of the wrong type or out
+of its range (``T`` and ``local_time.eps`` > 0, ``n_steps`` >= 1,
+``base_seed`` in [0, 2**64)), a model that its class rejects (an ``fv``
+model whose ``knots_x`` and ``knots_t`` differ in length, say), a NaN or
+Infinity anywhere in the config, an override on a kind that does not
+declare its key (``--paths`` on summability), or a ``PATHCALC_THREADS``
+that is not a positive integer is a config error, found before any output
+directory exists.  A config error prints ``config error: …`` and exits 2.
+Once a runner has started, only a plain ``ValueError`` (an argument the
+library rejects, see ``errors.py``) or a ``ResolutionExhaustedError`` is
+reported as a config error; any other exception is a fault of the program
+and propagates.
 
 ``replay`` grades a run again from its persisted numbers, so acceptance
 stays auditable after the fact.  Each kind has one grading function of its
@@ -145,6 +152,8 @@ def _typed(accepts, what: str):
 
 _int = _typed(_is_int, "an integer")
 _count = _typed(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+# the first seed of a run, a key of seeded_rng
+_seed = _typed(lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)")
 _flag = _typed(lambda v: isinstance(v, bool), "true or false")
 _text = _typed(lambda v: isinstance(v, str), "a string")
 
@@ -238,8 +247,7 @@ def _decomposition_keys(residual: float, **tolerances) -> dict:
         "level": (_level, 12),
         "n_steps": (_count, lambda cfg: 2 ** min(cfg["level"] + 2, 18)),
         "negative_control": ({"corrupt_g_sign": (_flag, False)}, {}),
-        "tolerances": ({"residual": (_real, residual), **tolerances,
-                        "identity_gap": (_real, 1e-8)}, {}),
+        "tolerances": ({"residual": (_real, residual), **tolerances}, {}),
     }
 
 
@@ -248,7 +256,7 @@ _COMMON = {
     "schema_version": (_as_given, _REQUIRED),
     "kind": (_as_given, _REQUIRED),
     "out_dir": (_text, "pathcalc_out"),
-    "base_seed": (_int, 0),
+    "base_seed": (_seed, 0),
 }
 
 # each kind's own keys; a kind's config accepts these and _COMMON's, and nothing else
@@ -625,12 +633,9 @@ def _grade_decomposition(cfg, rows) -> list:
     def at_most(name, key, bound):
         return _check(name, max(_dig(r, key) for r in rows), "le", bound)
 
-    checks = [
-        at_most("max_identity_gap", "summary.max_identity_gap", tols["identity_gap"]),
-        # whatever the tolerance, the independently summed columns close the identity
-        # up to rounding: a larger gap is a defect
-        at_most("identity_gap_floor", "summary.max_identity_gap", 1e-10),
-    ]
+    # the independently summed columns close the identity up to rounding: a larger gap
+    # is a defect, so no tolerance loosens this bound
+    checks = [at_most("identity_gap_floor", "summary.max_identity_gap", 1e-10)]
     if cfg["kind"] == "ito":
         return [at_most("max_residual", "summary.max_abs_residual", tols["residual"]), *checks]
     checks += [

@@ -9,6 +9,11 @@ identically for f(x) = x^2 (per-cell algebra), tends to zero under
 refinement for functions with bounded second ratios, and recovers the
 local time for f = |x|.
 
+g and f'' are the derivatives that f declares (a g passed in wins over
+the declared one).  An f that declares no derivative of an order needed
+gets a report that is not applicable, whose ``notes.reason`` names that
+order; no derivative is searched for numerically.
+
 The closed-form bracket of the model, its ``bracket_coeffs``, is kept as
 a separate oracle column (``compensator_closed``); the defect between
 realized and closed-form bracket weighting is reported as a diagnostic,
@@ -21,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ResolutionExhaustedError
-from .functional import ScalarFn, derivative_limit, increment_fn
+from .functional import ScalarFn
 from .paths import SamplePath, _write_float_rows
 from .riemann import RiemannGrid, _mesh
 
@@ -39,50 +43,25 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# derivative surrogates
+# derivatives
 # ---------------------------------------------------------------------------
 
 
-def _derivative_surrogate(f: ScalarFn, order: int, lo: float, hi: float) -> Optional[Callable]:
-    """Vanishing-step derivative sampled on 65 nodes over [lo, hi] padded by 5%,
-    linearly interpolated.
-
-    Returns None as soon as the limit fails at any probe node (0 is always
-    probed when it lies in range, since kinks usually sit there).
-    """
-    span = max(hi - lo, 1e-6)
-    nodes = np.linspace(lo - 0.05 * span, hi + 0.05 * span, 65)
-    if nodes[0] < 0.0 < nodes[-1] and not np.any(nodes == 0.0):
-        nodes = np.sort(np.append(nodes, 0.0))
-    F = increment_fn(f)
-    vals = []
-    for x in nodes:
-        d = derivative_limit(F, order, float(x))
-        if not d.exists:
-            return None
-        vals.append(d.value)
-    vals = np.asarray(vals)
-    return lambda x: np.interp(np.asarray(x, dtype=float), nodes, vals)
-
-
-def _resolve_derivative(f: ScalarFn, path: SamplePath, order: int, given=None):
+def _resolve_derivative(f: ScalarFn, order: int, given=None):
     """Callable and label for g = f' (order 1) or tau = f''/2 (order 2).
 
-    A ``given`` callable wins; else the declared derivative of f; else the
-    grid surrogate over the path range.  Returns (None, "") when no
-    derivative limit exists there.
+    A ``given`` callable wins; else the derivative that f declares.  Returns
+    (None, "") when f declares none of that order: no derivative is searched
+    for numerically.
     """
     if given is not None:
         return given, getattr(given, "label", "custom")
-    fn, suffix = f.derivative(order), ""
+    fn = f.derivative(order)
     if fn is None:
-        lo, hi = float(np.min(path.values)), float(np.max(path.values))
-        fn, suffix = _derivative_surrogate(f, order, lo, hi), "~grid"
-        if fn is None:
-            return None, ""
+        return None, ""
     if order == 1:
-        return fn, f"D+{f.label}{suffix}"
-    return (lambda x: 0.5 * np.asarray(fn(x), dtype=float)), f"half-D2{f.label}{suffix}"
+        return fn, f"D+{f.label}"
+    return (lambda x: 0.5 * np.asarray(fn(x), dtype=float)), f"half-D2{f.label}"
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +221,12 @@ def _cumulative(cells: np.ndarray) -> np.ndarray:
 
 def _decompose(f, grid, g, mode) -> DecompositionReport:
     path = grid.path
-    gfn, g_label = _resolve_derivative(f, path, 1, g)
+    gfn, g_label = _resolve_derivative(f, 1, g)
     if gfn is None:
-        return _not_applicable(mode, f, grid, "no first derivative limit on the path range")
-    taufn, tau_label = _resolve_derivative(f, path, 2)
+        return _not_applicable(mode, f, grid, "f declares no first derivative")
+    taufn, tau_label = _resolve_derivative(f, 2)
     if taufn is None:
-        return _not_applicable(mode, f, grid, "no second derivative limit on the path range")
+        return _not_applicable(mode, f, grid, "f declares no second derivative")
 
     x, m, d = _cells(grid)
     a = x[:-1]

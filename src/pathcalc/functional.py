@@ -11,8 +11,9 @@ independently computed remainder.
 
 Everything here is pure: types are frozen dataclasses, a partition's
 points are a read-only float array, and operations are functions of their
-inputs only.  A refinement scheme's ``chain`` builds each partition when
-it is read, so a limit that converges early builds no finer level.
+inputs only.  Refinement limits read the nested dyadic chain, which builds
+each partition when it is read, so a limit that converges early builds no
+finer level.
 """
 
 from __future__ import annotations
@@ -23,14 +24,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .paths import seeded_rng
-
 __all__ = [
     "ScalarFn",
     "TwoIndexFn",
     "Partition",
-    "DyadicRefinement",
-    "RandomBisection",
     "LimitResult",
     "DerivativeResult",
     "ExpansionReport",
@@ -56,7 +53,9 @@ class ScalarFn:
 
     ``derivatives`` maps order j to a callable for the a.e. j-th derivative;
     at kinks the right-continuous version is declared (that convention is
-    what the decomposition code relies on).
+    what the decomposition code relies on).  The decompositions read only
+    these: an f that declares no derivative of an order that they need is
+    not applicable there.
     """
 
     label: str
@@ -123,7 +122,7 @@ def _raw_ratio(F: TwoIndexFn, k: int, xs, h):
 
 
 # ---------------------------------------------------------------------------
-# partitions and refinement schemes
+# partitions and the dyadic refinement chain
 # ---------------------------------------------------------------------------
 
 
@@ -161,33 +160,12 @@ class Partition:
         return np.concatenate(([self.a], self.points, [self.b]))
 
 
-class DyadicRefinement:
-    """Nested dyadic partitions: level L has the 2^L - 1 interior L-adic points."""
-
-    def chain(self, a: float, b: float, n_levels: int):
-        for level in range(n_levels):
-            n = 2**level
-            yield Partition(a, b, a + (b - a) * np.arange(1, n) / n)
-
-
-class RandomBisection:
-    """Nested random refinements: each level splits every cell of the one before at a
-    uniform point of its middle half, one draw per cell in cell order."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = int(seed)
-
-    def chain(self, a: float, b: float, n_levels: int):
-        rng = seeded_rng(self.seed)
-        part = Partition(a, b, ())
-        for level in range(n_levels):
-            if level:
-                edges = part.cells()
-                pts = np.empty(2 * part.points.size + 1)
-                pts[0::2] = edges[:-1] + np.diff(edges) * rng.uniform(0.25, 0.75, edges.size - 1)
-                pts[1::2] = part.points
-                part = Partition(a, b, pts)
-            yield part
+def _dyadic_chain(a: float, b: float, n_levels: int):
+    """Nested dyadic partitions of (a, b), coarse to fine: level L has the 2^L - 1
+    interior L-adic points."""
+    for level in range(n_levels):
+        n = 2**level
+        yield Partition(a, b, a + (b - a) * np.arange(1, n) / n)
 
 
 def partition_sum(F: TwoIndexFn, part: Partition) -> float:
@@ -208,22 +186,21 @@ class LimitResult:
 
 
 def summability_limit(
-    F: TwoIndexFn, a: float, b: float, scheme=None,
-    tol: float = 1e-4, max_levels: int = 16,
+    F: TwoIndexFn, a: float, b: float, tol: float = 1e-4, max_levels: int = 16,
 ) -> LimitResult:
-    """Partition sums along a nested refinement chain with a Cauchy verdict.
+    """Partition sums along the nested dyadic chain with a Cauchy verdict.
 
-    The chain (dyadic by default) is read level by level, and reading stops
-    once the sums moved by less than ``tol`` over the last three levels:
-    that is convergence.  A chain that ends first, after ``max_levels``
-    levels, is reported through the flag, never raised.
+    The chain is read level by level, and reading stops once the sums moved
+    by less than ``tol`` over the last three levels: that is convergence.  A
+    chain that ends first, after ``max_levels`` levels, is reported through
+    the flag, never raised.
     """
     if not (a < b):
         raise ValueError("summability_limit needs a < b")
     if max_levels < 1:
         raise ValueError("summability_limit needs max_levels >= 1")
     sums: list[float] = []  # the last three partition sums, oldest first
-    for part in (scheme or DyadicRefinement()).chain(a, b, max_levels):
+    for part in _dyadic_chain(a, b, max_levels):
         sums = [*sums[-2:], partition_sum(F, part)]
         if len(sums) == 3 and abs(sums[2] - sums[1]) < tol and abs(sums[1] - sums[0]) < tol:
             return LimitResult(sums[-1], True)

@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "TwoPointLaw",
     "UniformLaw",
-    "NormalLaw",
     "BrownianMotion",
     "CompoundPoissonJumps",
     "JumpDiffusion",
@@ -181,40 +180,15 @@ class UniformLaw:
         return self.lo >= 0
 
 
-@dataclass(frozen=True)
-class NormalLaw:
-    mean_: float
-    std: float
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("normal law needs std >= 0")
-
-    @property
-    def mean(self) -> float:
-        return self.mean_
-
-    @property
-    def second_moment(self) -> float:
-        return self.mean_**2 + self.std**2
-
-    def sample(self, rng, size):
-        return rng.normal(self.mean_, self.std, size=size)
-
-    def nonnegative(self) -> bool:
-        return False
-
-
 # kind -> (class, its keys in argument order: name -> (type, default))
 _LAWS = {
     "two_point": (TwoPointLaw, {"p": (_real, _REQUIRED), "a1": (_real, _REQUIRED),
                                 "a2": (_real, _REQUIRED)}),
     "uniform": (UniformLaw, {"lo": (_real, _REQUIRED), "hi": (_real, _REQUIRED)}),
-    "normal": (NormalLaw, {"mean": (_real, _REQUIRED), "std": (_real, _REQUIRED)}),
 }
 
 
-def law_from_dict(d) -> TwoPointLaw | UniformLaw | NormalLaw:
+def law_from_dict(d) -> TwoPointLaw | UniformLaw:
     """The jump law of ``d``; a missing, unknown or mistyped key is a ``ValueError``."""
     return _from_dict(d, _LAWS, "jump law")
 
@@ -259,7 +233,7 @@ class BrownianMotion(_Parametric):
 @dataclass(frozen=True)
 class CompoundPoissonJumps(_Parametric):
     rate: float
-    law: TwoPointLaw | UniformLaw | NormalLaw
+    law: TwoPointLaw | UniformLaw
     x0: float = 0.0
 
     def __post_init__(self):
@@ -279,7 +253,7 @@ class JumpDiffusion(_Parametric):
     sigma: float
     drift: float
     rate: float
-    law: TwoPointLaw | UniformLaw | NormalLaw
+    law: TwoPointLaw | UniformLaw
     x0: float = 0.0
 
     def __post_init__(self):
@@ -302,6 +276,9 @@ class FiniteVariationPath:
         t = np.asarray(self.knots_t, dtype=float)
         if len(t) < 2 or np.any(np.diff(t) <= 0) or t[0] != 0.0:
             raise ValueError("knots_t must start at 0 and increase strictly")
+        if len(self.knots_x) != len(t):
+            raise ValueError(f"knots_x must hold one value per knot of knots_t, got "
+                             f"{len(self.knots_x)} values for {len(t)} knots")
         object.__setattr__(self, "knots_t", tuple(float(v) for v in self.knots_t))
         object.__setattr__(self, "knots_x", tuple(float(v) for v in self.knots_x))
 

@@ -240,6 +240,11 @@ PARITY_CONFIGS = {
     "taylor": {"kind": "taylor"},
     "qv": {"kind": "qv", "model": BM, "levels": [4, 5, 6], "n_paths": 4, "n_steps": 256,
            "write_paths": True},
+    # compound Poisson jumps; a loose band, as 4 paths test plumbing
+    "qv_cpj": {"kind": "qv", "model": {"kind": "cpj", "rate": 3.0,
+                                       "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
+               "levels": [4, 5, 6], "n_paths": 4, "n_steps": 256, "write_paths": True,
+               "tolerances": {"qv_band": [0, 3]}},
     "ito": {"kind": "ito", "model": BM, "function": {"name": "square"},
             "level": 6, "n_paths": 2, "n_steps": 256, "write_paths": True},
     "ito_inapplicable": {"kind": "ito", "model": BM, "function": {"name": "sign"},
@@ -533,6 +538,27 @@ def test_replay_of_a_malformed_aggregate_exits_2(tmp_path, capsys, name, corrupt
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("name", ["ito", "tanaka_local_time"])
+def test_replay_of_a_recorded_identity_gap_tolerance_exits_2(tmp_path, capsys, name):
+    """The ito and tanaka kinds declare no tolerances.identity_gap: their identity gap is
+    graded against the rounding floor alone, so an aggregate that recorded one does not
+    resolve."""
+    cfg = write_config(tmp_path, f"{name}.json", {
+        "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS[name],
+        "out_dir": str(tmp_path / "out")})
+    main(["run", cfg])
+    agg_path = tmp_path / "out" / PARITY_CONFIGS[name]["kind"] / "aggregate.json"
+    agg = json.loads(agg_path.read_text())
+    agg["config"]["tolerances"]["identity_gap"] = 1e-8
+    agg_path.write_text(json.dumps(agg))
+    capsys.readouterr()
+    assert main(["replay", str(agg_path.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: malformed aggregate: its config: unknown key 'identity_gap' in tolerances")
+    assert captured.out == ""
+
+
 # passing decomposition runs; a loose local-time tolerance, as 3 paths test plumbing
 GRADED_CONFIGS = {
     "ito": PARITY_CONFIGS["ito"],
@@ -553,12 +579,12 @@ class TestDecompositionChecksFollowTheReports:
 
     @pytest.mark.parametrize("kind, key, failing", [
         ("ito", "summary.max_abs_residual", ["max_residual"]),
-        ("ito", "summary.max_identity_gap", ["max_identity_gap", "identity_gap_floor"]),
-        ("tanaka", "summary.max_identity_gap", ["max_identity_gap", "identity_gap_floor"]),
+        ("ito", "summary.max_identity_gap", ["identity_gap_floor"]),
+        ("tanaka", "summary.max_identity_gap", ["identity_gap_floor"]),
         ("tanaka", "summary.max_residual_decrease", ["max_residual_decrease"]),
         ("tanaka", "summary.max_jump_cell_residual", ["max_jump_cell_residual"]),
         ("tanaka", "local_time.a_c_final", ["local_time_mean_rel_err"]),
-    ], ids=["ito_max_residual", "ito_max_identity_gap", "tanaka_max_identity_gap",
+    ], ids=["ito_max_residual", "ito_identity_gap_floor", "tanaka_identity_gap_floor",
             "tanaka_max_residual_decrease", "tanaka_max_jump_cell_residual",
             "tanaka_local_time_mean_rel_err"])
     def test_editing_one_reports_number_fails_its_check(self, tmp_path, capsys, kind, key,
@@ -568,7 +594,7 @@ class TestDecompositionChecksFollowTheReports:
 
     @pytest.mark.parametrize("kind", ["ito", "tanaka"])
     def test_a_gap_above_the_floor_fails_the_floor_alone(self, tmp_path, capsys, kind):
-        # 1e-9 is within the gap tolerance (1e-8) and above the rounding floor (1e-10)
+        # 1e-9 is above the rounding floor (1e-10), and no tolerance loosens that bound
         self._edit_and_replay(tmp_path, capsys, kind, "summary.max_identity_gap",
                               lambda v: 1e-9, ["identity_gap_floor"])
 
@@ -960,8 +986,9 @@ def _out_exists(tmp_path):
 
 
 class TestRefinementOrder:
-    """Refinement lists run from coarse to fine, and a bad one, like a ``T``, ``n_steps`` or
-    local-time ``eps`` out of its range, ends the run before any output exists."""
+    """Refinement lists run from coarse to fine, and a bad one, like a ``T``, ``n_steps``,
+    local-time ``eps`` or ``base_seed`` out of its range or a model that its class rejects,
+    ends the run before any output exists."""
 
     @pytest.mark.parametrize("name, change, message", [
         ("qv", {"levels": [6, 4]}, "levels must be a non-empty list of integers"),
@@ -989,12 +1016,20 @@ class TestRefinementOrder:
         ("tanaka_local_time", {"local_time": {"level": 0.0, "eps": 0}},
          "eps must be a number > 0, got 0"),
         ("tanaka_local_time", {"local_time": {"eps": -0.2}}, "eps must be a number > 0"),
+        ("qv", {"base_seed": -1}, "base_seed must be an integer in [0, 2**64), got -1"),
+        ("qv", {"base_seed": 2**64}, "base_seed must be an integer in [0, 2**64)"),
+        ("qv", {"model": {"kind": "fv", "knots_t": [0, 1], "knots_x": [0, 1, 2]}},
+         "knots_x must hold one value per knot of knots_t"),
+        ("qv", {"model": {"kind": "jd", "rate": 3.0,
+                          "law": {"kind": "normal", "mean": 0.0, "std": 0.8}}},
+         "unknown jump law kind 'normal'"),
     ], ids=["qv_decreasing", "qv_repeated", "qv_negative", "independence_levels_decreasing",
             "eps_increasing", "eps_repeated", "eps_negative", "eps_zero", "eps_empty", "eps_nan",
             "ito_negative_level", "tanaka_negative_level", "fractional_level",
             "qv_zero_T", "qv_negative_T", "ito_negative_T", "independence_zero_T",
             "compensator_zero_T", "qv_zero_steps", "independence_negative_steps",
-            "tanaka_zero_steps", "zero_local_time_eps", "negative_local_time_eps"])
+            "tanaka_zero_steps", "zero_local_time_eps", "negative_local_time_eps",
+            "negative_seed", "seed_past_philox", "fv_knot_counts", "normal_law"])
     def test_exits_2_before_any_output(self, tmp_path, capsys, name, change, message):
         cfg = write_config(tmp_path, "cfg.json", {
             "schema_version": 1, **PARITY_CONFIGS[name], **change,
@@ -1044,7 +1079,7 @@ class TestStrictJson:
         assert replay_rc == run_rc
 
     @pytest.mark.parametrize("cfg, nulls", [
-        (PARITY_CONFIGS["ito_inapplicable"], ["max_residual", "max_identity_gap"]),
+        (PARITY_CONFIGS["ito_inapplicable"], ["max_residual", "identity_gap_floor"]),
         (TAYLOR_ABS_K3, ["abs[-1.0,1.0]k=3 identity_gap"]),
     ], ids=["ito_inapplicable", "taylor_abs_k3"])
     def test_a_check_that_is_not_finite_is_null_and_fails(self, tmp_path, capsys, cfg, nulls):

@@ -8,7 +8,6 @@ from pathcalc import (
     CompoundPoissonIncreasing,
     ConstantY,
     JumpDiffusion,
-    NormalLaw,
     PathQV,
     PoissonCounting,
     StateY,
@@ -73,7 +72,7 @@ class TestClosedForms:
 class TestModelValidation:
     def test_increasing_needs_nonnegative_law(self):
         with pytest.raises(ValueError):
-            CompoundPoissonIncreasing(rate=1.0, law=NormalLaw(0.0, 1.0))
+            CompoundPoissonIncreasing(rate=1.0, law=UniformLaw(-1.0, 1.0))
         with pytest.raises(ValueError):
             CompoundPoissonIncreasing(rate=1.0, law=TwoPointLaw(0.5, -1.0, 1.0))
 

@@ -17,9 +17,9 @@ from pathcalc import (
     CompoundPoissonJumps,
     FiniteVariationPath,
     JumpDiffusion,
-    NormalLaw,
     SamplePath,
     TwoPointLaw,
+    UniformLaw,
     dyadic_grid,
     hitting_grid,
     ito_decompose,
@@ -30,7 +30,7 @@ from pathcalc import (
 
 MODELS = [
     BrownianMotion(),
-    JumpDiffusion(sigma=1.0, drift=0.2, rate=6.0, law=NormalLaw(0.0, 0.8)),
+    JumpDiffusion(sigma=1.0, drift=0.2, rate=6.0, law=UniformLaw(-1.4, 1.4)),
     CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4)),
     FiniteVariationPath((0.0, 0.3, 0.7, 1.0), (0.0, 1.5, -0.5, 0.25)),
 ]

@@ -165,17 +165,9 @@ class TestItoDecompose:
         assert p.values.min() < 0 < p.values.max()
         rep = ito_decompose(ScalarFn("xsin", xsin), dyadic_grid(p, 9))
         assert not rep.applicable
+        assert rep.notes == {"reason": "f declares no first derivative"}
         # no number to grade: the CLI reads each missing one as inf, which FAILs
         assert not set(rep.summary_dict()) & {"max_abs_residual", "max_identity_gap"}
-
-    def test_undeclared_derivatives_come_from_the_grid_surrogate(self):
-        p = simulate(BrownianMotion(), 1024, 1.0, seed=20)
-        grid = dyadic_grid(p, 10)
-        x2 = ScalarFn("x2", lambda x: np.asarray(x, dtype=float) ** 2)
-        rep = ito_decompose(x2, grid)
-        assert rep.applicable and rep.g_label == "D+x2~grid"
-        declared = ito_decompose(SQUARE, grid)
-        assert np.max(np.abs(rep.residual - declared.residual)) <= 1e-12
 
     def test_zero_variance_path_gives_all_zero_report(self):
         p = simulate(BrownianMotion(sigma=0.0, drift=0.0), 64, 1.0, seed=0)
@@ -442,10 +434,10 @@ class TestReportStatistics:
 def reference_columns(f, grid, g=None):
     """Every column of the decomposition, each array built on its own: f at the left
     points, at the left limits and at the right points, and each running sum
-    concatenated after a 0.  None when a derivative limit is missing."""
+    concatenated after a 0.  None when f declares no derivative of an order needed."""
     path = grid.path
-    gfn, _ = _resolve_derivative(f, path, 1, g)
-    taufn, _ = _resolve_derivative(f, path, 2)
+    gfn, _ = _resolve_derivative(f, 1, g)
+    taufn, _ = _resolve_derivative(f, 2)
     if gfn is None or taufn is None:
         return None
     idx = grid.indices

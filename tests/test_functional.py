@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
-    DyadicRefinement,
     Partition,
-    RandomBisection,
     ScalarFn,
     derivative_limit,
     increment_fn,
@@ -20,8 +18,9 @@ from pathcalc import (
     summability_limit,
     taylor_check,
 )
+from pathcalc import functional
 from pathcalc.catalog import CATALOG_NAMES
-from pathcalc.functional import _raw_ratio
+from pathcalc.functional import _dyadic_chain, _raw_ratio
 from pathcalc.paths import seeded_rng
 
 ABS = make_scalar_fn("abs")
@@ -140,44 +139,27 @@ def _eager_dyadic(a, b, n_levels):
     return [a + (b - a) * np.arange(1, 2**lv) / 2**lv for lv in range(n_levels)]
 
 
-def _eager_random_bisection(seed, a, b, n_levels):
-    """Random bisection levels as a list, one scalar draw per cell and the points kept as
-    a sorted tuple of floats."""
-    rng = seeded_rng(seed)
-    pts = []
-    out = [np.array(pts)]
-    for _ in range(1, n_levels):
-        edges = [a, *pts, b]
-        pts = sorted(pts + [lo + (hi - lo) * rng.uniform(0.25, 0.75)
-                            for lo, hi in zip(edges[:-1], edges[1:])])
-        out.append(np.array(pts))
-    return out
-
-
 class TestRefinementChains:
-    @given(seed=st.integers(0, 2**32 - 1), n_levels=st.integers(1, 10),
-           a=st.floats(-2.0, 2.0), length=st.sampled_from([1e-9, 3e-9, 1e-6, 1e-3, 0.5, 2.0]))
+    @given(n_levels=st.integers(1, 10), a=st.floats(-2.0, 2.0),
+           length=st.sampled_from([1e-9, 3e-9, 1e-6, 1e-3, 0.5, 2.0]))
     @settings(max_examples=60, deadline=None)
-    def test_chains_match_their_eager_references(self, seed, n_levels, a, length):
+    def test_chains_match_their_eager_references(self, n_levels, a, length):
         b = a + length
-        pairs = [(list(DyadicRefinement().chain(a, b, n_levels)), _eager_dyadic(a, b, n_levels)),
-                 (list(RandomBisection(seed).chain(a, b, n_levels)),
-                  _eager_random_bisection(seed, a, b, n_levels))]
-        for chain, reference in pairs:
-            assert len(chain) == len(reference) == n_levels
-            for part, pts in zip(chain, reference):
-                assert np.array_equal(part.points, pts)
+        chain, reference = list(_dyadic_chain(a, b, n_levels)), _eager_dyadic(a, b, n_levels)
+        assert len(chain) == len(reference) == n_levels
+        for part, pts in zip(chain, reference):
+            assert np.array_equal(part.points, pts)
 
-    def test_a_chain_is_not_read_past_convergence(self):
-        class RaisesAfterLevelFive:
-            def chain(self, a, b, n_levels):
-                for level, part in enumerate(DyadicRefinement().chain(a, b, n_levels)):
-                    if level > 5:
-                        raise AssertionError("read past convergence")
-                    yield part
+    def test_a_chain_is_not_read_past_convergence(self, monkeypatch):
+        def raises_after_level_five(a, b, n_levels):
+            for level, part in enumerate(_dyadic_chain(a, b, n_levels)):
+                if level > 5:
+                    raise AssertionError("read past convergence")
+                yield part
 
+        monkeypatch.setattr(functional, "_dyadic_chain", raises_after_level_five)
         # the increment of |x| telescopes, so its sums converge at level 2
-        res = summability_limit(increment_fn(ABS), -1.0, 1.0, RaisesAfterLevelFive())
+        res = summability_limit(increment_fn(ABS), -1.0, 1.0)
         assert res.converged
         assert res.estimate == 0.0
 
@@ -220,14 +202,6 @@ class TestSummabilityLimit:
             right = summability_limit(F, t, 1.0, tol=tol)
             assert whole.converged and left.converged and right.converged
             assert abs(whole.estimate - left.estimate - right.estimate) < 2 * tol
-
-    def test_random_refinement_chain_agrees_with_dyadic(self):
-        F = linear_remainder(SQUARE, ABS)
-        dyadic = summability_limit(F, -1.0, 1.0, DyadicRefinement(), tol=1e-5)
-        random_chain = summability_limit(F, -1.0, 1.0, RandomBisection(seed=9),
-                                         tol=1e-5, max_levels=22)
-        assert random_chain.converged
-        assert random_chain.estimate == pytest.approx(dyadic.estimate, abs=1e-2)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

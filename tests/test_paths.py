@@ -13,7 +13,6 @@ from pathcalc import (
     CompoundPoissonJumps,
     FiniteVariationPath,
     JumpDiffusion,
-    NormalLaw,
     SamplePath,
     TwoPointLaw,
     UniformLaw,
@@ -24,7 +23,7 @@ from pathcalc import (
 from pathcalc import paths as paths_module
 from pathcalc.paths import _median, law_from_dict, model_from_dict, seeded_rng
 
-JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=3.0, law=NormalLaw(0.0, 0.8))
+JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=3.0, law=UniformLaw(-1.4, 1.4))
 CPJ = CompoundPoissonJumps(rate=6.0, law=UniformLaw(-1.5, 1.5))
 
 
@@ -34,16 +33,12 @@ class TestJumpLaws:
         assert tp.mean == 0.0 and tp.second_moment == 1.0
         u = UniformLaw(0.0, 1.0)
         assert u.mean == 0.5 and u.second_moment == pytest.approx(1 / 3)
-        n = NormalLaw(0.3, 0.4)
-        assert n.second_moment == pytest.approx(0.3**2 + 0.4**2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TwoPointLaw(1.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             UniformLaw(1.0, 0.0)
-        with pytest.raises(ValueError):
-            NormalLaw(0.0, -1.0)
 
 
 UNIFORM = {"kind": "uniform", "lo": -1.0, "hi": 1.0}
@@ -55,8 +50,9 @@ class TestFromDict:
         ({"kind": "bm", "sigma": 2, "x0": 1.0}, BrownianMotion(2.0, 0.0, 1.0)),
         ({"kind": "cpj", "rate": 3.0, "law": UNIFORM},
          CompoundPoissonJumps(3.0, UniformLaw(-1.0, 1.0))),
-        ({"kind": "jd", "rate": 3.0, "law": {"kind": "normal", "mean": 0.0, "std": 0.8}},
-         JumpDiffusion(1.0, 0.0, 3.0, NormalLaw(0.0, 0.8))),
+        ({"kind": "jd", "rate": 3.0,
+          "law": {"kind": "two_point", "p": 0.5, "a1": 0.8, "a2": -0.8}},
+         JumpDiffusion(1.0, 0.0, 3.0, TwoPointLaw(0.5, 0.8, -0.8))),
         ({"kind": "fv", "knots_t": [0, 1], "knots_x": (0.0, 2.0)},
          FiniteVariationPath((0.0, 1.0), (0.0, 2.0))),
     ])
@@ -76,6 +72,8 @@ class TestFromDict:
         ({"kind": "bm", "sigma": True}, "sigma must be a number"),
         ({"kind": "fv", "knots_t": "01", "knots_x": [0, 1]}, "knots_t must be a list"),
         ("bm", "a path model must be a JSON object"),
+        ({"kind": "fv", "knots_t": [0, 1], "knots_x": [0, 1, 2]},
+         "knots_x must hold one value per knot of knots_t, got 3 values for 2 knots"),
     ])
     def test_model_dict_errors_are_value_errors(self, d, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -85,18 +83,19 @@ class TestFromDict:
         ({"kind": "uniform", "lo": 0.0, "hi": 1.0, "p": 0.5}, "unknown key 'p' in a uniform"),
         ({"kind": "two_point", "p": 0.5, "a1": 1.0, "a2": -1.0, "std": 1.0},
          "unknown key 'std' in a two_point"),
-        ({"kind": "normal", "mean": 0.0}, "missing key 'std'"),
+        ({"kind": "uniform", "lo": 0.0}, "missing key 'hi'"),
         ({"lo": 0.0, "hi": 1.0}, "missing key 'kind'"),
         ({"kind": "cauchy"}, "unknown jump law kind 'cauchy'"),
+        ({"kind": "normal", "mean": 0.0, "std": 0.8}, "unknown jump law kind 'normal'"),
     ])
     def test_law_dict_errors_are_value_errors(self, d, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             law_from_dict(d)
 
     def test_a_law_error_inside_a_model(self):
-        with pytest.raises(ValueError, match="^unknown key 'sigma' in a normal jump law"):
+        with pytest.raises(ValueError, match="^unknown key 'sigma' in a uniform jump law"):
             model_from_dict({"kind": "cpj", "rate": 1.0,
-                             "law": {"kind": "normal", "mean": 0.0, "std": 1.0, "sigma": 1.0}})
+                             "law": {"kind": "uniform", "lo": 0.0, "hi": 1.0, "sigma": 1.0}})
 
 
 class TestSimulate:
@@ -234,7 +233,7 @@ JUMP_FREE_MODELS = st.one_of(
               drift=st.sampled_from([0.0, -0.0, 0.2, -1.5]),
               x0=st.sampled_from([0.0, -0.0, 1.0, -3.25])),
     st.builds(JumpDiffusion, sigma=st.sampled_from([0.0, 1.0]), drift=st.sampled_from([0.0, 0.4]),
-              rate=st.just(0.0), law=st.just(NormalLaw(0.0, 0.8)),
+              rate=st.just(0.0), law=st.just(UniformLaw(-1.4, 1.4)),
               x0=st.sampled_from([0.0, -0.0, 0.5])),
     st.builds(CompoundPoissonJumps, rate=st.just(0.0), law=st.just(UniformLaw(-1.0, 1.0)),
               x0=st.sampled_from([0.0, -0.0, 2.0])),
