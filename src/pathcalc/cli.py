@@ -5,7 +5,8 @@ A run owns ``<out>/<kind>``: its runner writes into a fresh directory under
 ``<out>``, which replaces ``<out>/<kind>`` when the runner returns, so
 nothing that an earlier run left there stays.  A run that ends before that
 (a config value that the runner rejects, say) removes the fresh directory
-and leaves ``<out>/<kind>`` as it was.  Output layout
+and leaves ``<out>/<kind>`` as it was; the directories that the run made
+for ``<out>`` are removed too, those that it left empty.  Output layout
 per run: ``<out>/<kind>/<seed>/report.json`` per seed (one per path; for
 compensator one per (process, Y) pair, then one for its martingale
 check and one for its negative control at the next two seeds; the base seed
@@ -44,10 +45,11 @@ names: ``--seed`` ``base_seed``, ``--paths`` ``n_paths``, ``--out``
 ``out_dir``, and ``--level`` ``level``, or ``levels`` as ``[level]``.
 
 An unknown key, a missing required key, a value of the wrong type or out
-of its range (``T`` and ``local_time.eps`` > 0, ``n_steps`` >= 1,
-``base_seed`` in [0, 2**64)), a model that its class rejects (an ``fv``
-model whose ``knots_x`` and ``knots_t`` differ in length, say), a NaN or
-Infinity anywhere in the config, an override on a kind that does not
+of its range (``T`` and ``local_time.eps`` > 0, ``n_steps`` >= 1, every
+seed that the run draws with in [0, 2**64): its last as its ``base_seed``),
+a model that its class rejects (an ``fv`` model whose ``knots_x`` and
+``knots_t`` differ in length, say), a NaN or Infinity anywhere in the
+config, an override on a kind that does not
 declare its key (``--paths`` on summability), or a ``PATHCALC_THREADS``
 that is not a positive integer is a config error, found before any output
 directory exists.  A config error prints ``config error: …`` and exits 2.
@@ -346,7 +348,14 @@ def _resolve_config(raw, overrides=None) -> tuple[dict, dict]:
             raise ValueError(f"--{flag} does not apply to the {kind} kind")
         raw[key] = [value] if key == "levels" else value
     recorded = {**{k: keys[k][1] for k in _RECORDED if k in keys}, **raw}
-    return recorded, _resolve_keys(raw, keys, f"the {kind} config")
+    cfg = _resolve_keys(raw, keys, f"the {kind} config")
+    # every seed that the run keys a generator by lies in seeded_rng's range, its last
+    # one too: the seeds of its reports, and for independence one per path
+    count = cfg["n_paths"] if kind == "independence" else len(_seeds(cfg))
+    if cfg["base_seed"] + count > 2**64:
+        raise ValueError(f"base_seed must leave room below 2**64 for the run's {count} "
+                         f"seeds, got {cfg['base_seed']}")
+    return recorded, cfg
 
 
 def _threads() -> int:
@@ -484,11 +493,12 @@ def _run_decomposition(cfg, kind_dir: Path):
 
     def evaluate(path):
         report = decompose(f, dyadic_grid(path, level), g=g)
-        row = {"summary": report.summary_dict()}
+        summary = report.summary_dict()
+        row = {"summary": summary}
         # an inapplicable report has no local time, and its checks FAIL
         if lt is not None and report.applicable:
             oracle = occupation_local_time(path, lt["level"], lt["eps"])
-            row["local_time"] = {"a_c_final": float(report.residual[-1]), "oracle": oracle}
+            row["local_time"] = {"a_c_final": summary["final"]["residual"], "oracle": oracle}
         return row, [("decomposition.csv", report.series_csv)]
 
     return _map_paths(cfg, kind_dir, evaluate)
@@ -818,6 +828,25 @@ def replay(directory: str, recompute: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _missing_dirs(directory: Path) -> list:
+    """``directory`` and those of its ancestors that do not exist, deepest first."""
+    missing = []
+    for d in (directory, *directory.parents):
+        if d.exists():
+            break
+        missing.append(d)
+    return missing
+
+
+def _remove_empty(dirs) -> None:
+    """Remove each of ``dirs``, deepest first, up to the first that is not empty."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:
+            return
+
+
 def run(config_path: str, overrides) -> int:
     try:
         recorded, cfg = _load_config(config_path, overrides)
@@ -827,8 +856,10 @@ def run(config_path: str, overrides) -> int:
         return 2
     # the run owns its kind directory: its runner writes into a fresh one (made by mkdir,
     # as mkdtemp's mode is 0o700), which replaces it once the runner returns and is removed
-    # on any other exit, so a run that ends early leaves an earlier run as it was
+    # on any other exit, so a run that ends early leaves an earlier run as it was, and no
+    # directory that it made
     kind_dir = Path(cfg["out_dir"]) / cfg["kind"]
+    made = _missing_dirs(kind_dir.parent)
     try:
         kind_dir.parent.mkdir(parents=True, exist_ok=True)
         scratch = Path(tempfile.mkdtemp(prefix=f".{cfg['kind']}-", dir=kind_dir.parent))
@@ -849,6 +880,8 @@ def run(config_path: str, overrides) -> int:
         return 2
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+        # the directories above <out>/<kind> that this run made stay only when they hold it
+        _remove_empty(made)
     checks = grade(cfg, rows)
     _write_json(kind_dir / "aggregate.json", {
         "schema_version": AGGREGATE_VERSION, "kind": cfg["kind"], "config": recorded,

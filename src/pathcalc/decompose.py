@@ -20,12 +20,22 @@ realized and closed-form bracket weighting is reported as a diagnostic,
 never folded into the residual.  A path with no model (one read by
 ``SamplePath.from_csv``) has no closed form: that column and the defect
 are NaN, and every other column is the same as for the simulated path.
+
+A report holds no column when it is made.  The decomposition writes its
+cell terms, running sums and identity gap into scratch arrays of the
+calling thread, kept and reused from one call to the next, and takes from
+them the numbers that the report's summary records: its extremes
+(``stats``), the final value of each column and the bracket defect.  The
+first read of a column (or of ``series_csv``) runs the same algebra again,
+into new arrays that the report keeps; they hold the bits that the summary's
+numbers were taken from.  f and its derivatives are called on views of the
+scratch arrays, and must not keep them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,8 +75,38 @@ def _resolve_derivative(f: ScalarFn, order: int, given=None):
 
 
 # ---------------------------------------------------------------------------
+# per-thread scratch
+# ---------------------------------------------------------------------------
+
+# per thread: the float arrays, by name, that _decompose writes its cell terms, running
+# sums and identity gap into, each as long as the longest call on the thread has asked
+# for; every call overwrites what the one before it wrote
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, n: int) -> np.ndarray:
+    """The calling thread's scratch array ``name``, as a view of length ``n``."""
+    arrays = getattr(_scratch, "arrays", None)
+    if arrays is None:
+        arrays = _scratch.arrays = {}
+    arr = arrays.get(name)
+    if arr is None or len(arr) < n:
+        arr = arrays[name] = np.empty(n)
+    return arr[:n]
+
+
+def _new_array(name: str, n: int) -> np.ndarray:
+    return np.empty(n)
+
+
+# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
+
+
+def _column(name: str):
+    return property(lambda self: self._columns()[name],
+                    doc=f"The ``{name}`` column, built on first read (see the class docstring).")
 
 
 @dataclass(frozen=True)
@@ -80,6 +120,15 @@ class DecompositionReport:
     against the model's closed-form bracket; its gap to
     ``compensator_term`` is the realized-vs-closed bracket defect.  Both
     are NaN for a path with no model.
+
+    The report keeps the numbers that its summary records (:attr:`stats`,
+    the final value of each column and the bracket defect), taken when it
+    was made from the calling thread's scratch arrays, and holds no column.
+    ``times`` and the seven columns are read-only properties: the first read
+    of a column runs the decomposition's algebra again on the grid, into new
+    arrays that the report then keeps, bit for bit the arrays that the
+    summary's numbers were taken from.  A report that is not applicable has
+    empty columns and empty ``stats``.
     """
 
     mode: str
@@ -87,32 +136,47 @@ class DecompositionReport:
     g_label: str
     path_info: dict
     grid_info: dict
-    times: np.ndarray
-    lhs: np.ndarray
-    stochastic_integral: np.ndarray
-    compensator_term: np.ndarray
-    compensator_closed: np.ndarray
-    jump_term: np.ndarray
-    residual: np.ndarray
-    identity_gap: np.ndarray
     jump_cell_residuals: np.ndarray
     applicable: bool
     notes: dict
+    # the extremes that the summary records and the CLI grades, each an upper bound's
+    # value; absent ones read 0.  ``max_residual_decrease`` is minus the least residual
+    # increment, at most 0 when the residual never decreases
+    stats: dict
+    # the final value of each column and the bracket defect, as the summary records them
+    _final: dict = field(repr=False)
+    _bracket_defect: float = field(repr=False)
+    # (f, grid, g, tau) that the columns are built from; None when not applicable
+    _inputs: tuple | None = field(repr=False)
 
-    @cached_property
-    def stats(self) -> dict:
-        """Extremes that the summary records and the CLI grades (applicable reports), each
-        an upper bound's value; absent ones read 0.  ``max_residual_decrease`` is minus
-        the least residual increment, at most 0 when the residual never decreases."""
-        incr = np.diff(self.residual) if len(self.residual) > 1 else np.array([0.0])
-        jumps = self.jump_cell_residuals
-        return {
-            "max_abs_residual": float(np.max(np.abs(self.residual))),
-            "max_identity_gap": float(np.max(self.identity_gap)),
-            # 0.0 - x, not -x, so that a least increment of 0.0 reads 0.0, not -0.0
-            "max_residual_decrease": 0.0 - float(np.min(incr)),
-            "max_jump_cell_residual": float(np.max(np.abs(jumps))) if len(jumps) else 0.0,
-        }
+    lhs = _column("lhs")
+    stochastic_integral = _column("stochastic_integral")
+    compensator_term = _column("compensator_term")
+    compensator_closed = _column("compensator_closed")
+    jump_term = _column("jump_term")
+    residual = _column("residual")
+    identity_gap = _column("identity_gap")
+
+    def _columns(self) -> dict:
+        # kept in __dict__, not a functools.cached_property: before Python 3.12 that holds
+        # one lock for every report, so seed-pool threads would take turns at their CSVs
+        columns = self.__dict__.get("_built")
+        if columns is None:
+            if self._inputs is None:
+                columns = {name: np.array([]) for name in _COLUMNS}
+            else:
+                columns = _terms(*self._inputs, _new_array)
+            self.__dict__["_built"] = columns
+        return columns
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid's times, gathered on first read."""
+        times = self.__dict__.get("_times")
+        if times is None:
+            times = self.__dict__["_times"] = (np.array([]) if self._inputs is None
+                                               else self._inputs[1].times)
+        return times
 
     def summary_dict(self) -> dict:
         if not self.applicable:
@@ -125,16 +189,9 @@ class DecompositionReport:
             "applicable": True,
             "path": self.path_info,
             "grid": self.grid_info,
-            "final": {
-                "lhs": float(self.lhs[-1]),
-                "stochastic_integral": float(self.stochastic_integral[-1]),
-                "compensator_term": float(self.compensator_term[-1]),
-                "compensator_closed": float(self.compensator_closed[-1]),
-                "jump_term": float(self.jump_term[-1]),
-                "residual": float(self.residual[-1]),
-            },
+            "final": dict(self._final),
             **self.stats,
-            "bracket_defect": float(np.max(np.abs(self.compensator_term - self.compensator_closed))),
+            "bracket_defect": self._bracket_defect,
             "notes": self.notes,
         }
 
@@ -149,15 +206,17 @@ class DecompositionReport:
                            self.compensator_term, self.jump_term, self.residual])
 
 
+# the columns that _terms writes, in the order of the summary's "final"
+_COLUMNS = ("lhs", "stochastic_integral", "compensator_term", "compensator_closed",
+            "jump_term", "residual", "identity_gap")
+
+
 def _not_applicable(mode, f, grid, reason) -> DecompositionReport:
-    empty = np.array([])
     return DecompositionReport(
         mode=mode, f_label=f.label, g_label="", path_info=_path_info(grid.path),
-        grid_info=_grid_info(grid, grid.times), times=empty, lhs=empty,
-        stochastic_integral=empty, compensator_term=empty,
-        compensator_closed=empty, jump_term=empty, residual=empty,
-        identity_gap=empty, jump_cell_residuals=empty,
-        applicable=False, notes={"reason": reason},
+        grid_info=_grid_info(grid, grid.times), jump_cell_residuals=np.array([]),
+        applicable=False, notes={"reason": reason}, stats={}, _final={},
+        _bracket_defect=float("nan"), _inputs=None,
     )
 
 
@@ -183,40 +242,107 @@ def _grid_info(grid: RiemannGrid, times: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cells(grid: RiemannGrid):
-    """The path's values at the grid points, the cells' continuous right values and the
-    cells' jump sizes, None when no cell ends at a jump."""
+def _running_sums(col: np.ndarray) -> np.ndarray:
+    """``col`` with its cells, at ``col[1:]``, replaced in place by their running sums,
+    after a 0."""
+    col[0] = 0.0
+    np.cumsum(col[1:], out=col[1:])
+    return col
+
+
+def _terms(f, grid, gfn, taufn, new) -> dict:
+    """Every column of the decomposition along ``grid``, with ``times``, the grid's
+    times, and ``jump_cell_residuals``.
+
+    ``new(name, n)`` gives the float array of length n that the term ``name`` is
+    written into: :func:`_new_array` when a report builds its columns,
+    :func:`_scratch_array` when :func:`_decompose` takes a report's numbers.  The
+    arrays are written in the same order either way, so the two give the same bits.
+    """
     path, idx = grid.path, grid.indices
-    j = idx[1:]
+    n = len(idx) - 1
+    # mode="clip" lets take write into out unbuffered; the grid's indices are in range
+    x = np.take(path.values, idx, out=new("x", n + 1), mode="clip")
+    tg = np.take(path.times, idx, out=new("times", n + 1), mode="clip")
+    a = x[:-1]
+    # the cells' continuous right values, and their jump sizes, None when no cell ends
+    # at a jump
+    if path.pre_values is path.values:
+        m = x[1:]
+    else:
+        m = np.take(path.pre_values, idx[1:], out=new("m", n), mode="clip")
     d = None
     if len(path.jump_indices):
-        d = path.jump_size_at()[j]
+        d = path.jump_size_at()[idx[1:]]
         if not np.any(d != 0.0):
             d = None
-    x = path.values[idx]
-    return x, x[1:] if path.pre_values is path.values else path.pre_values[j], d
 
+    # f once at the grid points; a cell's left limit is its right value bit for bit
+    # unless the cell ends at a jump (or the path's left limits differ from its values)
+    fx = np.asarray(f(x), dtype=float)
+    fa, fb = fx[:-1], fx[1:]
+    same = (path.pre_values is path.values
+            or np.array_equal(m.view(np.int64), x[1:].view(np.int64)))
+    fm = fb if same else np.asarray(f(m), dtype=float)
+    ta = np.asarray(taufn(a), dtype=float)
 
-def _integrand_cells(g, a, m, d):
-    """Per-cell g(X_-) Delta X, split exactly at jump times.
+    # each running-sum column holds its cells at [1:] until they are summed in place
+    stoch = new("stochastic_integral", n + 1)
+    comp = new("compensator_term", n + 1)
+    resid = new("residual", n + 1)
+    stoch_cells, comp_cells, resid_cells = stoch[1:], comp[1:], resid[1:]
+    # per cell g(X_-) Delta X, split exactly at jump times: the continuous move m - a is
+    # weighted by g at the cell's left point a, and the jump displacement d by g at the
+    # left limit m, so a jump contributes g(X_{s-}) Delta X_s
+    moves = np.subtract(m, a, out=comp_cells)
+    np.multiply(np.asarray(gfn(a), dtype=float), moves, out=stoch_cells)
+    # the curvature cells tau(a) (m - a)^2, in place of the moves
+    np.square(moves, out=comp_cells)
+    np.multiply(ta, comp_cells, out=comp_cells)
+    np.subtract(fm, fa, out=resid_cells)
+    resid_cells -= stoch_cells
+    resid_cells -= comp_cells
 
-    The continuous move m - a is weighted by g at the cell's left point a,
-    and the jump displacement d by g at the left limit m, so a jump
-    contributes g(X_{s-}) Delta X_s.  Returns (continuous part, jump part);
-    the jump part is None when d is None (no cell ends at a jump).
-    """
-    cont = np.asarray(g(a), dtype=float) * (m - a)
+    jump = new("jump_term", n + 1)
     if d is None:
-        return cont, None
-    return cont, np.where(d != 0.0, np.asarray(g(m), dtype=float) * d, 0.0)
+        jump.fill(0.0)
+        jump_cell_residuals = np.array([])
+    else:
+        jump_mask = d != 0.0
+        stoch_jump = np.where(jump_mask, np.asarray(gfn(m), dtype=float) * d, 0.0)
+        jump[1:] = np.where(jump_mask, fb - fm - stoch_jump, 0.0)
+        _running_sums(jump)
+        jump_cell_residuals = resid_cells[jump_mask]
+        stoch_cells += stoch_jump
 
+    lhs = np.subtract(fx, fx[0], out=new("lhs", n + 1))
+    for col in (stoch, comp, resid):
+        _running_sums(col)
 
-def _cumulative(cells: np.ndarray) -> np.ndarray:
-    """0 followed by the running sums of ``cells``."""
-    col = np.empty(len(cells) + 1)
-    col[0] = 0.0
-    np.cumsum(cells, out=col[1:])
-    return col
+    # the closed-form bracket <X^c>_t = cont_coeff t, absent for a path with no model;
+    # the bracket at the grid times is held in the gap's array until the gap is summed
+    gap = new("identity_gap", n + 1)
+    closed = new("compensator_closed", n + 1)
+    coeffs = getattr(path.model, "bracket_coeffs", None)
+    if coeffs is None:
+        closed.fill(np.nan)
+    else:
+        bracket = np.multiply(coeffs[0], tg, out=gap)
+        np.subtract(bracket[1:], bracket[:-1], out=closed[1:])
+        np.multiply(ta, closed[1:], out=closed[1:])
+        _running_sums(closed)
+
+    # the closure defect, summed in the order ((stoch + comp) + jump) + resid
+    np.add(stoch, comp, out=gap)
+    gap += jump
+    gap += resid
+    np.subtract(lhs, gap, out=gap)
+    np.abs(gap, out=gap)
+
+    return {"times": tg, "lhs": lhs, "stochastic_integral": stoch,
+            "compensator_term": comp, "compensator_closed": closed, "jump_term": jump,
+            "residual": resid, "identity_gap": gap,
+            "jump_cell_residuals": jump_cell_residuals}
 
 
 def _decompose(f, grid, g, mode) -> DecompositionReport:
@@ -228,62 +354,29 @@ def _decompose(f, grid, g, mode) -> DecompositionReport:
     if taufn is None:
         return _not_applicable(mode, f, grid, "f declares no second derivative")
 
-    x, m, d = _cells(grid)
-    a = x[:-1]
-    tg = path.times[grid.indices]
-    # f once at the grid points; a cell's left limit is its right value bit for bit
-    # unless the cell ends at a jump (or the path's left limits differ from its values)
-    fx = np.asarray(f(x), dtype=float)
-    fa, fb = fx[:-1], fx[1:]
-    same = (path.pre_values is path.values
-            or np.array_equal(m.view(np.int64), x[1:].view(np.int64)))
-    fm = fb if same else np.asarray(f(m), dtype=float)
-    ta = np.asarray(taufn(a), dtype=float)
-
-    stoch_cells, stoch_jump = _integrand_cells(gfn, a, m, d)
-    comp_cells = ta * (m - a)**2
-    resid_cells = fm - fa
-    resid_cells -= stoch_cells
-    resid_cells -= comp_cells
-
-    if stoch_jump is None:
-        jump = np.zeros(len(x))
-        jump_cell_residuals = np.array([])
-    else:
-        jump_mask = d != 0.0
-        jump = _cumulative(np.where(jump_mask, fb - fm - stoch_jump, 0.0))
-        jump_cell_residuals = resid_cells[jump_mask]
-        stoch_cells += stoch_jump
-
-    lhs = fx - fx[0]
-    stoch = _cumulative(stoch_cells)
-    comp = _cumulative(comp_cells)
-    resid = _cumulative(resid_cells)
-    # the closure defect, summed in the order ((stoch + comp) + jump) + resid
-    gap = stoch + comp
-    gap += jump
-    gap += resid
-    np.subtract(lhs, gap, out=gap)
-    np.abs(gap, out=gap)
-
-    # the closed-form bracket <X^c>_t = cont_coeff t, absent for a path with no model
+    terms = _terms(f, grid, gfn, taufn, _scratch_array)
+    resid, jumps = terms["residual"], terms["jump_cell_residuals"]
+    n = len(resid) - 1
+    # one scratch array holds each temporary of the extremes in turn
+    work = _scratch_array("stats", n + 1)
+    least_incr = float(np.min(np.subtract(resid[1:], resid[:-1], out=work[:n]))) if n else 0.0
+    stats = {
+        "max_abs_residual": float(np.max(np.abs(resid, out=work))),
+        "max_identity_gap": float(np.max(terms["identity_gap"])),
+        # 0.0 - x, not -x, so that a least increment of 0.0 reads 0.0, not -0.0
+        "max_residual_decrease": 0.0 - least_incr,
+        "max_jump_cell_residual": float(np.max(np.abs(jumps))) if len(jumps) else 0.0,
+    }
+    defect = np.subtract(terms["compensator_term"], terms["compensator_closed"], out=work)
+    bracket_defect = float(np.max(np.abs(defect, out=defect)))
     coeffs = getattr(path.model, "bracket_coeffs", None)
-    if coeffs is None:
-        comp_closed, bracket = np.full(len(tg), np.nan), None
-    else:
-        cont, jump_coeff = coeffs
-        comp_closed = _cumulative(ta * np.diff(cont * tg))
-        bracket = {"cont_coeff": cont, "jump_coeff": jump_coeff}
-
-    notes = {"tau": tau_label, "bracket": bracket}
+    bracket = None if coeffs is None else {"cont_coeff": coeffs[0], "jump_coeff": coeffs[1]}
     return DecompositionReport(
-        mode=mode, f_label=f.label, g_label=g_label,
-        path_info=_path_info(path), grid_info=_grid_info(grid, tg),
-        times=tg, lhs=lhs, stochastic_integral=stoch,
-        compensator_term=comp, compensator_closed=comp_closed,
-        jump_term=jump, residual=resid, identity_gap=gap,
-        jump_cell_residuals=jump_cell_residuals,
-        applicable=True, notes=notes,
+        mode=mode, f_label=f.label, g_label=g_label, path_info=_path_info(path),
+        grid_info=_grid_info(grid, terms["times"]), jump_cell_residuals=jumps, applicable=True,
+        notes={"tau": tau_label, "bracket": bracket}, stats=stats,
+        _final={name: float(terms[name][-1]) for name in _COLUMNS[:-1]},
+        _bracket_defect=bracket_defect, _inputs=(f, grid, gfn, taufn),
     )
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathcalc import SamplePath, cli, compensator, paths, riemann, simulate
+from pathcalc import (DecompositionReport, SamplePath, cli, compensator, paths, riemann,
+                      simulate)
 from pathcalc.cli import _load_config, main
 from pathcalc.paths import model_from_dict
 
@@ -691,6 +692,44 @@ MONTE_CARLO_CONFIGS = {
 }
 
 
+class _ColumnRead(Exception):
+    pass
+
+
+class TestDecompositionRunsReadNoColumn:
+    """An ito or tanaka run without path CSVs takes every number that it writes from the
+    report's summary, so no report builds a column: the column builder and ``times``
+    raise here, and only a run that writes ``decomposition.csv`` reaches them."""
+
+    @pytest.fixture
+    def no_columns(self, monkeypatch):
+        def column_read(*args):
+            raise _ColumnRead
+
+        monkeypatch.setattr(DecompositionReport, "_columns", column_read)
+        monkeypatch.setattr(DecompositionReport, "times", property(column_read))
+
+    @pytest.mark.parametrize("name", ["ito", "tanaka_local_time"])
+    def test_without_path_csvs(self, tmp_path, no_columns, name):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], "write_paths": False,
+            "out_dir": str(tmp_path / "out")})
+        # 3 tanaka paths may FAIL the local-time check: a verdict either way
+        assert main(["run", cfg]) in (0, 1)
+        kind = PARITY_CONFIGS[name]["kind"]
+        report = json.loads((tmp_path / "out" / kind / "0" / "report.json").read_text())
+        assert report["summary"]["applicable"]
+        assert ("local_time" in report) == (kind == "tanaka")
+
+    @pytest.mark.parametrize("name", ["ito", "tanaka_local_time"])
+    def test_with_path_csvs(self, tmp_path, no_columns, name):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], "write_paths": True,
+            "out_dir": str(tmp_path / "out")})
+        with pytest.raises(_ColumnRead):
+            main(["run", cfg])
+
+
 class TestMonteCarloChecksFollowTheReports:
     """The compensator, independence and taylor checks are recomputed from the numbers of
     the per-seed reports: editing one number moves its check, and only its check."""
@@ -772,6 +811,26 @@ class TestRunnerInputErrors:
         # run made
         assert _tree(tmp_path / "out") == before
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["tanaka"]
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new_out_dir", "earlier_run"])
+    def test_a_rejected_config_leaves_no_directory_that_it_made(self, tmp_path, capsys,
+                                                                 earlier):
+        # <out_dir> two levels below a directory that exists
+        cfg = {"schema_version": 1, **PARITY_CONFIGS["tanaka_local_time"],
+               "out_dir": str(tmp_path / "new" / "out")}
+        if earlier:
+            main(["run", write_config(tmp_path, "tanaka.json", cfg)])
+        before = _tree(tmp_path / "new")
+        rejected = write_config(tmp_path, "rejected.json", {
+            **cfg, "local_time": {"level": 0.0, "eps": 1e-6}})
+        capsys.readouterr()
+        assert main(["run", rejected]) == 2
+        assert capsys.readouterr().err.startswith("config error: eps=1e-06")
+        if earlier:
+            assert _tree(tmp_path / "new") == before
+            assert [p.name for p in (tmp_path / "new" / "out").iterdir()] == ["tanaka"]
+        else:
+            assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("name, change, message", [
         ("qv", {"model": {"kind": "cpj"}}, "missing key 'rate'"),
@@ -1018,6 +1077,12 @@ class TestRefinementOrder:
         ("tanaka_local_time", {"local_time": {"eps": -0.2}}, "eps must be a number > 0"),
         ("qv", {"base_seed": -1}, "base_seed must be an integer in [0, 2**64), got -1"),
         ("qv", {"base_seed": 2**64}, "base_seed must be an integer in [0, 2**64)"),
+        ("qv", {"base_seed": 2**64 - 1, "n_paths": 2},
+         "base_seed must leave room below 2**64 for the run's 2 seeds, got 18446744073709551615"),
+        ("compensator", {"base_seed": 2**64 - 21},
+         "base_seed must leave room below 2**64 for the run's 22 seeds"),
+        ("independence", {"base_seed": 2**64 - 3},
+         "base_seed must leave room below 2**64 for the run's 4 seeds"),
         ("qv", {"model": {"kind": "fv", "knots_t": [0, 1], "knots_x": [0, 1, 2]}},
          "knots_x must hold one value per knot of knots_t"),
         ("qv", {"model": {"kind": "jd", "rate": 3.0,
@@ -1029,7 +1094,9 @@ class TestRefinementOrder:
             "qv_zero_T", "qv_negative_T", "ito_negative_T", "independence_zero_T",
             "compensator_zero_T", "qv_zero_steps", "independence_negative_steps",
             "tanaka_zero_steps", "zero_local_time_eps", "negative_local_time_eps",
-            "negative_seed", "seed_past_philox", "fv_knot_counts", "normal_law"])
+            "negative_seed", "seed_past_philox", "qv_last_seed_past_philox",
+            "compensator_last_seed_past_philox", "independence_last_seed_past_philox",
+            "fv_knot_counts", "normal_law"])
     def test_exits_2_before_any_output(self, tmp_path, capsys, name, change, message):
         cfg = write_config(tmp_path, "cfg.json", {
             "schema_version": 1, **PARITY_CONFIGS[name], **change,
@@ -1037,6 +1104,18 @@ class TestRefinementOrder:
         assert main(["run", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not _out_exists(tmp_path)
+
+    @pytest.mark.parametrize("name, change", [
+        ("qv", {"base_seed": 2**64 - 2, "n_paths": 2}),
+        ("compensator", {"base_seed": 2**64 - 22}),
+        ("independence", {"base_seed": 2**64 - 4}),
+    ], ids=["qv", "compensator", "independence"])
+    def test_a_last_seed_of_2_64_minus_1_gives_a_verdict(self, tmp_path, capsys, name, change):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **PARITY_CONFIGS[name], **change,
+            "out_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) in (0, 1)
+        assert "config error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, message", [
         ("ito", "level must be >= 0"),

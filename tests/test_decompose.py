@@ -2,6 +2,7 @@
 
 import io
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from pathcalc import (
 )
 from pathcalc.catalog import CATALOG_NAMES
 from pathcalc.cli import _write_json
-from pathcalc.decompose import _resolve_derivative
+from pathcalc.decompose import _grid_info, _path_info, _resolve_derivative
 
 SQUARE = make_scalar_fn("square")
 ABS = make_scalar_fn("abs")
@@ -520,3 +521,217 @@ class TestReportMatchesReference:
         assert not np.array_equal(pre[grid.indices], p.values[grid.indices])
         for f in (ABS, COS, PWL):
             assert_columns_match_reference(f, grid)
+
+
+# ---------------------------------------------------------------------------
+# the eager decomposition, which built every column of each report when it made it, kept
+# as the reference for the report's columns and its summary's numbers
+# ---------------------------------------------------------------------------
+
+
+def _eager_cells(grid):
+    path, idx = grid.path, grid.indices
+    j = idx[1:]
+    d = None
+    if len(path.jump_indices):
+        d = path.jump_size_at()[j]
+        if not np.any(d != 0.0):
+            d = None
+    x = path.values[idx]
+    return x, x[1:] if path.pre_values is path.values else path.pre_values[j], d
+
+
+def _eager_integrand_cells(g, a, m, d):
+    cont = np.asarray(g(a), dtype=float) * (m - a)
+    if d is None:
+        return cont, None
+    return cont, np.where(d != 0.0, np.asarray(g(m), dtype=float) * d, 0.0)
+
+
+def _eager_cumulative(cells):
+    col = np.empty(len(cells) + 1)
+    col[0] = 0.0
+    np.cumsum(cells, out=col[1:])
+    return col
+
+
+def eager_decompose(f, grid, g, mode):
+    """Every column, ``jump_cell_residuals`` and the summary of the eager decomposition."""
+    path = grid.path
+    gfn, g_label = _resolve_derivative(f, 1, g)
+    taufn, tau_label = _resolve_derivative(f, 2)
+    if gfn is None or taufn is None:
+        order = "first" if gfn is None else "second"
+        empty = np.array([])
+        return {name: empty for name in EAGER_COLUMNS}, {
+            "mode": mode, "f": f.label, "applicable": False, "path": _path_info(path),
+            "grid": _grid_info(grid, grid.times),
+            "notes": {"reason": f"f declares no {order} derivative"}}
+
+    x, m, d = _eager_cells(grid)
+    a = x[:-1]
+    tg = path.times[grid.indices]
+    fx = np.asarray(f(x), dtype=float)
+    fa, fb = fx[:-1], fx[1:]
+    same = (path.pre_values is path.values
+            or np.array_equal(m.view(np.int64), x[1:].view(np.int64)))
+    fm = fb if same else np.asarray(f(m), dtype=float)
+    ta = np.asarray(taufn(a), dtype=float)
+
+    stoch_cells, stoch_jump = _eager_integrand_cells(gfn, a, m, d)
+    comp_cells = ta * (m - a)**2
+    resid_cells = fm - fa
+    resid_cells -= stoch_cells
+    resid_cells -= comp_cells
+
+    if stoch_jump is None:
+        jump = np.zeros(len(x))
+        jump_cell_residuals = np.array([])
+    else:
+        jump_mask = d != 0.0
+        jump = _eager_cumulative(np.where(jump_mask, fb - fm - stoch_jump, 0.0))
+        jump_cell_residuals = resid_cells[jump_mask]
+        stoch_cells += stoch_jump
+
+    lhs = fx - fx[0]
+    stoch = _eager_cumulative(stoch_cells)
+    comp = _eager_cumulative(comp_cells)
+    resid = _eager_cumulative(resid_cells)
+    gap = stoch + comp
+    gap += jump
+    gap += resid
+    np.subtract(lhs, gap, out=gap)
+    np.abs(gap, out=gap)
+
+    coeffs = getattr(path.model, "bracket_coeffs", None)
+    if coeffs is None:
+        comp_closed, bracket = np.full(len(tg), np.nan), None
+    else:
+        cont, jump_coeff = coeffs
+        comp_closed = _eager_cumulative(ta * np.diff(cont * tg))
+        bracket = {"cont_coeff": cont, "jump_coeff": jump_coeff}
+
+    columns = {"times": tg, "lhs": lhs, "stochastic_integral": stoch,
+               "compensator_term": comp, "compensator_closed": comp_closed,
+               "jump_term": jump, "residual": resid, "identity_gap": gap,
+               "jump_cell_residuals": jump_cell_residuals}
+    incr = np.diff(resid) if len(resid) > 1 else np.array([0.0])
+    jumps = jump_cell_residuals
+    summary = {
+        "mode": mode, "f": f.label, "g": g_label, "applicable": True,
+        "path": _path_info(path), "grid": _grid_info(grid, tg),
+        "final": {name: float(columns[name][-1]) for name in
+                  ("lhs", "stochastic_integral", "compensator_term", "compensator_closed",
+                   "jump_term", "residual")},
+        "max_abs_residual": float(np.max(np.abs(resid))),
+        "max_identity_gap": float(np.max(gap)),
+        "max_residual_decrease": 0.0 - float(np.min(incr)),
+        "max_jump_cell_residual": float(np.max(np.abs(jumps))) if len(jumps) else 0.0,
+        "bracket_defect": float(np.max(np.abs(comp - comp_closed))),
+        "notes": {"tau": tau_label, "bracket": bracket},
+    }
+    return columns, summary
+
+
+EAGER_COLUMNS = ("times", "lhs", "stochastic_integral", "compensator_term",
+                 "compensator_closed", "jump_term", "residual", "identity_gap",
+                 "jump_cell_residuals")
+
+
+def _float_bits(obj):
+    """``obj`` with each float replaced by its bits, so that NaN equals NaN and -0.0 is
+    not 0.0."""
+    if isinstance(obj, dict):
+        return {k: _float_bits(v) for k, v in obj.items()}
+    if isinstance(obj, float):
+        return ("float", _bits(obj))
+    return obj
+
+
+def assert_report_is_the_eager_one(report, eager):
+    columns, summary = eager
+    assert _float_bits(report.summary_dict()) == _float_bits(summary)
+    for name, want in columns.items():
+        got = getattr(report, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def _decomposer(mode):
+    return ito_decompose if mode == "ito" else tanaka_decompose
+
+
+def _reference_grid(path, scheme, partial):
+    """A dyadic grid that holds every index of the path (``full``), one of about a
+    ``partial`` share of them, or a hitting grid."""
+    if scheme == "hitting":
+        return hitting_grid(path, max(3.0 * path.median_continuous_move(), 0.05))
+    full = int(np.ceil(np.log2(path.n_points))) + 1
+    return dyadic_grid(path, full if scheme == "full" else max(0, int(full * partial)))
+
+
+REFERENCE_MODELS = {"bm": BrownianMotion(), "bm_drift": BrownianMotion(sigma=0.7, drift=0.9),
+                    "jd": JD, "cpj": CPJ, "fv": FV}
+
+
+class TestReportMatchesEagerReference:
+    """The report keeps its summary's numbers, taken from the calling thread's scratch
+    arrays, and builds its columns on first read: both match the eager decomposition
+    bit for bit."""
+
+    @given(model=st.sampled_from(sorted(REFERENCE_MODELS)), imported=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 2**11),
+           scheme=st.sampled_from(["full", "partial", "hitting"]), partial=st.floats(0.0, 1.0),
+           f=st.sampled_from(CATALOG_FNS), g=st.sampled_from([None, SQUARE, ABS, COS]),
+           mode=st.sampled_from(["ito", "tanaka"]))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_and_summary_bitwise(self, tmp_path_factory, model, imported, seed,
+                                         n_steps, scheme, partial, f, g, mode):
+        path = simulate(REFERENCE_MODELS[model], n_steps, 1.0, seed=seed)
+        if imported:
+            csv = tmp_path_factory.mktemp("imported") / "paths.csv"
+            path.to_csv(csv)
+            path = SamplePath.from_csv(csv)
+        grid = _reference_grid(path, scheme, partial)
+        report = _decomposer(mode)(f, grid, g=g)
+        assert_report_is_the_eager_one(report, eager_decompose(f, grid, g, mode))
+
+    def test_a_later_report_on_the_thread_leaves_an_earlier_one_as_it_was(self):
+        grids = [dyadic_grid(simulate(JD, 1024, 1.0, seed=seed), 10) for seed in (5, 6)]
+        first = tanaka_decompose(ABS, grids[0])
+        held = {name: getattr(first, name).copy() for name in EAGER_COLUMNS}
+        summary = first.summary_dict()
+        # a second report of the same length on this thread writes the same scratch arrays
+        second = ito_decompose(COS, grids[1])
+        assert _float_bits(first.summary_dict()) == _float_bits(summary)
+        for name, col in held.items():
+            assert np.array_equal(getattr(first, name).view(np.int64), col.view(np.int64))
+        assert_report_is_the_eager_one(first, eager_decompose(ABS, grids[0], None, "tanaka"))
+        assert_report_is_the_eager_one(second, eager_decompose(COS, grids[1], None, "ito"))
+
+    def test_a_short_path_after_a_long_one(self):
+        reports = []
+        for n_steps, seed in ((4096, 7), (16, 8), (4096, 9), (1, 10)):
+            grid = dyadic_grid(simulate(BrownianMotion(), n_steps, 1.0, seed=seed), 12)
+            reports.append((grid, tanaka_decompose(ABS, grid)))
+        for grid, report in reports:
+            assert_report_is_the_eager_one(report, eager_decompose(ABS, grid, None, "tanaka"))
+
+    def test_reports_made_in_pool_threads_and_read_in_the_main_thread(self):
+        def made(seed):
+            path = simulate(BrownianMotion(), 2048 if seed % 2 else 512, 1.0, seed=seed)
+            grid = dyadic_grid(path, 11)
+            return grid, tanaka_decompose(ABS, grid)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            reports = list(pool.map(made, range(12)))
+        for grid, report in reports:
+            assert_report_is_the_eager_one(report, eager_decompose(ABS, grid, None, "tanaka"))
+
+    def test_columns_are_read_only_properties(self):
+        report = ito_decompose(SQUARE, dyadic_grid(simulate(BrownianMotion(), 64, 1.0, seed=1), 6))
+        for name in EAGER_COLUMNS[:-1]:
+            with pytest.raises(AttributeError):
+                setattr(report, name, np.array([]))
+        # a column built once is the array that later reads get
+        assert report.residual is report.residual
