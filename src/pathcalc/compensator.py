@@ -297,6 +297,45 @@ def _verdict(model, y, lhs, rhs):
     )
 
 
+def _path_qv_terms(model, y, n_paths, T, seed):
+    """Per path, ``integral`` and ``jump_sum`` (see :func:`verify_compensator`) of a
+    :class:`PathQV` pair: the continuous part on 512 equal time steps, the jumps exact."""
+    n_steps = 512
+    sigma, drift = model.model.sigma, model.model.drift
+    ts = np.linspace(0.0, T, n_steps + 1)
+    dt = T / n_steps
+    integral = np.empty(n_paths)
+    jump_sum = np.zeros(n_paths)
+    if model.rate > 0:
+        # the jumps come from the seed's second stream, 2^128 draws past the normals'
+        jump_rng = np.random.Generator(seeded_rng(seed).bit_generator.jumped())
+        _, path_id, times, jumps = _jump_events(jump_rng, model, T, n_paths)
+        # the state driving Y is the continuous component, read at the left edge of the
+        # grid cell holding the jump; it is adapted and left-continuous, and both sides
+        # use the same state
+        cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
+    rng = seeded_rng(seed)
+    rows = min(_BLOCK_ROWS, n_paths)
+    normals = np.empty((rows, n_steps))
+    x = np.zeros((rows, n_steps + 1))
+    for r in range(0, n_paths, _BLOCK_ROWS):
+        k = min(_BLOCK_ROWS, n_paths - r)
+        block = x[:k]
+        if sigma > 0 or drift != 0.0:
+            # drift dt + sigma sqrt(dt) z, as rng.normal(size=...) would give it bit for bit
+            incr = rng.standard_normal(out=normals[:k])
+            incr *= sigma * np.sqrt(dt)
+            incr += drift * dt
+            np.cumsum(incr, axis=1, out=block[:, 1:])
+        integral[r:r + k] = np.sum(y.at(block[:, :-1], ts[:-1]), axis=1) * dt
+        if model.rate > 0:
+            # the events are sorted by path, so the block's are one slice
+            ev = slice(*np.searchsorted(path_id, (r, r + k)))
+            ids = path_id[ev]
+            np.add.at(jump_sum, ids, y.at(block[ids - r, cell[ev]], times[ev]) * jumps[ev])
+    return integral, jump_sum
+
+
 def verify_compensator(
     model, y, n_paths: int = 10_000, T: float = 1.0, seed: int = 0,
     rate_factor: float = 1.0,
@@ -310,39 +349,22 @@ def verify_compensator(
     ``rate_factor`` scales the closed-form side only; a value != 1 is the
     deliberate negative control (the check must fail).
 
-    A :class:`PathQV` pair builds its continuous paths in blocks of
-    ``_BLOCK_ROWS`` rows: each block draws its normals from the pair's one
-    generator, in path order, so the draws, and the jumps drawn after all of
-    them, are those of a single draw for all paths.  The paths themselves
-    stay whole (the jumps read the state at their cell), so a pair holds
-    about ``n_paths * 513 * 8`` bytes, 41 MB at 10^4 paths, plus one block.
+    A :class:`PathQV` pair with jumps draws all of its jump events first, from
+    ``Generator(seeded_rng(seed).bit_generator.jumped())``: a stream that is a
+    function of the seed alone and never overlaps the normals.  The pair then
+    builds its continuous paths in blocks of ``_BLOCK_ROWS`` rows, each drawing
+    its normals from ``seeded_rng(seed)`` in path order, so the normals are
+    those of a single draw for all paths.  A block sums its ``integral`` and
+    adds its paths' jumps, read at their cells, to ``jump_sum``; then the next
+    block overwrites it.  So, whatever ``n_paths`` is, a pair holds one block:
+    its normals and its states, two reused arrays of about 4 MB each, and Y on
+    it, plus the jump events and a few arrays of ``n_paths``.
     """
     _require_increasing(model, "verify_compensator")
-    rng = seeded_rng(seed)
-    n_steps = 512
-
     if isinstance(model, PathQV):  # discretised continuous part, exact jumps
-        sigma, drift = model.model.sigma, model.model.drift
-        ts = np.linspace(0.0, T, n_steps + 1)
-        dt = T / n_steps
-        x = np.zeros((n_paths, n_steps + 1))
-        integral = np.empty(n_paths)
-        for r in range(0, n_paths, _BLOCK_ROWS):
-            block = x[r:r + _BLOCK_ROWS]
-            if sigma > 0 or drift != 0.0:
-                incr = drift * dt + sigma * np.sqrt(dt) * rng.normal(size=(len(block), n_steps))
-                np.cumsum(incr, axis=1, out=block[:, 1:])
-            integral[r:r + len(block)] = np.sum(y.at(block[:, :-1], ts[:-1]), axis=1) * dt
-        jump_sum = np.zeros(n_paths)
-        if model.rate > 0:
-            counts, path_id, times, jumps = _jump_events(rng, model, T, n_paths)
-            # the state driving Y is the continuous component, read at the
-            # left edge of the grid cell holding the jump; it is adapted and
-            # left-continuous, and both sides use the same state
-            cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
-            np.add.at(jump_sum, path_id, y.at(x[path_id, cell], times) * jumps)
+        integral, jump_sum = _path_qv_terms(model, y, n_paths, T, seed)
     else:  # exact pure-jump: A is piecewise constant between its Poisson events
-        counts, path_id, times, sizes = _jump_events(rng, model, T, n_paths)
+        counts, path_id, times, sizes = _jump_events(seeded_rng(seed), model, T, n_paths)
         before = _ragged_prefix_before(counts, sizes)
         jump_sum = np.zeros(n_paths)
         np.add.at(jump_sum, path_id, y.at(before, times) * sizes)

@@ -12,7 +12,11 @@ local time for f = |x|.
 g and f'' are the derivatives that f declares (a g passed in wins over
 the declared one).  An f that declares no derivative of an order needed
 gets a report that is not applicable, whose ``notes.reason`` names that
-order; no derivative is searched for numerically.
+order; no derivative is searched for numerically.  Where f'' is the
+catalog's zero, as for ``abs`` and every other piecewise-linear catalog
+function, the curvature cells and the closed-form column are +0.0 and are
+filled, not computed, unless a squared move or a bracket increment is not
+finite.
 
 The closed-form bracket of the model, its ``bracket_coeffs``, is kept as
 a separate oracle column (``compensator_closed``); the defect between
@@ -34,11 +38,13 @@ scratch arrays, and must not keep them.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import _zero
 from .errors import ResolutionExhaustedError
 from .functional import ScalarFn
 from .paths import SamplePath, _write_float_rows
@@ -62,7 +68,8 @@ def _resolve_derivative(f: ScalarFn, order: int, given=None):
 
     A ``given`` callable wins; else the derivative that f declares.  Returns
     (None, "") when f declares none of that order: no derivative is searched
-    for numerically.
+    for numerically.  Half of the catalog's ``_zero`` is ``_zero`` itself, which
+    :func:`_terms` recognises.
     """
     if given is not None:
         return given, getattr(given, "label", "custom")
@@ -71,7 +78,8 @@ def _resolve_derivative(f: ScalarFn, order: int, given=None):
         return None, ""
     if order == 1:
         return fn, f"D+{f.label}"
-    return (lambda x: 0.5 * np.asarray(fn(x), dtype=float)), f"half-D2{f.label}"
+    half = fn if fn is _zero else (lambda x: 0.5 * np.asarray(fn(x), dtype=float))
+    return half, f"half-D2{f.label}"
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +258,19 @@ def _running_sums(col: np.ndarray) -> np.ndarray:
     return col
 
 
+def _zero_curvature(taufn, moves: np.ndarray, coeffs, tg: np.ndarray) -> bool:
+    """Whether every curvature cell tau(a) (m - a)^2, and every cell of the closed form,
+    is +0.0: tau is the catalog's zero, and no squared move and no increment of the
+    bracket ``coeffs[0] * tg`` is NaN or infinite (0 * inf is NaN).  The bracket rises
+    with t, so no increment exceeds its whole span."""
+    if taufn is not _zero:
+        return False
+    lo, hi = float(np.min(moves, initial=0.0)), float(np.max(moves, initial=0.0))
+    c = 0.0 if coeffs is None else float(coeffs[0])
+    span = c * float(tg[-1]) - c * float(tg[0])
+    return math.isfinite(lo * lo + hi * hi) and math.isfinite(span)
+
+
 def _terms(f, grid, gfn, taufn, new) -> dict:
     """Every column of the decomposition along ``grid``, with ``times``, the grid's
     times, and ``jump_cell_residuals``.
@@ -284,7 +305,6 @@ def _terms(f, grid, gfn, taufn, new) -> dict:
     same = (path.pre_values is path.values
             or np.array_equal(m.view(np.int64), x[1:].view(np.int64)))
     fm = fb if same else np.asarray(f(m), dtype=float)
-    ta = np.asarray(taufn(a), dtype=float)
 
     # each running-sum column holds its cells at [1:] until they are summed in place
     stoch = new("stochastic_integral", n + 1)
@@ -296,12 +316,19 @@ def _terms(f, grid, gfn, taufn, new) -> dict:
     # left limit m, so a jump contributes g(X_{s-}) Delta X_s
     moves = np.subtract(m, a, out=comp_cells)
     np.multiply(np.asarray(gfn(a), dtype=float), moves, out=stoch_cells)
-    # the curvature cells tau(a) (m - a)^2, in place of the moves
-    np.square(moves, out=comp_cells)
-    np.multiply(ta, comp_cells, out=comp_cells)
+    coeffs = getattr(path.model, "bracket_coeffs", None)
+    # where tau is 0 the curvature cells and their sums are +0.0, and are not computed
+    flat = _zero_curvature(taufn, moves, coeffs, tg)
     np.subtract(fm, fa, out=resid_cells)
     resid_cells -= stoch_cells
-    resid_cells -= comp_cells
+    if flat:
+        comp.fill(0.0)
+    else:
+        ta = np.asarray(taufn(a), dtype=float)
+        # the curvature cells tau(a) (m - a)^2, in place of the moves
+        np.square(moves, out=comp_cells)
+        np.multiply(ta, comp_cells, out=comp_cells)
+        resid_cells -= comp_cells
 
     jump = new("jump_term", n + 1)
     if d is None:
@@ -316,16 +343,17 @@ def _terms(f, grid, gfn, taufn, new) -> dict:
         stoch_cells += stoch_jump
 
     lhs = np.subtract(fx, fx[0], out=new("lhs", n + 1))
-    for col in (stoch, comp, resid):
+    for col in (stoch, resid) if flat else (stoch, comp, resid):
         _running_sums(col)
 
     # the closed-form bracket <X^c>_t = cont_coeff t, absent for a path with no model;
     # the bracket at the grid times is held in the gap's array until the gap is summed
     gap = new("identity_gap", n + 1)
     closed = new("compensator_closed", n + 1)
-    coeffs = getattr(path.model, "bracket_coeffs", None)
     if coeffs is None:
         closed.fill(np.nan)
+    elif flat:
+        closed.fill(0.0)
     else:
         bracket = np.multiply(coeffs[0], tg, out=gap)
         np.subtract(bracket[1:], bracket[:-1], out=closed[1:])

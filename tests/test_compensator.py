@@ -1,5 +1,7 @@
 """Tests for closed-form compensators and their Monte Carlo verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from pathcalc.catalog import sign_rc
 from pathcalc.compensator import (
     _BLOCK_ROWS,
     _jump_events,
+    _path_qv_terms,
     _se_bound,
     _verdict,
     catalog_models,
@@ -187,7 +190,8 @@ class TestStandardErrorRule:
 
 
 def _unblocked_path_qv(model, y, n_paths, T=1.0, seed=0, rate_factor=1.0):
-    """The PathQV branch of verify_compensator with all paths drawn at once."""
+    """The PathQV branch of verify_compensator with all paths drawn at once, the jumps
+    from the seed's jumped stream."""
     rng = seeded_rng(seed)
     n_steps = 512
     sigma, drift = model.model.sigma, model.model.drift
@@ -199,7 +203,8 @@ def _unblocked_path_qv(model, y, n_paths, T=1.0, seed=0, rate_factor=1.0):
         x[:, 1:] = np.cumsum(incr, axis=1)
     jump_lhs = np.zeros(n_paths)
     if model.rate > 0:
-        counts, path_id, times, jumps = _jump_events(rng, model, T, n_paths)
+        jump_rng = np.random.Generator(seeded_rng(seed).bit_generator.jumped())
+        counts, path_id, times, jumps = _jump_events(jump_rng, model, T, n_paths)
         cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
         state_before = x[path_id, cell]
         np.add.at(jump_lhs, path_id, y.at(state_before, times) * jumps)
@@ -222,3 +227,25 @@ class TestPathQVRowBlocks:
                 whole = _unblocked_path_qv(model, y, n_paths, seed=n_paths + 17,
                                            rate_factor=rate_factor)
                 assert blocked.to_json_dict() == whole.to_json_dict(), (y.label, rate_factor)
+
+    def test_a_pairs_peak_memory_does_not_grow_with_its_paths(self):
+        # a pair holds one block of paths, never the whole n_paths x 513 state matrix
+        model = [m for m in catalog_models() if isinstance(m, PathQV) and m.rate > 0][0]
+        peaks = {}
+        for n_paths in (2 * _BLOCK_ROWS, 8 * _BLOCK_ROWS):
+            tracemalloc.start()
+            try:
+                verify_compensator(model, StateY("cos"), n_paths=n_paths, seed=5)
+                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[8 * _BLOCK_ROWS] - peaks[2 * _BLOCK_ROWS]) <= 2 * 2**20, peaks
+
+    def test_the_jumps_depend_on_the_seed_alone(self):
+        # a pair that draws no normals gets the jumps of one that draws 512 per path
+        law = UniformLaw(-1.0, 1.0)
+        sums = [_path_qv_terms(PathQV(JumpDiffusion(sigma=sigma, drift=drift, rate=1.0, law=law)),
+                               ConstantY(1.0), 2 * _BLOCK_ROWS + 3, 1.0, 61)[1]
+                for sigma, drift in ((0.8, 0.1), (0.0, 0.0))]
+        assert np.count_nonzero(sums[0]) > _BLOCK_ROWS
+        assert np.array_equal(sums[0].view(np.int64), sums[1].view(np.int64))

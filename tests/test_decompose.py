@@ -28,6 +28,7 @@ from pathcalc import (
 )
 from pathcalc.catalog import CATALOG_NAMES
 from pathcalc.cli import _write_json
+from pathcalc.catalog import _zero
 from pathcalc.decompose import _grid_info, _path_info, _resolve_derivative
 
 SQUARE = make_scalar_fn("square")
@@ -735,3 +736,77 @@ class TestReportMatchesEagerReference:
                 setattr(report, name, np.array([]))
         # a column built once is the array that later reads get
         assert report.residual is report.residual
+
+
+# ---------------------------------------------------------------------------
+# a declared zero curvature
+# ---------------------------------------------------------------------------
+
+
+def _computed_zero(f):
+    """f with its declared f'' replaced by an equal-valued function that the
+    decomposition does not recognise, so that it computes every curvature cell."""
+    return ScalarFn(label=f.label, fn=f.fn, convex=f.convex, derivatives={
+        **f.derivatives, 2: lambda x: np.zeros_like(np.asarray(x, dtype=float))})
+
+
+def _hand_built(values, times, model):
+    values = np.asarray(values, dtype=float)
+    return SamplePath(times=np.asarray(times, dtype=float), values=values, pre_values=values,
+                      jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
+                      horizon=float(times[-1]), model=model)
+
+
+ZERO_CURVATURE_FNS = [PWL] + [make_scalar_fn(name) for name in ("abs", "identity", "relu")]
+
+
+class TestZeroCurvature:
+    """A report of an f that declares the catalog's zero as f'' skips its curvature cells,
+    and has the bits of the report that computes them."""
+
+    def assert_reports_match(self, f, grid, mode):
+        declared = _decomposer(mode)(f, grid)
+        computed = _decomposer(mode)(_computed_zero(f), grid)
+        assert declared.notes["tau"] == f"half-D2{f.label}"
+        assert _float_bits(declared.summary_dict()) == _float_bits(computed.summary_dict())
+        for name in EAGER_COLUMNS:
+            got, want = getattr(declared, name), getattr(computed, name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        return declared
+
+    @pytest.mark.parametrize("f", ZERO_CURVATURE_FNS, ids=lambda f: f.label)
+    def test_the_catalog_declares_the_zero_that_is_recognised(self, f):
+        assert f.derivative(2) is _zero and _resolve_derivative(f, 2)[0] is _zero
+        assert _resolve_derivative(_computed_zero(f), 2)[0] is not _zero
+
+    @pytest.mark.parametrize("source", ["bm", "jd", "imported"])
+    @pytest.mark.parametrize("mode", ["ito", "tanaka"])
+    @pytest.mark.parametrize("f", ZERO_CURVATURE_FNS, ids=lambda f: f.label)
+    def test_declared_and_computed_zeros_give_the_same_bits(self, tmp_path, f, mode, source):
+        path = simulate(BrownianMotion() if source == "bm" else JD, 2048, 1.0, seed=71)
+        if source == "imported":
+            path.to_csv(tmp_path / "paths.csv")
+            path = SamplePath.from_csv(tmp_path / "paths.csv")
+        report = self.assert_reports_match(f, dyadic_grid(path, 11), mode)
+        assert not np.any(report.compensator_term)
+        if source != "imported":
+            assert not np.any(report.compensator_closed)
+
+    @pytest.mark.parametrize("mode", ["ito", "tanaka"])
+    def test_an_overflowing_move_keeps_the_general_algebra(self, mode):
+        # m - a overflows to -inf, and 0 * inf makes a NaN curvature cell
+        path = _hand_built([0.0, 1.5e308, -1.5e308, 1.0, 0.0], np.linspace(0.0, 1.0, 5),
+                           BrownianMotion())
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = self.assert_reports_match(ABS, dyadic_grid(path, 2), mode)
+        assert np.isnan(report.compensator_term[-1])
+
+    @pytest.mark.parametrize("mode", ["ito", "tanaka"])
+    def test_an_overflowing_bracket_keeps_the_general_algebra(self, mode):
+        # sigma^2 t overflows to inf at t = 2e9, and 0 * (inf - 1e309) is NaN
+        path = _hand_built([0.0, 0.5, -0.25, 1.0, 0.0], [0.0, 1e8, 1e9, 2e9, 3e9],
+                           BrownianMotion(sigma=1e150))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = self.assert_reports_match(ABS, dyadic_grid(path, 2), mode)
+        assert not np.any(report.compensator_term)
+        assert np.isnan(report.compensator_closed[-1])
