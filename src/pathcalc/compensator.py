@@ -15,6 +15,7 @@ the mean difference against three standard errors of the paired difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,15 @@ class _Increasing:
         return np.asarray(self.law.sample(rng, n), dtype=float) ** self.p
 
 
-def _require_increasing(model, what: str) -> None:
+def _check_arguments(model, what: str, n_paths, T) -> None:
+    """Reject a model that is not a catalog increasing process, a path count that is not an
+    integer >= 1, and a horizon T that is not a finite number > 0."""
     if not isinstance(model, _Increasing):
         raise UnsupportedModelError(f"{what} does not support {model!r}")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"{what} needs an integer n_paths >= 1, got {n_paths!r}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"{what} needs a finite T > 0, got {T}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,7 @@ class PathQV(_Increasing):
 # ---------------------------------------------------------------------------
 # Each answers at(states, times), Y_s at the left-limit states X_{s-} and times s, shaped
 # like states, and time_integral(T), int_0^T Y_s ds, or None where that reads the path.
+# A Y whose time_integral is not None reads no state, so its PathQV pair draws no normals.
 
 
 @dataclass(frozen=True)
@@ -314,14 +322,21 @@ def _path_qv_terms(model, y, n_paths, T, seed):
         # grid cell holding the jump; it is adapted and left-continuous, and both sides
         # use the same state
         cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
-    rng = seeded_rng(seed)
     rows = min(_BLOCK_ROWS, n_paths)
-    normals = np.empty((rows, n_steps))
-    x = np.zeros((rows, n_steps + 1))
+    # the normals are drawn only where Y reads them: a Y with a closed-form time integral
+    # reads no state, and a model with no continuous part keeps it at 0, so either gets a
+    # read-only zero block
+    draws = (sigma > 0 or drift != 0.0) and y.time_integral(T) is None
+    if draws:
+        rng = seeded_rng(seed)
+        normals = np.empty((rows, n_steps))
+        x = np.zeros((rows, n_steps + 1))
+    else:
+        x = np.broadcast_to(0.0, (rows, n_steps + 1))
     for r in range(0, n_paths, _BLOCK_ROWS):
         k = min(_BLOCK_ROWS, n_paths - r)
         block = x[:k]
-        if sigma > 0 or drift != 0.0:
+        if draws:
             # drift dt + sigma sqrt(dt) z, as rng.normal(size=...) would give it bit for bit
             incr = rng.standard_normal(out=normals[:k])
             incr *= sigma * np.sqrt(dt)
@@ -358,9 +373,13 @@ def verify_compensator(
     adds its paths' jumps, read at their cells, to ``jump_sum``; then the next
     block overwrites it.  So, whatever ``n_paths`` is, a pair holds one block:
     its normals and its states, two reused arrays of about 4 MB each, and Y on
-    it, plus the jump events and a few arrays of ``n_paths``.
+    it, plus the jump events and a few arrays of ``n_paths``.  A Y whose
+    ``time_integral`` is not None reads no state, so its pair draws no normals
+    and allocates neither array; ``integral`` is still the 512-step sum.
+
+    Raises ValueError unless ``n_paths`` is an integer >= 1 and ``T`` a finite number > 0.
     """
-    _require_increasing(model, "verify_compensator")
+    _check_arguments(model, "verify_compensator", n_paths, T)
     if isinstance(model, PathQV):  # discretised continuous part, exact jumps
         integral, jump_sum = _path_qv_terms(model, y, n_paths, T, seed)
     else:  # exact pure-jump: A is piecewise constant between its Poisson events
@@ -389,9 +408,7 @@ def martingale_check(model, n_paths: int = 10_000, T: float = 1.0, seed: int = 0
     Each increment draws its jump counts, then its jumps, from one generator
     keyed by ``seed``; a compensator run grades each at 3 SE.
     """
-    _require_increasing(model, "martingale_check")
-    if not T > 0:
-        raise ValueError(f"martingale_check needs T > 0, got {T}")
+    _check_arguments(model, "martingale_check", n_paths, T)
     rng = seeded_rng(seed)
     increments = []
     for s, t in ((0.0, T / 2), (T / 2, T)):

@@ -1,6 +1,7 @@
 """Tests for closed-form compensators and their Monte Carlo verification."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pathcalc import (
     martingale_check,
     verify_compensator,
 )
+from pathcalc import compensator
 from pathcalc.catalog import sign_rc
 from pathcalc.compensator import (
     _BLOCK_ROWS,
@@ -164,10 +166,28 @@ class TestMartingaleCheck:
         assert [(inc["s"], inc["t"]) for inc in r["increments"]] == [(0.0, 0.15), (0.15, 0.3)]
         assert all(set(inc) == {"s", "t", "mean_increment", "se"} for inc in r["increments"])
 
-    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan")])
-    def test_horizon_must_be_positive(self, T):
-        with pytest.raises(ValueError, match="T > 0"):
-            martingale_check(PoissonCounting(1.0), n_paths=10, T=T)
+
+class TestArguments:
+    # each library function checks its own arguments: a CLI config never reaches these
+    _MODELS = [PoissonCounting(1.0), PathQV(BrownianMotion(sigma=1.0))]
+
+    @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label)
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_horizon_must_be_finite_and_positive(self, model, T):
+        with pytest.raises(ValueError, match="finite T > 0"):
+            martingale_check(model, n_paths=10, T=T)
+        for y in catalog_test_processes():
+            with pytest.raises(ValueError, match="finite T > 0"):
+                verify_compensator(model, y, n_paths=10, T=T)
+
+    @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label)
+    @pytest.mark.parametrize("n_paths", [0, -3, 2.5, float("nan")])
+    def test_at_least_one_path(self, model, n_paths):
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            martingale_check(model, n_paths=n_paths)
+        for y in catalog_test_processes():
+            with pytest.raises(ValueError, match="n_paths >= 1"):
+                verify_compensator(model, y, n_paths=n_paths)
 
 
 class TestStandardErrorRule:
@@ -187,6 +207,33 @@ class TestStandardErrorRule:
 
     def test_sign_state_is_the_catalog_sign(self):
         assert StateY("sign").h is sign_rc
+
+
+class _NormalDrawn(Exception):
+    pass
+
+
+class _JumpsOnlyRng:
+    """A stand-in for ``seeded_rng(seed)``: its jumped stream is the seed's, and a normal
+    draw raises."""
+
+    def __init__(self, seed):
+        self.bit_generator = seeded_rng(seed).bit_generator
+
+    def standard_normal(self, *args, **kwargs):
+        raise _NormalDrawn
+
+
+@dataclass(frozen=True)
+class _PathReadingConstantY(ConstantY):
+    """ConstantY that declares no closed-form time integral, so its PathQV pair draws."""
+
+    def time_integral(self, T):
+        return None
+
+
+def _path_qv_models():
+    return [m for m in catalog_models() if isinstance(m, PathQV)]
 
 
 def _unblocked_path_qv(model, y, n_paths, T=1.0, seed=0, rate_factor=1.0):
@@ -215,22 +262,40 @@ def _unblocked_path_qv(model, y, n_paths, T=1.0, seed=0, rate_factor=1.0):
 
 
 class TestPathQVRowBlocks:
+    # at T != 1 both dt and step's tau move; step(tau=T/2) sums to 257/512 T on the grid,
+    # not to its time_integral T/2
+    @pytest.mark.parametrize("T", [1.0, 0.3, 2.5])
     @pytest.mark.parametrize("n_paths", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                          2 * _BLOCK_ROWS + 3])
-    @pytest.mark.parametrize("model", [m for m in catalog_models() if isinstance(m, PathQV)],
-                             ids=lambda m: m.label)
-    def test_blocks_give_the_verdict_of_one_draw(self, model, n_paths):
-        for y in catalog_test_processes(1.0):
+    @pytest.mark.parametrize("model", _path_qv_models(), ids=lambda m: m.label)
+    def test_blocks_give_the_verdict_of_one_draw(self, model, n_paths, T):
+        for y in catalog_test_processes(T):
             for rate_factor in (1.0, 1.37):
-                blocked = verify_compensator(model, y, n_paths=n_paths, seed=n_paths + 17,
+                blocked = verify_compensator(model, y, n_paths=n_paths, T=T, seed=n_paths + 17,
                                              rate_factor=rate_factor)
-                whole = _unblocked_path_qv(model, y, n_paths, seed=n_paths + 17,
+                whole = _unblocked_path_qv(model, y, n_paths, T=T, seed=n_paths + 17,
                                            rate_factor=rate_factor)
                 assert blocked.to_json_dict() == whole.to_json_dict(), (y.label, rate_factor)
 
+    @pytest.mark.parametrize("n_paths", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("model", _path_qv_models(), ids=lambda m: m.label)
+    def test_state_free_pairs_draw_no_normals(self, model, n_paths, monkeypatch):
+        # const and step read no state: they match a pair that draws every normal, bit for bit,
+        # with no normal drawn
+        state_free = (ConstantY(1.0), StepY(tau=0.5))
+        wholes = [_unblocked_path_qv(model, y, n_paths, seed=n_paths + 29, rate_factor=1.37)
+                  for y in state_free]
+        monkeypatch.setattr(compensator, "seeded_rng", _JumpsOnlyRng)
+        for y, whole in zip(state_free, wholes):
+            blocked = verify_compensator(model, y, n_paths=n_paths, seed=n_paths + 29,
+                                         rate_factor=1.37)
+            assert blocked.to_json_dict() == whole.to_json_dict(), y.label
+        with pytest.raises(_NormalDrawn):
+            verify_compensator(model, StateY("cos"), n_paths=n_paths, seed=n_paths + 29)
+
     def test_a_pairs_peak_memory_does_not_grow_with_its_paths(self):
         # a pair holds one block of paths, never the whole n_paths x 513 state matrix
-        model = [m for m in catalog_models() if isinstance(m, PathQV) and m.rate > 0][0]
+        model = [m for m in _path_qv_models() if m.rate > 0][0]
         peaks = {}
         for n_paths in (2 * _BLOCK_ROWS, 8 * _BLOCK_ROWS):
             tracemalloc.start()
@@ -241,11 +306,22 @@ class TestPathQVRowBlocks:
                 tracemalloc.stop()
         assert abs(peaks[8 * _BLOCK_ROWS] - peaks[2 * _BLOCK_ROWS]) <= 2 * 2**20, peaks
 
-    def test_the_jumps_depend_on_the_seed_alone(self):
-        # a pair that draws no normals gets the jumps of one that draws 512 per path
-        law = UniformLaw(-1.0, 1.0)
-        sums = [_path_qv_terms(PathQV(JumpDiffusion(sigma=sigma, drift=drift, rate=1.0, law=law)),
-                               ConstantY(1.0), 2 * _BLOCK_ROWS + 3, 1.0, 61)[1]
-                for sigma, drift in ((0.8, 0.1), (0.0, 0.0))]
-        assert np.count_nonzero(sums[0]) > _BLOCK_ROWS
-        assert np.array_equal(sums[0].view(np.int64), sums[1].view(np.int64))
+    def test_the_jumps_depend_on_the_seed_alone(self, monkeypatch):
+        # a pair that draws 512 normals per path gets the jumps of one that draws none, and
+        # both get the events that the seed's jumped stream gives
+        n_paths, seed, law = 2 * _BLOCK_ROWS + 3, 61, UniformLaw(-1.0, 1.0)
+        drawing = PathQV(JumpDiffusion(sigma=0.8, drift=0.1, rate=1.0, law=law))
+        still = PathQV(JumpDiffusion(sigma=0.0, drift=0.0, rate=1.0, law=law))
+        sums = [_path_qv_terms(drawing, _PathReadingConstantY(1.0), n_paths, 1.0, seed)[1],
+                _path_qv_terms(still, ConstantY(1.0), n_paths, 1.0, seed)[1]]
+        jump_rng = np.random.Generator(seeded_rng(seed).bit_generator.jumped())
+        _, path_id, _, jumps = _jump_events(jump_rng, drawing, 1.0, n_paths)
+        rebuilt = np.zeros(n_paths)
+        np.add.at(rebuilt, path_id, jumps)
+        assert np.count_nonzero(rebuilt) > _BLOCK_ROWS
+        for jump_sum in sums:
+            assert np.array_equal(jump_sum.view(np.int64), rebuilt.view(np.int64))
+        # the first pair did draw its normals
+        monkeypatch.setattr(compensator, "seeded_rng", _JumpsOnlyRng)
+        with pytest.raises(_NormalDrawn):
+            _path_qv_terms(drawing, _PathReadingConstantY(1.0), n_paths, 1.0, seed)
