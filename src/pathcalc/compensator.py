@@ -22,7 +22,8 @@ import numpy as np
 
 from .catalog import sign_rc
 from .errors import UnsupportedModelError
-from .paths import BrownianMotion, JumpDiffusion, TwoPointLaw, UniformLaw, _Parametric, seeded_rng
+from .paths import (BrownianMotion, JumpDiffusion, TwoPointLaw, UniformLaw, _increments,
+                    _is_count, _is_horizon, _Parametric, _poisson_events, seeded_rng)
 
 __all__ = [
     "PoissonCounting",
@@ -64,14 +65,14 @@ class _Increasing:
 
 
 def _check_arguments(model, what: str, n_paths, T) -> None:
-    """Reject a model that is not a catalog increasing process, a path count that is not an
-    integer >= 1, and a horizon T that is not a finite number > 0."""
+    """Reject a model that is not a catalog increasing process, and a path count and a
+    horizon T that :func:`~pathcalc.paths.simulate` would reject."""
     if not isinstance(model, _Increasing):
         raise UnsupportedModelError(f"{what} does not support {model!r}")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+    if not _is_count(n_paths):
         raise ValueError(f"{what} needs an integer n_paths >= 1, got {n_paths!r}")
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"{what} needs a finite T > 0, got {T}")
+    if not _is_horizon(T):
+        raise ValueError(f"{what} needs a finite T > 0, got {T!r}")
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,10 @@ class StateY:
         if self.h_name not in self._FUNCS:
             raise ValueError(f"unknown bounded state function {self.h_name!r}")
 
-    @property
-    def h(self):
-        return self._FUNCS[self.h_name]
-
     label = property(lambda self: f"state({self.h_name})")
 
     def at(self, states, times):
-        return np.asarray(self.h(states), dtype=float)
+        return np.asarray(self._FUNCS[self.h_name](states), dtype=float)
 
     def time_integral(self, T: float) -> None:
         return None  # int h(X_{s-}) ds reads the path
@@ -215,20 +212,17 @@ _BLOCK_ROWS = 1000
 
 
 def _jump_events(rng, model, T, n_paths):
-    """Ragged jump times/sizes J^p of A per path, flattened with path ids, time-sorted."""
-    counts = rng.poisson(model.rate * T, size=n_paths)
-    total = int(np.sum(counts))
-    path_id = np.repeat(np.arange(n_paths), counts)
-    times = rng.uniform(0.0, T, size=total)
-    order = np.lexsort((times, path_id))
-    return counts, path_id[order], times[order], model.jumps(rng, total)
+    """The Poisson events of A per path (see :func:`~pathcalc.paths._poisson_events`)
+    and then their jumps J^p."""
+    counts, path_id, times = _poisson_events(rng, model.rate, T, n_paths)
+    return counts, path_id, times, model.jumps(rng, len(times))
 
 
-def _segment_integral(h, counts, path_id, times, levels_before, sizes, T):
-    """Per-path exact integral of h(level process) dt for a pure-jump state.
+def _segment_integral(y, counts, path_id, times, levels_before, sizes, T):
+    """Per-path exact integral of Y_s ds for a Y that reads only the pure-jump state.
 
     ``levels_before[k]`` is the state just before event k; the state is
-    piecewise constant between events.
+    piecewise constant between events, and Y is read at each piece's start.
     """
     n_paths = len(counts)
     out = np.zeros(n_paths)
@@ -237,7 +231,7 @@ def _segment_integral(h, counts, path_id, times, levels_before, sizes, T):
     first_t = np.full(n_paths, T)
     has = counts > 0
     first_t[has] = times[starts[:-1][has]]
-    out += np.asarray(h(np.zeros(n_paths)), dtype=float) * first_t
+    out += y.at(np.zeros(n_paths), np.zeros(n_paths)) * first_t
     total = len(times)
     if total:
         ends = np.cumsum(counts) - 1
@@ -248,7 +242,7 @@ def _segment_integral(h, counts, path_id, times, levels_before, sizes, T):
         next_t[-1] = T
         next_t[is_last] = T
         level_after = levels_before + sizes
-        np.add.at(out, path_id, np.asarray(h(level_after), dtype=float) * (next_t - times))
+        np.add.at(out, path_id, y.at(level_after, times) * (next_t - times))
     return out
 
 
@@ -309,7 +303,6 @@ def _path_qv_terms(model, y, n_paths, T, seed):
     """Per path, ``integral`` and ``jump_sum`` (see :func:`verify_compensator`) of a
     :class:`PathQV` pair: the continuous part on 512 equal time steps, the jumps exact."""
     n_steps = 512
-    sigma, drift = model.model.sigma, model.model.drift
     ts = np.linspace(0.0, T, n_steps + 1)
     dt = T / n_steps
     integral = np.empty(n_paths)
@@ -326,7 +319,7 @@ def _path_qv_terms(model, y, n_paths, T, seed):
     # the normals are drawn only where Y reads them: a Y with a closed-form time integral
     # reads no state, and a model with no continuous part keeps it at 0, so either gets a
     # read-only zero block
-    draws = (sigma > 0 or drift != 0.0) and y.time_integral(T) is None
+    draws = (model.model.sigma > 0 or model.model.drift != 0.0) and y.time_integral(T) is None
     if draws:
         rng = seeded_rng(seed)
         normals = np.empty((rows, n_steps))
@@ -337,10 +330,7 @@ def _path_qv_terms(model, y, n_paths, T, seed):
         k = min(_BLOCK_ROWS, n_paths - r)
         block = x[:k]
         if draws:
-            # drift dt + sigma sqrt(dt) z, as rng.normal(size=...) would give it bit for bit
-            incr = rng.standard_normal(out=normals[:k])
-            incr *= sigma * np.sqrt(dt)
-            incr += drift * dt
+            incr = _increments(rng, model.model, dt, math.sqrt(dt), normals[:k])
             np.cumsum(incr, axis=1, out=block[:, 1:])
         integral[r:r + k] = np.sum(y.at(block[:, :-1], ts[:-1]), axis=1) * dt
         if model.rate > 0:
@@ -389,7 +379,7 @@ def verify_compensator(
         np.add.at(jump_sum, path_id, y.at(before, times) * sizes)
         integral = y.time_integral(T)
         integral = (np.full(n_paths, integral) if integral is not None
-                    else _segment_integral(y.h, counts, path_id, times, before, sizes, T))
+                    else _segment_integral(y, counts, path_id, times, before, sizes, T))
 
     lhs = model.c * integral + jump_sum
     rhs = model.compensator_slope(rate_factor) * integral

@@ -6,14 +6,16 @@ a bit-identical path.  Jump times are inserted as dedicated grid points
 (never rounded onto the Euler grid); path values use the right-continuous
 post-jump convention with the left limits stored in a separate column.
 
-Draw order is fixed and documented: jump count, jump times, jump sizes,
-then one Gaussian increment per cell of the jump-refined grid.
+Draw order is fixed: jump count, times and sizes (at rate > 0), then one
+Gaussian increment per cell of the grid refined by the jump times.  One rule
+draws every increment (``_increments``) and one every set of Poisson events
+(``_poisson_events``), for these paths and for the compensator's Monte Carlo.
 
-A path without jumps (Brownian motion, a jump model with rate 0, a
-finite-variation path) keeps no jump bookkeeping: its ``times`` is the one
-read-only uniform grid that the simulating thread holds for its last
-(n_steps, T), shared by every such path simulated there, and its
-``pre_values`` is its ``values`` array.
+A path without jumps (Brownian motion, a finite-variation path, or a jump
+model whose draw leaves no jump, at rate 0 or not) keeps no jump
+bookkeeping: its ``times`` is the one read-only uniform grid that the
+simulating thread holds for its last (n_steps, T), shared by every such path
+simulated there, and its ``pre_values`` is its ``values`` array.
 """
 
 from __future__ import annotations
@@ -465,89 +467,101 @@ _NO_JUMP_INDICES = _read_only(np.array([], dtype=np.int64))
 _NO_JUMP_SIZES = _read_only(np.array([]))
 
 
-def _jump_free(model, times, values, T, seed) -> SamplePath:
-    return SamplePath(times=times, values=values, pre_values=values,
-                      jump_indices=_NO_JUMP_INDICES, jump_sizes=_NO_JUMP_SIZES,
-                      horizon=T, model=model, seed=seed)
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1 and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _is_horizon(value) -> bool:
+    """Whether ``value`` is a real number, finite and > 0, and not a bool."""
+    return _is_real(value) and math.isfinite(value) and value > 0
+
+
+def _increments(rng, model, dt, sqrt_dt, out) -> np.ndarray:
+    """``out`` filled with drift dt + sigma sqrt(dt) z of ``model``, z standard normal, as
+    rng.normal(size=...) would give it bit for bit.
+
+    ``dt`` and ``sqrt_dt`` are the cell widths and their square roots, per cell arrays
+    or one scalar for every cell.
+    """
+    rng.standard_normal(out=out)
+    out *= model.sigma * sqrt_dt
+    out += model.drift * dt
+    return out
+
+
+def _poisson_events(rng, rate, T, n_paths):
+    """Poisson(rate) event times on [0, T] of ``n_paths`` paths: the count of each path,
+    then uniform times, sorted within each path.  Returns the counts, and the path id and
+    time of each event, by path and then by time."""
+    counts = rng.poisson(rate * T, size=n_paths)
+    path_id = np.repeat(np.arange(n_paths), counts)
+    times = rng.uniform(0.0, T, size=int(np.sum(counts)))
+    order = np.lexsort((times, path_id))
+    return counts, path_id[order], times[order]
 
 
 def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     """Simulate a sample path on a uniform n_steps grid over [0, T].
 
-    Poisson jump times are superposed as extra grid points carrying exact
-    pre/post values; Gaussian increments are drawn per cell of the refined
-    grid so the diffusion law is exact at the inserted times too.  A model
-    that draws no jumps gives a path on the shared read-only uniform grid
-    whose ``pre_values`` is its ``values`` (see the module docstring).
-    ``n_steps`` must be an integer >= 1 and ``T`` finite and > 0.
+    Draws, in this order: the jump count, times and sizes (at rate > 0), then
+    one Gaussian increment per cell (with a diffusion or a drift).  Jump times
+    are superposed as extra grid points carrying exact pre/post values, and
+    the increments are drawn per cell of this refined grid, so the diffusion
+    law is exact at the inserted times too.  A path that keeps no jump is on
+    the thread's shared read-only uniform grid, and its ``pre_values`` is its
+    ``values`` (see the module docstring).  ``n_steps`` must be an integer
+    >= 1 and ``T`` finite and > 0.
     """
-    if not (isinstance(n_steps, numbers.Integral) and not isinstance(n_steps, bool)
-            and n_steps >= 1):
+    if not _is_count(n_steps):
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    if not (_is_real(T) and math.isfinite(T) and T > 0):
+    if not _is_horizon(T):
         raise ValueError(f"T must be finite and > 0, got {T!r}")
     rng = seeded_rng(seed)
-
     if isinstance(model, FiniteVariationPath):
         if model.knots_t[-1] < T:
             raise ValueError("finite-variation knots must cover the horizon")
         times = _uniform_grid(n_steps, T)[0]
-        return _jump_free(model, times, np.interp(times, model.knots_t, model.knots_x), T, seed)
-
+        values = np.interp(times, model.knots_t, model.knots_x)
+        return SamplePath(times=times, values=values, pre_values=values,
+                          jump_indices=_NO_JUMP_INDICES, jump_sizes=_NO_JUMP_SIZES,
+                          horizon=T, model=model, seed=seed)
     if not isinstance(model, _Parametric):
         raise ValueError(f"unknown path model {model!r}")
-    sigma, drift, rate, law = model.sigma, model.drift, model.rate, model.law
 
-    if not rate > 0:
-        times, dt, sqrt_dt = _uniform_grid(n_steps, T)
-        values = np.empty(n_steps + 1)
-        values[0] = 0.0
-        if sigma > 0 or drift != 0.0:
-            incr = sigma * sqrt_dt
-            incr *= rng.normal(size=n_steps)
-            np.add(drift * dt, incr, out=incr)
-            np.cumsum(incr, out=values[1:])
-        else:
-            values[1:] = 0.0
-        # + 0.0 turns a start of -0.0 into 0.0, as adding the zero jump offsets of the
-        # general construction below does
-        values += model.x0 + 0.0
-        return _jump_free(model, times, values, T, seed)
-
-    # a path with jumps owns its time grid: the uniform grid refined by the jump times
-    base = np.linspace(0.0, T, n_steps + 1)
-    # fixed draw order: jump count, times, sizes, then diffusion increments
-    n_jumps = int(rng.poisson(rate * T))
-    jump_times = np.sort(rng.uniform(0.0, T, size=n_jumps))
-    jump_sizes = np.asarray(law.sample(rng, n_jumps), dtype=float)
-    keep = ~np.isin(jump_times, base)  # exact grid collisions (measure zero)
-    jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
-    if len(jump_times) > 1:  # coincident jump times (measure zero)
-        keep = np.concatenate(([True], np.diff(jump_times) > 0))
+    times, dt, sqrt_dt = _uniform_grid(n_steps, T)
+    jump_times = jump_sizes = _NO_JUMP_SIZES
+    if model.rate > 0:
+        jump_times = _poisson_events(rng, model.rate, T, 1)[2]
+        jump_sizes = np.asarray(model.law.sample(rng, len(jump_times)), dtype=float)
+        keep = ~np.isin(jump_times, times)  # exact grid collisions (measure zero)
         jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
+        if len(jump_times) > 1:  # coincident jump times (measure zero)
+            keep = np.concatenate(([True], np.diff(jump_times) > 0))
+            jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
+    if len(jump_times):
+        # a path with jumps owns its time grid: the uniform grid refined by the jump times
+        times = np.sort(np.concatenate([times, jump_times]))
+        dt = np.diff(times)
+        sqrt_dt = np.sqrt(dt)
 
-    times = np.sort(np.concatenate([base, jump_times]))
-    jump_idx = np.searchsorted(times, jump_times)
-    dt = np.diff(times)
-    if sigma > 0 or drift != 0.0:
-        z = rng.normal(size=len(dt))
-        incr = drift * dt + sigma * np.sqrt(dt) * z
-    else:
-        incr = np.zeros(len(dt))
-
-    cont = model.x0 + np.concatenate(([0.0], np.cumsum(incr)))
-    offsets, offsets_pre = _jump_offsets(len(times), jump_idx, jump_sizes)
-    values = cont + offsets
-    pre_values = values.copy()
-    pre_values[jump_idx] = cont[jump_idx] + offsets_pre[jump_idx]
-    # post-jump state is defined as left limit plus jump, exactly
-    values[jump_idx] = pre_values[jump_idx] + jump_sizes
-
-    return SamplePath(
-        times=times, values=values, pre_values=pre_values,
-        jump_indices=jump_idx.astype(np.int64), jump_sizes=jump_sizes,
-        horizon=T, model=model, seed=seed,
-    )
+    values = np.zeros(len(times))
+    if model.sigma > 0 or model.drift != 0.0:
+        np.cumsum(_increments(rng, model, dt, sqrt_dt, values[1:]), out=values[1:])
+    values += model.x0 + 0.0  # + 0.0 turns a start of -0.0 into 0.0
+    pre_values, jump_idx = values, _NO_JUMP_INDICES
+    if len(jump_times):
+        jump_idx = np.searchsorted(times, jump_times).astype(np.int64)
+        # the cumulative jump sum at each point, and its left limit
+        at = _at_points(len(times), jump_idx, jump_sizes)
+        offsets = np.cumsum(at)
+        pre_values = values + (offsets - at)
+        values += offsets
+        # post-jump state is defined as left limit plus jump, exactly
+        values[jump_idx] = pre_values[jump_idx] + jump_sizes
+    return SamplePath(times=times, values=values, pre_values=pre_values,
+                      jump_indices=jump_idx, jump_sizes=jump_sizes,
+                      horizon=T, model=model, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +582,7 @@ def _write_float_rows(fh, header: str, columns) -> None:
 
 
 # ---------------------------------------------------------------------------
-# jump offsets
+# jump sizes at the grid points
 # ---------------------------------------------------------------------------
 
 
@@ -577,13 +591,6 @@ def _at_points(n: int, idx, sizes) -> np.ndarray:
     out = np.zeros(n)
     out[idx] = sizes
     return out
-
-
-def _jump_offsets(n: int, idx, sizes):
-    """Cumulative jump sum at each point, and its left limit (without the jump at idx)."""
-    at = _at_points(n, idx, sizes)
-    cum = np.cumsum(at)
-    return cum, cum - at
 
 
 def realized_qv(grid) -> float:

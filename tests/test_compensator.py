@@ -172,7 +172,8 @@ class TestArguments:
     _MODELS = [PoissonCounting(1.0), PathQV(BrownianMotion(sigma=1.0))]
 
     @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label)
-    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf"), -float("inf"),
+                                   True, "1.0", None])
     def test_horizon_must_be_finite_and_positive(self, model, T):
         with pytest.raises(ValueError, match="finite T > 0"):
             martingale_check(model, n_paths=10, T=T)
@@ -181,7 +182,7 @@ class TestArguments:
                 verify_compensator(model, y, n_paths=10, T=T)
 
     @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label)
-    @pytest.mark.parametrize("n_paths", [0, -3, 2.5, float("nan")])
+    @pytest.mark.parametrize("n_paths", [0, -3, 2.5, float("nan"), True])
     def test_at_least_one_path(self, model, n_paths):
         with pytest.raises(ValueError, match="n_paths >= 1"):
             martingale_check(model, n_paths=n_paths)
@@ -205,8 +206,13 @@ class TestStandardErrorRule:
         res = martingale_check(PoissonCounting(2.0), n_paths=1, seed=1)
         assert all(inc["se"] == 0.0 for inc in res["increments"])
 
-    def test_sign_state_is_the_catalog_sign(self):
-        assert StateY("sign").h is sign_rc
+    def test_sign_state_reads_the_catalog_sign_bitwise(self):
+        states = np.array([[-2.5, -0.0, 0.0], [1e-300, -1e-300, 3.0]])
+        got = StateY("sign").at(states, np.zeros(2))
+        want = np.asarray(sign_rc(states), dtype=float)
+        assert got.shape == states.shape
+        assert got[0, 1] == got[0, 2] == 1.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class _NormalDrawn(Exception):

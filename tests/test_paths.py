@@ -240,6 +240,16 @@ JUMP_FREE_MODELS = st.one_of(
     st.just(FiniteVariationPath((0.0, 0.3, 5.0), (0.0, 1.0, -0.5))),
 )
 
+# jump models whose draw may leave no jump: at rate 1e-9 almost every draw does, at rate
+# 0.5 between e^-2.5 and e^-0.15 of them
+SOMETIMES_JUMPING_MODELS = st.one_of(
+    st.builds(JumpDiffusion, sigma=st.sampled_from([0.0, 1.0]), drift=st.sampled_from([0.0, 0.4]),
+              rate=st.sampled_from([1e-9, 0.5]), law=st.just(UniformLaw(-1.4, 1.4)),
+              x0=st.sampled_from([0.0, -0.0, 0.5])),
+    st.builds(CompoundPoissonJumps, rate=st.sampled_from([1e-9, 0.5]),
+              law=st.just(TwoPointLaw(0.5, 1.0, -1.0)), x0=st.sampled_from([0.0, -0.0, 2.0])),
+)
+
 
 class TestJumpFreePaths:
     """A path without jumps shares its thread's read-only time grid and its left limits
@@ -260,6 +270,26 @@ class TestJumpFreePaths:
         for arr in (p.times, p.values, p.jump_indices, p.jump_sizes):
             assert not arr.flags.writeable
         assert p.median_continuous_move() == float(np.median(np.abs(np.diff(values))))
+
+    @given(model=SOMETIMES_JUMPING_MODELS, n_steps=st.integers(1, 2**12),
+           T=st.floats(0.3, 5.0), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_a_jump_model_that_draws_no_jump_gives_a_jump_free_path(self, model, n_steps, T,
+                                                                    seed):
+        p = simulate(model, n_steps, T, seed=seed)
+        times, values, pre_values = _general_simulate(model, n_steps, T, seed)
+        assert np.array_equal(_bits(p.times), _bits(times))
+        assert np.array_equal(_bits(p.values), _bits(values))
+        assert np.array_equal(_bits(p.pre_values), _bits(pre_values))
+        memo = paths_module._last_grid.memo
+        assert memo[:2] == (n_steps, T)
+        if len(p.jump_indices) == 0:
+            assert p.pre_values is p.values
+            assert p.times is memo[2]
+        else:
+            # a time grid of the path's own, refined by its jump times
+            assert not np.shares_memory(p.times, memo[2])
+            assert p.n_points == n_steps + 1 + len(p.jump_indices)
 
     @given(seed=st.integers(0, 2**64 - 1), n_steps=st.integers(1, 2**10))
     @settings(max_examples=40, deadline=None)
