@@ -87,7 +87,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import shutil
 import sys
@@ -114,7 +113,10 @@ from .paths import (
     _LAWS,
     _MODELS,
     _REQUIRED,
+    _is_count,
+    _is_int,
     _is_real,
+    _is_seed,
     _real,
     _resolve_keys,
     model_from_dict,
@@ -139,10 +141,6 @@ def _as_given(value, name):
     return value
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _typed(accepts, what: str):
     """A type that takes a value as written when ``accepts(value)``; ``what`` names such values."""
     def check(value, name: str):
@@ -153,9 +151,9 @@ def _typed(accepts, what: str):
 
 
 _int = _typed(_is_int, "an integer")
-_count = _typed(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_count = _typed(_is_count, "an integer >= 1")
 # the first seed of a run, a key of seeded_rng
-_seed = _typed(lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)")
+_seed = _typed(_is_seed, "an integer in [0, 2**64)")
 _flag = _typed(lambda v: isinstance(v, bool), "true or false")
 _text = _typed(lambda v: isinstance(v, str), "a string")
 

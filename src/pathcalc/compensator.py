@@ -22,8 +22,8 @@ import numpy as np
 
 from .catalog import sign_rc
 from .errors import UnsupportedModelError
-from .paths import (BrownianMotion, JumpDiffusion, TwoPointLaw, UniformLaw, _increments,
-                    _is_count, _is_horizon, _Parametric, _poisson_events, seeded_rng)
+from .paths import (BrownianMotion, JumpDiffusion, TwoPointLaw, UniformLaw, _increments, _is_count,
+                    _is_horizon, _is_seed, _Parametric, _poisson_events, seeded_rng)
 
 __all__ = [
     "PoissonCounting",
@@ -64,15 +64,17 @@ class _Increasing:
         return np.asarray(self.law.sample(rng, n), dtype=float) ** self.p
 
 
-def _check_arguments(model, what: str, n_paths, T) -> None:
-    """Reject a model that is not a catalog increasing process, and a path count and a
-    horizon T that :func:`~pathcalc.paths.simulate` would reject."""
+def _check_arguments(model, what: str, n_paths, T, seed) -> None:
+    """Reject a model that is not a catalog increasing process, and a path count, a
+    horizon T and a seed that :func:`~pathcalc.paths.simulate` would reject."""
     if not isinstance(model, _Increasing):
         raise UnsupportedModelError(f"{what} does not support {model!r}")
     if not _is_count(n_paths):
         raise ValueError(f"{what} needs an integer n_paths >= 1, got {n_paths!r}")
     if not _is_horizon(T):
         raise ValueError(f"{what} needs a finite T > 0, got {T!r}")
+    if not _is_seed(seed):
+        raise ValueError(f"{what} needs an integer seed in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -367,9 +369,10 @@ def verify_compensator(
     ``time_integral`` is not None reads no state, so its pair draws no normals
     and allocates neither array; ``integral`` is still the 512-step sum.
 
-    Raises ValueError unless ``n_paths`` is an integer >= 1 and ``T`` a finite number > 0.
+    Raises ValueError unless ``n_paths`` is an integer >= 1, ``T`` a finite number > 0
+    and ``seed`` an integer in [0, 2**64).
     """
-    _check_arguments(model, "verify_compensator", n_paths, T)
+    _check_arguments(model, "verify_compensator", n_paths, T, seed)
     if isinstance(model, PathQV):  # discretised continuous part, exact jumps
         integral, jump_sum = _path_qv_terms(model, y, n_paths, T, seed)
     else:  # exact pure-jump: A is piecewise constant between its Poisson events
@@ -396,9 +399,10 @@ def martingale_check(model, n_paths: int = 10_000, T: float = 1.0, seed: int = 0
     errors.
 
     Each increment draws its jump counts, then its jumps, from one generator
-    keyed by ``seed``; a compensator run grades each at 3 SE.
+    keyed by ``seed``; a compensator run grades each at 3 SE.  Raises ValueError on the
+    arguments that :func:`verify_compensator` rejects.
     """
-    _check_arguments(model, "martingale_check", n_paths, T)
+    _check_arguments(model, "martingale_check", n_paths, T, seed)
     rng = seeded_rng(seed)
     increments = []
     for s, t in ((0.0, T / 2), (T / 2, T)):

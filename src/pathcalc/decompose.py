@@ -25,15 +25,15 @@ never folded into the residual.  A path with no model (one read by
 ``SamplePath.from_csv``) has no closed form: that column and the defect
 are NaN, and every other column is the same as for the simulated path.
 
-A report holds no column when it is made.  The decomposition writes its
-cell terms, running sums and identity gap into scratch arrays of the
-calling thread, kept and reused from one call to the next, and takes from
-them the numbers that the report's summary records: its extremes
-(``stats``), the final value of each column and the bracket defect.  The
-first read of a column (or of ``series_csv``) runs the same algebra again,
-into new arrays that the report keeps; they hold the bits that the summary's
-numbers were taken from.  f and its derivatives are called on views of the
-scratch arrays, and must not keep them.
+A report is two things: its summary record and the inputs that rebuild
+its columns.  The decomposition writes its cell terms, running sums and
+identity gap into scratch arrays of the calling thread, kept and reused from
+one call to the next, and takes from them the numbers of the record: the
+extremes (``stats``), the final value of each column and the bracket
+defect.  The first read of a column (or of ``series_csv``) runs the same
+algebra again, into new arrays that the report keeps; they hold the bits
+that the record's numbers were taken from.  f and its derivatives are
+called on views of the scratch arrays, and must not keep them.
 """
 
 from __future__ import annotations
@@ -117,6 +117,16 @@ def _column(name: str):
                     doc=f"The ``{name}`` column, built on first read (see the class docstring).")
 
 
+def _recorded(name: str):
+    return property(lambda self: self._summary[name], doc=f"The summary's ``{name}``.")
+
+
+# the columns that _terms writes besides the times; the first six, in this order, are the
+# summary's "final"
+_COLUMNS = ("lhs", "stochastic_integral", "compensator_term", "compensator_closed",
+            "jump_term", "residual", "identity_gap", "jump_cell_residuals")
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Per-time series of every term of the decomposition along a grid.
@@ -129,31 +139,18 @@ class DecompositionReport:
     ``compensator_term`` is the realized-vs-closed bracket defect.  Both
     are NaN for a path with no model.
 
-    The report keeps the numbers that its summary records (:attr:`stats`,
-    the final value of each column and the bracket defect), taken when it
-    was made from the calling thread's scratch arrays, and holds no column.
-    ``times`` and the seven columns are read-only properties: the first read
-    of a column runs the decomposition's algebra again on the grid, into new
-    arrays that the report then keeps, bit for bit the arrays that the
-    summary's numbers were taken from.  A report that is not applicable has
-    empty columns and empty ``stats``.
+    A report is its summary record, the dict that :meth:`summary_dict`
+    gives, built once when the report is made from the calling thread's
+    scratch arrays, and the inputs that its columns are built from.
+    ``applicable``, ``notes`` and ``stats`` read the record.  ``times``, the
+    seven columns and ``jump_cell_residuals`` are read-only properties: the
+    first read of a column runs the decomposition's algebra again on the
+    grid, into new arrays that the report then keeps, bit for bit the arrays
+    that the record's numbers were taken from.  A report that is not
+    applicable has empty columns and empty ``stats``.
     """
 
-    mode: str
-    f_label: str
-    g_label: str
-    path_info: dict
-    grid_info: dict
-    jump_cell_residuals: np.ndarray
-    applicable: bool
-    notes: dict
-    # the extremes that the summary records and the CLI grades, each an upper bound's
-    # value; absent ones read 0.  ``max_residual_decrease`` is minus the least residual
-    # increment, at most 0 when the residual never decreases
-    stats: dict
-    # the final value of each column and the bracket defect, as the summary records them
-    _final: dict = field(repr=False)
-    _bracket_defect: float = field(repr=False)
+    _summary: dict = field(repr=False)
     # (f, grid, g, tau) that the columns are built from; None when not applicable
     _inputs: tuple | None = field(repr=False)
 
@@ -164,6 +161,15 @@ class DecompositionReport:
     jump_term = _column("jump_term")
     residual = _column("residual")
     identity_gap = _column("identity_gap")
+    jump_cell_residuals = _column("jump_cell_residuals")
+
+    applicable = _recorded("applicable")
+    notes = _recorded("notes")
+
+    @property
+    def stats(self) -> dict:
+        """The summary's four ``max_*`` extremes, or {} when the report is not applicable."""
+        return {k: v for k, v in self._summary.items() if k.startswith("max_")}
 
     def _columns(self) -> dict:
         # kept in __dict__, not a functools.cached_property: before Python 3.12 that holds
@@ -187,21 +193,8 @@ class DecompositionReport:
         return times
 
     def summary_dict(self) -> dict:
-        if not self.applicable:
-            return {"mode": self.mode, "f": self.f_label, "applicable": False,
-                    "path": self.path_info, "grid": self.grid_info, "notes": self.notes}
-        return {
-            "mode": self.mode,
-            "f": self.f_label,
-            "g": self.g_label,
-            "applicable": True,
-            "path": self.path_info,
-            "grid": self.grid_info,
-            "final": dict(self._final),
-            **self.stats,
-            "bracket_defect": self._bracket_defect,
-            "notes": self.notes,
-        }
+        """The summary record, with its top level and its ``final`` fresh dicts."""
+        return {k: dict(v) if k == "final" else v for k, v in self._summary.items()}
 
     def series_csv(self, fh) -> None:
         """Write the per-time CSV t, lhs, stoch_integral, compensator, jump_term, residual to ``fh``.
@@ -212,20 +205,6 @@ class DecompositionReport:
         _write_float_rows(fh, "t,lhs,stoch_integral,compensator,jump_term,residual",
                           [self.times, self.lhs, self.stochastic_integral,
                            self.compensator_term, self.jump_term, self.residual])
-
-
-# the columns that _terms writes, in the order of the summary's "final"
-_COLUMNS = ("lhs", "stochastic_integral", "compensator_term", "compensator_closed",
-            "jump_term", "residual", "identity_gap")
-
-
-def _not_applicable(mode, f, grid, reason) -> DecompositionReport:
-    return DecompositionReport(
-        mode=mode, f_label=f.label, g_label="", path_info=_path_info(grid.path),
-        grid_info=_grid_info(grid, grid.times), jump_cell_residuals=np.array([]),
-        applicable=False, notes={"reason": reason}, stats={}, _final={},
-        _bracket_defect=float("nan"), _inputs=None,
-    )
 
 
 def _path_info(path: SamplePath) -> dict:
@@ -239,8 +218,7 @@ def _path_info(path: SamplePath) -> dict:
 
 def _grid_info(grid: RiemannGrid, times: np.ndarray) -> dict:
     """The grid's scheme, param, cell count and mesh; ``times`` are the grid's times,
-    ``path.times[grid.indices]``, so that :attr:`RiemannGrid.mesh` need not gather them
-    again."""
+    ``path.times[grid.indices]``, so that they need not be gathered again."""
     return {"scheme": grid.scheme, "param": grid.param, "n_cells": len(grid) - 1,
             "mesh": _mesh(times)}
 
@@ -376,36 +354,41 @@ def _terms(f, grid, gfn, taufn, new) -> dict:
 def _decompose(f, grid, g, mode) -> DecompositionReport:
     path = grid.path
     gfn, g_label = _resolve_derivative(f, 1, g)
-    if gfn is None:
-        return _not_applicable(mode, f, grid, "f declares no first derivative")
     taufn, tau_label = _resolve_derivative(f, 2)
-    if taufn is None:
-        return _not_applicable(mode, f, grid, "f declares no second derivative")
+    if gfn is None or taufn is None:
+        order = "first" if gfn is None else "second"
+        return DecompositionReport(_summary={
+            "mode": mode, "f": f.label, "applicable": False, "path": _path_info(path),
+            "grid": _grid_info(grid, grid.times),
+            "notes": {"reason": f"f declares no {order} derivative"}}, _inputs=None)
 
     terms = _terms(f, grid, gfn, taufn, _scratch_array)
     resid, jumps = terms["residual"], terms["jump_cell_residuals"]
     n = len(resid) - 1
-    # one scratch array holds each temporary of the extremes in turn
+    # one scratch array holds each temporary of the extremes in turn, each read before the
+    # next one overwrites it
     work = _scratch_array("stats", n + 1)
     least_incr = float(np.min(np.subtract(resid[1:], resid[:-1], out=work[:n]))) if n else 0.0
-    stats = {
-        "max_abs_residual": float(np.max(np.abs(resid, out=work))),
+    max_abs_residual = float(np.max(np.abs(resid, out=work)))
+    defect = np.subtract(terms["compensator_term"], terms["compensator_closed"], out=work)
+    bracket_defect = float(np.max(np.abs(defect, out=defect)))
+    coeffs = getattr(path.model, "bracket_coeffs", None)
+    return DecompositionReport(_summary={
+        "mode": mode, "f": f.label, "g": g_label, "applicable": True,
+        "path": _path_info(path), "grid": _grid_info(grid, terms["times"]),
+        "final": {name: float(terms[name][-1]) for name in _COLUMNS[:-2]},
+        # the extremes that the CLI grades, each an upper bound's value; absent ones read 0.
+        # max_residual_decrease is minus the least residual increment, at most 0 when the
+        # residual never decreases
+        "max_abs_residual": max_abs_residual,
         "max_identity_gap": float(np.max(terms["identity_gap"])),
         # 0.0 - x, not -x, so that a least increment of 0.0 reads 0.0, not -0.0
         "max_residual_decrease": 0.0 - least_incr,
         "max_jump_cell_residual": float(np.max(np.abs(jumps))) if len(jumps) else 0.0,
-    }
-    defect = np.subtract(terms["compensator_term"], terms["compensator_closed"], out=work)
-    bracket_defect = float(np.max(np.abs(defect, out=defect)))
-    coeffs = getattr(path.model, "bracket_coeffs", None)
-    bracket = None if coeffs is None else {"cont_coeff": coeffs[0], "jump_coeff": coeffs[1]}
-    return DecompositionReport(
-        mode=mode, f_label=f.label, g_label=g_label, path_info=_path_info(path),
-        grid_info=_grid_info(grid, terms["times"]), jump_cell_residuals=jumps, applicable=True,
-        notes={"tau": tau_label, "bracket": bracket}, stats=stats,
-        _final={name: float(terms[name][-1]) for name in _COLUMNS[:-1]},
-        _bracket_defect=bracket_defect, _inputs=(f, grid, gfn, taufn),
-    )
+        "bracket_defect": bracket_defect,
+        "notes": {"tau": tau_label, "bracket": None if coeffs is None else
+                  {"cont_coeff": coeffs[0], "jump_coeff": coeffs[1]}},
+    }, _inputs=(f, grid, gfn, taufn))
 
 
 def ito_decompose(f: ScalarFn, grid: RiemannGrid, *, g=None) -> DecompositionReport:

@@ -11,11 +11,13 @@ Gaussian increment per cell of the grid refined by the jump times.  One rule
 draws every increment (``_increments``) and one every set of Poisson events
 (``_poisson_events``), for these paths and for the compensator's Monte Carlo.
 
-A path without jumps (Brownian motion, a finite-variation path, or a jump
-model whose draw leaves no jump, at rate 0 or not) keeps no jump
-bookkeeping: its ``times`` is the one read-only uniform grid that the
-simulating thread holds for its last (n_steps, T), shared by every such path
-simulated there, and its ``pre_values`` is its ``values`` array.
+A jump is a nonzero size: a drawn size of 0 keeps its time as a grid point
+but, as ``SamplePath.from_csv`` reads it back, is no jump.  A path that draws
+no jump time (Brownian motion, a finite-variation path, or a jump model whose
+draw leaves none, at rate 0 or not) keeps no jump bookkeeping: its ``times``
+is the one read-only uniform grid that the simulating thread holds for its
+last (n_steps, T), shared by every such path simulated there, and its
+``pre_values`` is its ``values`` array.
 """
 
 from __future__ import annotations
@@ -42,10 +44,21 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_seed(value) -> bool:
+    """Whether ``value`` is a key of :func:`seeded_rng`: an integer in [0, 2**64), not a bool."""
+    return _is_int(value) and 0 <= value < 2**64
+
+
 def seeded_rng(seed) -> np.random.Generator:
-    """The Philox generator keyed by ``seed``, an integer in [0, 2**64); every module uses it."""
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    """The Philox generator keyed by ``seed``, an integer in [0, 2**64), else a ``ValueError``
+    (a float or a bool is not truncated); every module uses it."""
+    if not _is_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -469,7 +482,7 @@ _NO_JUMP_SIZES = _read_only(np.array([]))
 
 def _is_count(value) -> bool:
     """Whether ``value`` is an integer >= 1 and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 def _is_horizon(value) -> bool:
@@ -508,10 +521,10 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     one Gaussian increment per cell (with a diffusion or a drift).  Jump times
     are superposed as extra grid points carrying exact pre/post values, and
     the increments are drawn per cell of this refined grid, so the diffusion
-    law is exact at the inserted times too.  A path that keeps no jump is on
-    the thread's shared read-only uniform grid, and its ``pre_values`` is its
-    ``values`` (see the module docstring).  ``n_steps`` must be an integer
-    >= 1 and ``T`` finite and > 0.
+    law is exact at the inserted times too; a drawn size of 0 is no jump.  A
+    path that draws no jump time is on the thread's shared read-only uniform
+    grid, and its ``pre_values`` is its ``values`` (see the module docstring).
+    ``n_steps`` must be an integer >= 1 and ``T`` finite and > 0.
     """
     if not _is_count(n_steps):
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
@@ -540,7 +553,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
             keep = np.concatenate(([True], np.diff(jump_times) > 0))
             jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
     if len(jump_times):
-        # a path with jumps owns its time grid: the uniform grid refined by the jump times
+        # a path with jump times owns its time grid: the uniform grid refined by them
         times = np.sort(np.concatenate([times, jump_times]))
         dt = np.diff(times)
         sqrt_dt = np.sqrt(dt)
@@ -559,6 +572,9 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
         values += offsets
         # post-jump state is defined as left limit plus jump, exactly
         values[jump_idx] = pre_values[jump_idx] + jump_sizes
+        # a drawn size of 0 keeps its time point but is no jump, as from_csv reads it
+        jumped = jump_sizes != 0.0
+        jump_idx, jump_sizes = jump_idx[jumped], jump_sizes[jumped]
     return SamplePath(times=times, values=values, pre_values=pre_values,
                       jump_indices=jump_idx, jump_sizes=jump_sizes,
                       horizon=T, model=model, seed=seed)

@@ -60,11 +60,6 @@ class RiemannGrid:
     def times(self) -> np.ndarray:
         return self.path.times[self.indices]
 
-    @property
-    def mesh(self) -> float:
-        """The longest cell of the grid."""
-        return _mesh(self.times)
-
     def __len__(self) -> int:
         return len(self.indices)
 

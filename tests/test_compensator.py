@@ -190,6 +190,16 @@ class TestArguments:
             with pytest.raises(ValueError, match="n_paths >= 1"):
                 verify_compensator(model, y, n_paths=n_paths)
 
+    @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label)
+    @pytest.mark.parametrize("seed", [1.7, 2.9, True, -1, 2**64])
+    def test_the_seed_is_an_integer_in_range(self, model, seed):
+        # not truncated to seed 1 or 2: a path_qv(bm) pair with a state-free Y draws nothing
+        with pytest.raises(ValueError, match="integer seed"):
+            martingale_check(model, n_paths=10, seed=seed)
+        for y in catalog_test_processes():
+            with pytest.raises(ValueError, match="integer seed"):
+                verify_compensator(model, y, n_paths=10, seed=seed)
+
 
 class TestStandardErrorRule:
     @pytest.mark.parametrize("rate_factor", [1.0, 1.5])

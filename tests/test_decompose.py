@@ -30,12 +30,15 @@ from pathcalc.catalog import CATALOG_NAMES
 from pathcalc.cli import _write_json
 from pathcalc.catalog import _zero
 from pathcalc.decompose import _grid_info, _path_info, _resolve_derivative
+from pathcalc.riemann import _mesh
 
 SQUARE = make_scalar_fn("square")
 ABS = make_scalar_fn("abs")
 XABS = make_scalar_fn("x_abs_x_half")
 COS = make_scalar_fn("cos")
 JD = JumpDiffusion(sigma=1.0, drift=0.1, rate=3.0, law=UniformLaw(-1.0, 1.0))
+# a law with an atom at 0: a drawn size of 0 keeps its time point but is no jump
+JD0 = JumpDiffusion(sigma=1.0, drift=0.0, rate=5.0, law=TwoPointLaw(0.5, 0.0, 1.0))
 FV = FiniteVariationPath((0.0, 0.4, 1.0), (0.0, 0.8, 0.3))
 
 
@@ -326,7 +329,7 @@ class TestReportNumbers:
         # applicable reports of both modes, and a report that is not applicable
         for rep in (ito_decompose(XABS, g), tanaka_decompose(ABS, g),
                     ito_decompose(make_scalar_fn("sign"), g)):
-            assert _bits(rep.summary_dict()["grid"]["mesh"]) == _bits(g.mesh)
+            assert _bits(rep.summary_dict()["grid"]["mesh"]) == _bits(_mesh(g.times))
         assert not rep.applicable
 
     def test_square_passes_tight(self):
@@ -370,8 +373,9 @@ class TestImportedPath:
                "residual", "identity_gap", "jump_cell_residuals")
 
     @pytest.mark.parametrize("model, decompose, f", [(JD, ito_decompose, SQUARE),
-                                                     (BrownianMotion(), tanaka_decompose, ABS)],
-                             ids=["jd-ito-square", "bm-tanaka-abs"])
+                                                     (BrownianMotion(), tanaka_decompose, ABS),
+                                                     (JD0, ito_decompose, SQUARE)],
+                             ids=["jd-ito-square", "bm-tanaka-abs", "jd0-ito-square"])
     def test_report_is_the_simulated_one_without_the_closed_form(self, tmp_path, model,
                                                                   decompose, f):
         p = simulate(model, 2048, 1.0, seed=41)
@@ -672,7 +676,7 @@ def _reference_grid(path, scheme, partial):
 
 
 REFERENCE_MODELS = {"bm": BrownianMotion(), "bm_drift": BrownianMotion(sigma=0.7, drift=0.9),
-                    "jd": JD, "cpj": CPJ, "fv": FV}
+                    "jd": JD, "jd0": JD0, "cpj": CPJ, "fv": FV}
 
 
 class TestReportMatchesEagerReference:
@@ -684,10 +688,10 @@ class TestReportMatchesEagerReference:
            seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 2**11),
            scheme=st.sampled_from(["full", "partial", "hitting"]), partial=st.floats(0.0, 1.0),
            f=st.sampled_from(CATALOG_FNS), g=st.sampled_from([None, SQUARE, ABS, COS]),
-           mode=st.sampled_from(["ito", "tanaka"]))
+           mode=st.sampled_from(["ito", "tanaka"]), jumps_first=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_columns_and_summary_bitwise(self, tmp_path_factory, model, imported, seed,
-                                         n_steps, scheme, partial, f, g, mode):
+                                         n_steps, scheme, partial, f, g, mode, jumps_first):
         path = simulate(REFERENCE_MODELS[model], n_steps, 1.0, seed=seed)
         if imported:
             csv = tmp_path_factory.mktemp("imported") / "paths.csv"
@@ -695,7 +699,12 @@ class TestReportMatchesEagerReference:
             path = SamplePath.from_csv(csv)
         grid = _reference_grid(path, scheme, partial)
         report = _decomposer(mode)(f, grid, g=g)
-        assert_report_is_the_eager_one(report, eager_decompose(f, grid, g, mode))
+        eager = eager_decompose(f, grid, g, mode)
+        if jumps_first:
+            # the first read of a fresh report builds every column
+            got, want = report.jump_cell_residuals, eager[0]["jump_cell_residuals"]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert_report_is_the_eager_one(report, eager)
 
     def test_a_later_report_on_the_thread_leaves_an_earlier_one_as_it_was(self):
         grids = [dyadic_grid(simulate(JD, 1024, 1.0, seed=seed), 10) for seed in (5, 6)]
@@ -731,11 +740,25 @@ class TestReportMatchesEagerReference:
 
     def test_columns_are_read_only_properties(self):
         report = ito_decompose(SQUARE, dyadic_grid(simulate(BrownianMotion(), 64, 1.0, seed=1), 6))
-        for name in EAGER_COLUMNS[:-1]:
+        for name in (*EAGER_COLUMNS, "applicable", "notes", "stats"):
             with pytest.raises(AttributeError):
                 setattr(report, name, np.array([]))
         # a column built once is the array that later reads get
         assert report.residual is report.residual
+
+    @pytest.mark.parametrize("f", [SQUARE, make_scalar_fn("sign")], ids=["applicable", "not"])
+    def test_an_edited_summary_leaves_the_next_one_as_it_was(self, f):
+        report = ito_decompose(f, dyadic_grid(simulate(JD, 256, 1.0, seed=3), 8))
+        want = _float_bits(report.summary_dict())
+        edited = report.summary_dict()
+        edited["applicable"] = "edited"
+        edited.pop("mode")
+        if report.applicable:
+            edited["final"]["residual"] = 1e9
+            edited["final"].pop("lhs")
+            edited["max_abs_residual"] = 1e9
+        assert _float_bits(report.summary_dict()) == want
+        assert report.applicable == (f is SQUARE)
 
 
 # ---------------------------------------------------------------------------

@@ -365,8 +365,9 @@ class TestSeededRng:
             expected = np.random.Generator(np.random.Philox(key=seed)).random(3)
             assert np.array_equal(seeded_rng(seed).random(3), expected), seed
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.7, 2.9, True, np.float64(1.0), "1"])
     def test_out_of_range_seed_is_a_value_error(self, seed):
+        # nor is a float or a bool truncated to an integer key
         with pytest.raises(ValueError, match="seed"):
             seeded_rng(seed)
         with pytest.raises(ValueError, match="seed"):
@@ -411,6 +412,19 @@ class TestCsvRoundTrip:
         assert np.array_equal(p.pre_values, q.pre_values)
         assert np.array_equal(p.jump_indices, q.jump_indices)
         assert np.array_equal(p.jump_sizes, q.jump_sizes)
+
+    def test_a_drawn_size_of_0_is_no_jump(self, tmp_path):
+        # two of the five jump times draw the atom at 0: they stay grid points, and the
+        # path records the three jumps that from_csv reads back
+        p = simulate(JumpDiffusion(1.0, 0.0, 5.0, TwoPointLaw(0.5, 0.0, 1.0)), 64, 1.0, seed=3)
+        assert p.n_points == 65 + 5
+        assert p.jump_indices.tolist() == [23, 29, 47] and np.all(p.jump_sizes == 1.0)
+        f = tmp_path / "path.csv"
+        p.to_csv(f)
+        q = SamplePath.from_csv(f)
+        for name in ("times", "values", "pre_values", "jump_indices", "jump_sizes"):
+            assert np.array_equal(getattr(q, name), getattr(p, name)), name
+        assert np.array_equal(dyadic_grid(p, 3).indices, dyadic_grid(q, 3).indices)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_jump_paths_read_back_bit_exact(self, tmp_path, seed):

@@ -32,7 +32,7 @@ from pathcalc import (
     squared_increment,
 )
 from pathcalc import riemann
-from pathcalc.riemann import _checked_hits, _tail_fractions
+from pathcalc.riemann import _checked_hits, _mesh, _tail_fractions
 
 ABS = make_scalar_fn("abs")
 SQUARE = make_scalar_fn("square")
@@ -127,7 +127,7 @@ class TestGrids:
         eps = scale * max(2.0 * p.median_continuous_move(), 0.05)
         g = hitting_grid(p, eps)
         assert np.array_equal(g.indices, reference_hitting_indices(p, eps))
-        assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
+        assert _mesh(g.times) == float(np.max(np.diff(p.times[g.indices])))
 
     @given(models=st.lists(st.sampled_from([BrownianMotion(), JD, CPJ, FV5]),
                            min_size=2, max_size=2),
@@ -142,7 +142,7 @@ class TestGrids:
             for level in levels:
                 g = dyadic_grid(p, level)
                 assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
-                assert g.mesh == float(np.max(np.diff(p.times[g.indices])))
+                assert _mesh(g.times) == float(np.max(np.diff(p.times[g.indices])))
 
     @given(model=st.sampled_from([BrownianMotion(), JD]), seed=seeds,
            n_steps=st.integers(1, 64), levels=st.lists(st.integers(0, 12), min_size=1,
