@@ -47,7 +47,6 @@ from .paths import (
     SamplePath,
     TwoPointLaw,
     UniformLaw,
-    realized_qv,
     simulate,
 )
 from .riemann import (
@@ -59,6 +58,7 @@ from .riemann import (
     hitting_grid,
     limit_in_probability,
     pathwise_sum,
+    realized_qv,
 )
 
 __version__ = "0.1.0"

@@ -120,11 +120,10 @@ from .paths import (
     _real,
     _resolve_keys,
     model_from_dict,
-    realized_qv,
     seeded_rng,
     simulate,
 )
-from .riemann import _tail_fractions, dyadic_grid, limit_in_probability
+from .riemann import _tail_fractions, dyadic_grid, limit_in_probability, realized_qv
 
 # the version of a run config's fields
 SCHEMA_VERSION = 1

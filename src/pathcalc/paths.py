@@ -1,7 +1,7 @@
 """Seeded simulation of cadlag sample paths with explicit jump bookkeeping.
 
 Randomness comes from numpy's Philox counter-based 64-bit generator keyed
-by the seed, so identical (model, n_steps, horizon, seed) always reproduce
+by the seed, so identical (model, n_steps, T, seed) always reproduce
 a bit-identical path.  Jump times are inserted as dedicated grid points
 (never rounded onto the Euler grid); path values use the right-continuous
 post-jump convention with the left limits stored in a separate column.
@@ -15,17 +15,17 @@ A jump is a nonzero size: a drawn size of 0 keeps its time as a grid point
 but, as ``SamplePath.from_csv`` reads it back, is no jump.  A path that draws
 no jump time (Brownian motion, a finite-variation path, or a jump model whose
 draw leaves none, at rate 0 or not) keeps no jump bookkeeping: its ``times``
-is the one read-only uniform grid that the simulating thread holds for its
-last (n_steps, T), shared by every such path simulated there, and its
+is the one read-only uniform grid that the process holds for its last
+(n_steps, T), shared by every such path simulated on it, and its
 ``pre_values`` is its ``values`` array.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +40,6 @@ __all__ = [
     "FiniteVariationPath",
     "SamplePath",
     "simulate",
-    "realized_qv",
 ]
 
 
@@ -336,10 +335,12 @@ class SamplePath:
 
     ``values`` holds the post-jump (right-continuous) state at each grid
     time; ``pre_values`` differs from ``values`` only at jump indices,
-    where it holds the left limit.  Every array is read-only.  A jump-free
+    where it holds the left limit.  Each jump index carries a nonzero size,
+    and the value there is exactly its left limit plus that size.  Every
+    array is read-only.  The path's horizon is its last time.  A jump-free
     path from :func:`simulate` shares its ``times`` with the other jump-free
-    paths simulated on the same thread with the same (n_steps, T), and its
-    ``pre_values`` is its ``values`` array.
+    paths simulated with the same (n_steps, T), and its ``pre_values`` is its
+    ``values`` array.
     """
 
     times: np.ndarray
@@ -347,7 +348,6 @@ class SamplePath:
     pre_values: np.ndarray
     jump_indices: np.ndarray
     jump_sizes: np.ndarray
-    horizon: float
     model: Optional[object] = None
     seed: Optional[int] = None
 
@@ -359,6 +359,13 @@ class SamplePath:
         if not (np.all(np.isfinite(self.values)) and (self.pre_values is self.values
                                                       or np.all(np.isfinite(self.pre_values)))):
             raise ValueError("path values must be finite")
+        idx, sizes = np.asarray(self.jump_indices), np.asarray(self.jump_sizes)
+        if len(idx) != len(sizes):
+            raise ValueError("jump_indices and jump_sizes must have equal lengths")
+        if len(idx) and not (np.all(sizes != 0.0) and np.array_equal(
+                np.asarray(self.values)[idx], np.asarray(self.pre_values)[idx] + sizes)):
+            raise ValueError("each jump must be a nonzero size, and the value at its index "
+                             "exactly the left limit plus that size")
         for name in ("times", "values", "pre_values", "jump_indices", "jump_sizes"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
@@ -435,7 +442,7 @@ class SamplePath:
         return cls(
             times=np.asarray(times), values=np.asarray(values),
             pre_values=np.asarray(pre), jump_indices=jump_idx,
-            jump_sizes=sizes[jump_idx], horizon=float(times[-1]),
+            jump_sizes=sizes[jump_idx],
         )
 
 
@@ -459,20 +466,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# per thread: (n_steps, T, times, dt, sqrt(dt)) of the last uniform grid that simulate
-# built, every array read-only; the jump-free paths simulated on it share its times
-_last_grid = threading.local()
-
-
+@functools.lru_cache(maxsize=1)
 def _uniform_grid(n_steps: int, T: float):
-    """``linspace(0, T, n_steps + 1)``, its cell widths and their square roots, kept for
-    this thread's last (n_steps, T)."""
-    memo = getattr(_last_grid, "memo", None)
-    if memo is None or memo[0] != n_steps or memo[1] != T:
-        times = _read_only(np.linspace(0.0, T, n_steps + 1))
-        dt = _read_only(np.diff(times))
-        memo = _last_grid.memo = (n_steps, T, times, dt, _read_only(np.sqrt(dt)))
-    return memo[2:]
+    """``linspace(0, T, n_steps + 1)``, its cell widths and their square roots, every
+    array read-only, kept for the process's last (n_steps, T): the jump-free paths
+    simulated on it share its times."""
+    times = _read_only(np.linspace(0.0, T, n_steps + 1))
+    dt = _read_only(np.diff(times))
+    return times, dt, _read_only(np.sqrt(dt))
 
 
 # the jump indices and sizes of every jump-free simulated path
@@ -522,7 +523,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     are superposed as extra grid points carrying exact pre/post values, and
     the increments are drawn per cell of this refined grid, so the diffusion
     law is exact at the inserted times too; a drawn size of 0 is no jump.  A
-    path that draws no jump time is on the thread's shared read-only uniform
+    path that draws no jump time is on the process's shared read-only uniform
     grid, and its ``pre_values`` is its ``values`` (see the module docstring).
     ``n_steps`` must be an integer >= 1 and ``T`` finite and > 0.
     """
@@ -538,7 +539,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
         values = np.interp(times, model.knots_t, model.knots_x)
         return SamplePath(times=times, values=values, pre_values=values,
                           jump_indices=_NO_JUMP_INDICES, jump_sizes=_NO_JUMP_SIZES,
-                          horizon=T, model=model, seed=seed)
+                          model=model, seed=seed)
     if not isinstance(model, _Parametric):
         raise ValueError(f"unknown path model {model!r}")
 
@@ -577,7 +578,7 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
         jump_idx, jump_sizes = jump_idx[jumped], jump_sizes[jumped]
     return SamplePath(times=times, values=values, pre_values=pre_values,
                       jump_indices=jump_idx, jump_sizes=jump_sizes,
-                      horizon=T, model=model, seed=seed)
+                      model=model, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +609,3 @@ def _at_points(n: int, idx, sizes) -> np.ndarray:
     out[idx] = sizes
     return out
 
-
-def realized_qv(grid) -> float:
-    """Sum of squared raw increments of the grid's path over the grid's points."""
-    x = grid.path.values[grid.indices]
-    return float(np.sum((x[1:] - x[:-1]) ** 2))

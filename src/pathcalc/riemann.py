@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ResolutionExhaustedError
-from .functional import TwoIndexFn
-from .paths import SamplePath, seeded_rng, simulate
+from .functional import TwoIndexFn, squared_increment
+from .paths import SamplePath, _is_int, seeded_rng, simulate
 
 __all__ = [
     "RiemannGrid",
@@ -27,6 +26,7 @@ __all__ = [
     "hitting_grid",
     "build_grid",
     "pathwise_sum",
+    "realized_qv",
     "boundedness_scan",
     "ConvergenceDiagnostic",
     "limit_in_probability",
@@ -70,28 +70,27 @@ def _mesh(times: np.ndarray) -> float:
 
 
 def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
-    """The points nearest to the dyadic times j T / 2^level (ties go right),
-    every jump index and both endpoints.
+    """The points nearest to the dyadic times j T / 2^level (ties go right), T the
+    path's last time, every jump index and both endpoints.
 
-    The nearest-point picks depend only on the time grid (``path.times`` and
-    ``path.horizon``) and the level.  The targets nest bitwise: target j at
+    ``level`` must be an integer >= 0, not a bool.  The nearest-point picks depend
+    only on ``path.times`` and the level.  The targets nest bitwise: target j at
     level L is target j 2^k at level L + k, since T (2^k j) is exactly
     2^k fl(T j) and dividing by a power of two is exact.  Jump-free paths
-    that :func:`~pathcalc.paths.simulate` builds on one thread with one
-    (n_steps, T) share one read-only time grid object, so each thread keeps
-    the picks of the last jump-free time grid it saw at the finest level
-    computed, and a coarser level on the same grid object, or on an equal
-    grid (a path read from a CSV file, say), takes every 2^k-th of them.  A
-    path with jumps has a time grid of its own: its picks are searched on
-    every call and not kept.
+    that :func:`~pathcalc.paths.simulate` builds with one (n_steps, T) share
+    one read-only time grid object, so the process keeps the picks of the
+    last jump-free time grid searched at the finest level computed, and a
+    coarser level on the same grid object, or on an equal grid (a path read
+    from a CSV file, say), takes every 2^k-th of them.  A path with jumps has
+    a time grid of its own: its picks are searched on every call and not kept.
 
     The grids nest too: once a level's grid holds every index, so does every
     finer level's.  A level past the least level L with 2^L >= 2 (n_points - 1),
     where a uniform time grid holds every index, is first searched at L; when
     that grid does not hold every index, the level asked for is searched.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    if not (_is_int(level) and level >= 0):
+        raise ValueError(f"level must be an integer >= 0, got {level!r}")
     # (2 n_points - 3).bit_length() is that L
     least = (2 * path.n_points - 3).bit_length()
     indices = _dyadic_indices(path, min(least, level))
@@ -104,43 +103,44 @@ def _dyadic_indices(path: SamplePath, level: int) -> np.ndarray:
     """The indices of :func:`dyadic_grid` at ``level``, searched at that level."""
     pick = _nearest_picks if len(path.jump_indices) else _shared_picks
     marked = np.zeros(path.n_points, dtype=bool)
-    marked[pick(path.times, path.horizon, level)] = True
+    marked[pick(path.times, level)] = True
     marked[path.jump_indices] = True
     marked[[0, -1]] = True
     return np.flatnonzero(marked)
 
 
-def _nearest_picks(times: np.ndarray, horizon: float, level: int) -> np.ndarray:
-    """The index nearest to each target horizon j / 2^level, ties to the right."""
-    targets = horizon * np.arange(2**level + 1) / 2**level
+def _nearest_picks(times: np.ndarray, level: int) -> np.ndarray:
+    """The index nearest to each target T j / 2^level, T the last time, ties to the right."""
+    targets = times[-1] * np.arange(2**level + 1) / 2**level
     pos = np.clip(np.searchsorted(times, targets), 0, len(times) - 1)
     left = np.clip(pos - 1, 0, len(times) - 1)
     return np.where(np.abs(times[left] - targets) < np.abs(times[pos] - targets), left, pos)
 
 
-# per thread: (times, horizon, level, picks) of the last time grid that _shared_picks
-# searched; the times are a path's read-only array, for a simulated jump-free path the
-# time grid that it shares with the others simulated on its thread
-_last_picks = threading.local()
+# (times, level, picks) of the last time grid that _shared_picks searched, or None, rebound
+# whole and never mutated; the times are a path's read-only array, for a simulated
+# jump-free path the time grid that it shares with the others of its (n_steps, T)
+_last_picks = None
 
 
-def _shared_picks(times: np.ndarray, horizon: float, level: int) -> np.ndarray:
-    """:func:`_nearest_picks`, taken strided from this thread's last search when that
+def _shared_picks(times: np.ndarray, level: int) -> np.ndarray:
+    """:func:`_nearest_picks`, taken strided from the process's last search when that
     was on the same time grid object, or an equal one, at a level at least as fine."""
-    memo = getattr(_last_picks, "memo", None)
-    if (memo is not None and memo[1] == horizon and memo[2] >= level
+    global _last_picks
+    memo = _last_picks
+    if (memo is not None and memo[1] >= level
             and (memo[0] is times or np.array_equal(memo[0], times))):
         # hold the newest path's times, so that an older path's are not kept alive
-        _last_picks.memo = (times,) + memo[1:]
-        return memo[3][::2 ** (memo[2] - level)]
-    picks = _nearest_picks(times, horizon, level)
+        _last_picks = (times,) + memo[1:]
+        return memo[2][::2 ** (memo[1] - level)]
+    picks = _nearest_picks(times, level)
     # the targets nest only while the finest product T 2^level does not overflow
-    if math.isfinite(horizon * 2**level):
+    if math.isfinite(times[-1] * 2**level):
         # the narrowest unsigned type that holds the indices: it keeps the memo, and the
         # process's peak memory, small
         picks = picks.astype(np.min_scalar_type(len(times) - 1))
         picks.flags.writeable = False
-        _last_picks.memo = (times, horizon, level, picks)
+        _last_picks = (times, level, picks)
     return picks
 
 
@@ -240,7 +240,7 @@ def _checked_hits(x: np.ndarray, eps: float):
 
 def build_grid(path: SamplePath, scheme: str, param) -> RiemannGrid:
     if scheme == "dyadic":
-        return dyadic_grid(path, int(param))
+        return dyadic_grid(path, param)
     if scheme == "hitting":
         return hitting_grid(path, float(param))
     raise ValueError(f"unknown grid scheme {scheme!r}")
@@ -255,6 +255,11 @@ def pathwise_sum(base: TwoIndexFn, grid: RiemannGrid) -> float:
     """Sum of F(s, t) = base(X_s, X_t) over consecutive times of the grid, X its path."""
     x = grid.path.values[grid.indices]
     return float(np.sum(np.asarray(base(x[:-1], x[1:]), dtype=float)))
+
+
+def realized_qv(grid: RiemannGrid) -> float:
+    """Sum of squared increments of the grid's path over the grid's points."""
+    return pathwise_sum(squared_increment(), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,23 @@ class TestRun:
         assert {"aggregate.json", "summary.txt", "5/report.json", "26/report.json"} <= set(trees[0])
         assert trees[0] == trees[1]
 
+    def test_a_second_run_in_the_process_reuses_the_time_grid(self, tmp_path, monkeypatch):
+        # the time grid outlives each run's pool, so a second run on new pool threads builds
+        # no grid, and writes the first run's bytes
+        monkeypatch.setenv("PATHCALC_THREADS", "2")
+        cfg = write_config(tmp_path, "tanaka.json", {
+            "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS["tanaka_local_time"],
+            "out_dir": "out"})
+        trees, misses = [], []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(["run", cfg]) in (0, 1)
+            misses.append(paths._uniform_grid.cache_info().misses)
+            trees.append(_tree(Path("out", "tanaka")))
+        assert misses[1] == misses[0]
+        assert "2/paths.csv" in trees[0] and trees[0] == trees[1]
+
     def test_overrides(self, tmp_path):
         cfg = qv_config(tmp_path, out="ovr")
         assert main(["run", cfg, "--paths", "4", "--seed", "900",
@@ -641,10 +658,10 @@ class TestDecompositionChecksFollowTheReports:
         searched = []
         nearest = riemann._nearest_picks
 
-        def bounded(times, horizon, level):
+        def bounded(times, level):
             searched.append(level)
             assert level <= 12, level
-            return nearest(times, horizon, level)
+            return nearest(times, level)
 
         monkeypatch.setattr(riemann, "_nearest_picks", bounded)
         cfg = write_config(tmp_path, "tanaka.json", {

@@ -56,7 +56,8 @@ def reference_series_csv(report, fh) -> None:
 
 
 def signed_zeros(path, seed) -> SamplePath:
-    """``path`` with some values, left limits and jump sizes set to +0.0 or -0.0."""
+    """``path`` with some values and left limits set to +0.0 or -0.0; each jump keeps its
+    size, and its value is its left limit plus that size."""
     rng = np.random.default_rng(seed)
 
     def zeroed(a):
@@ -67,9 +68,9 @@ def signed_zeros(path, seed) -> SamplePath:
 
     values = zeroed(path.values)
     pre = np.where(rng.random(path.n_points) < 0.5, values, zeroed(path.pre_values))
+    values[path.jump_indices] = pre[path.jump_indices] + path.jump_sizes
     return SamplePath(times=path.times, values=values, pre_values=pre,
-                      jump_indices=path.jump_indices, jump_sizes=zeroed(path.jump_sizes),
-                      horizon=path.horizon)
+                      jump_indices=path.jump_indices, jump_sizes=path.jump_sizes)
 
 
 class TestPathsCsv:

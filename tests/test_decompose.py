@@ -191,7 +191,7 @@ class TestItoDecompose:
             times=p.times[: stop_idx + 1].copy(), values=p.values[: stop_idx + 1].copy(),
             pre_values=p.pre_values[: stop_idx + 1].copy(),
             jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-            horizon=float(p.times[stop_idx]), model=p.model, seed=p.seed,
+            model=p.model, seed=p.seed,
         )
         tgrid = dyadic_grid(truncated, 8)
         # truncated dyadic grid at the same level halves its mesh; compare on
@@ -296,8 +296,7 @@ class TestOccupationLocalTime:
         values = np.concatenate(([0.0], np.cumsum(steps) / 4))
         n = len(values)
         p = SamplePath(times=np.linspace(0.0, 1.0, n), values=values, pre_values=values,
-                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-                       horizon=1.0)
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]))
         a = a / 4
         assume(eps >= p.median_continuous_move())
         assert _bits(occupation_local_time(p, a, eps)) == _bits(_all_cells_oracle(p, a, eps))
@@ -521,7 +520,7 @@ class TestReportMatchesReference:
         pre[5::7] = np.nextafter(pre[5::7], np.inf)
         q = SamplePath(times=p.times, values=p.values, pre_values=pre,
                        jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-                       horizon=1.0, model=p.model)
+                       model=p.model)
         grid = dyadic_grid(q, 8)
         assert not np.array_equal(pre[grid.indices], p.values[grid.indices])
         for f in (ABS, COS, PWL):
@@ -777,7 +776,7 @@ def _hand_built(values, times, model):
     values = np.asarray(values, dtype=float)
     return SamplePath(times=np.asarray(times, dtype=float), values=values, pre_values=values,
                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-                      horizon=float(times[-1]), model=model)
+                      model=model)
 
 
 ZERO_CURVATURE_FNS = [PWL] + [make_scalar_fn(name) for name in ("abs", "identity", "relu")]

@@ -1,5 +1,6 @@
 """Tests for seeded path simulation and jump bookkeeping."""
 
+import dataclasses
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -162,11 +163,12 @@ class TestSimulate:
     @pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("-inf"), float("nan"),
                                    True, "1.0", None])
     def test_T_that_is_not_finite_and_positive_is_a_value_error(self, T):
-        paths_module._last_grid.memo = memo = (8, 1.0) + paths_module._uniform_grid(8, 1.0)
+        paths_module._uniform_grid(8, 1.0)
+        calls = paths_module._uniform_grid.cache_info()
         with pytest.raises(ValueError, match=r"^T must be finite and > 0, got "):
             simulate(BrownianMotion(), 8, T, seed=0)
-        # rejected before the time grid of this thread is looked up
-        assert paths_module._last_grid.memo is memo
+        # rejected before the process's time grid is looked up
+        assert paths_module._uniform_grid.cache_info() == calls
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.25],
                              ids=["nan", "inf", "repeated"])
@@ -176,13 +178,56 @@ class TestSimulate:
         times[3] = bad
         with pytest.raises(ValueError, match="^times must be finite and strictly increasing$"):
             SamplePath(times=times, values=shared.values, pre_values=shared.values,
-                       jump_indices=shared.jump_indices, jump_sizes=shared.jump_sizes,
-                       horizon=1.0)
+                       jump_indices=shared.jump_indices, jump_sizes=shared.jump_sizes)
 
     def test_integer_arguments_of_numpy_types_are_accepted(self):
         p = simulate(BrownianMotion(), np.int64(8), np.float64(1.0), seed=0)
         q = simulate(BrownianMotion(), 8, 1, seed=0)
         assert np.array_equal(p.values, q.values) and p.n_points == 9
+
+
+def _nine_points(jump_indices, jump_sizes, values=None, pre_values=None):
+    """A hand-built 9-point path on [0, 1] with the given jump entries."""
+    values = np.arange(9.0) if values is None else values
+    return SamplePath(times=np.linspace(0.0, 1.0, 9), values=values,
+                      pre_values=values if pre_values is None else pre_values,
+                      jump_indices=np.asarray(jump_indices, dtype=np.int64),
+                      jump_sizes=np.asarray(jump_sizes, dtype=float))
+
+
+class TestHandBuiltPaths:
+    """The horizon of a path is its last time, and its jump entries agree with its values."""
+
+    def test_a_path_has_no_horizon_field(self):
+        p = simulate(BrownianMotion(), 8, 2.5, seed=0)
+        assert "horizon" not in {f.name for f in dataclasses.fields(SamplePath)}
+        assert p.times[-1] == 2.5
+        with pytest.raises(TypeError, match="horizon"):
+            SamplePath(times=p.times, values=p.values, pre_values=p.values,
+                       jump_indices=p.jump_indices, jump_sizes=p.jump_sizes, horizon=2.5)
+
+    @pytest.mark.parametrize("size, values_apart", [(0.0, False), (-0.0, False), (0.5, False),
+                                                    (0.5, True)],
+                             ids=["size_0", "size_minus_0", "equal_left_limit", "other_size"])
+    def test_a_jump_entry_that_contradicts_the_path_is_a_value_error(self, size, values_apart):
+        # with values apart at index 3 by 0.25, a size of 0.5 does not add up either
+        pre = np.arange(9.0)
+        values = pre + (np.arange(9) == 3) * 0.25 if values_apart else pre
+        with pytest.raises(ValueError, match="^each jump must be a nonzero size"):
+            _nine_points([3], [size], values, pre)
+
+    def test_jump_entries_of_unequal_lengths_are_a_value_error(self):
+        with pytest.raises(ValueError, match="^jump_indices and jump_sizes must have equal"):
+            _nine_points([3, 5], [0.5])
+
+    def test_a_jump_that_adds_up_is_kept(self):
+        values = np.arange(9.0)
+        values[3:] += 0.5
+        pre = values.copy()
+        pre[3] -= 0.5
+        p = _nine_points([3], [0.5], values, pre)
+        assert p.jump_indices.tolist() == [3] and p.jump_size_at()[3] == 0.5
+        assert len(dyadic_grid(p, 1)) == 4
 
 
 def _general_simulate(model, n_steps, T, seed):
@@ -281,14 +326,13 @@ class TestJumpFreePaths:
         assert np.array_equal(_bits(p.times), _bits(times))
         assert np.array_equal(_bits(p.values), _bits(values))
         assert np.array_equal(_bits(p.pre_values), _bits(pre_values))
-        memo = paths_module._last_grid.memo
-        assert memo[:2] == (n_steps, T)
+        grid = paths_module._uniform_grid(n_steps, T)[0]
         if len(p.jump_indices) == 0:
             assert p.pre_values is p.values
-            assert p.times is memo[2]
+            assert p.times is grid
         else:
             # a time grid of the path's own, refined by its jump times
-            assert not np.shares_memory(p.times, memo[2])
+            assert not np.shares_memory(p.times, grid)
             assert p.n_points == n_steps + 1 + len(p.jump_indices)
 
     @given(seed=st.integers(0, 2**64 - 1), n_steps=st.integers(1, 2**10))
@@ -306,9 +350,9 @@ class TestJumpFreePaths:
         r = simulate(BrownianMotion(), 32, 1.0, seed=1)
         assert p.times is q.times
         assert r.times is not p.times
-        # a path with jumps owns its times and leaves the thread's grid as it was
+        # a path with jumps owns its times and leaves the process's grid as it was
         jd = simulate(JD, 32, 1.0, seed=3)
-        assert jd.times is not r.times and paths_module._last_grid.memo[2] is r.times
+        assert jd.times is not r.times and paths_module._uniform_grid(32, 1.0)[0] is r.times
         with pytest.raises(ValueError, match="read-only"):
             p.values[0] = 1.0
 
@@ -318,11 +362,7 @@ class TestJumpFreePaths:
 
         def build(job):
             (n_steps, T), seed = job
-            p = simulate(BrownianMotion(sigma=0.8, drift=0.1), n_steps, T, seed=seed)
-            # one entry per thread: the grid just used, and nothing else
-            memo = paths_module._last_grid.memo
-            assert memo[:2] == (n_steps, T) and memo[2] is p.times
-            return p
+            return simulate(BrownianMotion(sigma=0.8, drift=0.1), n_steps, T, seed=seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -19,6 +19,7 @@ from pathcalc import (
     TwoPointLaw,
     UniformLaw,
     boundedness_scan,
+    build_grid,
     dyadic_grid,
     hitting_grid,
     increment_fn,
@@ -78,7 +79,7 @@ def _record_searched_levels(monkeypatch):
 
 def reference_dyadic_indices(p, level):
     """Nearest points to j T / 2^level (ties right), merged with jumps and endpoints by union."""
-    targets = p.horizon * np.arange(2**level + 1) / 2**level
+    targets = p.times[-1] * np.arange(2**level + 1) / 2**level
     pos = np.clip(np.searchsorted(p.times, targets), 0, p.n_points - 1)
     left = np.clip(pos - 1, 0, p.n_points - 1)
     pick_left = np.abs(p.times[left] - targets) < np.abs(p.times[pos] - targets)
@@ -158,36 +159,31 @@ class TestGrids:
             assert g.indices.dtype == np.int64 and g.param == float(level)
             assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
 
-    def test_dyadic_picks_follow_the_time_grid_and_the_horizon(self):
+    def test_dyadic_picks_follow_the_time_grid(self):
         uniform = np.linspace(0.0, 1.0, 65)
         # a level past 7 is searched at 7 first: the uniform grid holds every index there,
         # the squared one, with shorter cells near 0, only from level 11 on
-        for times, horizon, level in ((uniform, 1.0, 6), (uniform, 0.5, 5),
-                                      (uniform**2, 1.0, 4), (uniform, 1.0, 4),
-                                      (uniform, 1.0, 9), (uniform**2, 1.0, 10),
-                                      (uniform**2, 1.0, 16)):
+        for times, level in ((uniform, 6), (uniform**2, 4), (uniform, 4), (uniform, 9),
+                             (uniform**2, 10), (uniform**2, 16)):
             p = SamplePath(times=times, values=np.zeros(65), pre_values=np.zeros(65),
-                           jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-                           horizon=horizon)
+                           jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]))
             assert np.array_equal(dyadic_grid(p, level).indices,
                                   reference_dyadic_indices(p, level))
 
-    @pytest.mark.parametrize("times, horizon, level, searched", [
-        (np.linspace(0.0, 1.0, 65), 1.0, 5, [5]),
-        (np.linspace(0.0, 1.0, 65), 1.0, 7, [7]),
-        (np.linspace(0.0, 1.0, 65), 1.0, 40, [7]),
-        (np.linspace(0.0, 1.0, 65)**2, 1.0, 16, [7, 16]),
-        (np.linspace(0.0, 1.0, 65), 0.5, 12, [7, 12]),
-    ], ids=["coarse", "least", "uniform_40", "squared_16", "half_horizon_12"])
+    @pytest.mark.parametrize("times, level, searched", [
+        (np.linspace(0.0, 1.0, 65), 5, [5]),
+        (np.linspace(0.0, 1.0, 65), 7, [7]),
+        (np.linspace(0.0, 1.0, 65), 40, [7]),
+        (np.linspace(0.0, 1.0, 65)**2, 16, [7, 16]),
+    ], ids=["coarse", "least", "uniform_40", "squared_16"])
     def test_a_level_past_every_index_searches_at_most_two_levels(self, monkeypatch, times,
-                                                                  horizon, level, searched):
+                                                                  level, searched):
         # 65 points hold every index of a uniform grid from level 7 on; a grid that misses
-        # one there (short cells, or times past the horizon) is searched at the level asked
-        # for, and at no level in between
+        # one there (short cells) is searched at the level asked for, and at no level in
+        # between
         levels = _record_searched_levels(monkeypatch)
         p = SamplePath(times=times, values=np.zeros(65), pre_values=np.zeros(65),
-                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]),
-                       horizon=horizon)
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]))
         g = dyadic_grid(p, level)
         assert levels == searched and g.param == float(level)
         if level <= 16:
@@ -220,6 +216,48 @@ class TestGrids:
         for p, gs in results:
             for level, g in zip(levels, gs):
                 assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
+
+    @pytest.mark.parametrize("level", [3.0, 3.5, True, -1, "3", None])
+    def test_a_level_that_is_not_an_integer_is_a_value_error(self, level):
+        p = bm(seed=4, n=64)
+        with pytest.raises(ValueError, match=r"^level must be an integer >= 0, got "):
+            dyadic_grid(p, level)
+        with pytest.raises(ValueError, match=r"^level must be an integer >= 0, got "):
+            build_grid(p, "dyadic", level)
+
+    def test_a_rejected_level_leaves_the_picks_as_they_were(self):
+        # a float level once went into the picks memo, and the next integer level on that
+        # time grid raised a TypeError from its slice
+        p = bm(seed=4, n=64)
+        dyadic_grid(p, 5)
+        memo = riemann._last_picks
+        with pytest.raises(ValueError):
+            dyadic_grid(p, 3.0)
+        assert riemann._last_picks is memo
+        g = dyadic_grid(p, 2)
+        assert g.param == 2.0 and np.array_equal(g.indices, reference_dyadic_indices(p, 2))
+
+    def test_a_numpy_integer_level_is_accepted(self):
+        p = bm(seed=4, n=64)
+        g = dyadic_grid(p, np.int64(3))
+        assert g.param == 3.0 and np.array_equal(g.indices, dyadic_grid(p, 3).indices)
+        assert np.array_equal(build_grid(p, "dyadic", np.int64(3)).indices, g.indices)
+
+    def test_picks_searched_on_one_thread_serve_every_thread(self, monkeypatch):
+        # one memo for the process: the picks that a pool thread searched at level 6 give
+        # level 4 here, strided, without a search, though this thread last searched another
+        # time grid
+        dyadic_grid(bm(seed=4, n=32), 3)
+        p = bm(seed=4, n=64)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(dyadic_grid, p, 6).result(timeout=60)
+        searched = []
+        nearest = riemann._nearest_picks
+        monkeypatch.setattr(riemann, "_nearest_picks",
+                            lambda times, level: searched.append(level) or nearest(times, level))
+        g = dyadic_grid(p, 4)
+        assert searched == [] and riemann._last_picks[0] is p.times
+        assert np.array_equal(g.indices, reference_dyadic_indices(p, 4))
 
     @pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.25])
     def test_hitting_rejects_eps_not_above_zero(self, eps):
@@ -306,7 +344,6 @@ class TestGridProperties:
         cut = SamplePath(
             times=p.times[:k + 1], values=p.values[:k + 1], pre_values=p.pre_values[:k + 1],
             jump_indices=p.jump_indices[kept], jump_sizes=p.jump_sizes[kept],
-            horizon=float(p.times[k]),
         )
         # above the resolution heuristic of both paths, so neither call raises; pure-jump
         # paths have heuristic 0
