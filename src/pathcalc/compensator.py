@@ -209,8 +209,9 @@ def catalog_test_processes(T: float = 1.0):
 # paired Monte Carlo for E int Y dA vs E int Y dA^p
 # ---------------------------------------------------------------------------
 
-# paths per block of the PathQV branch of verify_compensator
-_BLOCK_ROWS = 1000
+# paths per block of the PathQV branch of verify_compensator: at 128 rows a block's normals,
+# states and Y take 0.5 MiB each, and fewer rows no longer lower a run's peak memory
+_BLOCK_ROWS = 128
 
 
 def _jump_events(rng, model, T, n_paths):
@@ -364,8 +365,8 @@ def verify_compensator(
     those of a single draw for all paths.  A block sums its ``integral`` and
     adds its paths' jumps, read at their cells, to ``jump_sum``; then the next
     block overwrites it.  So, whatever ``n_paths`` is, a pair holds one block:
-    its normals and its states, two reused arrays of about 4 MB each, and Y on
-    it, plus the jump events and a few arrays of ``n_paths``.  A Y whose
+    its normals and its states, two reused arrays of about 0.5 MiB each, and Y
+    on it, plus the jump events and a few arrays of ``n_paths``.  A Y whose
     ``time_integral`` is not None reads no state, so its pair draws no normals
     and allocates neither array; ``integral`` is still the 512-step sum.
 

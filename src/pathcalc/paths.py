@@ -548,14 +548,14 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     if model.rate > 0:
         jump_times = _poisson_events(rng, model.rate, T, 1)[2]
         jump_sizes = np.asarray(model.law.sample(rng, len(jump_times)), dtype=float)
-        keep = ~np.isin(jump_times, times)  # exact grid collisions (measure zero)
-        jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
-        if len(jump_times) > 1:  # coincident jump times (measure zero)
-            keep = np.concatenate(([True], np.diff(jump_times) > 0))
-            jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
+        # where each jump time goes into the uniform grid
+        pos = np.searchsorted(times, jump_times)
+        keep = times[pos] != jump_times  # exact grid collisions (measure zero)
+        keep[1:] &= np.diff(jump_times) > 0  # coincident jump times (measure zero)
+        pos, jump_times, jump_sizes = pos[keep], jump_times[keep], jump_sizes[keep]
     if len(jump_times):
         # a path with jump times owns its time grid: the uniform grid refined by them
-        times = np.sort(np.concatenate([times, jump_times]))
+        times = np.insert(times, pos, jump_times)
         dt = np.diff(times)
         sqrt_dt = np.sqrt(dt)
 
@@ -565,7 +565,8 @@ def simulate(model, n_steps: int, T: float, seed: int) -> SamplePath:
     values += model.x0 + 0.0  # + 0.0 turns a start of -0.0 into 0.0
     pre_values, jump_idx = values, _NO_JUMP_INDICES
     if len(jump_times):
-        jump_idx = np.searchsorted(times, jump_times).astype(np.int64)
+        # each time moved right by the times inserted before it
+        jump_idx = (pos + np.arange(len(pos))).astype(np.int64)
         # the cumulative jump sum at each point, and its left limit
         at = _at_points(len(times), jump_idx, jump_sizes)
         offsets = np.cumsum(at)

@@ -87,7 +87,9 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     The grids nest too: once a level's grid holds every index, so does every
     finer level's.  A level past the least level L with 2^L >= 2 (n_points - 1),
     where a uniform time grid holds every index, is first searched at L; when
-    that grid does not hold every index, the level asked for is searched.
+    that grid does not hold every index, each point is tested against the two
+    targets beside it at the level asked for (:func:`_held_picks`), which raises
+    :class:`ResolutionExhaustedError` past level 53 or where T 2^level overflows.
     """
     if not (_is_int(level) and level >= 0):
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
@@ -95,13 +97,15 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     least = (2 * path.n_points - 3).bit_length()
     indices = _dyadic_indices(path, min(least, level))
     if least < level and len(indices) < path.n_points:
-        indices = _dyadic_indices(path, level)
+        indices = _dyadic_indices(path, level, _held_picks)
     return RiemannGrid(path=path, indices=indices, scheme="dyadic", param=float(level))
 
 
-def _dyadic_indices(path: SamplePath, level: int) -> np.ndarray:
-    """The indices of :func:`dyadic_grid` at ``level``, searched at that level."""
-    pick = _nearest_picks if len(path.jump_indices) else _shared_picks
+def _dyadic_indices(path: SamplePath, level: int, pick=None) -> np.ndarray:
+    """The indices of :func:`dyadic_grid` at ``level``, searched at that level by ``pick``,
+    by default :func:`_nearest_picks` or, on a jump-free path, :func:`_shared_picks`."""
+    if pick is None:
+        pick = _nearest_picks if len(path.jump_indices) else _shared_picks
     marked = np.zeros(path.n_points, dtype=bool)
     marked[pick(path.times, level)] = True
     marked[path.jump_indices] = True
@@ -115,6 +119,40 @@ def _nearest_picks(times: np.ndarray, level: int) -> np.ndarray:
     pos = np.clip(np.searchsorted(times, targets), 0, len(times) - 1)
     left = np.clip(pos - 1, 0, len(times) - 1)
     return np.where(np.abs(times[left] - targets) < np.abs(times[pos] - targets), left, pos)
+
+
+def _held_picks(times: np.ndarray, level: int) -> np.ndarray:
+    """The interior indices that :func:`_nearest_picks` picks, found per point.
+
+    Only the targets in (t_(i-1), t_(i+1)] can pick an interior point i, and of those
+    the largest target <= t_i and the smallest above t_i favour it most, so i is picked
+    when either of the two, where it lies in that range, picks it by the same rounded
+    distances and the same tie rule.  The work is per point, never per target.  A
+    target index j is a float, exact only up to 2^53, so a level past 53, or one where
+    T 2^level overflows, raises :class:`ResolutionExhaustedError`.
+    """
+    n = 2**level
+    T = float(times[-1])
+    if level > 53 or not math.isfinite(T * n):
+        raise ResolutionExhaustedError(
+            f"dyadic level {level} is past the float resolution of the path's times")
+    if not T > 0:
+        # every target then lies at or past the last time, which alone picks them all
+        return np.array([], dtype=np.int64)
+    prev, t, after = times[:-2], times[1:-1], times[2:]
+    # j: the largest target index with T j / 2^level <= t, estimated and then corrected
+    # (-1 where every target lies above t)
+    j = np.clip(np.floor(t / T * n), -1, n)
+    while np.any(above := (j >= 0) & (T * j / n > t)):
+        j[above] -= 1
+    while np.any(below := T * (j + 1) / n <= t):
+        j[below] += 1
+    lo, hi = T * j / n, T * (j + 1) / n
+    # the distance tests of _nearest_picks, with (left, pos) = (i - 1, i) and (i, i + 1);
+    # a hi past t_(i+1) fails its test, as it is no nearer to t_i
+    held = (j >= 0) & (lo > prev) & ~(np.abs(prev - lo) < np.abs(t - lo))
+    held |= np.abs(t - hi) < np.abs(after - hi)
+    return np.flatnonzero(held) + 1
 
 
 # (times, level, picks) of the last time grid that _shared_picks searched, or None, rebound

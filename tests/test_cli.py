@@ -54,6 +54,31 @@ class TestRun:
         summary = (kind_dir / "summary.txt").read_text()
         assert summary.strip().endswith("overall: PASS")
 
+    def test_zero_size_jumps_at_level_40_give_a_verdict(self, tmp_path, capsys, monkeypatch):
+        # a drawn jump of size 0 keeps its time point, so most of these 64-step grids miss
+        # an index at the least level; their points are then tested one by one at level
+        # 40, and no search asks for 2^40 + 1 targets
+        searched, tested = [], []
+        nearest, per_point = riemann._nearest_picks, riemann._held_picks
+
+        def bounded(times, level):
+            searched.append(level)
+            assert level <= 8, level
+            return nearest(times, level)
+
+        monkeypatch.setattr(riemann, "_nearest_picks", bounded)
+        monkeypatch.setattr(riemann, "_held_picks",
+                            lambda times, level: tested.append(level) or per_point(times, level))
+        model = {"kind": "jd", "sigma": 1.0, "rate": 50.0,
+                 "law": {"kind": "two_point", "p": 0.5, "a1": 0.0, "a2": 1.0}}
+        rc = main(["run", qv_config(tmp_path, model=model, levels=[5, 40], n_paths=20,
+                                    n_steps=64)])
+        assert rc in (0, 1) and searched and tested and set(tested) == {40}
+        run_lines = _check_lines(capsys.readouterr().out)
+        assert run_lines
+        assert main(["replay", str(tmp_path / "out" / "qv")]) == rc
+        assert _check_lines(capsys.readouterr().out) == run_lines
+
     def test_paths_csv_reads_back_as_the_simulated_path(self, tmp_path):
         model = {"kind": "jd", "sigma": 1.0, "drift": 0.1, "rate": 3.0,
                  "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}}

@@ -322,6 +322,18 @@ class TestPathQVRowBlocks:
                 tracemalloc.stop()
         assert abs(peaks[8 * _BLOCK_ROWS] - peaks[2 * _BLOCK_ROWS]) <= 2 * 2**20, peaks
 
+    def test_a_pair_at_ten_thousand_paths_peaks_under_4_mib(self):
+        # one block's normals, states and Y at 0.5 MiB each, plus the jump events and a few
+        # arrays of n_paths: about 3 MB traced (14 MB with blocks of 1000 rows)
+        model = [m for m in _path_qv_models() if m.rate > 0][0]
+        tracemalloc.start()
+        try:
+            verify_compensator(model, StateY("cos"), n_paths=10_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
     def test_the_jumps_depend_on_the_seed_alone(self, monkeypatch):
         # a pair that draws 512 normals per path gets the jumps of one that draws none, and
         # both get the events that the seed's jumped stream gives

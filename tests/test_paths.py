@@ -230,19 +230,19 @@ class TestHandBuiltPaths:
         assert len(dyadic_grid(p, 1)) == 4
 
 
-def _general_simulate(model, n_steps, T, seed):
+def _general_simulate(model, n_steps, T, seed, jump_times=None):
     """(times, values, pre_values) of a path built the general way, jumps or none: a
     fresh time grid refined by the jump times, and the jump offsets added to the
-    continuous part."""
+    continuous part.  Given sorted ``jump_times``, it draws none of its own."""
     rng = seeded_rng(seed)
     base = np.linspace(0.0, T, n_steps + 1)
     if isinstance(model, FiniteVariationPath):
         values = np.interp(base, model.knots_t, model.knots_x)
         return base, values, values.copy()
     if model.rate > 0:
-        n_jumps = int(rng.poisson(model.rate * T))
-        jump_times = np.sort(rng.uniform(0.0, T, size=n_jumps))
-        jump_sizes = np.asarray(model.law.sample(rng, n_jumps), dtype=float)
+        if jump_times is None:
+            jump_times = np.sort(rng.uniform(0.0, T, size=int(rng.poisson(model.rate * T))))
+        jump_sizes = np.asarray(model.law.sample(rng, len(jump_times)), dtype=float)
         keep = ~np.isin(jump_times, base)
         jump_times, jump_sizes = jump_times[keep], jump_sizes[keep]
         if len(jump_times) > 1:
@@ -343,6 +343,32 @@ class TestJumpFreePaths:
         assert np.array_equal(_bits(p.times), _bits(times))
         assert np.array_equal(_bits(p.values), _bits(values))
         assert np.array_equal(_bits(p.pre_values), _bits(pre_values))
+
+    @pytest.mark.parametrize("model", [JD, CompoundPoissonJumps(rate=6.0,
+                                                                 law=TwoPointLaw(0.5, 0.0, 1.0))])
+    @pytest.mark.parametrize("T, forced", [
+        # grid collisions at 0, 1/8, 1/2 and T, a time drawn three times, a collision drawn
+        # twice, and times between grid points
+        (1.0, [0.0, 0.125, 0.3, 0.3, 0.3, 0.5, 0.5, 0.7, 1.0]),
+        (0.3, [0.0, 0.0375, 0.1, 0.1, 0.15, 0.29, 0.3]),
+        (1.0, [0.25, 0.25, 0.75]),  # every time on the grid: no jump time is left
+        (1.0, [0.6, 0.6]),
+        (1.0, [0.01]),
+        (1.0, []),
+    ])
+    def test_forced_collisions_keep_the_general_construction(self, monkeypatch, model, T,
+                                                             forced):
+        # grid collisions and coincident times have probability 0, so they are forced here
+        forced = np.array(forced)
+        monkeypatch.setattr(paths_module, "_poisson_events", lambda rng, rate, T, n_paths: (
+            np.array([len(forced)]), np.zeros(len(forced), dtype=np.int64), forced))
+        for seed in range(5):
+            p = simulate(model, 8, T, seed=seed)
+            times, values, pre_values = _general_simulate(model, 8, T, seed, jump_times=forced)
+            assert np.array_equal(_bits(p.times), _bits(times))
+            assert np.array_equal(_bits(p.values), _bits(values))
+            assert np.array_equal(_bits(p.pre_values), _bits(pre_values))
+            assert np.array_equal(p.jump_indices, np.flatnonzero(values != pre_values))
 
     def test_paths_of_one_grid_share_its_times(self):
         p = simulate(BrownianMotion(), 64, 1.0, seed=1)

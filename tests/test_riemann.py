@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pathcalc import (
     BrownianMotion,
@@ -69,9 +69,9 @@ def _record_searched_levels(monkeypatch):
     levels = []
     direct = riemann._dyadic_indices
 
-    def recorded(path, level):
+    def recorded(path, level, *pick):
         levels.append(level)
-        return direct(path, level)
+        return direct(path, level, *pick)
 
     monkeypatch.setattr(riemann, "_dyadic_indices", recorded)
     return levels
@@ -188,6 +188,57 @@ class TestGrids:
         assert levels == searched and g.param == float(level)
         if level <= 16:
             assert np.array_equal(g.indices, reference_dyadic_indices(p, level))
+
+    @given(start=st.sampled_from([0.0, 0.0, 0.3, 2.0, -1.0, -2.0]),
+           gaps=st.lists(st.sampled_from([1e-12, 3e-10, 1e-6, 0.01, 0.125, 0.25, 0.3, 0.5, 1.0]),
+                         min_size=1, max_size=40),
+           level=st.integers(0, 18))
+    @settings(max_examples=300, deadline=None)
+    # target 1/2 lies midway between the points at 1/4 and 3/4 and goes to 3/4
+    @example(start=0.0, gaps=[0.25, 0.5, 0.25], level=1)
+    def test_per_point_picks_match_the_target_search(self, start, gaps, level):
+        # irregular grids, some starting above 0 and some ending at or below it, with cells
+        # far shorter and far longer than T / 2^level and times on the targets (ties)
+        times = start + np.concatenate(([0.0], np.cumsum(gaps)))
+        assume(np.all(np.diff(times) > 0))
+        self._assert_per_point_picks(times, level)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_per_point_picks_match_on_zero_size_jump_paths(self, seed):
+        # a drawn jump of size 0 keeps its time point: most of these grids miss an index at
+        # the least level, so dyadic_grid tests their points one by one at finer levels
+        p = simulate(JumpDiffusion(sigma=1.0, drift=0.0, rate=50.0,
+                                   law=TwoPointLaw(0.5, 0.0, 1.0)), 64, 1.0, seed=seed)
+        for level in (0, 3, 5, 8, 12, 16):
+            self._assert_per_point_picks(p.times, level)
+
+    @staticmethod
+    def _assert_per_point_picks(times, level):
+        marked = np.zeros(len(times), dtype=bool)
+        marked[riemann._nearest_picks(times, level)] = True
+        assert np.array_equal(riemann._held_picks(times, level),
+                              np.flatnonzero(marked[1:-1]) + 1)
+
+    def test_a_short_cell_at_level_40_holds_every_point(self, monkeypatch):
+        # level 40 would be 2^40 + 1 targets: the points are tested one by one instead
+        levels = _record_searched_levels(monkeypatch)
+        times = np.array([0.0, 0.5, 0.5 + 1e-12, 0.5 + 2e-12, 1.0])
+        p = SamplePath(times=times, values=np.zeros(5), pre_values=np.zeros(5),
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]))
+        g = dyadic_grid(p, 40)
+        assert levels == [3, 40] and g.param == 40.0
+        assert g.indices.tolist() == [0, 1, 2, 3, 4]
+        assert dyadic_grid(p, 53).indices.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("scale, level", [(1.0, 54), (1.0, 1000), (1e300, 53)])
+    def test_a_level_past_the_float_resolution_is_exhausted(self, scale, level):
+        # past 2^53 a target index is not a float, and at T 2^level = inf no target is
+        times = scale * np.array([0.0, 0.5, 0.5 + 1e-12, 0.5 + 2e-12, 1.0])
+        p = SamplePath(times=times, values=np.zeros(5), pre_values=np.zeros(5),
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]))
+        with pytest.raises(ResolutionExhaustedError,
+                           match=rf"^dyadic level {level} is past the float resolution"):
+            dyadic_grid(p, level)
 
     def test_a_jump_path_holds_every_index_at_the_least_level(self, monkeypatch):
         levels = _record_searched_levels(monkeypatch)
