@@ -40,9 +40,12 @@ resolves it before any output directory exists, and the runners read only
 the resolved values; ``aggregate.json`` records the config as written,
 with the defaults of the ``_RECORDED`` keys that the kind declares.
 Refinement lists run from coarse to fine: ``levels`` strictly increasing,
-``hitting_eps`` strictly decreasing.  Each override sets the key that it
-names: ``--seed`` ``base_seed``, ``--paths`` ``n_paths``, ``--out``
-``out_dir``, and ``--level`` ``level``, or ``levels`` as ``[level]``.
+``hitting_eps`` strictly decreasing.  The kinds that simulate paths on a
+time grid, qv, ito, tanaka and independence, default ``n_steps`` to
+2 ** (finest level + 2), at most 2 ** 18; the finest level is ``level``, or
+the last of ``levels``.  Each override sets the key that it names:
+``--seed`` ``base_seed``, ``--paths`` ``n_paths``, ``--out`` ``out_dir``,
+and ``--level`` ``level``, or ``levels`` as ``[level]``.
 
 An unknown key, a missing required key, a value of the wrong type or out
 of its range (``T`` and ``local_time.eps`` > 0, ``n_steps`` >= 1, every
@@ -231,9 +234,15 @@ _PATHS = {"n_paths": (_count, 1), "T": (_positive_real, 1.0)}
 # the kinds that simulate one path per seed, and may write it (see the module docstring)
 _SEED_PATHS = {**_PATHS, "write_paths": (_flag, False)}
 
+
+def _n_steps(finest_level: int) -> int:
+    """The default ``n_steps`` of a kind with dyadic levels (see the module docstring)."""
+    return 2 ** min(finest_level + 2, 18)
+
+
 _LEVELS = {
     "levels": (_levels, [8, 10, 12]),
-    "n_steps": (_count, lambda cfg: 2 ** (max(cfg["levels"]) + 2)),
+    "n_steps": (_count, lambda cfg: _n_steps(max(cfg["levels"]))),
 }
 
 
@@ -244,7 +253,7 @@ def _decomposition_keys(residual: float, **tolerances) -> dict:
         "function": (_function, _REQUIRED),
         "g": (_function, None),
         "level": (_level, 12),
-        "n_steps": (_count, lambda cfg: 2 ** min(cfg["level"] + 2, 18)),
+        "n_steps": (_count, lambda cfg: _n_steps(cfg["level"])),
         "negative_control": ({"corrupt_g_sign": (_flag, False)}, {}),
         "tolerances": ({"residual": (_real, residual), **tolerances}, {}),
     }

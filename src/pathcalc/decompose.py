@@ -11,12 +11,12 @@ local time for f = |x|.
 
 g and f'' are the derivatives that f declares (a g passed in wins over
 the declared one).  An f that declares no derivative of an order needed
-gets a report that is not applicable, whose ``notes.reason`` names that
-order; no derivative is searched for numerically.  Where f'' is the
-catalog's zero, as for ``abs`` and every other piecewise-linear catalog
-function, the curvature cells and the closed-form column are +0.0 and are
-filled, not computed, unless a squared move or a bracket increment is not
-finite.
+gets a report that is not applicable, whose summary's ``notes.reason``
+names that order; no derivative is searched for numerically.  Where f''
+is the catalog's zero, as for ``abs`` and every other piecewise-linear
+catalog function, the curvature cells and the closed-form column are +0.0
+and are filled, not computed, unless a squared move or a bracket
+increment is not finite.
 
 The closed-form bracket of the model, its ``bracket_coeffs``, is kept as
 a separate oracle column (``compensator_closed``); the defect between
@@ -29,7 +29,7 @@ A report is two things: its summary record and the inputs that rebuild
 its columns.  The decomposition writes its cell terms, running sums and
 identity gap into scratch arrays of the calling thread, kept and reused from
 one call to the next, and takes from them the numbers of the record: the
-extremes (``stats``), the final value of each column and the bracket
+``max_*`` extremes, the final value of each column and the bracket
 defect.  The first read of a column (or of ``series_csv``) runs the same
 algebra again, into new arrays that the report keeps; they hold the bits
 that the record's numbers were taken from.  f and its derivatives are
@@ -117,10 +117,6 @@ def _column(name: str):
                     doc=f"The ``{name}`` column, built on first read (see the class docstring).")
 
 
-def _recorded(name: str):
-    return property(lambda self: self._summary[name], doc=f"The summary's ``{name}``.")
-
-
 # the columns that _terms writes besides the times; the first six, in this order, are the
 # summary's "final"
 _COLUMNS = ("lhs", "stochastic_integral", "compensator_term", "compensator_closed",
@@ -142,12 +138,12 @@ class DecompositionReport:
     A report is its summary record, the dict that :meth:`summary_dict`
     gives, built once when the report is made from the calling thread's
     scratch arrays, and the inputs that its columns are built from.
-    ``applicable``, ``notes`` and ``stats`` read the record.  ``times``, the
-    seven columns and ``jump_cell_residuals`` are read-only properties: the
-    first read of a column runs the decomposition's algebra again on the
-    grid, into new arrays that the report then keeps, bit for bit the arrays
-    that the record's numbers were taken from.  A report that is not
-    applicable has empty columns and empty ``stats``.
+    ``applicable`` reads the record.  ``times``, the seven columns and
+    ``jump_cell_residuals`` are read-only properties: the first read of a
+    column runs the decomposition's algebra again on the grid, into new
+    arrays that the report then keeps, bit for bit the arrays that the
+    record's numbers were taken from.  A report that is not applicable has
+    empty columns, and a record with no ``max_*`` extremes.
     """
 
     _summary: dict = field(repr=False)
@@ -163,13 +159,8 @@ class DecompositionReport:
     identity_gap = _column("identity_gap")
     jump_cell_residuals = _column("jump_cell_residuals")
 
-    applicable = _recorded("applicable")
-    notes = _recorded("notes")
-
-    @property
-    def stats(self) -> dict:
-        """The summary's four ``max_*`` extremes, or {} when the report is not applicable."""
-        return {k: v for k, v in self._summary.items() if k.startswith("max_")}
+    applicable = property(lambda self: self._summary["applicable"],
+                          doc="The summary's ``applicable``.")
 
     def _columns(self) -> dict:
         # kept in __dict__, not a functools.cached_property: before Python 3.12 that holds

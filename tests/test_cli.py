@@ -79,6 +79,20 @@ class TestRun:
         assert main(["replay", str(tmp_path / "out" / "qv")]) == rc
         assert _check_lines(capsys.readouterr().out) == run_lines
 
+    def test_a_default_n_steps_at_level_40_gives_a_verdict(self, tmp_path, capsys):
+        # the default n_steps is capped at 2^18, not 2^42 (a 32 TiB time grid); checked
+        # before the run, so that a lost cap fails here and allocates nothing
+        cfg = write_config(tmp_path, "qv.json", {
+            "schema_version": 1, "kind": "qv", "model": {"kind": "bm"}, "levels": [40],
+            "n_paths": 1, "out_dir": str(tmp_path / "out")})
+        assert _load_config(cfg, NO_OVERRIDES)[1]["n_steps"] == 2**18
+        rc = main(["run", cfg])
+        assert rc in (0, 1)
+        run_lines = _check_lines(capsys.readouterr().out)
+        assert run_lines
+        assert main(["replay", str(tmp_path / "out" / "qv")]) == rc
+        assert _check_lines(capsys.readouterr().out) == run_lines
+
     def test_paths_csv_reads_back_as_the_simulated_path(self, tmp_path):
         model = {"kind": "jd", "sigma": 1.0, "drift": 0.1, "rate": 3.0,
                  "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}}
@@ -180,22 +194,39 @@ class TestRun:
         assert {"aggregate.json", "summary.txt", "5/report.json", "26/report.json"} <= set(trees[0])
         assert trees[0] == trees[1]
 
-    def test_a_second_run_in_the_process_reuses_the_time_grid(self, tmp_path, monkeypatch):
-        # the time grid outlives each run's pool, so a second run on new pool threads builds
-        # no grid, and writes the first run's bytes
+    def test_runs_in_one_process_write_the_bytes_of_separate_runs(self, tmp_path, monkeypatch):
+        # the time grid and the dyadic picks outlive each run's pool: one process runs
+        # tanaka, then a jump diffusion whose paths mix jump-free and jump paths, then tanaka
+        # again, each on new pool threads.  The second tanaka run builds no grid, and each
+        # run gives the exit code and every file of a run that starts with empty caches
         monkeypatch.setenv("PATHCALC_THREADS", "2")
-        cfg = write_config(tmp_path, "tanaka.json", {
-            "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS["tanaka_local_time"],
-            "out_dir": "out"})
-        trees, misses = [], []
-        for run in ("first", "second"):
-            (tmp_path / run).mkdir()
-            monkeypatch.chdir(tmp_path / run)
-            assert main(["run", cfg]) in (0, 1)
-            misses.append(paths._uniform_grid.cache_info().misses)
-            trees.append(_tree(Path("out", "tanaka")))
-        assert misses[1] == misses[0]
-        assert "2/paths.csv" in trees[0] and trees[0] == trees[1]
+        jd = PARITY_CONFIGS["qv_jd"]
+        model = model_from_dict(jd["model"])
+        jumps = [len(simulate(model, jd["n_steps"], 1.0, seed).jump_indices)
+                 for seed in range(2, 2 + jd["n_paths"])]
+        assert 0 in jumps and max(jumps) > 0
+
+        def run(name, where):
+            cfg = write_config(tmp_path, f"{where}.json", {
+                "schema_version": 1, "base_seed": 2, **PARITY_CONFIGS[name], "out_dir": "out"})
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)
+            rc = main(["run", cfg])
+            assert rc in (0, 1)
+            return rc, _tree(Path("out", PARITY_CONFIGS[name]["kind"]))
+
+        def run_cold(name, where):
+            paths._uniform_grid.cache_clear()
+            monkeypatch.setattr(riemann, "_last_picks", None)
+            return run(name, where)
+
+        first = run_cold("tanaka_local_time", "first")
+        misses = paths._uniform_grid.cache_info().misses
+        mixed = run("qv_jd", "mixed")
+        again = run("tanaka_local_time", "again")
+        assert paths._uniform_grid.cache_info().misses == misses
+        assert "2/paths.csv" in first[1] and again == first
+        assert "9/paths.csv" in mixed[1] and mixed == run_cold("qv_jd", "mixed_cold")
 
     def test_overrides(self, tmp_path):
         cfg = qv_config(tmp_path, out="ovr")
@@ -288,6 +319,12 @@ PARITY_CONFIGS = {
                                        "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
                "levels": [4, 5, 6], "n_paths": 4, "n_steps": 256, "write_paths": True,
                "tolerances": {"qv_band": [0, 3]}},
+    # a jump diffusion at rate 0.5: of seeds 2 to 9, three draw no jump and take the
+    # process's time grid and dyadic picks, and the others own their grids
+    "qv_jd": {"kind": "qv", "model": {"kind": "jd", "sigma": 1.0, "rate": 0.5,
+                                      "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
+              "levels": [5, 6, 7], "n_paths": 8, "n_steps": 512, "write_paths": True,
+              "tolerances": {"qv_band": [0, 3]}},
     "ito": {"kind": "ito", "model": BM, "function": {"name": "square"},
             "level": 6, "n_paths": 2, "n_steps": 256, "write_paths": True},
     "ito_inapplicable": {"kind": "ito", "model": BM, "function": {"name": "sign"},
@@ -949,6 +986,16 @@ class TestConfigDefaults:
         agg = json.loads((tmp_path / "out" / "compensator" / "aggregate.json").read_text())
         assert agg["config"]["n_paths"] == 10_000
         assert n_paths == [10_000] * len(agg["per_seed"]) == [10_000] * 22
+
+    @pytest.mark.parametrize("level, n_steps", [(0, 4), (7, 2**9), (16, 2**18), (40, 2**18)])
+    @pytest.mark.parametrize("name", ["qv", "independence", "ito", "tanaka_local_time"])
+    def test_default_n_steps_is_four_cells_per_finest_cell_up_to_2_18(self, tmp_path, name,
+                                                                        level, n_steps):
+        cfg = {k: v for k, v in PARITY_CONFIGS[name].items() if k != "n_steps"}
+        path = write_config(tmp_path, "cfg.json", {"schema_version": 1, **cfg})
+        # --level sets level, or levels as [level]
+        overrides = argparse.Namespace(**{**vars(NO_OVERRIDES), "level": level})
+        assert _load_config(path, overrides)[1]["n_steps"] == n_steps
 
     def test_other_kinds_default_to_one_path(self, tmp_path):
         cfg = write_config(tmp_path, "qv.json", {

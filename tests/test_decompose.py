@@ -42,6 +42,12 @@ JD0 = JumpDiffusion(sigma=1.0, drift=0.0, rate=5.0, law=TwoPointLaw(0.5, 0.0, 1.
 FV = FiniteVariationPath((0.0, 0.4, 1.0), (0.0, 0.8, 0.3))
 
 
+def _xsin(x):
+    x = np.asarray(x, dtype=float)
+    safe = np.where(x != 0, x, 1.0)
+    return np.where(x != 0, x * np.sin(1.0 / safe), 0.0)
+
+
 class TestBracketCoeffs:
     # <X^c>_t = cont_coeff t and <X>_t = (cont_coeff + jump_coeff) t
     def test_closed_forms(self):
@@ -160,17 +166,16 @@ class TestItoDecompose:
             assert np.all(cells >= -1e-12)
         assert found > 10
 
-    def test_missing_derivative_limit_marks_not_applicable(self):
-        def xsin(x):
-            x = np.asarray(x, dtype=float)
-            safe = np.where(x != 0, x, 1.0)
-            return np.where(x != 0, x * np.sin(1.0 / safe), 0.0)
-
+    # x sin(1/x) declares no derivative; sign declares f' = 0 and no f''
+    @pytest.mark.parametrize("f, order", [(ScalarFn("xsin", _xsin), "first"),
+                                          (make_scalar_fn("sign"), "second")],
+                             ids=["xsin", "sign"])
+    def test_missing_derivative_limit_marks_not_applicable(self, f, order):
         p = simulate(BrownianMotion(), 512, 1.0, seed=19)
         assert p.values.min() < 0 < p.values.max()
-        rep = ito_decompose(ScalarFn("xsin", xsin), dyadic_grid(p, 9))
+        rep = ito_decompose(f, dyadic_grid(p, 9))
         assert not rep.applicable
-        assert rep.notes == {"reason": "f declares no first derivative"}
+        assert rep.summary_dict()["notes"] == {"reason": f"f declares no {order} derivative"}
         # no number to grade: the CLI reads each missing one as inf, which FAILs
         assert not set(rep.summary_dict()) & {"max_abs_residual", "max_identity_gap"}
 
@@ -214,9 +219,9 @@ class TestTanakaDecompose:
     def test_crossing_bm_accumulates_local_time(self):
         p = simulate(BrownianMotion(), 2**14, 1.0, seed=3)
         rep = tanaka_decompose(ABS, dyadic_grid(p, 14))
-        stats = rep.stats
-        assert stats["max_identity_gap"] <= 1e-8 and stats["max_residual_decrease"] <= 1e-6
-        assert stats["max_jump_cell_residual"] == 0.0
+        summary = rep.summary_dict()
+        assert summary["max_identity_gap"] <= 1e-8 and summary["max_residual_decrease"] <= 1e-6
+        assert summary["max_jump_cell_residual"] == 0.0
         assert rep.residual[-1] > 0.1
         assert np.all(np.diff(rep.residual) >= 0)
         oracle = occupation_local_time(p, 0.0, 0.02)
@@ -225,7 +230,7 @@ class TestTanakaDecompose:
     def test_same_report_fails_as_ito(self):
         p = simulate(BrownianMotion(), 2**12, 1.0, seed=3)
         rep = tanaka_decompose(ABS, dyadic_grid(p, 12))
-        assert rep.stats["max_abs_residual"] > 1e-6
+        assert rep.summary_dict()["max_abs_residual"] > 1e-6
 
     def test_kink_localization(self):
         kinked = make_scalar_fn("piecewise_linear", breakpoints=[0.3], slopes=[0.0, 1.0])
@@ -334,9 +339,10 @@ class TestReportNumbers:
     def test_square_passes_tight(self):
         p = simulate(BrownianMotion(), 4096, 1.0, seed=30)
         rep = ito_decompose(SQUARE, dyadic_grid(p, 12))
-        assert rep.stats["max_abs_residual"] <= 1e-8
+        summary = rep.summary_dict()
+        assert summary["max_abs_residual"] <= 1e-8
         # the floor that the CLI's identity_gap_floor check grades
-        assert rep.stats["max_identity_gap"] <= 1e-10
+        assert summary["max_identity_gap"] <= 1e-10
 
     def test_fv_path_with_smooth_f_is_pure_stieltjes(self):
         p = simulate(FV, 2**14, 1.0, seed=0)
@@ -388,8 +394,9 @@ class TestImportedPath:
             got, want = getattr(imported, name), getattr(simulated, name)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
         assert np.all(np.isnan(imported.compensator_closed))
-        assert imported.stats == simulated.stats
-        assert imported.stats["max_identity_gap"] <= 1e-8
+        maxima = [{k: v for k, v in rep.summary_dict().items() if k.startswith("max_")}
+                  for rep in (imported, simulated)]
+        assert maxima[0] == maxima[1] and maxima[0]["max_identity_gap"] <= 1e-8
 
         # the summaries as a run writes them: strict JSON, NaN as null
         summaries = []
@@ -413,7 +420,7 @@ class TestReportStatistics:
         p = simulate(model, 512, 1.0, seed=6)
         rep = tanaka_decompose(ABS, dyadic_grid(p, 7))
         summary = rep.summary_dict()
-        assert {k: summary[k] for k in rep.stats} == rep.stats == {
+        assert {k: v for k, v in summary.items() if k.startswith("max_")} == {
             "max_abs_residual": float(np.max(np.abs(rep.residual))),
             "max_identity_gap": float(np.max(rep.identity_gap)),
             "max_residual_decrease": -float(np.min(np.diff(rep.residual))),
@@ -427,7 +434,8 @@ class TestReportStatistics:
 
     def test_a_flat_residual_reads_plus_zero(self):
         p = simulate(BrownianMotion(x0=5.0), 64, 1.0, seed=2)
-        decrease = tanaka_decompose(ABS, dyadic_grid(p, 6)).stats["max_residual_decrease"]
+        summary = tanaka_decompose(ABS, dyadic_grid(p, 6)).summary_dict()
+        decrease = summary["max_residual_decrease"]
         assert decrease == 0.0 and not np.signbit(decrease)
 
 
@@ -739,7 +747,7 @@ class TestReportMatchesEagerReference:
 
     def test_columns_are_read_only_properties(self):
         report = ito_decompose(SQUARE, dyadic_grid(simulate(BrownianMotion(), 64, 1.0, seed=1), 6))
-        for name in (*EAGER_COLUMNS, "applicable", "notes", "stats"):
+        for name in (*EAGER_COLUMNS, "applicable"):
             with pytest.raises(AttributeError):
                 setattr(report, name, np.array([]))
         # a column built once is the array that later reads get
@@ -789,7 +797,7 @@ class TestZeroCurvature:
     def assert_reports_match(self, f, grid, mode):
         declared = _decomposer(mode)(f, grid)
         computed = _decomposer(mode)(_computed_zero(f), grid)
-        assert declared.notes["tau"] == f"half-D2{f.label}"
+        assert declared.summary_dict()["notes"]["tau"] == f"half-D2{f.label}"
         assert _float_bits(declared.summary_dict()) == _float_bits(computed.summary_dict())
         for name in EAGER_COLUMNS:
             got, want = getattr(declared, name), getattr(computed, name)

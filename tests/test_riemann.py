@@ -404,6 +404,36 @@ class TestGridProperties:
         stopped = hitting_grid(cut, eps).indices
         assert np.array_equal(full[full < k], stopped[stopped < k])
 
+    @given(model=st.sampled_from([BrownianMotion(), JD, CPJ]), seed=seeds,
+           n_steps=st.integers(1, 600), cut_at=st.floats(0.0, 1.0),
+           scale=st.sampled_from([-3.0, -1.0, 0.5, 2.0]), kick=st.floats(0.01, 1.0),
+           eps=st.floats(0.01, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_hitting_grid_does_not_look_past_its_index(self, model, seed, n_steps, cut_at,
+                                                        scale, kick, eps):
+        """A path that equals another up to index c, and moves otherwise after it, has the
+        same hitting indices up to c: whether i is a hit depends on the path up to i."""
+        p = simulate(model, n_steps, 1.0, seed=seed)
+        c = int(cut_at * (p.n_points - 2))
+        # after c: each continuous move and each jump size scaled, plus a first move of kick
+        moves = scale * (p.pre_values[1:] - p.values[:-1])
+        moves[c] += kick
+        sizes = scale * p.jump_size_at()
+        values, pre = p.values.copy(), p.pre_values.copy()
+        for i in range(c + 1, p.n_points):
+            pre[i] = values[i - 1] + moves[i - 1]
+            values[i] = pre[i] + sizes[i]
+        after = p.jump_indices > c
+        jump_sizes = np.where(after, sizes[p.jump_indices], p.jump_sizes)
+        q = SamplePath(times=p.times, values=values, pre_values=pre,
+                       jump_indices=p.jump_indices, jump_sizes=jump_sizes)
+        assert np.array_equal(q.values[:c + 1], p.values[:c + 1])
+        assume(not np.array_equal(q.values[c + 1:], p.values[c + 1:]))
+        # at or above the resolution heuristic of both paths
+        eps = max(eps, 2.0 * p.median_continuous_move(), 2.0 * q.median_continuous_move())
+        first, second = hitting_grid(p, eps).indices, hitting_grid(q, eps).indices
+        assert np.array_equal(first[first <= c], second[second <= c])
+
 
 class TestPathwiseSum:
     def test_increment_fn_telescopes_on_any_grid(self):
