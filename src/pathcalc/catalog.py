@@ -16,12 +16,13 @@ __all__ = ["make_scalar_fn", "list_catalog", "sign_rc", "CATALOG_NAMES"]
 
 
 def sign_rc(x):
-    """Right-continuous sign: -1 for x < 0, +1 for x >= 0."""
-    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
+    """Right-continuous sign: -1 for x < 0, +1 for x >= 0 (-0.0 included); NaN gives -1."""
+    return (np.asarray(x, dtype=float) >= 0.0) * 2.0 - 1.0
 
 
 def _step_rc(x):
-    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0)
+    """Right-continuous step: 0 for x < 0, 1 for x >= 0 (-0.0 included); NaN gives 0."""
+    return (np.asarray(x, dtype=float) >= 0.0).astype(float)
 
 
 def _zero(x):

@@ -24,9 +24,11 @@ written as ``null``, and a check whose value is ``null`` FAILs.
 Aggregates are byte-identical across reruns of the same config and seed,
 whatever the thread count: workers fan out across seeds on one pool of
 ``PATHCALC_THREADS`` threads (by default the usable CPUs, up to 8) and write
-their own files; a compensator run fans out its (process, Y) pairs, its
-martingale check and its negative control, each with its own seed.  The
-coordinator aggregates in fixed seed order, writing once.
+their own files.  A compensator run fans out its processes, its martingale
+check and its negative control.  A process draws its paths once, from the
+seed of its first (process, Y) pair, and checks every Y on them; it writes
+each pair's report at that pair's own seed.  The coordinator aggregates in
+fixed seed order, writing once.
 
 Each kind's config keys, with the type and default of each key, are
 declared once, in ``_COMMON`` and ``_KEYS`` below, and only in the kinds
@@ -410,17 +412,27 @@ def _write_seed(kind_dir: Path, seed, report: dict, files=()) -> None:
 
 def _seeds(cfg) -> range:
     """The seeds of a run's reports, in order (see the module docstring): one per path of
-    the kinds that may write paths, one per (process, Y) pair and two more for compensator,
-    one for the other kinds."""
+    the kinds that may write paths, one per (process, Y) pair and two more for compensator
+    (a process draws from the seed of its first pair alone), one for the other kinds."""
     n = (len(_compensator_pairs(cfg["T"])) + 2 if cfg["kind"] == "compensator"
          else cfg["n_paths"] if "write_paths" in cfg else 1)
     return range(cfg["base_seed"], cfg["base_seed"] + n)
 
 
+def _task_seeds(cfg) -> list:
+    """The first seed of each pool task, in order: a compensator process is one task over the
+    seeds of its (process, Y) pairs, and every other task has one seed of :func:`_seeds`."""
+    seeds = _seeds(cfg)
+    if cfg["kind"] != "compensator":
+        return list(seeds)
+    return [*seeds[:-2:len(comp_mod.catalog_test_processes(cfg["T"]))], *seeds[-2:]]
+
+
 def _map_seeds(cfg, worker) -> list:
-    """``worker(seed)``'s results on the pool for each seed of :func:`_seeds`, in order."""
+    """``worker(seed)``'s results on the pool for each seed of :func:`_task_seeds`, in
+    order."""
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        return list(pool.map(worker, _seeds(cfg)))
+        return list(pool.map(worker, _task_seeds(cfg)))
 
 
 CHECK_OPS = {
@@ -517,27 +529,29 @@ def _compensator_pairs(T: float) -> list:
 
 def _run_compensator(cfg, kind_dir: Path):
     n_paths, T, rate_factor = cfg["n_paths"], cfg["T"], cfg["negative_control"]["rate_factor"]
-    pairs = _compensator_pairs(T)
-    model = pairs[0][0]
+    models, ys = comp_mod.catalog_models(), comp_mod.catalog_test_processes(T)
 
-    # one seed per (process, Y) pair, then the martingale check's and the negative control's
-    def worker(seed: int) -> dict:
-        i = seed - cfg["base_seed"]
-        if i < len(pairs):
-            row = {"pair": comp_mod.verify_compensator(*pairs[i], n_paths=n_paths, T=T,
-                                                       seed=seed).to_json_dict()}
-        elif i == len(pairs):
-            row = {"martingale": comp_mod.martingale_check(model, n_paths=n_paths, T=T,
-                                                           seed=seed)}
+    # one seed per (process, Y) pair, then the martingale check's and the negative control's.
+    # A process is one task: it draws its paths once, from the seed of its first pair, and
+    # writes each pair's report at that pair's own seed.
+    def worker(seed: int) -> list:
+        k = (seed - cfg["base_seed"]) // len(ys)
+        if k < len(models):
+            rows = [{"pair": v.to_json_dict()} for v in comp_mod.verify_process(
+                models[k], ys, n_paths=n_paths, T=T, seed=seed)]
+        elif seed == cfg["base_seed"] + len(models) * len(ys):
+            rows = [{"martingale": comp_mod.martingale_check(models[0], n_paths=n_paths, T=T,
+                                                             seed=seed)}]
         else:
-            row = {"negative_control": comp_mod.verify_compensator(
-                model, comp_mod.ConstantY(1.0), n_paths=n_paths, T=T, seed=seed,
-                rate_factor=rate_factor).to_json_dict()}
-        row = {"seed": seed, **row}
-        _write_seed(kind_dir, seed, row)
-        return row
+            rows = [{"negative_control": comp_mod.verify_compensator(
+                models[0], comp_mod.ConstantY(1.0), n_paths=n_paths, T=T, seed=seed,
+                rate_factor=rate_factor).to_json_dict()}]
+        rows = [{"seed": s, **row} for s, row in enumerate(rows, seed)]
+        for row in rows:
+            _write_seed(kind_dir, row["seed"], row)
+        return rows
 
-    return _map_seeds(cfg, worker)
+    return [row for rows in _map_seeds(cfg, worker) for row in rows]
 
 
 def _schemes(cfg) -> dict:

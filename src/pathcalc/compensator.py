@@ -11,6 +11,7 @@ quadratic variation of a jump diffusion p = 2 and c = sigma^2: its slope is
 the sum of the path model's ``bracket_coeffs``.  The verification estimates
 E int Y dA and E int Y dA^p with paired sampling, so the verdict compares
 the mean difference against three standard errors of the paired difference.
+A process draws its paths once, from one seed, for all the Y that it checks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "StepY",
     "StateY",
     "verify_compensator",
+    "verify_process",
     "martingale_check",
     "CompensatorVerdict",
     "catalog_models",
@@ -136,7 +138,8 @@ class PathQV(_Increasing):
 # ---------------------------------------------------------------------------
 # Each answers at(states, times), Y_s at the left-limit states X_{s-} and times s, shaped
 # like states, and time_integral(T), int_0^T Y_s ds, or None where that reads the path.
-# A Y whose time_integral is not None reads no state, so its PathQV pair draws no normals.
+# A Y whose time_integral is not None reads no state: a PathQV process whose Y all have one
+# draws no normals.
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,8 @@ def catalog_test_processes(T: float = 1.0):
 # paired Monte Carlo for E int Y dA vs E int Y dA^p
 # ---------------------------------------------------------------------------
 
-# paths per block of the PathQV branch of verify_compensator: at 128 rows a block's normals,
-# states and Y take 0.5 MiB each, and fewer rows no longer lower a run's peak memory
+# paths per block of the PathQV branch of verify_process: at 128 rows a block's normals,
+# states and one Y on it take 0.5 MiB each, and fewer rows no longer lower a run's peak memory
 _BLOCK_ROWS = 128
 
 
@@ -302,14 +305,15 @@ def _verdict(model, y, lhs, rhs):
     )
 
 
-def _path_qv_terms(model, y, n_paths, T, seed):
-    """Per path, ``integral`` and ``jump_sum`` (see :func:`verify_compensator`) of a
-    :class:`PathQV` pair: the continuous part on 512 equal time steps, the jumps exact."""
+def _path_qv_terms(model, ys, n_paths, T, seed):
+    """Per Y of ``ys``, ``integral`` and ``jump_sum`` (see :func:`verify_process`) of a
+    :class:`PathQV` process: the continuous part on 512 equal time steps, the jumps exact.
+    Every Y reads the same blocks of paths."""
     n_steps = 512
     ts = np.linspace(0.0, T, n_steps + 1)
     dt = T / n_steps
-    integral = np.empty(n_paths)
-    jump_sum = np.zeros(n_paths)
+    integrals = np.empty((len(ys), n_paths))
+    jump_sums = np.zeros((len(ys), n_paths))
     if model.rate > 0:
         # the jumps come from the seed's second stream, 2^128 draws past the normals'
         jump_rng = np.random.Generator(seeded_rng(seed).bit_generator.jumped())
@@ -319,10 +323,12 @@ def _path_qv_terms(model, y, n_paths, T, seed):
         # use the same state
         cell = np.minimum((times / dt).astype(np.int64), n_steps - 1)
     rows = min(_BLOCK_ROWS, n_paths)
-    # the normals are drawn only where Y reads them: a Y with a closed-form time integral
-    # reads no state, and a model with no continuous part keeps it at 0, so either gets a
-    # read-only zero block
-    draws = (model.model.sigma > 0 or model.model.drift != 0.0) and y.time_integral(T) is None
+    # the normals are drawn only where some Y reads them: a Y with a closed-form time
+    # integral reads no state, and a model with no continuous part keeps it at 0, so a
+    # process whose Y all read no state, or that has no continuous part, gets a read-only
+    # zero block
+    draws = ((model.model.sigma > 0 or model.model.drift != 0.0)
+             and any(y.time_integral(T) is None for y in ys))
     if draws:
         rng = seeded_rng(seed)
         normals = np.empty((rows, n_steps))
@@ -335,20 +341,39 @@ def _path_qv_terms(model, y, n_paths, T, seed):
         if draws:
             incr = _increments(rng, model.model, dt, math.sqrt(dt), normals[:k])
             np.cumsum(incr, axis=1, out=block[:, 1:])
-        integral[r:r + k] = np.sum(y.at(block[:, :-1], ts[:-1]), axis=1) * dt
         if model.rate > 0:
             # the events are sorted by path, so the block's are one slice
             ev = slice(*np.searchsorted(path_id, (r, r + k)))
             ids = path_id[ev]
-            np.add.at(jump_sum, ids, y.at(block[ids - r, cell[ev]], times[ev]) * jumps[ev])
-    return integral, jump_sum
+            jump_states = block[ids - r, cell[ev]]
+        for y, integral, jump_sum in zip(ys, integrals, jump_sums):
+            integral[r:r + k] = np.sum(y.at(block[:, :-1], ts[:-1]), axis=1) * dt
+            if model.rate > 0:
+                np.add.at(jump_sum, ids, y.at(jump_states, times[ev]) * jumps[ev])
+    return list(zip(integrals, jump_sums))
 
 
-def verify_compensator(
-    model, y, n_paths: int = 10_000, T: float = 1.0, seed: int = 0,
+def _pure_jump_terms(model, ys, n_paths, T, seed):
+    """Per Y of ``ys``, ``integral`` and ``jump_sum`` (see :func:`verify_process`) of a
+    pure-jump process, exact: A is piecewise constant between its Poisson events, drawn
+    once for every Y."""
+    counts, path_id, times, sizes = _jump_events(seeded_rng(seed), model, T, n_paths)
+    before = _ragged_prefix_before(counts, sizes)
+    for y in ys:
+        jump_sum = np.zeros(n_paths)
+        np.add.at(jump_sum, path_id, y.at(before, times) * sizes)
+        integral = y.time_integral(T)
+        integral = (np.full(n_paths, integral) if integral is not None
+                    else _segment_integral(y, counts, path_id, times, before, sizes, T))
+        yield integral, jump_sum
+
+
+def verify_process(
+    model, ys, n_paths: int = 10_000, T: float = 1.0, seed: int = 0,
     rate_factor: float = 1.0,
-) -> CompensatorVerdict:
-    """Monte Carlo check of E int Y dA == E int Y dA^p for a catalog pair.
+) -> list:
+    """Monte Carlo checks of E int Y dA == E int Y dA^p for a catalog process and each Y
+    of ``ys``, on one draw of paths: one verdict per Y, in order.
 
     With ``integral`` = int_0^T Y_s ds and ``jump_sum`` the sum of Y_s J_s^p
     over the jumps of A up to T, per path int Y dA = c integral + jump_sum and
@@ -357,37 +382,49 @@ def verify_compensator(
     ``rate_factor`` scales the closed-form side only; a value != 1 is the
     deliberate negative control (the check must fail).
 
-    A :class:`PathQV` pair with jumps draws all of its jump events first, from
+    Every Y reads the same paths, drawn from ``seed`` alone, so the verdict of
+    each Y equals ``verify_compensator(model, y, seed=seed)``'s bit for bit,
+    and the checks of one call are dependent.  A pure-jump process draws its
+    Poisson events once, from ``seeded_rng(seed)``.  A :class:`PathQV` process
+    with jumps draws all of its jump events first, from
     ``Generator(seeded_rng(seed).bit_generator.jumped())``: a stream that is a
-    function of the seed alone and never overlaps the normals.  The pair then
-    builds its continuous paths in blocks of ``_BLOCK_ROWS`` rows, each drawing
-    its normals from ``seeded_rng(seed)`` in path order, so the normals are
-    those of a single draw for all paths.  A block sums its ``integral`` and
-    adds its paths' jumps, read at their cells, to ``jump_sum``; then the next
-    block overwrites it.  So, whatever ``n_paths`` is, a pair holds one block:
-    its normals and its states, two reused arrays of about 0.5 MiB each, and Y
-    on it, plus the jump events and a few arrays of ``n_paths``.  A Y whose
-    ``time_integral`` is not None reads no state, so its pair draws no normals
-    and allocates neither array; ``integral`` is still the 512-step sum.
+    function of the seed alone and never overlaps the normals.  It then builds
+    its continuous paths in blocks of ``_BLOCK_ROWS`` rows, each drawing its
+    normals from ``seeded_rng(seed)`` in path order, so the normals are those
+    of a single draw for all paths.  On each block, every Y sums its
+    ``integral`` and adds its paths' jumps, read at their cells, to its
+    ``jump_sum``; then the next block overwrites it.  So, whatever ``n_paths``
+    is, a process holds one block: its normals and its states, two reused
+    arrays of about 0.5 MiB each, and one Y on it at a time, plus the jump
+    events and a few arrays of ``n_paths`` per Y.  The normals are drawn only
+    if some Y reads the state, that is, has no closed-form ``time_integral``;
+    otherwise neither array is allocated, and ``integral`` is still the
+    512-step sum.
 
     Raises ValueError unless ``n_paths`` is an integer >= 1, ``T`` a finite number > 0
     and ``seed`` an integer in [0, 2**64).
     """
-    _check_arguments(model, "verify_compensator", n_paths, T, seed)
-    if isinstance(model, PathQV):  # discretised continuous part, exact jumps
-        integral, jump_sum = _path_qv_terms(model, y, n_paths, T, seed)
-    else:  # exact pure-jump: A is piecewise constant between its Poisson events
-        counts, path_id, times, sizes = _jump_events(seeded_rng(seed), model, T, n_paths)
-        before = _ragged_prefix_before(counts, sizes)
-        jump_sum = np.zeros(n_paths)
-        np.add.at(jump_sum, path_id, y.at(before, times) * sizes)
-        integral = y.time_integral(T)
-        integral = (np.full(n_paths, integral) if integral is not None
-                    else _segment_integral(y, counts, path_id, times, before, sizes, T))
+    _check_arguments(model, "verify_process", n_paths, T, seed)
+    terms = (_path_qv_terms if isinstance(model, PathQV) else _pure_jump_terms)(
+        model, ys, n_paths, T, seed)
+    slope = model.compensator_slope(rate_factor)
+    return [_verdict(model, y, model.c * integral + jump_sum, slope * integral)
+            for y, (integral, jump_sum) in zip(ys, terms)]
 
-    lhs = model.c * integral + jump_sum
-    rhs = model.compensator_slope(rate_factor) * integral
-    return _verdict(model, y, lhs, rhs)
+
+def verify_compensator(
+    model, y, n_paths: int = 10_000, T: float = 1.0, seed: int = 0,
+    rate_factor: float = 1.0,
+) -> CompensatorVerdict:
+    """Monte Carlo check of E int Y dA == E int Y dA^p for one catalog pair: the one-Y
+    case of :func:`verify_process`, whose docstring states the arguments that it rejects.
+
+    The pair draws its paths from ``seed`` by the rule of a process, so its verdict is
+    the one that Y gets from a :func:`verify_process` call at the same seed with any
+    other Y beside it; a Y that reads no state draws no normals here.
+    """
+    return verify_process(model, [y], n_paths=n_paths, T=T, seed=seed,
+                          rate_factor=rate_factor)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 import argparse
 import importlib.util
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (DecompositionReport, SamplePath, cli, compensator, paths, riemann,
                       simulate)
@@ -194,6 +198,25 @@ class TestRun:
         assert {"aggregate.json", "summary.txt", "5/report.json", "26/report.json"} <= set(trees[0])
         assert trees[0] == trees[1]
 
+    def test_each_pair_reports_the_draw_of_its_processs_first_seed(self, tmp_path):
+        # a process draws once, from the seed of its first pair, and writes each pair's
+        # report at that pair's own seed
+        n_paths, T, base = 130, 0.7, 5
+        cfg = write_config(tmp_path, "comp.json", {
+            "schema_version": 1, "kind": "compensator", "n_paths": n_paths, "T": T,
+            "base_seed": base, "out_dir": str(tmp_path / "out")})
+        main(["run", cfg])
+        ys = compensator.catalog_test_processes(T)
+        for k, model in enumerate(compensator.catalog_models()):
+            for j, y in enumerate(ys):
+                seed = base + len(ys) * k + j
+                verdict = compensator.verify_compensator(model, y, n_paths=n_paths, T=T,
+                                                         seed=base + len(ys) * k)
+                cli._write_json(tmp_path / "want.json",
+                                {"seed": seed, "pair": verdict.to_json_dict()})
+                report = tmp_path / "out" / "compensator" / str(seed) / "report.json"
+                assert report.read_bytes() == (tmp_path / "want.json").read_bytes(), seed
+
     def test_runs_in_one_process_write_the_bytes_of_separate_runs(self, tmp_path, monkeypatch):
         # the time grid and the dyadic picks outlive each run's pool: one process runs
         # tanaka, then a jump diffusion whose paths mix jump-free and jump paths, then tanaka
@@ -253,6 +276,36 @@ class TestRun:
         assert main(["run", bad]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+
+
+def _seed_tree(kind_dir: Path) -> dict:
+    """The bytes of every file under the seed directories of ``kind_dir``."""
+    return {name: data for name, data in _tree(kind_dir).items() if "/" in name}
+
+
+class TestCompensatorConfigs:
+    """Any compensator config within small sizes gives a verdict that ``replay`` repeats,
+    with seed files that do not depend on the thread count."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_paths=st.integers(1, 300), T=st.floats(1e-300, 5.0),
+           base_seed=st.integers(0, 2**64 - 22), rate_factor=st.floats(-3.0, 3.0))
+    def test_run_replay_and_threads_agree(self, n_paths, T, base_seed, rate_factor):
+        with tempfile.TemporaryDirectory() as tmp:
+            trees = []
+            for threads in ("1", "2"):
+                out = Path(tmp, f"out{threads}")
+                cfg = write_config(Path(tmp), f"comp{threads}.json", {
+                    "schema_version": 1, "kind": "compensator", "n_paths": n_paths, "T": T,
+                    "base_seed": base_seed, "negative_control": {"rate_factor": rate_factor},
+                    "out_dir": str(out)})
+                with mock.patch.dict(os.environ, {"PATHCALC_THREADS": threads}):
+                    rc = main(["run", cfg])
+                assert rc in (0, 1)
+                assert main(["replay", str(out)]) == rc
+                trees.append(_seed_tree(out / "compensator"))
+            assert len(trees[0]) == 22
+            assert trees[0] == trees[1]
 
 
 class TestReplay:
@@ -976,7 +1029,8 @@ class TestConfigDefaults:
 
     def test_compensator_defaults_to_ten_thousand_paths(self, tmp_path, monkeypatch):
         n_paths = []
-        for name in ("verify_compensator", "martingale_check"):
+        # verify_compensator, which the negative control calls, is the one-Y verify_process
+        for name in ("verify_process", "martingale_check"):
             original = getattr(compensator, name)
             monkeypatch.setattr(compensator, name, lambda *args, original=original, **kwargs:
                                 n_paths.append(kwargs["n_paths"]) or original(*args, **kwargs))
@@ -984,8 +1038,9 @@ class TestConfigDefaults:
             "schema_version": 1, "kind": "compensator", "out_dir": str(tmp_path / "out")})
         main(["run", cfg])
         agg = json.loads((tmp_path / "out" / "compensator" / "aggregate.json").read_text())
-        assert agg["config"]["n_paths"] == 10_000
-        assert n_paths == [10_000] * len(agg["per_seed"]) == [10_000] * 22
+        assert agg["config"]["n_paths"] == 10_000 and len(agg["per_seed"]) == 22
+        # one draw per process, the martingale check's and the negative control's
+        assert n_paths == [10_000] * (len(compensator.catalog_models()) + 2) == [10_000] * 7
 
     @pytest.mark.parametrize("level, n_steps", [(0, 4), (7, 2**9), (16, 2**18), (40, 2**18)])
     @pytest.mark.parametrize("name", ["qv", "independence", "ito", "tanaka_local_time"])

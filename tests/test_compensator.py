@@ -1,5 +1,6 @@
 """Tests for closed-form compensators and their Monte Carlo verification."""
 
+import json
 import tracemalloc
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from pathcalc.compensator import (
     _verdict,
     catalog_models,
     catalog_test_processes,
+    verify_process,
 )
 from pathcalc.paths import seeded_rng
 
@@ -340,8 +342,8 @@ class TestPathQVRowBlocks:
         n_paths, seed, law = 2 * _BLOCK_ROWS + 3, 61, UniformLaw(-1.0, 1.0)
         drawing = PathQV(JumpDiffusion(sigma=0.8, drift=0.1, rate=1.0, law=law))
         still = PathQV(JumpDiffusion(sigma=0.0, drift=0.0, rate=1.0, law=law))
-        sums = [_path_qv_terms(drawing, _PathReadingConstantY(1.0), n_paths, 1.0, seed)[1],
-                _path_qv_terms(still, ConstantY(1.0), n_paths, 1.0, seed)[1]]
+        sums = [_path_qv_terms(drawing, [_PathReadingConstantY(1.0)], n_paths, 1.0, seed)[0][1],
+                _path_qv_terms(still, [ConstantY(1.0)], n_paths, 1.0, seed)[0][1]]
         jump_rng = np.random.Generator(seeded_rng(seed).bit_generator.jumped())
         _, path_id, _, jumps = _jump_events(jump_rng, drawing, 1.0, n_paths)
         rebuilt = np.zeros(n_paths)
@@ -352,4 +354,52 @@ class TestPathQVRowBlocks:
         # the first pair did draw its normals
         monkeypatch.setattr(compensator, "seeded_rng", _JumpsOnlyRng)
         with pytest.raises(_NormalDrawn):
-            _path_qv_terms(drawing, _PathReadingConstantY(1.0), n_paths, 1.0, seed)
+            _path_qv_terms(drawing, [_PathReadingConstantY(1.0)], n_paths, 1.0, seed)
+
+
+def _bits(verdict) -> str:
+    """A verdict's persisted numbers, each by its repr: equal strings are equal bits."""
+    return json.dumps(verdict.to_json_dict())
+
+
+class TestProcessDraw:
+    # a process draws its paths once, from its seed, and every Y reads them
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    @pytest.mark.parametrize("n_paths", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                         2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: m.label)
+    def test_each_y_gets_the_verdict_of_its_own_call(self, model, n_paths, T):
+        ys = catalog_test_processes(T)
+        seed = n_paths + 71
+        for rate_factor in (1.0, 1.37):
+            shared = verify_process(model, ys, n_paths=n_paths, T=T, seed=seed,
+                                    rate_factor=rate_factor)
+            assert [(v.model_label, v.y_label) for v in shared] == [(model.label, y.label)
+                                                                   for y in ys]
+            for y, v in zip(ys, shared):
+                alone = verify_compensator(model, y, n_paths=n_paths, T=T, seed=seed,
+                                           rate_factor=rate_factor)
+                assert _bits(v) == _bits(alone) and v.passed == alone.passed, y.label
+
+    @pytest.mark.parametrize("model", _path_qv_models(), ids=lambda m: m.label)
+    def test_normals_are_drawn_only_if_some_y_reads_the_state(self, model, monkeypatch):
+        n_paths, seed = _BLOCK_ROWS + 1, 83
+        state_free = [ConstantY(1.0), StepY(tau=0.5)]
+        wholes = verify_process(model, state_free + [StateY("cos")], n_paths=n_paths, seed=seed)
+        monkeypatch.setattr(compensator, "seeded_rng", _JumpsOnlyRng)
+        blocked = verify_process(model, state_free, n_paths=n_paths, seed=seed)
+        assert list(map(_bits, blocked)) == list(map(_bits, wholes[:2]))
+        with pytest.raises(_NormalDrawn):
+            verify_process(model, state_free + [StateY("sign")], n_paths=n_paths, seed=seed)
+
+    def test_a_process_with_four_y_at_ten_thousand_paths_peaks_under_4_mib(self):
+        # one block for all four Y, evaluated one Y at a time, plus two arrays of n_paths
+        # per Y: the single pair's budget
+        model = [m for m in _path_qv_models() if m.rate > 0][0]
+        tracemalloc.start()
+        try:
+            verify_process(model, catalog_test_processes(), n_paths=10_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak

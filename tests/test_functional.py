@@ -19,7 +19,7 @@ from pathcalc import (
     taylor_check,
 )
 from pathcalc import functional
-from pathcalc.catalog import CATALOG_NAMES
+from pathcalc.catalog import CATALOG_NAMES, _step_rc, sign_rc
 from pathcalc.functional import _dyadic_chain, _raw_ratio
 from pathcalc.paths import seeded_rng
 
@@ -334,6 +334,19 @@ class TestCatalogDeclarations:
         assert f.convex
         assert not make_scalar_fn("piecewise_linear",
                                   breakpoints=[0.0], slopes=[1.0, -1.0]).convex
+
+    @pytest.mark.parametrize("fn, lo", [(sign_rc, -1.0), (_step_rc, 0.0)],
+                             ids=["sign_rc", "step_rc"])
+    def test_sign_and_step_bits_at_the_edge_values(self, fn, lo):
+        # right-continuous at 0, -0.0 included; NaN reads as negative; a +0.0 step, never -0.0
+        x = np.array([-np.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, 1e300, np.inf, np.nan,
+                      -np.nan])
+        want = np.array([lo, lo, lo, 1.0, 1.0, 1.0, 1.0, 1.0, lo, lo])
+        got = fn(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for v, w in zip(x, want):
+            assert np.float64(fn(v)).view(np.int64) == w.view(np.int64)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
