@@ -492,8 +492,9 @@ def _map_paths(cfg, kind_dir: Path, evaluate):
 def _run_qv(cfg, kind_dir: Path):
     levels = cfg["levels"]
 
+    # finest first, so that each coarser level strides the path's finest picks (dyadic_grid)
     def evaluate(path):
-        return {"qv": {str(lv): realized_qv(dyadic_grid(path, lv)) for lv in levels}}, ()
+        return {"qv": {str(lv): realized_qv(dyadic_grid(path, lv)) for lv in reversed(levels)}}, ()
 
     return _map_paths(cfg, kind_dir, evaluate)
 

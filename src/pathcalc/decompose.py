@@ -359,7 +359,7 @@ def _decompose(f, grid, g, mode) -> DecompositionReport:
     # one scratch array holds each temporary of the extremes in turn, each read before the
     # next one overwrites it
     work = _scratch_array("stats", n + 1)
-    least_incr = float(np.min(np.subtract(resid[1:], resid[:-1], out=work[:n]))) if n else 0.0
+    least_incr = float(np.min(np.subtract(resid[1:], resid[:-1], out=work[:n])))
     max_abs_residual = float(np.max(np.abs(resid, out=work)))
     defect = np.subtract(terms["compensator_term"], terms["compensator_closed"], out=work)
     bracket_defect = float(np.max(np.abs(defect, out=defect)))

@@ -331,7 +331,7 @@ def model_from_dict(d):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A discretized trajectory with explicit jump marks.
+    """A discretized trajectory of two points or more, with explicit jump marks.
 
     ``values`` holds the post-jump (right-continuous) state at each grid
     time; ``pre_values`` differs from ``values`` only at jump indices,
@@ -353,6 +353,8 @@ class SamplePath:
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
+        if len(times) < 2:
+            raise ValueError(f"a path needs at least two points, got {len(times)}")
         # a NaN compares false both ways, so test what must hold, not what must not
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError("times must be finite and strictly increasing")
@@ -376,7 +378,7 @@ class SamplePath:
         return len(self.times)
 
     def median_continuous_move(self) -> float:
-        """Median of |X_{t_(i+1)-} - X_(t_i)| over the cells (0 for a single point).
+        """Median of |X_{t_(i+1)-} - X_(t_i)| over the cells.
 
         Jumps are excluded by taking the left limit at each cell's end; on a
         jump-free path these are the plain increments.  Grids and oracles use
@@ -386,8 +388,7 @@ class SamplePath:
         # every path, so seed-pool threads would take turns over their medians
         median = self.__dict__.get("_median_move")
         if median is None:
-            moves = np.abs(self.pre_values[1:] - self.values[:-1])
-            median = _median(moves) if len(moves) else 0.0
+            median = _median(np.abs(self.pre_values[1:] - self.values[:-1]))
             object.__setattr__(self, "_median_move", median)
         return median
 
@@ -413,8 +414,8 @@ class SamplePath:
         Each row must hold value = pre_jump_value + jump_size exactly, as
         :func:`simulate` builds it.  The error for a row that does not (a
         left limit apart from its value where jump_size is 0, say) names
-        its line.  The times must be finite and strictly increasing, as for
-        any :class:`SamplePath`.
+        its line.  As for any :class:`SamplePath`, there must be two rows or
+        more, and the times must be finite and strictly increasing.
         """
         times, values, pre, sizes = [], [], [], []
         with open(path, newline="") as fh:

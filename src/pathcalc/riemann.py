@@ -76,13 +76,13 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     ``level`` must be an integer >= 0, not a bool.  The nearest-point picks depend
     only on ``path.times`` and the level.  The targets nest bitwise: target j at
     level L is target j 2^k at level L + k, since T (2^k j) is exactly
-    2^k fl(T j) and dividing by a power of two is exact.  Jump-free paths
-    that :func:`~pathcalc.paths.simulate` builds with one (n_steps, T) share
-    one read-only time grid object, so the process keeps the picks of the
-    last jump-free time grid searched at the finest level computed, and a
-    coarser level on the same grid object, or on an equal grid (a path read
-    from a CSV file, say), takes every 2^k-th of them.  A path with jumps has
-    a time grid of its own: its picks are searched on every call and not kept.
+    2^k fl(T j) and dividing by a power of two is exact.  So the process keeps
+    the picks of the last time grid searched, of any path, and a coarser level
+    on the same grid object, or on an equal one (a path read from a CSV file,
+    say), takes every 2^k-th of them.  Jump-free paths that
+    :func:`~pathcalc.paths.simulate` builds with one (n_steps, T) share one
+    time grid object; a jump path has its own, searched once when its levels
+    are asked for finest first.
 
     The grids nest too: once a level's grid holds every index, so does every
     finer level's.  A level past the least level L with 2^L >= 2 (n_points - 1),
@@ -102,12 +102,9 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
 
 
 def _dyadic_indices(path: SamplePath, level: int, pick=None) -> np.ndarray:
-    """The indices of :func:`dyadic_grid` at ``level``, searched at that level by ``pick``,
-    by default :func:`_nearest_picks` or, on a jump-free path, :func:`_shared_picks`."""
-    if pick is None:
-        pick = _nearest_picks if len(path.jump_indices) else _shared_picks
+    """:func:`dyadic_grid`'s indices at ``level``, picked by ``pick`` or :func:`_shared_picks`."""
     marked = np.zeros(path.n_points, dtype=bool)
-    marked[pick(path.times, level)] = True
+    marked[(pick or _shared_picks)(path.times, level)] = True
     marked[path.jump_indices] = True
     marked[[0, -1]] = True
     return np.flatnonzero(marked)
@@ -156,14 +153,14 @@ def _held_picks(times: np.ndarray, level: int) -> np.ndarray:
 
 
 # (times, level, picks) of the last time grid that _shared_picks searched, or None, rebound
-# whole and never mutated; the times are a path's read-only array, for a simulated
-# jump-free path the time grid that it shares with the others of its (n_steps, T)
+# whole and never mutated; the times are a path's read-only array, shared by the jump-free
+# paths simulated with one (n_steps, T), or a jump path's own, which the entry keeps alive
 _last_picks = None
 
 
 def _shared_picks(times: np.ndarray, level: int) -> np.ndarray:
-    """:func:`_nearest_picks`, taken strided from the process's last search when that
-    was on the same time grid object, or an equal one, at a level at least as fine."""
+    """:func:`_nearest_picks`, taken strided from the process's last search, of any path,
+    when that was on the same time grid object, or an equal one, at a level at least as fine."""
     global _last_picks
     memo = _last_picks
     if (memo is not None and memo[1] >= level
@@ -434,8 +431,9 @@ def limit_in_probability(
     for p in range(n_paths):
         path = simulate(model, n_steps=n_steps, T=T, seed=base_seed + p)
         for name, ps in params.items():
-            for lv, param in enumerate(ps):
-                estimates[name][p, lv] = pathwise_sum(base, build_grid(path, name, param))
+            # fine to coarse: a coarser dyadic level strides the finest level's picks (dyadic_grid)
+            for lv in reversed(range(len(ps))):
+                estimates[name][p, lv] = pathwise_sum(base, build_grid(path, name, ps[lv]))
 
     cross_tail = _tail_fractions(estimates, eps, delta)[1]
     return ConvergenceDiagnostic(scheme_params=params, estimates=estimates, cross_tail=cross_tail)

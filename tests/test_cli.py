@@ -83,6 +83,24 @@ class TestRun:
         assert main(["replay", str(tmp_path / "out" / "qv")]) == rc
         assert _check_lines(capsys.readouterr().out) == run_lines
 
+    def test_each_jump_path_is_searched_once_at_its_finest_level(self, tmp_path, monkeypatch):
+        # the levels are asked finest first, so each coarser one strides the finest picks
+        monkeypatch.setenv("PATHCALC_THREADS", "1")
+        monkeypatch.setattr(riemann, "_last_picks", None)
+        searched = []
+        nearest = riemann._nearest_picks
+        monkeypatch.setattr(riemann, "_nearest_picks",
+                            lambda times, level: searched.append((times, level))
+                            or nearest(times, level))
+        model = {"kind": "jd", "sigma": 1.0, "rate": 6.0,
+                 "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}}
+        assert main(["run", qv_config(tmp_path, model=model, levels=[4, 6, 8], n_paths=4,
+                                      tolerances={"qv_band": [0, 10]})]) == 0
+        for (times, level), seed in zip(searched, range(100, 104), strict=True):
+            path = simulate(model_from_dict(model), 512, 1.0, seed)
+            assert len(path.jump_indices) > 0
+            assert level == 8 and np.array_equal(times, path.times)
+
     def test_a_default_n_steps_at_level_40_gives_a_verdict(self, tmp_path, capsys):
         # the default n_steps is capped at 2^18, not 2^42 (a 32 TiB time grid); checked
         # before the run, so that a lost cap fails here and allocates nothing
@@ -220,8 +238,10 @@ class TestRun:
     def test_runs_in_one_process_write_the_bytes_of_separate_runs(self, tmp_path, monkeypatch):
         # the time grid and the dyadic picks outlive each run's pool: one process runs
         # tanaka, then a jump diffusion whose paths mix jump-free and jump paths, then tanaka
-        # again, each on new pool threads.  The second tanaka run builds no grid, and each
-        # run gives the exit code and every file of a run that starts with empty caches
+        # again, each on new pool threads.  The second tanaka run builds no time grid (its
+        # dyadic picks may be searched again: the picks memo holds the path that the jd run
+        # gridded last, with jumps or not), and each run gives the exit code and every file
+        # of a run that starts with empty caches
         monkeypatch.setenv("PATHCALC_THREADS", "2")
         jd = PARITY_CONFIGS["qv_jd"]
         model = model_from_dict(jd["model"])
@@ -308,6 +328,86 @@ class TestCompensatorConfigs:
             assert trees[0] == trees[1]
 
 
+_FUNCTIONS = [{"name": name} for name in ("abs", "square", "cos", "sign", "relu")] + [
+    {"name": "piecewise_linear", "breakpoints": [0.0], "slopes": [-1.0, 1.0]}]
+_TOLERANCE = st.sampled_from([-1.0, 0.0, 1e-8, 0.1, 10.0])
+_EDGE_LEVELS = st.sampled_from([0, 1, 5, 9, 12, 40, 60])
+# a value for each key that the kinds declare, by its dotted name: small sizes and edge values
+_KEY_VALUES = {
+    "base_seed": st.sampled_from([0, 7, 2**64 - 1]),
+    "n_paths": st.integers(1, 3),
+    "n_steps": st.sampled_from([1, 2, 7, 64, 512]),
+    "T": st.sampled_from([1e-9, 0.5, 1.0, 5.0]),
+    "write_paths": st.booleans(),
+    "model": st.sampled_from([
+        {"kind": "bm"}, {"kind": "bm", "sigma": 0.0, "drift": 1.0, "x0": -3.0},
+        {"kind": "cpj", "rate": 0.0, "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
+        {"kind": "cpj", "rate": 5.0, "law": {"kind": "two_point", "p": 0.5, "a1": 0.3,
+                                             "a2": -0.4}},
+        # half its drawn jumps are of size 0, so its grids miss an index at the least level
+        {"kind": "jd", "rate": 50.0, "law": {"kind": "two_point", "p": 0.5, "a1": 0.0,
+                                             "a2": 1.0}},
+        {"kind": "jd", "sigma": 2.0, "drift": -1.0, "rate": 3.0,
+         "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
+        {"kind": "fv", "knots_t": [0.0, 0.3, 1.0], "knots_x": [0.0, 1.5, -0.5]}]),
+    "levels": st.lists(_EDGE_LEVELS, min_size=1, max_size=3, unique=True).map(sorted),
+    "level": _EDGE_LEVELS,
+    "function": st.sampled_from(_FUNCTIONS),
+    "g": st.sampled_from(_FUNCTIONS),
+    "hitting_eps": st.lists(st.sampled_from([1.0, 0.25, 0.05, 1e-4]), min_size=1, max_size=3,
+                            unique=True).map(lambda v: sorted(v, reverse=True)),
+    "functions": st.lists(st.sampled_from(["abs", "square", "cube", "sign", "cos"]),
+                          min_size=1, max_size=3),
+    "n_draws": st.sampled_from([1, 2, 50]),
+    "entries": st.lists(st.fixed_dictionaries({
+        "function": st.sampled_from(_FUNCTIONS), "a": st.sampled_from([-2.0, 0.0, 1.0]),
+        "b": st.sampled_from([0.0, 1.0, 2.0]), "k": st.integers(0, 4)}), min_size=1, max_size=2),
+    "negative_control.corrupt_g_sign": st.booleans(),
+    "local_time.level": st.sampled_from([-1.0, 0.0, 0.5]),
+    "local_time.eps": st.sampled_from([1e-6, 0.05, 0.2]),
+    "tolerances.qv_band": st.sampled_from([[0, 10], [1.5, 0.5], [0.95, 1.05]]),
+    **{f"tolerances.{key}": _TOLERANCE for key in ("limit", "exact", "identity_gap", "residual",
+                                                   "jump", "local_time_rel", "eps", "delta")},
+}
+
+
+@st.composite
+def _kind_config(draw, kind):
+    """A config of ``kind`` from its declared keys: the required ones, ``n_steps`` and
+    ``n_paths`` where declared, and each other one or not."""
+    def draw_keys(keys, prefix):
+        out = {}
+        for key, (typ, default) in keys.items():
+            name = prefix + key
+            if default is cli._REQUIRED or name in ("n_steps", "n_paths") or draw(st.booleans()):
+                out[key] = (draw_keys(typ, name + ".") if isinstance(typ, dict)
+                            else draw(_KEY_VALUES[name]))
+        return out
+    return draw_keys({"base_seed": cli._COMMON["base_seed"], **cli._KEYS[kind]}, "")
+
+
+class TestKindConfigs:
+    """Any config of a kind other than compensator, within small sizes, gives a verdict that
+    ``replay`` repeats, or a config error that leaves no output."""
+
+    @pytest.mark.parametrize("kind", ["qv", "ito", "tanaka", "independence", "summability",
+                                      "taylor"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), threads=st.sampled_from(["1", "2"]))
+    def test_a_verdict_or_exit_2(self, kind, data, threads):
+        cfg = {"schema_version": 1, "kind": kind, **data.draw(_kind_config(kind))}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "out")
+            path = write_config(Path(tmp), "cfg.json", {**cfg, "out_dir": str(out)})
+            with mock.patch.dict(os.environ, {"PATHCALC_THREADS": threads}):
+                rc = main(["run", path])
+            assert rc in (0, 1, 2)
+            if rc == 2:
+                assert not (out / kind).exists()
+            else:
+                assert main(["replay", str(out / kind)]) == rc
+
+
 class TestReplay:
     def test_fresh_report_replays_identically(self, tmp_path, capsys):
         main(["run", qv_config(tmp_path, out="rp")])
@@ -373,7 +473,7 @@ PARITY_CONFIGS = {
                "levels": [4, 5, 6], "n_paths": 4, "n_steps": 256, "write_paths": True,
                "tolerances": {"qv_band": [0, 3]}},
     # a jump diffusion at rate 0.5: of seeds 2 to 9, three draw no jump and take the
-    # process's time grid and dyadic picks, and the others own their grids
+    # process's time grid and dyadic picks, and the others own their time grids
     "qv_jd": {"kind": "qv", "model": {"kind": "jd", "sigma": 1.0, "rate": 0.5,
                                       "law": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
               "levels": [5, 6, 7], "n_paths": 8, "n_steps": 512, "write_paths": True,

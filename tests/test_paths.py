@@ -538,6 +538,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
             SamplePath.from_csv(f)
 
+    def test_a_single_point_is_rejected(self, tmp_path):
+        # a one-row file once gave a path whose dyadic grid had no cell, and the
+        # decompositions raised numpy's "zero-size array to reduction operation"
+        f = tmp_path / "path.csv"
+        f.write_text("time,value,pre_jump_value,jump_size\n0.0,0.5,0.5,0.0\n")
+        with pytest.raises(ValueError, match="^a path needs at least two points, got 1$"):
+            SamplePath.from_csv(f)
+        one = np.array([0.5])
+        with pytest.raises(ValueError, match="^a path needs at least two points, got 1$"):
+            SamplePath(times=np.array([0.0]), values=one, pre_values=one,
+                       jump_indices=np.array([], dtype=np.int64), jump_sizes=np.array([]))
+
     def test_left_limit_moved_off_the_jumps_is_rejected(self, tmp_path):
         # loaded, this path has no jump, and ito_decompose(square) on it reports an
         # identity gap of 0.19 while its residual stays below 1e-16

@@ -1,7 +1,9 @@
 """Tests for stopping-time grids and pathwise sums."""
 
+import gc
 import json
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,6 +49,9 @@ def bm(seed=11, n=4096):
 
 JD = JumpDiffusion(sigma=1.0, drift=0.2, rate=6.0, law=UniformLaw(-1.0, 1.0))
 CPJ = CompoundPoissonJumps(rate=6.0, law=TwoPointLaw(0.5, 0.3, -0.4))
+# half its drawn jumps are of size 0, and keep their time points: its grids miss an index at
+# the least level
+ZJD = JumpDiffusion(sigma=1.0, drift=0.0, rate=50.0, law=TwoPointLaw(0.5, 0.0, 1.0))
 FV = FiniteVariationPath((0.0, 0.3, 0.7, 1.0), (0.0, 1.5, -0.5, 0.25))
 FV5 = FiniteVariationPath((0.0, 0.3, 0.7, 5.0), (0.0, 1.5, -0.5, 0.25))
 seeds = st.integers(0, 2**32 - 1)
@@ -130,14 +135,15 @@ class TestGrids:
         assert np.array_equal(g.indices, reference_hitting_indices(p, eps))
         assert _mesh(g.times) == float(np.max(np.diff(p.times[g.indices])))
 
-    @given(models=st.lists(st.sampled_from([BrownianMotion(), JD, CPJ, FV5]),
+    @given(models=st.lists(st.sampled_from([BrownianMotion(), JD, CPJ, FV5, ZJD]),
                            min_size=2, max_size=2),
            path_seeds=st.lists(seeds, min_size=1, max_size=4), n_steps=st.integers(1, 2**12),
            T=st.floats(0.3, 5.0), levels=st.lists(st.integers(0, 14), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_dyadic_matches_union_reference(self, models, path_seeds, n_steps, T, levels):
         # paths of two models in turn on one thread, each at the levels in the drawn
-        # order: BM and FV paths share their time grid, jump paths do not
+        # order: BM and FV paths share their time grid, jump paths do not, and each path's
+        # picks at a level coarser than one searched before are strided from that search
         for k, seed in enumerate(path_seeds):
             p = simulate(models[k % 2], n_steps, T, seed=seed)
             for level in levels:
@@ -252,7 +258,7 @@ class TestGrids:
         levels = (11, 9, 10)
 
         def grids(seed):
-            p = simulate(JD if seed % 2 else BrownianMotion(), 2048, 1.0, seed=seed)
+            p = simulate((BrownianMotion(), JD, ZJD)[seed % 3], 2048, 1.0, seed=seed)
             return p, [dyadic_grid(p, level) for level in levels]
 
         interval = sys.getswitchinterval()
@@ -309,6 +315,20 @@ class TestGrids:
         g = dyadic_grid(p, 4)
         assert searched == [] and riemann._last_picks[0] is p.times
         assert np.array_equal(g.indices, reference_dyadic_indices(p, 4))
+
+    def test_the_picks_memo_keeps_at_most_one_jump_path_alive(self):
+        # every path's picks go through the one memo, which holds the times of the last
+        # path searched: gridding jump paths finest first keeps no older path alive
+        alive = []
+        for seed in (0, 1, 2, 3, 5, 6):
+            p = simulate(JD, 1024, 1.0, seed=seed)
+            assert len(p.jump_indices) > 0
+            for level in (10, 8, 5):
+                dyadic_grid(p, level)
+            alive.append(weakref.ref(p.times))
+        del p
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= 1
 
     @pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.25])
     def test_hitting_rejects_eps_not_above_zero(self, eps):
