@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,12 +78,11 @@ def dyadic_grid(path: SamplePath, level: int) -> RiemannGrid:
     only on ``path.times`` and the level.  The targets nest bitwise: target j at
     level L is target j 2^k at level L + k, since T (2^k j) is exactly
     2^k fl(T j) and dividing by a power of two is exact.  So the process keeps
-    the picks of the last time grid searched, of any path, and a coarser level
-    on the same grid object, or on an equal one (a path read from a CSV file,
-    say), takes every 2^k-th of them.  Jump-free paths that
-    :func:`~pathcalc.paths.simulate` builds with one (n_steps, T) share one
-    time grid object; a jump path has its own, searched once when its levels
-    are asked for finest first.
+    the finest picks searched on each time grid object for as long as that
+    object lives, and a coarser level on it takes every 2^k-th of them.
+    Jump-free paths that :func:`~pathcalc.paths.simulate` builds with one
+    (n_steps, T) share one time grid object, searched once; a jump path has
+    its own, searched once when its levels are asked for finest first.
 
     The grids nest too: once a level's grid holds every index, so does every
     finer level's.  A level past the least level L with 2^L >= 2 (n_points - 1),
@@ -152,22 +152,19 @@ def _held_picks(times: np.ndarray, level: int) -> np.ndarray:
     return np.flatnonzero(held) + 1
 
 
-# (times, level, picks) of the last time grid that _shared_picks searched, or None, rebound
-# whole and never mutated; the times are a path's read-only array, shared by the jump-free
-# paths simulated with one (n_steps, T), or a jump path's own, which the entry keeps alive
-_last_picks = None
+# the finest picks searched on each live time grid, by id(times): (weak reference to the
+# times, level, picks), each entry replaced whole and never mutated.  An entry goes when its
+# times do, so it keeps no path alive, and no path's grid displaces another's
+_picks = {}
 
 
 def _shared_picks(times: np.ndarray, level: int) -> np.ndarray:
-    """:func:`_nearest_picks`, taken strided from the process's last search, of any path,
-    when that was on the same time grid object, or an equal one, at a level at least as fine."""
-    global _last_picks
-    memo = _last_picks
-    if (memo is not None and memo[1] >= level
-            and (memo[0] is times or np.array_equal(memo[0], times))):
-        # hold the newest path's times, so that an older path's are not kept alive
-        _last_picks = (times,) + memo[1:]
-        return memo[2][::2 ** (memo[1] - level)]
+    """:func:`_nearest_picks`, taken strided from an earlier search on the same time grid
+    object, by any thread, at a level at least as fine."""
+    key = id(times)
+    entry = _picks.get(key)
+    if entry is not None and entry[0]() is times and entry[1] >= level:
+        return entry[2][::2 ** (entry[1] - level)]
     picks = _nearest_picks(times, level)
     # the targets nest only while the finest product T 2^level does not overflow
     if math.isfinite(times[-1] * 2**level):
@@ -175,7 +172,7 @@ def _shared_picks(times: np.ndarray, level: int) -> np.ndarray:
         # process's peak memory, small
         picks = picks.astype(np.min_scalar_type(len(times) - 1))
         picks.flags.writeable = False
-        _last_picks = (times, level, picks)
+        _picks[key] = (weakref.ref(times, lambda _, key=key: _picks.pop(key, None)), level, picks)
     return picks
 
 

@@ -86,7 +86,7 @@ class TestRun:
     def test_each_jump_path_is_searched_once_at_its_finest_level(self, tmp_path, monkeypatch):
         # the levels are asked finest first, so each coarser one strides the finest picks
         monkeypatch.setenv("PATHCALC_THREADS", "1")
-        monkeypatch.setattr(riemann, "_last_picks", None)
+        monkeypatch.setattr(riemann, "_picks", {})
         searched = []
         nearest = riemann._nearest_picks
         monkeypatch.setattr(riemann, "_nearest_picks",
@@ -238,10 +238,10 @@ class TestRun:
     def test_runs_in_one_process_write_the_bytes_of_separate_runs(self, tmp_path, monkeypatch):
         # the time grid and the dyadic picks outlive each run's pool: one process runs
         # tanaka, then a jump diffusion whose paths mix jump-free and jump paths, then tanaka
-        # again, each on new pool threads.  The second tanaka run builds no time grid (its
-        # dyadic picks may be searched again: the picks memo holds the path that the jd run
-        # gridded last, with jumps or not), and each run gives the exit code and every file
-        # of a run that starts with empty caches
+        # again, each on new pool threads.  The second tanaka run builds no time grid and
+        # searches no dyadic picks (the jd run's jump paths leave the shared time grid's picks
+        # in place), and each run gives the exit code and every file of a run that starts with
+        # empty caches
         monkeypatch.setenv("PATHCALC_THREADS", "2")
         jd = PARITY_CONFIGS["qv_jd"]
         model = model_from_dict(jd["model"])
@@ -260,14 +260,19 @@ class TestRun:
 
         def run_cold(name, where):
             paths._uniform_grid.cache_clear()
-            monkeypatch.setattr(riemann, "_last_picks", None)
+            monkeypatch.setattr(riemann, "_picks", {})
             return run(name, where)
 
         first = run_cold("tanaka_local_time", "first")
         misses = paths._uniform_grid.cache_info().misses
         mixed = run("qv_jd", "mixed")
+        searched = []
+        nearest = riemann._nearest_picks
+        monkeypatch.setattr(riemann, "_nearest_picks",
+                            lambda times, level: searched.append(level) or nearest(times, level))
         again = run("tanaka_local_time", "again")
-        assert paths._uniform_grid.cache_info().misses == misses
+        monkeypatch.setattr(riemann, "_nearest_picks", nearest)
+        assert paths._uniform_grid.cache_info().misses == misses and searched == []
         assert "2/paths.csv" in first[1] and again == first
         assert "9/paths.csv" in mixed[1] and mixed == run_cold("qv_jd", "mixed_cold")
 

@@ -287,10 +287,10 @@ class TestGrids:
         # time grid raised a TypeError from its slice
         p = bm(seed=4, n=64)
         dyadic_grid(p, 5)
-        memo = riemann._last_picks
+        memo = riemann._picks[id(p.times)]
         with pytest.raises(ValueError):
             dyadic_grid(p, 3.0)
-        assert riemann._last_picks is memo
+        assert riemann._picks[id(p.times)] is memo
         g = dyadic_grid(p, 2)
         assert g.param == 2.0 and np.array_equal(g.indices, reference_dyadic_indices(p, 2))
 
@@ -302,23 +302,37 @@ class TestGrids:
 
     def test_picks_searched_on_one_thread_serve_every_thread(self, monkeypatch):
         # one memo for the process: the picks that a pool thread searched at level 6 give
-        # level 4 here, strided, without a search, though this thread last searched another
-        # time grid
-        dyadic_grid(bm(seed=4, n=32), 3)
+        # level 4 here, strided, without a search, though another time grid was searched since
         p = bm(seed=4, n=64)
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(dyadic_grid, p, 6).result(timeout=60)
+        dyadic_grid(simulate(JD, 64, 1.0, seed=1), 3)
         searched = []
         nearest = riemann._nearest_picks
         monkeypatch.setattr(riemann, "_nearest_picks",
                             lambda times, level: searched.append(level) or nearest(times, level))
         g = dyadic_grid(p, 4)
-        assert searched == [] and riemann._last_picks[0] is p.times
+        assert searched == []
         assert np.array_equal(g.indices, reference_dyadic_indices(p, 4))
 
-    def test_the_picks_memo_keeps_at_most_one_jump_path_alive(self):
-        # every path's picks go through the one memo, which holds the times of the last
-        # path searched: gridding jump paths finest first keeps no older path alive
+    def test_jump_paths_leave_the_shared_time_grid_its_picks(self, monkeypatch):
+        # jump-free paths of one (n_steps, T) share a time grid, searched once, though jump
+        # paths, each with a time grid of its own, are gridded between them
+        monkeypatch.setattr(riemann, "_picks", {})
+        searched = []
+        nearest = riemann._nearest_picks
+        monkeypatch.setattr(riemann, "_nearest_picks",
+                            lambda times, level: searched.append(times) or nearest(times, level))
+        paths = [simulate(model, 1024, 1.0, seed=seed)
+                 for seed in range(6) for model in (BrownianMotion(), JD)]
+        for p in paths:
+            assert np.array_equal(dyadic_grid(p, 9).indices, reference_dyadic_indices(p, 9))
+        jump_free = [p for p in paths if len(p.jump_indices) == 0]
+        assert len(jump_free) >= 6 and len(searched) == len(paths) - len(jump_free) + 1
+
+    def test_the_picks_memo_keeps_no_path_alive(self):
+        # every path's picks go through the one memo, whose entries go with their time grids:
+        # gridding jump paths finest first keeps none of them alive
         alive = []
         for seed in (0, 1, 2, 3, 5, 6):
             p = simulate(JD, 1024, 1.0, seed=seed)
@@ -328,7 +342,7 @@ class TestGrids:
             alive.append(weakref.ref(p.times))
         del p
         gc.collect()
-        assert sum(ref() is not None for ref in alive) <= 1
+        assert all(ref() is None for ref in alive)
 
     @pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.25])
     def test_hitting_rejects_eps_not_above_zero(self, eps):
